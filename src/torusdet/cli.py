@@ -246,7 +246,8 @@ def _cmd_hill_scan(args):
     return EXIT_OK, {
         "command": "hill scan",
         "roots": [
-            {"lambda": lam, "abs_det": mag} for lam, mag in scan.roots
+            {"lambda": lam, "abs_det": mag, "multiplicity": count}
+            for (lam, mag), count in zip(scan.roots, scan.multiplicities)
         ],
         "brackets": [{"lo": lo, "hi": hi} for lo, hi in scan.brackets],
         "failures": [

@@ -23,11 +23,15 @@ vanishes, so the determinant is zero.
 
 The spectral shift scan replaces g_0 by g_0 + lambda and locates determinant
 roots in lambda; a root lambda* certifies that -lambda* is an approximate
-eigenvalue of (-Delta)^{nu/2} + Q.
+eigenvalue of (-Delta)^{nu/2} + Q.  On a fixed section the shifted
+determinant is a polynomial in lambda whose roots are minus the eigenvalues
+of the undamped section, so the scan solves one eigenproblem per section
+(Deconinck & Kutz, J. Comput. Phys. 219, 2006).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -84,6 +88,10 @@ class HillProblem:
     def potential_l1(self):
         return float(sum(abs(v) for v in self.potential.values()))
 
+    def reach(self):
+        """Largest sup-norm offset carrying a potential coefficient."""
+        return max((max(abs(c) for c in l) for l in self.potential), default=0)
+
     def shifted(self, lam):
         """The problem for Q + lam (g_0 replaced by g_0 + lam)."""
         zero = (0,) * self.dimension
@@ -123,6 +131,19 @@ def damped_lattice_tail(radius, dimension, nu):
     return head + tail
 
 
+def _damped_tail_bound(mass, reach, dimension, nu, radius):
+    """Bound on the l1 mass of B outside the window of the given radius.
+
+    ``mass`` is ||g - delta||_1 (a float or an array of them) and ``reach``
+    the largest sup-norm offset of g; union bound over the index pairs with
+    the row outside the window and those with the column outside.
+    """
+    return mass * (
+        damped_lattice_tail(radius, dimension, nu)
+        + damped_lattice_tail(max(radius - reach, 0), dimension, nu)
+    )
+
+
 def build_hill_matrix(p: HillProblem, w: TruncationWindow):
     """Damped coefficient matrix B[k, m] = (g_{k-m} - delta_{km}) / d(k).
 
@@ -154,16 +175,7 @@ def build_hill_matrix(p: HillProblem, w: TruncationWindow):
         matrix = SparseL1Matrix.zero(p.dimension)
 
     mass = float(sum(abs(v) for v in coeffs.values()))
-    reach = max((max(abs(c) for c in l) for l in coeffs), default=0)
-
-    def bound(radius, _m=mass, _r=reach, _n=p.dimension, _nu=p.nu):
-        if _m == 0.0:
-            return 0.0
-        return _m * (
-            damped_lattice_tail(radius, _n, _nu)
-            + damped_lattice_tail(max(radius - _r, 0), _n, _nu)
-        )
-
+    bound = functools.partial(_damped_tail_bound, mass, p.reach(), p.dimension, p.nu)
     return matrix, TailModel.user_bound(bound)
 
 
@@ -352,185 +364,103 @@ class ScanFailure:
 @dataclass
 class SpectralScan:
     lambdas: list
-    values: list  # determinant at each grid shift, section radius fixed
-    certified: list  # best certified bound per grid point
-    brackets: list  # (lambda_lo, lambda_hi) candidate root intervals
-    roots: list  # (lambda_star, |det(lambda_star)|) refined and accepted
-    failures: list = field(default_factory=list)
+    values: list  # section determinant at each grid shift
+    certified: list  # raw Lipschitz bound of each section value
+    brackets: list  # (lambda_lo, lambda_hi) grid cell holding each root
+    roots: list  # (lambda_star, |det(lambda_star)|) accepted and merged
+    multiplicities: list = field(default_factory=list)  # candidates per root
+    failures: list = field(default_factory=list)  # candidates the gate rejected
 
 
-def _scan_value(p, lam, radius, coverage):
-    """Raw determinant of the shifted problem at the fixed section radius.
-
-    Requests an unreachable tolerance so the ladder always runs to the same
-    final radius (values stay comparable across shifts), then reads the raw
-    value carried by the convergence failure.  Tail corrections are skipped:
-    only the raw section ladder is wanted here.
-    """
-    matrix, tail = build_hill_matrix(
-        p.shifted(lam), TruncationWindow(coverage, p.dimension)
-    )
-    try:
-        res = poincare_determinant(
-            matrix, tail, tol=1e-300, max_radius=radius, corrections=False
-        )
-        return res.ladder[-1].value, res.certified_error
-    except NonConvergenceError as err:
-        return err.ladder[-1].value, err.last_bound
-
-
-def _bisect(fn, lo, hi, flo, fhi, tol, max_iter=60):
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi), True
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid, True
-        if (flo < 0) != (fm < 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi), hi - lo <= tol
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(fn, lo, hi, tol, max_iter=60):
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-    mid = 0.5 * (a + b)
-    return mid, b - a <= tol
-
-
-def spectral_shift_scan(p: HillProblem, lambdas, tol, radius=32, coverage_radius=None):
+def spectral_shift_scan(p: HillProblem, lambdas, tol, radius=32):
     """Locate determinant roots of the shifted family Q + lambda.
 
-    Every grid point is evaluated at the same section radius so values are
-    comparable across shifts.  Sign changes of the real part are refined by
-    bisection; strict local minima of the magnitude (even-order roots, e.g.
-    the +-k degenerate shifts of diagonal problems) by golden-section search.
-    A refined root lambda* is reported only when |det(lambda*)| <
-    max(tol, 10 x certified error there); it certifies -lambda* as an
-    approximate eigenvalue of the operator.
+    On the section of the given radius, I + B(lambda) = diag(1/d) (M + lambda)
+    with M = diag(d) (I + B(0)) the undamped section, so
+
+        det(I + B(lambda)) = prod_i (mu_i + lambda) / prod_k d(k)
+
+    over the eigenvalues mu_i of M (the Floquet-Fourier-Hill method): one
+    general eigensolve, valid for non-self-adjoint Q, gives the whole table.
+    ``certified`` holds the raw Lipschitz bound t exp(1 + ||A||_1 + ||F||_1)
+    of each section value, with t the damped tail bound at the radius and
+    ||A||_1 <= ||F||_1 + t.  Every -Re mu_i inside the grid range is a root
+    candidate; it is accepted when |det| from an LU of the section there is
+    below max(tol, 10 x certified error), and accepted candidates within
+    4 tol of each other merge into one root whose multiplicity counts them.
+    A root lambda* certifies -lambda* as an approximate eigenvalue of the
+    operator.
     """
     lambdas = [float(x) for x in lambdas]
     if not lambdas:
         raise ValueError("scan grid is empty")
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("scan grid must be strictly increasing")
-    if coverage_radius is None:
-        coverage_radius = max(8 * radius, 1024)
+    grid = np.asarray(lambdas)
 
-    evaluations = {}
+    w, dense = _dense_section(p, radius)
+    if not np.any(dense.imag):
+        dense = dense.real
+    weights = damping(w.coords_array(), p.nu)
+    mu = np.linalg.eigvals(weights[:, None] * dense)
+    # ascending eigenvalues against ascending weights keep every factor
+    # (mu_i + lambda) / d_i of moderate size, so the product cannot overflow
+    mu = mu[np.argsort(mu.real)]
+    values = np.prod((mu + grid[:, None]) / np.sort(weights), axis=1)
+    if np.isrealobj(dense):
+        values = values.real  # conjugate eigenvalue pairs leave roundoff
 
-    def value_at(lam):
-        if lam not in evaluations:
-            evaluations[lam] = _scan_value(p, lam, radius, coverage_radius)
-        return evaluations[lam][0]
+    zero = (0,) * p.dimension
+    g0 = p.potential.get(zero, 0.0)
+    off_mass = p.potential_l1() - abs(g0)
+    # ||F||_1 of the section of B(lambda): fixed off-diagonal part plus the
+    # shifted diagonal |g_0 + lambda - 1| / d(k)
+    off_norm = float(np.sum(np.abs(dense)) - np.sum(np.abs(np.diag(dense))))
+    inv_d_sum = float(np.sum(1.0 / weights))
 
-    values = [value_at(lam) for lam in lambdas]
-    certified = [evaluations[lam][1] for lam in lambdas]
+    def certificate(lam):
+        diag = np.abs(g0 - 1.0 + lam)
+        t = _damped_tail_bound(diag + off_mass, p.reach(), p.dimension, p.nu, radius)
+        f_norm = off_norm + diag * inv_d_sum
+        with np.errstate(over="ignore"):
+            return t * np.exp(1.0 + 2.0 * f_norm + t)
 
-    brackets = []
-    kinds = []
-    re_vals = np.real(np.asarray(values))
-    abs_vals = np.abs(np.asarray(values))
-    for i in range(len(lambdas)):
-        if re_vals[i] == 0.0 and abs_vals[i] == 0.0:
-            brackets.append((lambdas[i], lambdas[i]))
-            kinds.append("exact")
-    for i in range(len(lambdas) - 1):
-        if re_vals[i] == 0.0 or re_vals[i + 1] == 0.0:
-            continue
-        if (re_vals[i] < 0) != (re_vals[i + 1] < 0):
-            brackets.append((lambdas[i], lambdas[i + 1]))
-            kinds.append("sign")
-    for i in range(1, len(lambdas) - 1):
-        if abs_vals[i] < abs_vals[i - 1] and abs_vals[i] < abs_vals[i + 1]:
-            covered = any(
-                lo <= lambdas[i] <= hi
-                for (lo, hi), kd in zip(brackets, kinds)
-                if kd == "sign"
+    def cell(lam):
+        i = int(np.searchsorted(grid, lam, side="right")) - 1
+        i = min(max(i, 0), max(len(lambdas) - 2, 0))
+        return lambdas[i], lambdas[min(i + 1, len(lambdas) - 1)]
+
+    shifts = np.sort(-mu.real) + 0.0  # + 0.0 turns -0.0 into 0.0
+    candidates = shifts[(shifts >= grid[0]) & (shifts <= grid[-1])]
+    roots, multiplicities, failures = [], [], []
+    previous = None
+    for star, cert in zip(candidates, certificate(candidates)):
+        star, cert = float(star), float(cert)
+        # I + B(star) = I + B(0) + star diag(1/d)
+        mag = float(abs(np.linalg.det(dense + np.diag(star / weights))))
+        if not mag < max(tol, 10.0 * cert):
+            failures.append(
+                ScanFailure(
+                    *cell(star),
+                    f"|det| {mag:.3e} at candidate {star!r} exceeds "
+                    f"max(tol, 10 x certified error {cert:.3e})",
+                )
             )
-            if not covered:
-                brackets.append((lambdas[i - 1], lambdas[i + 1]))
-                kinds.append("dip")
-
-    def refine_sign(lo, hi):
-        return _bisect(
-            lambda lam: float(np.real(value_at(lam))),
-            lo,
-            hi,
-            float(np.real(value_at(lo))),
-            float(np.real(value_at(hi))),
-            tol,
-        )
-
-    roots = []
-    failures = []
-    for (lo, hi), kind in zip(brackets, kinds):
-        candidates = []
-        if kind == "exact":
-            candidates.append((lo, True))
-        elif kind == "sign":
-            candidates.append(refine_sign(lo, hi))
+            continue
+        if previous is not None and star - previous <= 4.0 * tol:
+            multiplicities[-1] += 1
+            if mag < roots[-1][1]:
+                roots[-1] = (star, mag)
         else:
-            # a dip can hide an even-order root or a pair of close simple
-            # roots; a fine subgrid separates the cases
-            sub = np.linspace(lo, hi, 65)
-            sub_re = [float(np.real(value_at(float(x)))) for x in sub]
-            found_pair = False
-            for a, b, fa, fb in zip(sub[:-1], sub[1:], sub_re[:-1], sub_re[1:]):
-                if fa == 0.0:
-                    candidates.append((float(a), True))
-                    found_pair = True
-                elif (fa < 0) != (fb < 0):
-                    candidates.append(refine_sign(float(a), float(b)))
-                    found_pair = True
-            if not found_pair:
-                candidates.append(
-                    _golden_min(lambda lam: float(abs(value_at(lam))), lo, hi, tol)
-                )
-        for star, ok in candidates:
-            if not ok:
-                failures.append(
-                    ScanFailure(lo, hi, f"{kind} refinement did not reach width {tol}")
-                )
-                continue
-            val = value_at(star)
-            cert = evaluations[star][1]
-            if abs(val) < max(tol, 10.0 * cert):
-                roots.append((star, float(abs(val))))
-
-    # merge refinements that landed on the same root
-    roots.sort()
-    merged = []
-    for lam, mag in roots:
-        if merged and abs(lam - merged[-1][0]) <= 4.0 * tol:
-            if mag < merged[-1][1]:
-                merged[-1] = (lam, mag)
-        else:
-            merged.append((lam, mag))
+            roots.append((star, mag))
+            multiplicities.append(1)
+        previous = star
     return SpectralScan(
         lambdas=lambdas,
-        values=values,
-        certified=certified,
-        brackets=brackets,
-        roots=merged,
+        values=values.tolist(),
+        certified=certificate(grid).tolist(),
+        brackets=[cell(star) for star, _ in roots],
+        roots=roots,
+        multiplicities=multiplicities,
         failures=failures,
     )

@@ -675,7 +675,6 @@ def poincare_determinant(
     tail: TailModel,
     tol,
     max_radius=64,
-    corrections=True,
 ):
     """Extended determinant of I + A over a doubling window ladder.
 
@@ -685,8 +684,7 @@ def poincare_determinant(
     bound are computed; the computation stops as soon as either certified
     bound reaches ``tol``.  ``certified_error`` bounds ``|value - Det(I+A)|``
     for the returned value, which is the corrected one whenever its bound is
-    the sharper of the two.  ``corrections=False`` keeps only the raw
-    Lipschitz certification (useful when the raw ladder itself is wanted).
+    the sharper of the two.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -715,7 +713,7 @@ def poincare_determinant(
 
         value, bound = det_n, b_raw
         raw_value_bound = b_raw
-        if corrections and (n <= coverage or coverage == 0):
+        if n <= coverage or coverage == 0:
             corrected = _corrected_step(
                 a, dense, window, det_n, t_stored, unstored, inside, diag_mask
             )

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import torusdet
 from torusdet.cli import main
 
 FOUR_PI_SQ = (2.0 * math.pi) ** 2
@@ -134,6 +136,11 @@ def test_hill_scan_json_and_csv(tmp_path, capsys):
     assert len(roots) == 2
     assert min(abs(r) for r in roots) <= 1e-6
     assert min(abs(r + FOUR_PI_SQ) for r in roots) <= 1e-5
+    multiplicity = {round(r["lambda"]): r["multiplicity"] for r in parsed["roots"]}
+    assert multiplicity == {0: 1, -39: 2}
+    roots_text = out.split('"brackets"')[0]
+    assert '"lambda": 0,' in roots_text
+    assert "-0," not in roots_text
 
     status, out, _ = run_cli(
         capsys, "--max-radius", "16", "--format", "csv", "hill", "scan", path
@@ -196,10 +203,15 @@ def test_usage_errors(tmp_path, capsys):
 
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "zero.json", {"dimension": 1, "entries": []})
+    # run the package under test even when it is not installed
+    src = os.path.dirname(os.path.dirname(torusdet.__file__))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "torusdet.cli", "det", path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == {"re": 1, "im": 0}

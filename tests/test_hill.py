@@ -183,9 +183,49 @@ def test_scan_diagonal_roots():
     lambdas = [float(x) for x in np.linspace(-90.0, 10.0, 201)]
     scan = spectral_shift_scan(p, lambdas, 1e-8, radius=16)
     roots = [lam for lam, _ in scan.roots]
-    assert any(abs(lam) <= 1e-6 for lam in roots)
-    assert any(abs(lam + FOUR_PI_SQ) <= 1e-5 for lam in roots)
     assert len(roots) == 2
+    assert abs(roots[0] + FOUR_PI_SQ) <= 1e-5
+    assert roots[1] == 0.0
+    assert math.copysign(1.0, roots[1]) == 1.0  # no -0 root
+    # k = +-1 give the same eigenvalue, k = 0 a simple one
+    assert scan.multiplicities == [2, 1]
+    for (lam, _), (lo, hi) in zip(scan.roots, scan.brackets):
+        assert lo <= lam <= hi and hi - lo == 0.5
+    assert scan.failures == []
+
+
+@pytest.mark.parametrize("q", [0.5, 3 + 1j])
+def test_scan_non_self_adjoint_triangular_section(q):
+    # Q = q e^{2 pi i x}: g lives only at offset +1, so every section is
+    # lower triangular and its roots are exactly -(2 pi k)^2 for every q; a
+    # Hermitian eigensolver would mix in the missing upper triangle
+    p = HillProblem(1, 2.0, {(1,): q})
+    lambdas = [float(x) for x in np.linspace(-200.0, 10.0, 211)]
+    scan = spectral_shift_scan(p, lambdas, 1e-8, radius=16)
+    expected = [-FOUR_PI_SQ * k * k for k in (2, 1, 0)]
+    assert [lam for lam, _ in scan.roots] == pytest.approx(expected, abs=1e-9)
+    assert scan.multiplicities == [2, 2, 1]
+    assert scan.failures == []
+    # the determinant of a triangular section is its diagonal product
+    ks = np.arange(-16, 17, dtype=float)
+    d = FOUR_PI_SQ * ks**2 + 1.0
+    diagonal = [np.prod((d - 1.0 + lam) / d) for lam in lambdas]
+    scale = max(abs(v) for v in diagonal)
+    assert np.max(np.abs(np.asarray(scan.values) - diagonal)) <= 1e-12 * scale
+
+
+def test_scan_gate_rejects_complex_eigenvalue():
+    # Q = i shifts every eigenvalue off the real axis: the candidate -Re mu = 0
+    # is no root of the real-shift family, and at radius 128 the certificate
+    # there is small enough for the gate to reject it
+    p = HillProblem(1, 2.0, {(0,): 1j})
+    lambdas = [float(x) for x in np.linspace(-50.0, 10.0, 121)]
+    scan = spectral_shift_scan(p, lambdas, 1e-8, radius=128)
+    assert [lam for lam, _ in scan.roots] == pytest.approx([-FOUR_PI_SQ], abs=1e-9)
+    assert len(scan.failures) == 1
+    failure = scan.failures[0]
+    assert (failure.lo, failure.hi) == (0.0, 0.5)
+    assert "exceeds" in failure.reason
 
 
 def test_scan_matches_dense_eigenvalues():
@@ -207,6 +247,13 @@ def test_scan_matches_dense_eigenvalues():
     assert len(found) == len(expected)
     for lam, mu in zip(found, expected):
         assert abs(lam - mu) <= 1e-6
+
+    # table values against LU determinants of the damped section
+    weights = FOUR_PI_SQ * ks.astype(float) ** 2 + 1.0
+    scale = float(np.max(np.abs(scan.values)))
+    for i in (0, 57, 200, 333, 400):
+        damped = (dense + lambdas[i] * np.eye(len(ks))) / weights[:, None]
+        assert abs(scan.values[i] - np.linalg.det(damped)) <= 1e-10 * scale
 
 
 def test_scan_small_coupling_root_near_zero():
