@@ -149,30 +149,36 @@ def build_hill_matrix(p: HillProblem, w: TruncationWindow):
 
     Entries are stored for k, m in the window; the tail model bounds the
     remaining mass by ||g - delta||_1 times damped lattice tails (union bound
-    over row-outside and column-outside index pairs).
+    over row-outside and column-outside index pairs).  With the rows in
+    window order and the offsets l in descending lexicographic order the
+    columns k - l ascend within each row, so the triples are emitted in
+    canonical order and adopted without a sort; entries whose value
+    underflows to zero are dropped.
     """
     if w.dimension != p.dimension:
         raise ValueError(f"dimension {p.dimension} vs window {w.dimension}")
     coeffs = p.damped_coeffs()
     ks = w.coords_array()
     weights = damping(ks, p.nu)
-    rows_out, cols_out, vals_out = [], [], []
-    for l, v in coeffs.items():
-        cols = ks - np.asarray(l, dtype=np.int64)
-        keep = sup_norm_array(cols) <= w.radius
-        if np.any(keep):
-            rows_out.append(ks[keep])
-            cols_out.append(cols[keep])
-            vals_out.append(v / weights[keep])
-    if vals_out:
-        matrix = SparseL1Matrix.from_arrays(
-            p.dimension,
-            np.concatenate(rows_out),
-            np.concatenate(cols_out),
-            np.concatenate(vals_out),
+    offsets = sorted(coeffs, reverse=True)
+    vals = np.asarray([coeffs[l] for l in offsets]) / weights[:, None]
+    shifts = np.asarray(offsets, dtype=np.int64).reshape(len(offsets), p.dimension)
+    if not offsets:
+        matrix = SparseL1Matrix.zero(p.dimension)
+    elif not shifts.any():
+        # g_0 alone: one array for rows and cols marks the matrix diagonal
+        keep = vals[:, 0] != 0
+        rows = ks[keep]
+        matrix = SparseL1Matrix.from_canonical_arrays(
+            p.dimension, rows, rows, vals[keep, 0]
         )
     else:
-        matrix = SparseL1Matrix.zero(p.dimension)
+        cols = ks[:, None, :] - shifts[None, :, :]
+        inside = sup_norm_array(cols.reshape(-1, p.dimension)) <= w.radius
+        keep = inside.reshape(vals.shape) & (vals != 0)
+        matrix = SparseL1Matrix.from_canonical_arrays(
+            p.dimension, ks[np.nonzero(keep)[0]], cols[keep], vals[keep]
+        )
 
     mass = float(sum(abs(v) for v in coeffs.values()))
     bound = functools.partial(_damped_tail_bound, mass, p.reach(), p.dimension, p.nu)

@@ -512,8 +512,14 @@ def _window_positions(coords, radius, dimension):
     return pos
 
 
-def _inside_mask(a: SparseL1Matrix, radius):
-    return (sup_norm_array(a.rows) <= radius) & (sup_norm_array(a.cols) <= radius)
+def _section_matrix(rows, cols, vals, window):
+    """Dense section on the window of entries that all lie inside it."""
+    dense = np.zeros((window.size, window.size), dtype=np.complex128)
+    if len(vals):
+        r = _window_positions(rows, window.radius, window.dimension)
+        c = _window_positions(cols, window.radius, window.dimension)
+        dense[r, c] = vals
+    return dense
 
 
 def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
@@ -533,11 +539,7 @@ def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
             f"refused (limit {_SECTION_SIZE_LIMIT})"
         )
     inside = a.entry_radii <= w.radius
-    dense = np.zeros((w.size, w.size), dtype=np.complex128)
-    if np.any(inside):
-        r = _window_positions(a.rows[inside], w.radius, a.dimension)
-        c = _window_positions(a.cols[inside], w.radius, a.dimension)
-        dense[r, c] = a.vals[inside]
+    dense = _section_matrix(a.rows[inside], a.cols[inside], a.vals[inside], w)
     stored_tail = float(np.sum(np.abs(a.vals[~inside])))
     bound_radius = min(w.radius, a.support_radius)
     return FiniteSection(w, dense), stored_tail + tail.bound_at(bound_radius)
@@ -573,6 +575,20 @@ def _ladder_radii(coverage, max_radius, start_cap=8):
     return radii
 
 
+def _rung_buckets(entry_radii, radii, coverage):
+    """Ladder bucket of each entry radius, in one pass over the entries.
+
+    Rungs beyond the stored coverage see the same entries as the coverage
+    rung, so the radii are bucketed against the covered prefix of ``radii``
+    only, in the entries' dtype.  Bucket ``i`` holds the entries inside rung
+    ``i`` and outside rung ``i - 1``; bucket ``len(covered)`` those beyond
+    every covered rung.  Returns ``(covered, buckets)``.
+    """
+    covered = [r for r in radii if r <= coverage] or radii[:1]
+    edges = np.asarray(covered, dtype=entry_radii.dtype)
+    return covered, np.searchsorted(edges, entry_radii, side="left")
+
+
 def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
     """Extended trace: diagonal sums over growing windows, with certification.
 
@@ -585,12 +601,7 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
         raise ValueError("tol must be positive")
     coverage = a.support_radius
     radii = _ladder_radii(coverage, max_radius)
-    entry_radii = a.entry_radii
-    # rungs beyond the stored coverage see the same entries as the coverage
-    # rung; bucket against the covered prefix only, in the entries' dtype
-    covered = [r for r in radii if r <= coverage] or radii[:1]
-    edges = np.asarray(covered, dtype=entry_radii.dtype)
-    buckets = np.searchsorted(edges, entry_radii, side="left")
+    covered, buckets = _rung_buckets(a.entry_radii, radii, coverage)
     nb = len(covered) + 1
     mass_by_bucket = np.bincount(buckets, weights=np.abs(a.vals), minlength=nb)
     inside_mass = np.cumsum(mass_by_bucket)
@@ -622,25 +633,28 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
     )
 
 
-def _tail_trace_t2(rows, cols, vals, diag):
-    """Tr T^2 = sum over entry pairs T[i,j] T[j,i] for a sparse T."""
+def _transpose_pair_sum(rows, cols, vals):
+    """Sum of T[i,j] T[j,i] over off-diagonal entries whose transpose is stored."""
     if len(vals) == 0:
         return 0.0j
-    total = complex(np.sum(vals[diag] ** 2))
-    rows_o, cols_o, vals_o = rows[~diag], cols[~diag], vals[~diag]
-    if len(vals_o):
-        fwd = _pack_keys(np.concatenate([rows_o, cols_o], axis=1))[0]
-        rev = _pack_keys(np.concatenate([cols_o, rows_o], axis=1))[0]
-        order = np.argsort(fwd, kind="stable")
-        pos = np.searchsorted(fwd[order], rev)
-        pos = np.clip(pos, 0, len(fwd) - 1)
-        hit = fwd[order][pos] == rev
-        total += complex(np.sum(vals_o[hit] * vals_o[order[pos[hit]]]))
-    return total
+    fwd, rev = _pack_keys(
+        np.concatenate([rows, cols], axis=1), np.concatenate([cols, rows], axis=1)
+    )
+    order = np.argsort(fwd, kind="stable")
+    pos = np.searchsorted(fwd[order], rev)
+    pos = np.clip(pos, 0, len(fwd) - 1)
+    hit = fwd[order][pos] == rev
+    return complex(np.sum(vals[hit] * vals[order[pos[hit]]]))
 
 
 def _tail_cross_term(g_dense, radius, dimension, rows, cols, vals):
-    """Tr(G T^2) with G dense on the window and T supported off the window."""
+    """Tr(G T^2) with G dense on the window and T supported off the window.
+
+    Only T[b, c] with b inside and c outside meets T[c, a] with c outside and
+    a inside, so ``Tr(G T^2) = sum G[a, b] T[b, c] T[c, a]`` over those
+    pairs; each row-in/col-out entry is expanded against the sorted range of
+    row-out/col-in entries sharing its outside index, as in :func:`compose`.
+    """
     row_in = sup_norm_array(rows) <= radius
     col_in = sup_norm_array(cols) <= radius
     wo = row_in & ~col_in  # T[b, c]: b in window, c outside
@@ -650,24 +664,92 @@ def _tail_cross_term(g_dense, radius, dimension, rows, cols, vals):
     mid_wo, mid_ow = _pack_keys(cols[wo], rows[ow])
     order = np.argsort(mid_ow, kind="stable")
     mid_sorted = mid_ow[order]
-    total = 0.0j
+    lo = np.searchsorted(mid_sorted, mid_wo, side="left")
+    counts = np.searchsorted(mid_sorted, mid_wo, side="right") - lo
+    i = np.repeat(np.arange(len(mid_wo)), counts)
+    j = order[np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
     b_pos = _window_positions(rows[wo], radius, dimension)
-    a_pos_all = _window_positions(cols[ow], radius, dimension)
-    v_wo = vals[wo]
-    v_ow = vals[ow]
-    for i in range(len(mid_wo)):
-        lo, hi = np.searchsorted(mid_sorted, [mid_wo[i], mid_wo[i] + 1])
-        if lo == hi:
-            continue
-        sel = order[lo:hi]
-        # P[b, a] += T[b, c] T[c, a]; accumulate G[a, b] P[b, a]
-        total += complex(
-            np.sum(g_dense[a_pos_all[sel], b_pos[i]] * v_wo[i] * v_ow[sel])
-        )
-    return total
+    a_pos = _window_positions(cols[ow], radius, dimension)
+    return complex(np.sum(g_dense[a_pos[j], b_pos[i]] * vals[wo][i] * vals[ow][j]))
 
 
 _CROSS_TERM_ENTRY_CAP = 500_000
+
+
+class _LadderTails:
+    """The stored entries of a determinant ladder, split in one pass.
+
+    Entries inside the last rung ("near") are kept with their rung bucket, so
+    each rung works only on them and on its dense section.  Entries beyond
+    the last rung ("far") lie in every rung's tail and are reduced once to
+    the totals the tail statistics need: the diagonal sum and square sum and
+    the off-diagonal count.  Transpose partners share an entry radius, so
+    the far part of ``Tr T^2`` is a separate pair sum; and only far entries
+    with one index inside the last rung ("straddling") can meet a section in
+    ``Tr(G T^2)``.  Both are gathered by the first rung that needs them.
+    """
+
+    def __init__(self, a: SparseL1Matrix, radii):
+        self.a = a
+        self.last = radii[-1]
+        entry_radii = a.entry_radii
+        near = entry_radii <= self.last
+        idx = np.flatnonzero(near)
+        self.covered, self.bucket = _rung_buckets(
+            entry_radii[idx], radii, a.support_radius
+        )
+        self.rows, self.cols, self.vals = a.rows[idx], a.cols[idx], a.vals[idx]
+        self.abs_vals = np.abs(self.vals)
+        self.diag = a.diag_mask[idx]
+        far = ~near
+        if a.cols is a.rows:
+            far_diag, self._far_off = a.vals[far], None
+        else:
+            far_diag = a.vals[far & a.diag_mask]
+            self._far_off = far & ~a.diag_mask
+        self.far_trace = complex(np.sum(far_diag))
+        self.far_trace_sq = complex(np.dot(far_diag, far_diag))
+        self.far_off_count = a.nnz - len(idx) - len(far_diag)
+        self._far_pairs = None
+
+    def inside(self, rung):
+        """Mask of the near entries inside the rung with the given index."""
+        return self.bucket <= min(rung, len(self.covered) - 1)
+
+    def _far_pair_statistics(self):
+        """Far transpose-pair sum and the straddling entries, gathered once."""
+        if self._far_pairs is None:
+            pairs, straddle = 0.0j, None
+            if self.far_off_count:
+                idx = np.flatnonzero(self._far_off)
+                rows, cols, vals = self.a.rows[idx], self.a.cols[idx], self.a.vals[idx]
+                pairs = _transpose_pair_sum(rows, cols, vals)
+                keep = np.minimum(sup_norm_array(rows), sup_norm_array(cols)) <= self.last
+                straddle = rows[keep], cols[keep], vals[keep]
+            self._far_pairs = pairs, straddle
+        return self._far_pairs
+
+    def second_order(self, g_dense, window, outside):
+        """``Tr T^2`` and ``Tr(G T^2)`` for the tail of the rung on ``window``."""
+        pairs, straddle = self._far_pair_statistics()
+        off = outside & ~self.diag
+        d = self.vals[outside & self.diag]
+        rows, cols, vals = self.rows[off], self.cols[off], self.vals[off]
+        tr_t2 = (
+            self.far_trace_sq
+            + complex(np.dot(d, d))
+            + pairs
+            + _transpose_pair_sum(rows, cols, vals)
+        )
+        if straddle is not None:
+            s_rows, s_cols, s_vals = straddle
+            rows = np.concatenate([rows, s_rows])
+            cols = np.concatenate([cols, s_cols])
+            vals = np.concatenate([vals, s_vals])
+        cross = _tail_cross_term(
+            g_dense, window.radius, window.dimension, rows, cols, vals
+        )
+        return tr_t2, cross
 
 
 def poincare_determinant(
@@ -684,29 +766,27 @@ def poincare_determinant(
     bound are computed; the computation stops as soon as either certified
     bound reaches ``tol``.  ``certified_error`` bounds ``|value - Det(I+A)|``
     for the returned value, which is the corrected one whenever its bound is
-    the sharper of the two.
+    the sharper of the two.  Each call passes over the stored entries once;
+    a rung's work is its dense section and the entries near the windows.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     coverage = a.support_radius
     unstored = tail.bound_at(coverage)  # all mass beyond the stored entries
     norm_upper = a.l1_norm + unstored
-    entry_radii = a.entry_radii
-    abs_vals = np.abs(a.vals)
-    diag_mask = a.diag_mask
+    radii = _ladder_radii(coverage, max_radius)
+    tails = _LadderTails(a, radii)
 
     ladder = []
     best = None
-    for n in _ladder_radii(coverage, max_radius):
+    for i, n in enumerate(radii):
         window = TruncationWindow(n, a.dimension)
-        inside = entry_radii <= n
-        dense = np.zeros((window.size, window.size), dtype=np.complex128)
-        if np.any(inside):
-            r = _window_positions(a.rows[inside], n, a.dimension)
-            c = _window_positions(a.cols[inside], n, a.dimension)
-            dense[r, c] = a.vals[inside]
+        inside = tails.inside(i)
+        dense = _section_matrix(
+            tails.rows[inside], tails.cols[inside], tails.vals[inside], window
+        )
         det_n = complex(np.linalg.det(np.eye(window.size) + dense))
-        f_norm = float(np.sum(abs_vals[inside]))
+        f_norm = float(np.sum(tails.abs_vals[inside]))
         t_stored = a.l1_norm - f_norm
         t_bound = t_stored + unstored  # discarded stored plus all unstored
         b_raw = t_bound * _safe_exp(1.0 + norm_upper + f_norm)
@@ -715,7 +795,7 @@ def poincare_determinant(
         raw_value_bound = b_raw
         if n <= coverage or coverage == 0:
             corrected = _corrected_step(
-                a, dense, window, det_n, t_stored, unstored, inside, diag_mask
+                tails, dense, window, det_n, t_stored, unstored, ~inside
             )
             if corrected is not None:
                 value_corr, b_corr = corrected
@@ -741,8 +821,11 @@ def poincare_determinant(
     )
 
 
-def _corrected_step(a, dense, window, det_n, t_stored, unstored, inside, diag_mask):
-    """Tail-corrected determinant value and its certified bound, or None."""
+def _corrected_step(tails, dense, window, det_n, t_stored, unstored, outside):
+    """Tail-corrected determinant value and its certified bound, or None.
+
+    ``outside`` masks the near entries of ``tails`` beyond the window.
+    """
     if det_n == 0:
         return None
     size = dense.shape[0]
@@ -757,16 +840,16 @@ def _corrected_step(a, dense, window, det_n, t_stored, unstored, inside, diag_ma
     if s >= 0.9:
         return None
 
-    outside = ~inside
-    c1 = complex(np.sum(a.vals[outside & diag_mask]))
-    off_diag_out = int(np.count_nonzero(outside & ~diag_mask))
+    out_diag = outside & tails.diag
+    c1 = tails.far_trace + complex(np.sum(tails.vals[out_diag]))
+    off_diag_out = tails.far_off_count + int(
+        np.count_nonzero(outside) - np.count_nonzero(out_diag)
+    )
     u_eff = unstored * (1.0 + g1)
     s_stored = (1.0 + g1) * t_stored
     if off_diag_out <= _CROSS_TERM_ENTRY_CAP:
         # second order: Tr X^2 = Tr T^2 + 2 Tr(G T^2) from stored tails
-        rows, cols, vals = a.rows[outside], a.cols[outside], a.vals[outside]
-        tr_t2 = _tail_trace_t2(rows, cols, vals, diag_mask[outside])
-        cross = _tail_cross_term(g_dense, window.radius, a.dimension, rows, cols, vals)
+        tr_t2, cross = tails.second_order(g_dense, window, outside)
         c2 = tr_t2 + 2.0 * cross
         omega = c1 - 0.5 * c2
         log_err = (

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from torusdet.lattice import TruncationWindow
-from torusdet.l1_algebra import NonConvergenceError, TailModel, truncate
+from torusdet.l1_algebra import NonConvergenceError, SparseL1Matrix, TailModel, truncate
 from torusdet.hill import (
     HillProblem,
     InfeasibleOrderError,
     NoNullSolutionError,
     build_hill_matrix,
     damped_lattice_tail,
+    damping,
     existence_test,
     extract_null_solution,
     hill_determinant,
@@ -92,6 +93,47 @@ def test_build_hill_matrix_tail_bound_dominates():
         outside = matrix.entry_radii > radius
         stored_outside = float(np.sum(np.abs(matrix.vals[outside])))
         assert tail.bound_at(radius) >= stored_outside
+
+
+def hill_triples(p, w):
+    """The damped entries (k, k - l, (g_l - delta_l0) / d(k)), offset by offset."""
+    ks = w.coords_array()
+    weights = damping(ks, p.nu)
+    rows, cols, vals = [], [], []
+    for l, v in p.damped_coeffs().items():
+        c = ks - np.asarray(l)
+        keep = np.max(np.abs(c), axis=1) <= w.radius
+        rows.append(ks[keep])
+        cols.append(c[keep])
+        vals.append(v / weights[keep])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+@pytest.mark.parametrize(
+    "name, problem, radius",
+    [
+        ("trig", HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.8, (-2,): 0.8}), 50),
+        ("complex-2d", HillProblem(2, 3.0, {(0, 0): 2 + 1j, (1, 0): 0.5, (-1, 1): 0.3j, (0, -2): 0.2 - 0.1j}), 9),
+        ("g0-only", HillProblem(1, 2.0, {(0,): 3.7}), 200),
+        ("underflow", HillProblem(1, 12.0, {(0,): 2.0, (1,): 1e-300, (-1,): 1e-300}), 30),
+    ],
+)
+def test_build_hill_matrix_matches_canonicalized_triples(name, problem, radius):
+    w = TruncationWindow(radius, problem.dimension)
+    rows, cols, vals = hill_triples(problem, w)
+    expected = SparseL1Matrix.from_arrays(problem.dimension, rows, cols, vals)
+    matrix, _ = build_hill_matrix(problem, w)
+    assert matrix.rows.dtype == expected.rows.dtype
+    assert matrix.cols.dtype == expected.cols.dtype
+    assert np.array_equal(matrix.rows, expected.rows)
+    assert np.array_equal(matrix.cols, expected.cols)
+    assert np.array_equal(matrix.vals, expected.vals)
+    assert matrix.l1_norm == expected.l1_norm
+    assert not np.any(matrix.vals == 0)
+    if name == "g0-only":
+        assert matrix.cols is matrix.rows
+    if name == "underflow":
+        assert np.any(vals == 0) and matrix.nnz < len(vals)
 
 
 def test_hill_determinant_diagonal_value():

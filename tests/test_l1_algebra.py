@@ -21,6 +21,7 @@ from torusdet.l1_algebra import (
     poincare_trace,
     truncate,
 )
+from torusdet.l1_algebra import _LadderTails, _tail_cross_term
 
 
 def random_sparse(rng, n=1, max_entries=30, radius=6, scale=2.0):
@@ -380,6 +381,80 @@ def test_poincare_determinant_nonconvergence_carries_ladder():
     with pytest.raises(NonConvergenceError) as err:
         poincare_determinant(matrix, stubborn, 1e-10, max_radius=16)
     assert [step.radius for step in err.value.ladder] == [8, 16]
+
+
+def test_tail_cross_term_matches_dense():
+    # Tr(G T^2) for G dense on the window and T vanishing on window x window
+    rng = np.random.default_rng(7)
+    for n, support, radius in [(1, 7, 3), (1, 9, 0), (2, 4, 2), (2, 3, 1)]:
+        for _ in range(4):
+            t = random_sparse(rng, n=n, max_entries=40 * n * n, radius=support)
+            keep = t.entry_radii > radius
+            rows, cols, vals = t.rows[keep], t.cols[keep], t.vals[keep]
+            w = TruncationWindow(radius, n)
+            g = rng.standard_normal((w.size, w.size)) + 1j * rng.standard_normal((w.size, w.size))
+            got = _tail_cross_term(g, radius, n, rows, cols, vals)
+
+            big = TruncationWindow(support, n)
+            t_dense = np.zeros((big.size, big.size), dtype=complex)
+            pos = lambda c: np.ravel_multi_index((c + support).T, (2 * support + 1,) * n)
+            t_dense[pos(rows), pos(cols)] = vals
+            inner = pos(w.coords_array())
+            g_big = np.zeros_like(t_dense)
+            g_big[np.ix_(inner, inner)] = g
+            want = np.trace(g_big @ t_dense @ t_dense)
+            scale = np.sum(np.abs(g)) * np.sum(np.abs(vals)) ** 2
+            assert abs(got - want) <= 1e-14 * scale
+
+
+def banded_matrix(rng, n, support, band, scale, decay):
+    """All entries with |row - col|_inf <= band inside the support window,
+    random complex values decaying like exp(-decay * entry radius)."""
+    pts = TruncationWindow(support, n).coords_array()
+    offsets = TruncationWindow(band, n).coords_array()
+    cols = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, n)
+    rows = np.repeat(pts, len(offsets), axis=0)
+    keep = np.max(np.abs(cols), axis=1) <= support
+    rows, cols = rows[keep], cols[keep]
+    radius = np.maximum(np.max(np.abs(rows), axis=1), np.max(np.abs(cols), axis=1))
+    vals = scale * (rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows)))
+    return SparseL1Matrix.from_arrays(n, rows, cols, vals * np.exp(-decay * radius))
+
+
+@pytest.mark.parametrize(
+    "n, support, max_radius, decay", [(1, 40, 16, 0.5), (2, 10, 4, 2.0)]
+)
+def test_ladder_far_and_straddling_tails_match_dense(monkeypatch, n, support, max_radius, decay):
+    # rungs stop inside the support, so their tails hold entries beyond the
+    # last rung (far) and entries with one index inside it (straddling)
+    a = banded_matrix(np.random.default_rng(11), n, support, 1, 0.3, decay)
+    full = TruncationWindow(support, n)
+    dense_a = section_of(a, support).matrix
+    pos = lambda c: np.ravel_multi_index((c + support).T, (2 * support + 1,) * n)
+
+    seen = []
+    second_order = _LadderTails.second_order
+
+    def spy(self, g_dense, window, outside):
+        tr_t2, cross = second_order(self, g_dense, window, outside)
+        inner = pos(window.coords_array())
+        t_dense = dense_a.copy()
+        t_dense[np.ix_(inner, inner)] = 0.0
+        g_big = np.zeros_like(dense_a)
+        g_big[np.ix_(inner, inner)] = g_dense
+        t_sq = t_dense @ t_dense
+        scale = np.sum(np.abs(t_dense)) ** 2
+        assert abs(tr_t2 - np.trace(t_sq)) <= 1e-13 * scale
+        assert abs(cross - np.trace(g_big @ t_sq)) <= 1e-13 * scale * np.sum(np.abs(g_dense))
+        _, straddle = self._far_pair_statistics()
+        seen.append((self.far_off_count, 0 if straddle is None else len(straddle[2])))
+        return tr_t2, cross
+
+    monkeypatch.setattr(_LadderTails, "second_order", spy)
+    res = poincare_determinant(a, TailModel.exact_finite(), 1e-4, max_radius=max_radius)
+    assert seen and all(far > 0 and straddling > 0 for far, straddling in seen)
+    sign, logabs = np.linalg.slogdet(np.eye(full.size) + dense_a)
+    assert abs(res.value - sign * np.exp(logabs)) <= res.certified_error
 
 
 # --- invertibility
