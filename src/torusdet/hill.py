@@ -108,8 +108,12 @@ class HillProblem:
 
 
 def damping(coords, nu):
-    """Damping weights d(k) = (2pi)^nu |k|^nu + 1, vectorized."""
-    return (2.0 * np.pi * euclid_norm_array(coords)) ** nu + 1.0
+    """Damping weights d(k) = (2pi)^nu |k|^nu + 1, vectorized.
+
+    Weights beyond the float range are inf, whose reciprocal 0 is the limit.
+    """
+    with np.errstate(over="ignore"):
+        return (2.0 * np.pi * euclid_norm_array(coords)) ** nu + 1.0
 
 
 def damped_lattice_tail(radius, dimension, nu):
@@ -124,7 +128,8 @@ def damped_lattice_tail(radius, dimension, nu):
     j1 = j0 + 1024
     js = np.arange(j0, j1, dtype=np.float64)
     counts = (2 * js + 1) ** dimension - (2 * js - 1) ** dimension
-    head = float(np.sum(counts / ((2.0 * np.pi * js) ** nu + 1.0)))
+    with np.errstate(over="ignore"):  # an inf weight gives the limit 0
+        head = float(np.sum(counts / ((2.0 * np.pi * js) ** nu + 1.0)))
     c = 2 * dimension * 3 ** (dimension - 1) * (2.0 * np.pi) ** (-nu)
     p = dimension - 1 - nu
     tail = c * (j1 - 1) ** (p + 1) / (-(p + 1))

@@ -92,11 +92,21 @@ class TruncationWindow:
         k = as_index(k, self.dimension)
         return all(abs(c) <= self.radius for c in k)
 
-    def coords_array(self):
-        """All window points as an (size, n) int64 array, lexicographic order."""
-        axis = np.arange(-self.radius, self.radius + 1, dtype=np.int64)
-        grids = np.meshgrid(*([axis] * self.dimension), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+    def coords_array(self, start=0, stop=None):
+        """Window points as a (count, n) int64 array, lexicographic order.
+
+        ``start`` and ``stop`` select positions with slice semantics, so
+        ``coords_array(a, b)`` equals ``coords_array()[a:b]`` but allocates
+        only the selected points.
+        """
+        start, stop, _ = slice(start, stop).indices(self.size)
+        flat = np.arange(start, stop, dtype=np.int64)
+        out = np.empty((len(flat), self.dimension), dtype=np.int64)
+        for axis in range(self.dimension - 1, 0, -1):
+            flat, digit = np.divmod(flat, 2 * self.radius + 1)
+            out[:, axis] = digit - self.radius
+        out[:, 0] = flat - self.radius
+        return out
 
 
 def enumerate_window(w: TruncationWindow):

@@ -58,6 +58,14 @@ class DiagnosticWindowError(ValueError):
     """Too few |k| shells in the window to fit a decay exponent."""
 
 
+# window points (times torus points, for the ellipticity sweep) that the
+# diagnostics evaluate at once; bounds their memory whatever the window size.
+# At 64 KB per float array a block's temporaries stay in cache and stay with
+# the allocator, where larger ones are handed back to the OS and faulted in
+# again for every block.
+_BLOCK = 1 << 13
+
+
 # ---------------------------------------------------------------------------
 # symbol representations
 
@@ -86,15 +94,29 @@ class ToroidalSymbol:
 
     def evaluate_many(self, x_points, k):
         """sigma(x, k) for an (m, n) array of torus points, fixed k."""
-        x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
         k = as_index(k, self.dimension)
-        k_arr = np.asarray([k], dtype=np.int64)
-        total = np.zeros(len(x_points), dtype=np.complex128)
+        return self.evaluate_block(x_points, np.asarray([k], dtype=np.int64))[0]
+
+    def evaluate_block(self, xs, ks):
+        """sigma(x, k) for a (p, n) index array ks and a (q, n) point array xs.
+
+        Returns shape (p, q).  Offsets are summed in ``offsets()`` order and a
+        zero coefficient adds nothing (not even 0 times a non-finite phase),
+        so each row is bit-identical to summing one k at a time.
+        """
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        ks = np.asarray(ks, dtype=np.int64).reshape(-1, self.dimension)
+        total = np.zeros((len(ks), len(xs)), dtype=np.complex128)
         for l in self.offsets():
-            c = self.coefficient(l, k_arr)[0]
-            if c != 0:
-                phase = np.exp(2j * np.pi * (x_points @ np.asarray(l, dtype=float)))
-                total += c * phase
+            c = self.coefficient(l, ks)
+            nonzero = c != 0
+            if not nonzero.any():
+                continue
+            phase = np.exp(2j * np.pi * (xs @ np.asarray(l, dtype=float)))
+            if nonzero.all():
+                total += c[:, None] * phase
+            else:
+                total[nonzero] += c[nonzero, None] * phase
         return total
 
 
@@ -451,12 +473,18 @@ def _x_grid_points(dimension, size):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _run_starts(sorted_values):
+    """Positions where a new run of equal values begins in a sorted array."""
+    return np.flatnonzero(np.concatenate([[True], sorted_values[1:] != sorted_values[:-1]]))
+
+
 def strong_ellipticity_check(sigma: ToroidalSymbol, m, w: TruncationWindow, x_grid=16):
     """Sampled lower-bound check Re sigma(x, k) >= C0 <k>^m for |k| >= n0.
 
-    Sweeps the x-grid and the window, then reports the smallest integer n0
-    and the largest C0 > 0 valid on the sample, or passed=False when no
-    threshold works.  A failing check is a report, not an error.
+    Sweeps the x-grid and the window, in blocks of window points, then
+    reports the smallest integer n0 and the largest C0 > 0 valid on the
+    sample, or passed=False when no threshold works.  A failing check is a
+    report, not an error.
     """
     xs = _x_grid_points(sigma.dimension, x_grid)
     coords = w.coords_array()
@@ -465,21 +493,19 @@ def strong_ellipticity_check(sigma: ToroidalSymbol, m, w: TruncationWindow, x_gr
 
     ratios = np.empty(len(coords))
     worst_x = np.empty(len(coords), dtype=np.int64)
-    for i in range(len(coords)):
-        re_vals = np.real(sigma.evaluate_many(xs, tuple(int(c) for c in coords[i])))
-        j = int(np.argmin(re_vals))
-        worst_x[i] = j
-        ratios[i] = re_vals[j] / weights[i]
+    rows = max(1, _BLOCK // len(xs))
+    for start in range(0, len(coords), rows):
+        block = slice(start, start + rows)
+        re_vals = np.real(sigma.evaluate_block(xs, coords[block]))
+        worst_x[block] = np.argmin(re_vals, axis=1)
+        ratios[block] = re_vals[np.arange(len(re_vals)), worst_x[block]] / weights[block]
 
     order = np.argsort(norms2, kind="stable")
     sorted_norms2 = norms2[order]
     sorted_ratios = ratios[order]
     suffix_min = np.minimum.accumulate(sorted_ratios[::-1])[::-1]
 
-    shell_starts = np.flatnonzero(
-        np.concatenate([[True], sorted_norms2[1:] != sorted_norms2[:-1]])
-    )
-    for start in shell_starts:
+    for start in _run_starts(sorted_norms2):
         c0 = float(suffix_min[start])
         if c0 > 0:
             n0 = math.isqrt(int(sorted_norms2[start]))
@@ -539,39 +565,34 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
     box_shape = tuple(len(r) for r in ext)
 
     xs = _x_grid_points(n, x_grid)
+    terms = [(sigma.coefficient(l, coords), np.asarray(l, dtype=float)) for l in sigma.offsets()]
     tables = []
     for x in xs:
         vals = np.zeros(len(coords), dtype=np.complex128)
-        for l in sigma.offsets():
-            c = sigma.coefficient(l, coords)
-            phase = np.exp(2j * np.pi * float(np.dot(x, np.asarray(l, dtype=float))))
-            vals += c * phase
+        for c, l in terms:
+            vals += c * np.exp(2j * np.pi * float(np.dot(x, l)))
         tables.append(vals.reshape(box_shape))
 
     base_slices = tuple(slice(0, 2 * w.radius + 1) for _ in range(n))
     base_coords = coords.reshape(box_shape + (n,))[base_slices].reshape(-1, n)
     shells = sup_norm_array(base_coords)
-    shell_ids = np.unique(shells)
-    if len(shell_ids) < 4:
+    by_shell = np.argsort(shells, kind="stable")
+    shell_starts = _run_starts(shells[by_shell])
+    if len(shell_starts) < 4:
         raise DiagnosticWindowError(
-            f"window has {len(shell_ids)} distinct |k| shells; need >= 4 to fit"
+            f"window has {len(shell_starts)} distinct |k| shells; need >= 4 to fit"
         )
     brackets = bracket_array(base_coords)
+    shell_bracket = np.maximum.reduceat(brackets[by_shell], shell_starts)
 
     fits = {}
     for alpha in itertools.product(*(range(a + 1) for a in alpha_max)):
         mags = None
         for table in tables:
             d = _difference_table(table, alpha)
-            trim = d[tuple(slice(0, 2 * w.radius + 1) for _ in range(n))]
-            m = np.abs(trim).reshape(-1)
+            m = np.abs(d[base_slices]).reshape(-1)
             mags = m if mags is None else np.maximum(mags, m)
-        shell_max = np.zeros(len(shell_ids))
-        shell_bracket = np.zeros(len(shell_ids))
-        for i, sid in enumerate(shell_ids):
-            sel = shells == sid
-            shell_max[i] = float(np.max(mags[sel]))
-            shell_bracket[i] = float(np.max(brackets[sel]))
+        shell_max = np.maximum.reduceat(mags[by_shell], shell_starts)
         positive = shell_max > 0
         if np.count_nonzero(positive) < 4:
             fits[alpha] = OrderFit(alpha, float("nan"), float(np.max(shell_max)))
@@ -618,19 +639,22 @@ def l1_membership_check(sigma: ToroidalSymbol, radii, order_m=None, cauchy_tol=1
             m = math.inf
             warning = "order unavailable; assuming non-summable"
 
+    # stream the largest window in blocks; an entry counts toward every rung
+    # whose window holds both its row and its column, so its mass goes to the
+    # bucket of the first such rung (the last bucket: no rung) and the ladder
+    # is the cumulative sum of the buckets
     big = TruncationWindow(radii[-1], n)
-    cols = big.coords_array()
-    col_radii = sup_norm_array(cols)
-    totals = np.zeros(len(radii))
-    for l in sigma.offsets():
-        vals = np.abs(sigma.coefficient(l, cols))
-        row_radii = sup_norm_array(cols + np.asarray(l, dtype=np.int64))
-        eff = np.maximum(col_radii, row_radii)
-        order = np.argsort(eff, kind="stable")
-        csum = np.concatenate([[0.0], np.cumsum(vals[order])])
-        pos = np.searchsorted(eff[order], np.asarray(radii), side="right")
-        totals += csum[pos]
-    ladder = [(r, float(t)) for r, t in zip(radii, totals)]
+    rungs = np.asarray(radii)
+    buckets = np.zeros(len(radii) + 1)
+    for start in range(0, big.size, _BLOCK):
+        cols = big.coords_array(start, start + _BLOCK)
+        col_radii = sup_norm_array(cols)
+        for l in sigma.offsets():
+            vals = np.abs(sigma.coefficient(l, cols))
+            eff = np.maximum(col_radii, sup_norm_array(cols + np.asarray(l, dtype=np.int64)))
+            rung = np.searchsorted(rungs, eff, side="left")
+            buckets += np.bincount(rung, weights=vals, minlength=len(buckets))
+    ladder = [(r, float(t)) for r, t in zip(radii, np.cumsum(buckets[:-1]))]
 
     diffs = [abs(ladder[i + 1][1] - ladder[i][1]) for i in range(len(ladder) - 1)]
     cauchy = bool(diffs and diffs[-1] <= cauchy_tol)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,30 @@ def test_build_hill_matrix_damped_entries():
     assert matrix.entry((1,), (0,)) == pytest.approx(0.5 / (FOUR_PI_SQ + 1.0), rel=1e-15)
     assert matrix.entry((0,), (-1,)) == pytest.approx(0.5, rel=1e-15)
     assert matrix.entry((2,), (1,)) == pytest.approx(0.5 / (4 * FOUR_PI_SQ + 1.0), rel=1e-15)
+
+
+def test_high_order_damping_overflows_silently():
+    # (2 pi |k|)^200 overflows for |k| >= 6; 1/inf = 0 is the right limit,
+    # so those rows drop out and no RuntimeWarning may reach the caller
+    p = HillProblem(1, 200.0, {(0,): 0.5, (1,): 0.25, (-1,): 0.25})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix, tail = build_hill_matrix(p, TruncationWindow(40, 1))
+        result = hill_determinant(p, 1e-8)
+        tail_at_3 = tail.bound_at(3)
+    expected = {}
+    for k in range(-5, 6):
+        d = math.pow(2 * math.pi * abs(k), 200) + 1.0
+        for l, g in ((0, -0.5), (1, 0.25), (-1, 0.25)):
+            expected[((k,), (k - l,))] = g / d
+    got = matrix.to_dict()
+    assert got.keys() == expected.keys()
+    for key, v in expected.items():
+        assert got[key] == pytest.approx(v, rel=1e-14)
+    assert 0.0 < tail_at_3 < 1e-250
+    # rows |k| >= 1 are damped by <= (2 pi)^-200, so det(I + B) = g0 exactly
+    assert result.value == 0.5
+    assert result.certified_error == 0.0
 
 
 def test_build_hill_matrix_unit_potential_is_zero():

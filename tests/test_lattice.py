@@ -155,3 +155,19 @@ def test_window_ordering_and_size():
     coords = TruncationWindow(1, 2).coords_array()
     assert coords.shape == (9, 2)
     assert [tuple(c) for c in coords] == enumerate_window(TruncationWindow(1, 2))
+
+
+def test_coords_array_slice_matches_full_window():
+    for n, radius in ((1, 5), (2, 3), (3, 2)):
+        w = TruncationWindow(radius, n)
+        full = w.coords_array()
+        assert np.array_equal(full, np.array(enumerate_window(w), dtype=np.int64))
+        size = w.size
+        ranges = [(0, 0), (4, 4), (size, size), (0, size), (0, None), (3, 11),
+                  (size - 7, size), (size - 1, size), (1, size + 5), (9, 2), (-6, None)]
+        for start, stop in ranges:
+            part = w.coords_array(start, stop)
+            assert part.dtype == np.int64 and part.shape[1] == n
+            assert np.array_equal(part, full[start:stop])
+    with pytest.raises(ValueError):
+        TruncationWindow(-1, 2)

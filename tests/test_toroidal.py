@@ -1,8 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from torusdet import toroidal
 from torusdet.lattice import TruncationWindow
 from torusdet.l1_algebra import SparseL1Matrix, TailModel, compose, poincare_determinant
 from torusdet.toroidal import (
@@ -323,6 +326,78 @@ def test_strong_ellipticity_bracket_power_is_sharp():
     assert report.C0 == pytest.approx(1.0, rel=1e-12)
 
 
+def naive_ellipticity(sigma, m, w, x_grid):
+    """Reference sweep: one window point k and one offset l at a time.
+
+    Each term c(l, k) exp(2 pi i x.l) is a numpy product over the x-grid, so
+    it rounds as the block sweep does; the grids here are dyadic, so x.l is
+    exact however it is summed.  Ties go to the first point in window order.
+    """
+    axis = np.arange(x_grid) / x_grid
+    xs = np.array(list(itertools.product(axis, repeat=sigma.dimension)))
+    coords = w.coords_array()
+    weights = np.sqrt(1.0 + np.sum(coords.astype(float) ** 2, axis=1)) ** m
+    ratios, worst_x = [], []
+    for k, weight in zip(coords, weights):
+        total = np.zeros(len(xs), dtype=np.complex128)
+        for l in sigma.offsets():
+            c = sigma.coefficient(l, k[None, :])[0]
+            if c != 0:
+                total += c * np.exp(2j * np.pi * (xs @ np.asarray(l, dtype=float)))
+        j = int(np.argmin(total.real))
+        worst_x.append(j)
+        ratios.append(total.real[j] / weight)
+
+    def report(i):
+        value = float(ratios[i] * weights[i])
+        return tuple(float(v) for v in xs[worst_x[i]]), tuple(int(c) for c in coords[i]), value
+
+    norms2 = [int(np.sum(k * k)) for k in coords]
+    for v in sorted(set(norms2)):
+        tail = [i for i in range(len(coords)) if norms2[i] >= v]
+        tail.sort(key=lambda i: norms2[i])
+        best = tail[0]
+        for i in tail:
+            if ratios[i] < ratios[best]:
+                best = i
+        if ratios[best] > 0:
+            n0 = next(j for j in itertools.count() if j * j >= v)
+            return True, float(ratios[best]), n0, report(best)
+    best = min(range(len(coords)), key=lambda i: (ratios[i], i))
+    return False, 0.0, 0, report(best)
+
+
+def test_strong_ellipticity_block_sweep_matches_naive_reference():
+    def partly_zero(k):  # zero where k_1 < -8: whole blocks and part of one
+        return np.where(k[:, 0] < -8, 0.0, (0.4 - 0.3j) / (1.0 + k[:, 1].astype(float) ** 2))
+
+    cases = [
+        (SymbolSum([fractional_laplacian_symbol(2.0, 1),
+                    CoefficientTableSymbol(1, {(1,): lambda k: (0.3 + 0.4j) / (1.0 + k[:, 0] ** 2.0),
+                                               (-2,): 0.25j, (0,): -0.5})]),
+         2.0, TruncationWindow(12, 1), 16),
+        (MultiplierSymbol(1, lambda k: -(k[:, 0] ** 2.0) + 1j * k[:, 0], order_m=2.0),
+         2.0, TruncationWindow(8, 1), 4),
+        (SymbolSum([fractional_laplacian_symbol(3.0, 2),
+                    CoefficientTableSymbol(2, {(1, 0): partly_zero, (0, -1): 0.3j,
+                                               (1, 1): lambda k: (0.2 + 0.1j) * np.cos(k[:, 0]),
+                                               (0, 0): -2.0})]),
+         3.0, TruncationWindow(10, 2), 16),
+        (SymbolSum([fractional_laplacian_symbol(2.5, 3),
+                    MultiplicationSymbol(3, {(1, 0, 0): 0.5 + 0.5j, (0, -1, 1): -0.25j})]),
+         2.5, TruncationWindow(4, 3), 4),
+    ]
+    for sigma, m, w, x_grid in cases:
+        report = strong_ellipticity_check(sigma, m, w, x_grid=x_grid)
+        passed, c0, n0, worst = naive_ellipticity(sigma, m, w, x_grid)
+        assert (report.passed, report.C0, report.n0, report.worst) == (passed, c0, n0, worst)
+    # the 2-D case sweeps 21^2 window points x 256 torus points: many blocks
+    assert TruncationWindow(10, 2).size * 16**2 > 3 * toroidal._BLOCK
+    assert [strong_ellipticity_check(s, m, w, x_grid=g).passed for s, m, w, g in cases] == [
+        True, False, True, True
+    ]
+
+
 def test_order_diagnostic_recovers_powers():
     for m in (-2.0, 0.0, 1.5, 2.0):
         sym = MultiplierSymbol(
@@ -367,6 +442,58 @@ def test_l1_membership_boundary_and_failure():
     report = l1_membership_check(boundary, [4, 8, 16, 32])
     assert not report.in_l1
     assert "boundary" in report.warning
+
+
+def test_l1_membership_streamed_ladder_matches_exact_sums():
+    sym = CoefficientTableSymbol(
+        2,
+        {
+            (0, 0): lambda k: 1.0 / (1.0 + np.sum(k.astype(float) ** 2, axis=1)) ** 1.5,
+            (1, -1): lambda k: (0.5 - 2j) / (1.0 + k[:, 0] ** 4.0 + k[:, 1] ** 2.0),
+            (0, 3): 1e-7j,
+        },
+        order_m=-3.0,
+    )
+    radii = [3, 20, 50, 90]
+    window = TruncationWindow(radii[-1], 2)
+    assert window.size > 3 * toroidal._BLOCK  # the ladder streams several blocks
+    cols = window.coords_array()
+    entries = []
+    for l in sym.offsets():
+        rows = cols + np.asarray(l)
+        eff = np.maximum(np.max(np.abs(cols), axis=1), np.max(np.abs(rows), axis=1))
+        entries.append((eff, np.abs(sym.coefficient(l, cols))))
+    report = l1_membership_check(sym, radii)
+    assert [r for r, _ in report.ladder] == radii
+    for r, got in report.ladder:
+        want = math.fsum(float(v) for eff, vals in entries for v in vals[eff <= r])
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def coth_ladder_closed_form(radius):
+    """sum_{k=-R}^{R-1} 1/(1 + k^2): pi coth pi minus both tails (Euler-Maclaurin)."""
+    def beyond(r):  # sum_{k > r} 1/(1 + k^2), error ~ r^-6
+        return math.atan2(1.0, r) - 0.5 / (1.0 + r * r) + r / (6.0 * (1.0 + r * r) ** 2)
+
+    return PI_COTH_PI - 2.0 * beyond(radius) - 1.0 / (1.0 + radius * radius)
+
+
+def test_l1_membership_coth_ladder_matches_closed_form():
+    radii = [100_000, 1_000_000, 2_000_000, 4_000_000]
+    report = l1_membership_check(bracket_power_symbol(-2.0), radii)
+    for r, got in report.ladder:
+        assert abs(got - coth_ladder_closed_form(r)) <= 1e-12
+
+
+def test_l1_membership_memory_does_not_grow_with_the_ladder():
+    sym = bracket_power_symbol(-2.0)
+    tracemalloc.start()
+    try:
+        l1_membership_check(sym, [100_000, 1_000_000, 2_000_000, 4_000_000])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # one float per point of the 8M-point window is 64 MB
 
 
 def test_table_from_samples_round_trip():
