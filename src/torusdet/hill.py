@@ -43,6 +43,8 @@ from .l1_algebra import (
     NonConvergenceError,
     SparseL1Matrix,
     TailModel,
+    _add_identity,
+    _section_min_singular,
     determinant_decision,
     poincare_determinant,
     truncate,
@@ -269,18 +271,18 @@ def _dense_section(p: HillProblem, radius):
     w = TruncationWindow(radius, p.dimension)
     matrix, tail = build_hill_matrix(p, w)
     section, _ = truncate(matrix, TailModel.exact_finite(), w)
-    return w, np.eye(w.size) + section.matrix
+    return w, _add_identity(section.matrix)
 
 
-def _full_residual(p: HillProblem, w: TruncationWindow, b_vec):
+def _full_residual(p: HillProblem, w: TruncationWindow, dense, b_vec):
     """(I + B) b over every row the window-supported b touches, undamped-free.
 
-    Rows inside the window use the dense section; rows outside receive only
-    the g-convolution term, computed exactly from the finite potential.
+    Rows inside the window use the dense section ``dense`` of I + B; rows
+    outside receive only the g-convolution term, computed exactly from the
+    finite potential.
     """
     coeffs = p.damped_coeffs()
     pts = w.coords_array()
-    _, dense = _dense_section(p, w.radius)
     inside = dense @ b_vec
     outside = {}
     for l, v in coeffs.items():
@@ -299,11 +301,11 @@ def _full_residual(p: HillProblem, w: TruncationWindow, b_vec):
 def _exact_kernel_vector(p: HillProblem, radius):
     """Window null vector that annihilates the infinite matrix, or None."""
     w, dense = _dense_section(p, radius)
-    _, svals, vh = np.linalg.svd(dense)
-    if svals[-1] > 1e-10 * max(svals[0], 1.0):
+    smallest, largest, v = _section_min_singular(dense)
+    if smallest > 1e-10 * max(largest, 1.0):
         return None
-    b_vec = np.conj(vh[-1])
-    residual = _full_residual(p, w, b_vec)
+    b_vec = np.conj(v)
+    residual = _full_residual(p, w, dense, b_vec)
     if residual <= 1e-13 * (1.0 + p.potential_l1() + 1.0):
         return w, b_vec
     return None
@@ -324,23 +326,26 @@ class SolutionCandidate:
 def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
     """Reconstruct a null solution from the smallest singular vector.
 
-    SVD of the dense section of I + B on the window; the right singular
-    vector of the smallest singular value is the candidate (robust under the
-    +-k degeneracies of even problems).  The residual reports the undamped
+    SVD of the dense section of I + B on the window, one per connected
+    component; the right singular vector of the smallest singular value is
+    the candidate (robust under the +-k degeneracies of even problems).  When
+    several components share the smallest singular value, as the +-k modes
+    of a constant potential do, the candidate lives on the component holding
+    the lexicographically first window point; within one component it is
+    LAPACK's last right singular vector.  The residual reports the undamped
     coefficient equation: each damped row is multiplied back by d(k).
     """
     if w.dimension != p.dimension:
         raise ValueError(f"dimension {p.dimension} vs window {w.dimension}")
     _, dense = _dense_section(p, w.radius)
-    _, svals, vh = np.linalg.svd(dense)
-    smallest = float(svals[-1])
+    smallest, _, v = _section_min_singular(dense)
     if smallest > threshold:
         raise NoNullSolutionError(
             f"smallest singular value {smallest:.3e} exceeds threshold "
             f"{threshold:.3e}; no null solution on this window",
             singular_value=smallest,
         )
-    b_vec = np.conj(vh[-1])
+    b_vec = np.conj(v)
     b_vec = b_vec / np.linalg.norm(b_vec)
     pts = w.coords_array()
     weights = damping(pts, p.nu)
@@ -410,8 +415,6 @@ def spectral_shift_scan(p: HillProblem, lambdas, tol, radius=32):
     grid = np.asarray(lambdas)
 
     w, dense = _dense_section(p, radius)
-    if not np.any(dense.imag):
-        dense = dense.real
     weights = damping(w.coords_array(), p.nu)
     mu = np.linalg.eigvals(weights[:, None] * dense)
     # ascending eigenvalues against ascending weights keep every factor

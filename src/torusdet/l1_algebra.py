@@ -512,14 +512,167 @@ def _window_positions(coords, radius, dimension):
     return pos
 
 
+def _check_section_size(w: TruncationWindow):
+    if w.size > _SECTION_SIZE_LIMIT:
+        raise ValueError(
+            f"window of radius {w.radius} has {w.size} points; dense section "
+            f"refused (limit {_SECTION_SIZE_LIMIT})"
+        )
+
+
 def _section_matrix(rows, cols, vals, window):
-    """Dense section on the window of entries that all lie inside it."""
-    dense = np.zeros((window.size, window.size), dtype=np.complex128)
-    if len(vals):
-        r = _window_positions(rows, window.radius, window.dimension)
-        c = _window_positions(cols, window.radius, window.dimension)
-        dense[r, c] = vals
+    """Dense section on the window of entries that all lie inside it.
+
+    The section is float64 when every value is real and complex128
+    otherwise; every dense kernel downstream keeps that dtype.  Returns the
+    section and the window positions (r, c) of the entries.
+    """
+    real = not np.any(vals.imag)
+    dense = np.zeros((window.size, window.size), np.float64 if real else np.complex128)
+    r = _window_positions(rows, window.radius, window.dimension)
+    c = _window_positions(cols, window.radius, window.dimension)
+    dense[r, c] = vals.real if real else vals
+    return dense, (r, c)
+
+
+def _add_identity(dense):
+    """I + dense, in place."""
+    dense.flat[:: dense.shape[0] + 1] += 1.0
     return dense
+
+
+# Dense kernels on sections.  A section is the direct sum of the connected
+# components of its nonzero pattern, so det, inverse and SVD are computed per
+# component, with one LAPACK call per component size on the stacked blocks.
+
+
+def _component_labels(size, i, j):
+    """Smallest index of the connected component of each of 0..size-1.
+
+    Components of the graph with the links (i[e], j[e]): roots are hooked
+    onto the smallest neighbouring root and pointers jumped to their roots
+    until no link joins two roots.
+    """
+    off = i != j
+    i, j = i[off], j[off]
+    labels = np.arange(size)
+    while True:
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        li, lj = labels[i], labels[j]
+        split = li != lj
+        if not np.any(split):
+            return labels
+        li, lj = li[split], lj[split]
+        np.minimum.at(labels, np.maximum(li, lj), np.minimum(li, lj))
+
+
+def _section_blocks(m, links=None):
+    """Window positions of the components of m, grouped by component size.
+
+    Components are those of m's nonzero pattern; ``links`` may give the
+    positions (i, j) of m's off-diagonal nonzeros instead of a scan of m.
+    None when m is one component.  Otherwise a list of (count, s) index
+    arrays, one per size s; each row holds one component's positions in
+    ascending order, and rows are ordered by their first position.
+    """
+    i, j = np.nonzero(m) if links is None else links
+    labels = _component_labels(m.shape[0], i, j)
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    if len(starts) == 1:
+        return None
+    sizes = np.diff(starts, append=len(labels))
+    return [
+        order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)
+    ]
+
+
+def _block_index(idx):
+    """Index of the stacked (count, s, s) blocks on the (count, s) positions."""
+    return idx[:, :, None], idx[:, None, :]
+
+
+def _scaled_product(values):
+    """Product of nonzero values, carried as mantissa and binary exponent.
+
+    Every partial product is a product of at most 256 mantissas in
+    [0.5, 1), so none over- or underflows before the final scaling.
+    """
+    _, exps = np.frexp(np.abs(values))
+    mant = _ldexp(values, -exps)
+    value, exponent = 1.0, int(np.sum(exps))
+    for start in range(0, len(mant), 256):
+        value = value * np.prod(mant[start : start + 256])
+        _, e = np.frexp(np.abs(value))
+        value = _ldexp(value, -e)
+        exponent += int(e)
+    return complex(_ldexp(value, exponent))
+
+
+def _ldexp(x, e):
+    """x * 2**e, exact on the real and imaginary parts separately."""
+    if not np.iscomplexobj(x):
+        return np.ldexp(x, e)
+    out = np.empty(np.shape(x), dtype=np.complex128)
+    out.real = np.ldexp(x.real, e)
+    out.imag = np.ldexp(x.imag, e)
+    return out
+
+
+def _section_det(m, blocks=None):
+    """det(m), the product of its component determinants.
+
+    An exactly singular component gives exactly 0.  ``blocks`` may pass the
+    :func:`_section_blocks` of m when the caller already has them.
+    """
+    blocks = _section_blocks(m) if blocks is None else blocks
+    if blocks is None:
+        return complex(np.linalg.det(m))
+    dets = np.concatenate([np.linalg.det(m[_block_index(idx)]) for idx in blocks])
+    if not np.all(dets):
+        return 0j  # not the signed zero a product of mantissas may give
+    return _scaled_product(dets)
+
+
+def _section_inv(m, blocks=None):
+    """m^{-1}, assembled from the component inverses; LinAlgError if singular."""
+    blocks = _section_blocks(m) if blocks is None else blocks
+    if blocks is None:
+        return np.linalg.inv(m)
+    inv = np.zeros_like(m)
+    for idx in blocks:
+        inv[_block_index(idx)] = np.linalg.inv(m[_block_index(idx)])
+    return inv
+
+
+def _section_min_singular(m):
+    """Smallest and largest singular value of m and a vector v for the smallest.
+
+    v is LAPACK's last right singular vector (a row of V^H) of the component
+    with the smallest sigma_min, zero elsewhere; among tied components, the
+    one whose first window position comes first.
+    """
+    blocks = _section_blocks(m)
+    if blocks is None:
+        _, svals, vh = np.linalg.svd(m)
+        return float(svals[-1]), float(svals[0]), vh[-1]
+    firsts, smallest, largest, vectors = [], [], [], []
+    for idx in blocks:
+        _, svals, vh = np.linalg.svd(m[_block_index(idx)])
+        firsts.append(idx[:, 0])
+        smallest.append(svals[:, -1])
+        largest.append(svals[:, 0])
+        vectors.extend(zip(idx, vh[:, -1]))
+    firsts, smallest = np.concatenate(firsts), np.concatenate(smallest)
+    pick = np.lexsort((firsts, smallest))[0]
+    idx, row = vectors[pick]
+    v = np.zeros(m.shape[0], dtype=row.dtype)
+    v[idx] = row
+    return float(smallest[pick]), float(np.max(np.concatenate(largest))), v
 
 
 def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
@@ -533,13 +686,9 @@ def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
     """
     if w.dimension != a.dimension:
         raise DimensionMismatchError(f"dimension {a.dimension} vs {w.dimension}")
-    if w.size > _SECTION_SIZE_LIMIT:
-        raise ValueError(
-            f"window of radius {w.radius} has {w.size} points; dense section "
-            f"refused (limit {_SECTION_SIZE_LIMIT})"
-        )
+    _check_section_size(w)
     inside = a.entry_radii <= w.radius
-    dense = _section_matrix(a.rows[inside], a.cols[inside], a.vals[inside], w)
+    dense, _ = _section_matrix(a.rows[inside], a.cols[inside], a.vals[inside], w)
     stored_tail = float(np.sum(np.abs(a.vals[~inside])))
     bound_radius = min(w.radius, a.support_radius)
     return FiniteSection(w, dense), stored_tail + tail.bound_at(bound_radius)
@@ -551,8 +700,8 @@ def finite_trace(f: FiniteSection):
 
 
 def finite_determinant(f: FiniteSection):
-    """det(I + F) by pivoted LU of the dense matrix I + F."""
-    return complex(np.linalg.det(np.eye(f.matrix.shape[0]) + f.matrix))
+    """det(I + F) by pivoted LU of each connected component of I + F."""
+    return _section_det(np.eye(f.matrix.shape[0]) + f.matrix)
 
 
 def _safe_exp(x):
@@ -781,11 +930,21 @@ def poincare_determinant(
     best = None
     for i, n in enumerate(radii):
         window = TruncationWindow(n, a.dimension)
+        if best is None:
+            _check_section_size(window)
+        elif window.size > _SECTION_SIZE_LIMIT:
+            stop = (
+                f"before the window of radius {n} ({window.size} points) "
+                f"passed the dense section limit {_SECTION_SIZE_LIMIT}"
+            )
+            break
         inside = tails.inside(i)
-        dense = _section_matrix(
+        section, links = _section_matrix(
             tails.rows[inside], tails.cols[inside], tails.vals[inside], window
         )
-        det_n = complex(np.linalg.det(np.eye(window.size) + dense))
+        section = _add_identity(section)
+        blocks = _section_blocks(section, links)
+        det_n = _section_det(section, blocks)
         f_norm = float(np.sum(tails.abs_vals[inside]))
         t_stored = a.l1_norm - f_norm
         t_bound = t_stored + unstored  # discarded stored plus all unstored
@@ -793,9 +952,10 @@ def poincare_determinant(
 
         value, bound = det_n, b_raw
         raw_value_bound = b_raw
-        if n <= coverage or coverage == 0:
+        # a corrected bound can only matter against a nonzero raw bound
+        if (n <= coverage or coverage == 0) and b_raw != 0:
             corrected = _corrected_step(
-                tails, dense, window, det_n, t_stored, unstored, ~inside
+                tails, section, blocks, window, det_n, t_stored, unstored, ~inside
             )
             if corrected is not None:
                 value_corr, b_corr = corrected
@@ -812,30 +972,34 @@ def poincare_determinant(
                 certified_error=bound,
                 converged=True,
             )
+    else:
+        stop = f"within radius {max_radius}"
     raise NonConvergenceError(
-        f"determinant bound did not reach tol={tol} within radius "
-        f"{max_radius} (best certified bound {best[0]:.3e})",
+        f"determinant bound did not reach tol={tol} {stop} "
+        f"(best certified bound {best[0]:.3e})",
         ladder=ladder,
         last_bound=best[0],
         last_value=best[1],
     )
 
 
-def _corrected_step(tails, dense, window, det_n, t_stored, unstored, outside):
+def _corrected_step(tails, section, blocks, window, det_n, t_stored, unstored, outside):
     """Tail-corrected determinant value and its certified bound, or None.
 
+    ``section`` is I + F on the window, ``blocks`` its components, and
     ``outside`` masks the near entries of ``tails`` beyond the window.
     """
-    if det_n == 0:
+    t_total = t_stored + unstored
+    # s = (1 + ||G||_1) t_total >= t_total: no inverse can bring s under 0.9
+    if det_n == 0 or t_total >= 0.9:
         return None
-    size = dense.shape[0]
+    size = section.shape[0]
     try:
-        inv = np.linalg.inv(np.eye(size) + dense)
+        g_dense = _section_inv(section, blocks)
     except np.linalg.LinAlgError:
         return None
-    g_dense = inv - np.eye(size)
+    g_dense.flat[:: size + 1] -= 1.0  # G = (I + F)^{-1} - I
     g1 = float(np.sum(np.abs(g_dense)))
-    t_total = t_stored + unstored
     s = (1.0 + g1) * t_total
     if s >= 0.9:
         return None

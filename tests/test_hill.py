@@ -372,3 +372,101 @@ def test_extraction_at_scanned_mathieu_root():
     sol = extract_null_solution(shifted, TruncationWindow(16, 1), threshold=1e-4)
     assert sol.residual <= 1e-6
     assert sol.regularity_mass <= sol.regularity_bound + 1e-8
+
+
+# --- dimension >= 2: independent oracles
+
+
+def constant_potential_product(c, n, nu, radius):
+    """prod_k (d(k) - 1 + c) / d(k) over Z^n, d(k) = (2 pi |k|)^nu + 1 (n = 2, 3).
+
+    Log sum over |k|_inf <= radius, one slice of the first coordinate at a
+    time, plus the tail: the sum over |k|_inf > radius of
+    (c - 1) / (2 pi |k|)^nu by the integral over the cubes around those
+    points, |x|_inf > a = radius + 1/2.  By scaling that integral is
+    S a^(n - nu) / (nu - n), S the integral of |y|^-nu over the boundary of
+    [-1, 1]^n, here by Gauss-Legendre over a quarter face.
+    """
+    axis = np.arange(-radius, radius + 1, dtype=float)
+    rest = sum(g**2 for g in np.meshgrid(*([axis] * (n - 1)), indexing="ij"))
+    total = 0.0
+    for x in axis:
+        w = (2.0 * math.pi * np.sqrt(x * x + rest)) ** nu
+        total += float(np.sum(np.log1p((c - 1.0) / (w + 1.0))))
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    u, wq = (nodes + 1.0) / 2.0, weights / 2.0
+    if n == 2:
+        face = np.sum(wq * (1.0 + u**2) ** (-nu / 2.0))
+    else:
+        face = np.sum(np.outer(wq, wq) * (1.0 + u[:, None] ** 2 + u[None, :] ** 2) ** (-nu / 2.0))
+    surface = 2 * n * 2 ** (n - 1) * face
+    a = radius + 0.5
+    tail = (c - 1.0) * (2.0 * math.pi) ** (-nu) * surface * a ** (n - nu) / (nu - n)
+    return math.exp(total + tail)
+
+
+@pytest.mark.parametrize(
+    "n, nu, c, max_radius, coverage, oracle_radius",
+    [
+        (2, 3.0, 0.5, 16, 64, 400),
+        (2, 4.0, 2.0, 16, 64, 400),
+        (3, 5.0, 2.0, 4, 16, 60),
+        (3, 6.0, 0.5, 4, 16, 60),
+    ],
+)
+def test_constant_potential_matches_lattice_product(n, nu, c, max_radius, coverage, oracle_radius):
+    p = HillProblem(n, nu, {(0,) * n: c})
+    oracle = constant_potential_product(c, n, nu, oracle_radius)
+    result = existence_test(p, tol=1e-8, max_radius=max_radius, coverage_radius=coverage)
+    det = result.determinant
+    assert result.decision == "only-trivial"
+    assert det.certified_error < 1e-3
+    assert abs(det.value - oracle) <= det.certified_error
+
+
+def test_constant_potential_certified_in_three_dimensions():
+    p = HillProblem(3, 6.0, {(0, 0, 0): 0.5})
+    res = hill_determinant(p, 1e-8, max_radius=4, coverage_radius=32)
+    assert res.converged
+    assert abs(res.value - constant_potential_product(0.5, 3, 6.0, 60)) <= res.certified_error
+
+
+def damped_section(potential, radius, n, nu):
+    """Dense I + B on the sup-norm window, assembled entry by entry."""
+    axis = np.arange(-radius, radius + 1)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=1)
+    d = (2.0 * math.pi * np.sqrt(np.sum(pts.astype(float) ** 2, axis=1))) ** nu + 1.0
+    index = {tuple(int(x) for x in k): i for i, k in enumerate(pts)}
+    dense = np.eye(len(pts), dtype=complex)
+    for i, k in enumerate(pts):
+        for l, g in potential.items():
+            j = index.get(tuple(int(a) - b for a, b in zip(k, l)))
+            if j is not None:
+                dense[i, j] += (g - (1.0 if not any(l) else 0.0)) / d[i]
+    return dense
+
+
+@pytest.mark.parametrize("second", [0.2, 0.2 + 0.1j])
+def test_separable_potential_ladder_matches_dense_slogdet(second):
+    # Q(x_1) alone: the section splits into one block per k_2
+    pot = {(0, 0): 2.0, (1, 0): 0.7, (-1, 0): 0.7, (2, 0): second, (-2, 0): np.conj(second)}
+    p = HillProblem(2, 3.0, pot)
+    with pytest.raises(NonConvergenceError) as err:
+        hill_determinant(p, 1e-14, max_radius=16, coverage_radius=64)
+    ladder = err.value.ladder
+    assert [step.radius for step in ladder] == [8, 16]
+    for step in ladder:
+        sign, logabs = np.linalg.slogdet(damped_section(pot, step.radius, 2, 3.0))
+        reference = sign * math.exp(logabs)
+        assert abs(step.value - reference) <= 1e-12 * abs(reference)
+
+
+def test_extract_null_solution_degenerate_constant_in_two_dimensions():
+    # Q = -(2 pi)^3 annihilates the four modes |k| = 1, each its own
+    # component; the first in window order, k = (-1, 0), is returned
+    p = HillProblem(2, 3.0, {(0, 0): -((2.0 * math.pi) ** 3)})
+    sol = extract_null_solution(p, TruncationWindow(6, 2))
+    assert sol.singular_value == 0.0
+    assert list(sol.coefficients) == [(-1, 0)]
+    assert abs(sol.coefficients[(-1, 0)]) == pytest.approx(1.0, abs=1e-15)
+    assert sol.residual == 0.0

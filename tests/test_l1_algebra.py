@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +23,14 @@ from torusdet.l1_algebra import (
     poincare_trace,
     truncate,
 )
-from torusdet.l1_algebra import _LadderTails, _tail_cross_term
+from torusdet.l1_algebra import (
+    _SECTION_SIZE_LIMIT,
+    _LadderTails,
+    _section_det,
+    _section_inv,
+    _section_min_singular,
+    _tail_cross_term,
+)
 
 
 def random_sparse(rng, n=1, max_entries=30, radius=6, scale=2.0):
@@ -455,6 +464,178 @@ def test_ladder_far_and_straddling_tails_match_dense(monkeypatch, n, support, ma
     assert seen and all(far > 0 and straddling > 0 for far, straddling in seen)
     sign, logabs = np.linalg.slogdet(np.eye(full.size) + dense_a)
     assert abs(res.value - sign * np.exp(logabs)) <= res.certified_error
+
+
+# --- dense section kernels
+
+
+def hidden_block_diagonal(rng, sizes, complex_values, singular=None):
+    """I + F made of diagonal blocks, conjugated by a random permutation.
+
+    ``singular`` names a block of size >= 2 that is made exactly singular:
+    its last column vanishes, while its last row keeps it connected.
+    """
+    size = sum(sizes)
+    m = np.zeros((size, size), dtype=complex if complex_values else float)
+    start = 0
+    for b, s in enumerate(sizes):
+        block = rng.standard_normal((s, s))
+        if complex_values:
+            block = block + 1j * rng.standard_normal((s, s))
+        block = np.eye(s) + 0.4 * block
+        if b == singular:
+            block[:, -1] = 0.0
+        m[start : start + s, start : start + s] = block
+        start += s
+    perm = rng.permutation(size)
+    return m[np.ix_(perm, perm)]
+
+
+def rel_err(got, want):
+    return np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want)
+
+
+# isolated points are the 1 x 1 blocks; two sizes repeat
+BLOCK_SIZES = [1, 3, 1, 4, 2, 3, 1, 6, 2]
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_section_kernels_match_dense_linalg_on_hidden_blocks(complex_values):
+    rng = np.random.default_rng(11)
+    m = hidden_block_diagonal(rng, BLOCK_SIZES, complex_values)
+    assert rel_err(_section_det(m), np.linalg.det(m)) <= 1e-12
+    assert rel_err(_section_inv(m), np.linalg.inv(m)) <= 1e-12
+
+    _, svals, vh = np.linalg.svd(m)
+    smallest, largest, v = _section_min_singular(m)
+    assert abs(smallest - svals[-1]) <= 1e-12 * svals[-1]
+    assert abs(largest - svals[0]) <= 1e-12 * svals[0]
+    assert v.dtype == m.dtype and abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    # sigma_min is simple here, so v is the dense vector up to a phase
+    assert abs(abs(np.vdot(vh[-1], v)) - 1.0) <= 1e-12
+    assert np.linalg.norm(m @ np.conj(v)) <= smallest * (1 + 1e-12) + 1e-14
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_section_kernels_on_an_exactly_singular_block(complex_values):
+    rng = np.random.default_rng(12)
+    m = hidden_block_diagonal(rng, BLOCK_SIZES, complex_values, singular=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _section_det(m) == 0
+        smallest, largest, v = _section_min_singular(m)
+    with pytest.raises(np.linalg.LinAlgError):
+        _section_inv(m)
+    # an unsigned zero, whatever the signs of the other blocks
+    assert repr(_section_det(np.diag([-2.0, 0.0, 3.0]))) == "0j"
+    svals = np.linalg.svd(m, compute_uv=False)
+    assert smallest <= 1e-12 * svals[0]
+    assert abs(largest - svals[0]) <= 1e-12 * svals[0]
+    assert np.linalg.norm(m @ np.conj(v)) <= 1e-12 * svals[0]
+
+
+def test_section_kernels_on_one_component_pass_the_matrix_through():
+    rng = np.random.default_rng(13)
+    m = np.eye(12) + 0.3 * (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+    assert _section_det(m) == complex(np.linalg.det(m))
+    assert np.array_equal(_section_inv(m), np.linalg.inv(m))
+    _, svals, vh = np.linalg.svd(m)
+    smallest, largest, v = _section_min_singular(m)
+    assert (smallest, largest) == (svals[-1], svals[0]) and np.array_equal(v, vh[-1])
+
+
+def test_section_det_product_neither_overflows_nor_underflows():
+    # 600 blocks of det 1e3 and 600 of det 1e-3: the product is 1, while a
+    # running product in either order leaves the float range
+    values = np.concatenate([np.full(600, 1e3), np.full(600, 1e-3)])
+    assert _section_det(np.diag(values)) == pytest.approx(1.0, rel=1e-12)
+    assert _section_det(np.diag(values[::-1] * 1j)) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_section_min_singular_tie_goes_to_the_first_window_position():
+    # sigma_min = 1 on positions 2 and 4 (1 x 1 blocks) and on the 2 x 2
+    # block {0, 3}; the block holding position 0 comes first, although the
+    # 1 x 1 blocks are solved in an earlier stacked call
+    m = np.diag([0.0, 3.0, -1.0, 0.0, 1.0, 2.0])
+    m[0, 3] = m[3, 0] = 1.0
+    smallest, largest, v = _section_min_singular(m)
+    assert (smallest, largest) == (1.0, 3.0)
+    assert np.count_nonzero(v[[1, 2, 4, 5]]) == 0
+    assert np.linalg.norm(m @ np.conj(v)) == pytest.approx(1.0, abs=1e-15)
+
+    m = np.diag([4.0, 2.0, 3.0, -2.0, 2.0])
+    smallest, _, v = _section_min_singular(m)
+    assert smallest == 2.0
+    assert np.flatnonzero(v).tolist() == [1] and abs(v[1]) == 1.0
+
+
+def test_sections_are_real_exactly_when_the_values_are():
+    w = TruncationWindow(2, 1)
+    real = SparseL1Matrix(1, {((0,), (1,)): 0.5, ((1,), (1,)): -2.0})  # complex128 storage
+    assert real.vals.dtype == np.complex128
+    assert section_of(real, 2).matrix.dtype == np.float64
+    stored_real = SparseL1Matrix.from_arrays(1, [[0]], [[1]], np.array([0.5]))
+    assert section_of(stored_real, 2).matrix.dtype == np.float64
+    cplx = SparseL1Matrix(1, {((0,), (1,)): 0.5, ((1,), (1,)): 1j})
+    section, _ = truncate(cplx, TailModel.exact_finite(), w)
+    assert section.matrix.dtype == np.complex128
+    assert section.matrix[3, 3] == 1j
+
+
+def test_exact_finite_last_rung_skips_the_inverse(monkeypatch):
+    rng = np.random.default_rng(14)
+    a = random_sparse(rng, n=2, max_entries=40, radius=5, scale=0.3)
+    expected = finite_determinant(section_of(a, a.support_radius))
+    calls = []
+    original = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda x: calls.append(x.shape) or original(x))
+    res = poincare_determinant(a, TailModel.exact_finite(), 1e-12)
+    assert calls == []
+    assert [s.radius for s in res.ladder] == [a.support_radius]
+    assert res.value == expected and res.certified_error == 0.0 and res.converged
+
+    # a tail of mass >= 0.9 cannot pass s < 0.9 either
+    heavy = TailModel.user_bound(lambda r: 1.0)
+    with pytest.raises(NonConvergenceError) as err:
+        poincare_determinant(a, heavy, 1e-12, max_radius=a.support_radius)
+    assert calls == []
+    assert err.value.ladder[-1].value == expected
+
+
+def five_dimensional_diagonal(radius):
+    pts = TruncationWindow(1, 5).coords_array()
+    corner = np.full((1, 5), radius)
+    pts = np.concatenate([pts, corner]) if radius > 1 else pts
+    return SparseL1Matrix.from_arrays(5, pts, pts, np.full(len(pts), 0.01))
+
+
+def test_ladder_section_guard_stops_before_the_refused_rung():
+    import tracemalloc
+
+    a = five_dimensional_diagonal(1)  # ladder 1, 2, 4: 243, 3125, 59049 points
+    assert TruncationWindow(4, 5).size > _SECTION_SIZE_LIMIT
+    never = TailModel.user_bound(lambda r: 1e-3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergenceError) as err:
+            poincare_determinant(a, never, 1e-12, max_radius=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 3125**2 * 8  # one 3125-point section, not a 59049-point one
+    assert [s.radius for s in err.value.ladder] == [1, 2]
+    assert str(_SECTION_SIZE_LIMIT) in str(err.value)
+    assert err.value.last_bound == min(s.bound for s in err.value.ladder)
+    assert err.value.last_value is not None
+
+
+def test_ladder_section_guard_refuses_a_first_rung_over_the_limit():
+    a = five_dimensional_diagonal(4)  # the first rung is already radius 4
+    with pytest.raises(ValueError, match=f"limit {_SECTION_SIZE_LIMIT}") as err:
+        poincare_determinant(a, TailModel.exact_finite(), 1e-12)
+    assert not isinstance(err.value, NonConvergenceError)
+    with pytest.raises(ValueError, match=re.escape(str(err.value))):
+        truncate(a, TailModel.exact_finite(), TruncationWindow(4, 5))
 
 
 # --- invertibility
