@@ -37,15 +37,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import TruncationWindow, as_index, euclid_norm_array, sup_norm_array
+from .lattice import (
+    TruncationWindow,
+    as_index,
+    euclid_norm_array,
+    shell_tail,
+    sup_norm_array,
+)
 from .l1_algebra import (
     DeterminantResult,
-    NonConvergenceError,
     SparseL1Matrix,
     TailModel,
     _add_identity,
     _section_min_singular,
-    determinant_decision,
+    invertibility_test,
     poincare_determinant,
     truncate,
 )
@@ -118,26 +123,6 @@ def damping(coords, nu):
         return (2.0 * np.pi * euclid_norm_array(coords)) ** nu + 1.0
 
 
-def damped_lattice_tail(radius, dimension, nu):
-    """Rigorous upper bound on sum_{|k|_inf > radius} 1/d(k).
-
-    Exact sup-norm shell counts for 1024 shells, then integral comparison;
-    each point with |k|_inf = j has 1/d(k) <= (2pi)^{-nu} j^{-nu}.
-    """
-    if not nu > dimension:
-        raise InfeasibleOrderError(f"tail diverges for nu={nu} <= n={dimension}")
-    j0 = int(radius) + 1
-    j1 = j0 + 1024
-    js = np.arange(j0, j1, dtype=np.float64)
-    counts = (2 * js + 1) ** dimension - (2 * js - 1) ** dimension
-    with np.errstate(over="ignore"):  # an inf weight gives the limit 0
-        head = float(np.sum(counts / ((2.0 * np.pi * js) ** nu + 1.0)))
-    c = 2 * dimension * 3 ** (dimension - 1) * (2.0 * np.pi) ** (-nu)
-    p = dimension - 1 - nu
-    tail = c * (j1 - 1) ** (p + 1) / (-(p + 1))
-    return head + tail
-
-
 def _damped_tail_bound(mass, reach, dimension, nu, radius):
     """Bound on the l1 mass of B outside the window of the given radius.
 
@@ -146,8 +131,8 @@ def _damped_tail_bound(mass, reach, dimension, nu, radius):
     the row outside the window and those with the column outside.
     """
     return mass * (
-        damped_lattice_tail(radius, dimension, nu)
-        + damped_lattice_tail(max(radius - reach, 0), dimension, nu)
+        shell_tail(radius, dimension, nu, 2.0 * np.pi, 1.0)
+        + shell_tail(max(radius - reach, 0), dimension, nu, 2.0 * np.pi, 1.0)
     )
 
 
@@ -230,20 +215,6 @@ class ExistenceResult:
     kernel_certified: bool = False
 
 
-def _best_determinant(p, tol, max_radius, coverage_radius=None):
-    try:
-        return hill_determinant(
-            p, tol, max_radius=max_radius, coverage_radius=coverage_radius
-        )
-    except NonConvergenceError as err:
-        return DeterminantResult(
-            value=err.last_value,
-            ladder=err.ladder,
-            certified_error=err.last_bound,
-            converged=False,
-        )
-
-
 def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None):
     """Decide existence of nontrivial periodic solutions.
 
@@ -256,8 +227,10 @@ def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None
     """
     if coverage_radius is None:
         coverage_radius = max(4 * max_radius, 1024)
-    det = _best_determinant(p, tol, max_radius, coverage_radius=coverage_radius)
-    decision = determinant_decision(det, tol)
+    matrix, tail = build_hill_matrix(
+        p, TruncationWindow(int(coverage_radius), p.dimension)
+    )
+    decision, det = invertibility_test(matrix, tail, tol, max_radius=max_radius)
     if decision == "invertible":
         return ExistenceResult("only-trivial", det)
     if decision == "singular":

@@ -89,35 +89,48 @@ class SparseL1Matrix:
 
     __slots__ = ("dimension", "rows", "cols", "vals", "l1_norm", "_cache")
 
-    def __init__(self, dimension, entries=None, _arrays=None, _norm=None):
+    def __init__(self, dimension, entries=None):
+        entries = entries or {}
+        rows = np.array([as_index(j, dimension) for j, _ in entries], dtype=np.int64)
+        cols = np.array([as_index(k, dimension) for _, k in entries], dtype=np.int64)
+        vals = np.array([complex(v) for v in entries.values()], dtype=np.complex128)
+        self._adopt(dimension, rows, cols, vals)
+
+    def _adopt(self, dimension, rows, cols, vals, norm=None, canonical=False):
+        """Store (E, n) index arrays and (E,) values as this matrix's entries.
+
+        float64 and complex128 values and integer index dtypes are kept as
+        given; other values become complex128.  Unless ``canonical`` (the
+        caller guarantees sorted, duplicate free, zero free), the entries are
+        canonicalized, in the values' dtype.  The same array for rows and cols
+        marks the matrix as diagonal.  ``norm`` may supply the l1 norm.
+        """
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "dimension", int(dimension))
-        object.__setattr__(self, "_cache", {})
-        if _arrays is not None:
-            rows, cols, vals = _arrays
-            vals = np.asarray(vals)
-            if vals.dtype not in (np.float64, np.complex128):
-                vals = vals.astype(np.complex128)
-            rows = _as_coord_array(rows, len(vals), dimension)
-            cols = _as_coord_array(cols, len(vals), dimension)
-        else:
-            entries = entries or {}
-            rows = np.empty((len(entries), dimension), dtype=np.int64)
-            cols = np.empty((len(entries), dimension), dtype=np.int64)
-            vals = np.empty(len(entries), dtype=np.complex128)
-            for i, ((j, k), v) in enumerate(entries.items()):
-                rows[i] = as_index(j, dimension)
-                cols[i] = as_index(k, dimension)
-                vals[i] = complex(v)
-        rows, cols, vals = self._canonicalize(rows, cols, vals)
+        vals = np.asarray(vals)
+        if vals.dtype not in (np.float64, np.complex128):
+            vals = vals.astype(np.complex128)
+        rows = _as_coord_array(rows, len(vals), dimension)
+        cols = _as_coord_array(cols, len(vals), dimension)
+        if not canonical:
+            rows, cols, vals = self._canonicalize(rows, cols, vals)
+        if (
+            rows.ctypes.data == cols.ctypes.data
+            and rows.shape == cols.shape
+            and rows.strides == cols.strides
+            and rows.dtype == cols.dtype
+        ):
+            cols = rows
         for a in (rows, cols, vals):
             a.setflags(write=False)
+        object.__setattr__(self, "dimension", int(dimension))
+        object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "vals", vals)
-        norm = float(np.sum(np.abs(vals))) if _norm is None else float(_norm)
+        norm = float(np.sum(np.abs(vals))) if norm is None else float(norm)
         object.__setattr__(self, "l1_norm", norm)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseL1Matrix is immutable")
@@ -144,7 +157,7 @@ class SparseL1Matrix:
         new_group = np.ones(len(vals), dtype=bool)
         np.any(combined[1:] != combined[:-1], axis=1, out=new_group[1:])
         group_ids = np.cumsum(new_group) - 1
-        summed = np.zeros(group_ids[-1] + 1, dtype=np.complex128)
+        summed = np.zeros(group_ids[-1] + 1, dtype=vals.dtype)
         np.add.at(summed, group_ids, vals)
         firsts = np.flatnonzero(new_group)
         keep = summed != 0
@@ -164,7 +177,7 @@ class SparseL1Matrix:
         values are stored as complex128); inputs already in canonical order
         are detected and adopted without a sort.
         """
-        return cls(dimension, _arrays=(rows, cols, np.asarray(vals)))
+        return cls.__new__(cls)._adopt(dimension, rows, cols, vals)
 
     @classmethod
     def from_canonical_arrays(cls, dimension, rows, cols, vals, norm=None):
@@ -176,29 +189,9 @@ class SparseL1Matrix:
         memory; ``norm`` may supply a precomputed l1 norm.  Passing the same
         array object for rows and cols marks the matrix as diagonal.
         """
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "dimension", int(dimension))
-        object.__setattr__(obj, "_cache", {})
-        vals = np.asarray(vals)
-        if vals.dtype not in (np.float64, np.complex128):
-            vals = vals.astype(np.complex128)
-        rows = _as_coord_array(rows, len(vals), dimension)
-        cols = _as_coord_array(cols, len(vals), dimension)
-        if (
-            rows.ctypes.data == cols.ctypes.data
-            and rows.shape == cols.shape
-            and rows.strides == cols.strides
-            and rows.dtype == cols.dtype
-        ):
-            cols = rows
-        for a in (rows, cols, vals):
-            a.setflags(write=False)
-        object.__setattr__(obj, "rows", rows)
-        object.__setattr__(obj, "cols", cols)
-        object.__setattr__(obj, "vals", vals)
-        norm = float(np.sum(np.abs(vals))) if norm is None else float(norm)
-        object.__setattr__(obj, "l1_norm", norm)
-        return obj
+        return cls.__new__(cls)._adopt(
+            dimension, rows, cols, vals, norm=norm, canonical=True
+        )
 
     @classmethod
     def zero(cls, dimension):
@@ -263,10 +256,8 @@ class SparseL1Matrix:
 
     def transpose(self):
         """Transpose; the tracked l1 norm is carried over exactly."""
-        return SparseL1Matrix(
-            self.dimension,
-            _arrays=(self.cols.copy(), self.rows.copy(), self.vals.copy()),
-            _norm=self.l1_norm,
+        return SparseL1Matrix.__new__(SparseL1Matrix)._adopt(
+            self.dimension, self.cols, self.rows, self.vals, norm=self.l1_norm
         )
 
     def __matmul__(self, other):
@@ -901,12 +892,7 @@ class _LadderTails:
         return tr_t2, cross
 
 
-def poincare_determinant(
-    a: SparseL1Matrix,
-    tail: TailModel,
-    tol,
-    max_radius=64,
-):
+def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64):
     """Extended determinant of I + A over a doubling window ladder.
 
     The ladder records the raw section determinants.  At each rung both a
@@ -917,6 +903,28 @@ def poincare_determinant(
     for the returned value, which is the corrected one whenever its bound is
     the sharper of the two.  Each call passes over the stored entries once;
     a rung's work is its dense section and the entries near the windows.
+    A ladder that stops short of ``tol`` raises :class:`NonConvergenceError`
+    carrying the ladder and the best rung's value and bound.
+    """
+    result, stop = _determinant_ladder(a, tail, tol, max_radius)
+    if stop is not None:
+        raise NonConvergenceError(
+            f"determinant bound did not reach tol={tol} {stop} "
+            f"(best certified bound {result.certified_error:.3e})",
+            ladder=result.ladder,
+            last_bound=result.certified_error,
+            last_value=result.value,
+        )
+    return result
+
+
+def _determinant_ladder(a: SparseL1Matrix, tail: TailModel, tol, max_radius):
+    """The ladder of :func:`poincare_determinant` and why it stopped short.
+
+    Returns ``(result, stop)``: a converged result and None, or the best
+    rung's value and bound with ``converged=False`` and the phrase saying
+    where the ladder ended.  A first rung over the dense section limit
+    raises :func:`truncate`'s ``ValueError``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -928,11 +936,12 @@ def poincare_determinant(
 
     ladder = []
     best = None
+    stop = f"within radius {max_radius}"
     for i, n in enumerate(radii):
         window = TruncationWindow(n, a.dimension)
-        if best is None:
-            _check_section_size(window)
-        elif window.size > _SECTION_SIZE_LIMIT:
+        if window.size > _SECTION_SIZE_LIMIT:
+            if not ladder:  # no rung to fall back on: refuse as truncate does
+                _check_section_size(window)
             stop = (
                 f"before the window of radius {n} ({window.size} points) "
                 f"passed the dense section limit {_SECTION_SIZE_LIMIT}"
@@ -963,24 +972,11 @@ def poincare_determinant(
                 if b_corr < bound:
                     value, bound = value_corr, b_corr
         ladder.append(LadderStep(n, det_n, raw_value_bound))
-        if best is None or bound < best[0]:
-            best = (bound, value)
         if bound <= tol:
-            return DeterminantResult(
-                value=value,
-                ladder=ladder,
-                certified_error=bound,
-                converged=True,
-            )
-    else:
-        stop = f"within radius {max_radius}"
-    raise NonConvergenceError(
-        f"determinant bound did not reach tol={tol} {stop} "
-        f"(best certified bound {best[0]:.3e})",
-        ladder=ladder,
-        last_bound=best[0],
-        last_value=best[1],
-    )
+            return DeterminantResult(value, ladder, bound, converged=True), None
+        if best is None or bound < best.certified_error:
+            best = DeterminantResult(value, ladder, bound, converged=False)
+    return best, stop
 
 
 def _corrected_step(tails, section, blocks, window, det_n, t_stored, unstored, outside):
@@ -1039,19 +1035,11 @@ def invertibility_test(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64):
     ``invertible`` when the determinant is certifiably away from zero,
     ``singular`` when it is indistinguishable from zero at tolerance ``tol``,
     ``undecided`` otherwise.  A ladder that exhausts the radius cap without
-    certifying to ``tol`` still yields its best value and bound, which decide
-    the question whenever they can (a numerical zero test is one-sided;
-    near-roots legitimately end undecided).
+    certifying to ``tol`` still yields its best value and bound (with
+    ``converged=False``), which decide the question whenever they can (a
+    numerical zero test is one-sided; near-roots legitimately end undecided).
     """
-    try:
-        result = poincare_determinant(a, tail, tol, max_radius=max_radius)
-    except NonConvergenceError as err:
-        result = DeterminantResult(
-            value=err.last_value,
-            ladder=err.ladder,
-            certified_error=err.last_bound,
-            converged=False,
-        )
+    result, _ = _determinant_ladder(a, tail, tol, max_radius)
     return determinant_decision(result, tol), result
 
 

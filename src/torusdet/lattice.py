@@ -109,6 +109,29 @@ class TruncationWindow:
         return out
 
 
+def shell_tail(radius, dimension, order, scale=1.0, offset=0.0):
+    """Upper bound on sum_{|k|_inf > radius} 1 / ((scale |k|_inf)^order + offset).
+
+    Requires ``order > dimension``, ``scale > 0`` and ``offset >= 0``.  Exact
+    sup-norm shell counts for 1024 shells, then an integral comparison with
+    count(j) <= 2 n 3^{n-1} j^{n-1} and each summand at most
+    (scale j)^{-order}.  The bound also holds for sum 1/w(k) with any weight
+    w(k) >= (scale |k|_inf)^order + offset, such as the damping
+    (2pi |k|)^nu + 1 (scale 2pi, offset 1) or <k>^{-m} (order -m).
+    """
+    if not order > dimension:
+        raise ValueError(f"tail diverges: order {order} <= dimension {dimension}")
+    j0 = int(radius) + 1
+    j1 = j0 + 1024
+    js = np.arange(j0, j1, dtype=np.float64)
+    counts = (2 * js + 1) ** dimension - (2 * js - 1) ** dimension
+    with np.errstate(over="ignore"):  # an inf weight gives the limit 0
+        head = float(np.sum(counts / ((scale * js) ** order + offset)))
+    c = 2 * dimension * 3 ** (dimension - 1) * scale ** (-order)
+    p = dimension - 1 - order
+    return head + c * (j1 - 1) ** (p + 1) / (-(p + 1))
+
+
 def enumerate_window(w: TruncationWindow):
     """All points of the window as tuples, in lexicographic order."""
     rng = range(-w.radius, w.radius + 1)

@@ -32,6 +32,7 @@ from .lattice import (
     TruncationWindow,
     as_index,
     bracket_array,
+    shell_tail,
     sup_norm_array,
 )
 from .l1_algebra import (
@@ -327,33 +328,6 @@ def gamma_apply(a: SparseL1Matrix, f: GridFunction):
 # symbol <-> matrix
 
 
-def _shell_count(j, dimension):
-    """Number of lattice points with sup norm exactly j."""
-    if j == 0:
-        return 1
-    return (2 * j + 1) ** dimension - (2 * j - 1) ** dimension
-
-
-def bracket_power_tail(radius, dimension, exponent):
-    """Rigorous upper bound on sum_{|k|_inf > radius} <k>^exponent.
-
-    Requires ``exponent < -dimension``.  Uses <k> >= |k|_inf, exact shell
-    counts up to radius + 1024, and an integral comparison beyond.
-    """
-    if exponent >= -dimension:
-        raise ValueError("tail diverges: exponent must be < -dimension")
-    j0 = int(radius) + 1
-    j1 = j0 + 1024
-    js = np.arange(j0, j1, dtype=np.float64)
-    counts = (2 * js + 1) ** dimension - (2 * js - 1) ** dimension
-    head = float(np.sum(counts * js**exponent))
-    # shells beyond j1: count(j) <= 2 n 3^{n-1} j^{n-1}, decreasing summand
-    c = 2 * dimension * 3 ** (dimension - 1)
-    p = dimension - 1 + exponent
-    tail = c * (j1 - 1) ** (p + 1) / (-(p + 1))
-    return head + tail
-
-
 def symbol_to_matrix(sigma: ToroidalSymbol, w: TruncationWindow):
     """Matrix A[j, k] = sigma_hat(j - k, k) on the window, plus a tail model.
 
@@ -400,7 +374,7 @@ def symbol_to_matrix(sigma: ToroidalSymbol, w: TruncationWindow):
         constant = 2.0 * peak_ratio * len(offsets)
 
         def bound(radius, _c=constant, _m=m, _n=n, _shift=shift):
-            return _c * bracket_power_tail(max(radius - _shift, 0), _n, _m)
+            return _c * shell_tail(max(radius - _shift, 0), _n, -_m)
 
         tail = TailModel.user_bound(bound)
     else:

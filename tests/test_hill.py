@@ -4,14 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from torusdet.lattice import TruncationWindow
+from torusdet.lattice import TruncationWindow, shell_tail
 from torusdet.l1_algebra import NonConvergenceError, SparseL1Matrix, TailModel, truncate
 from torusdet.hill import (
     HillProblem,
     InfeasibleOrderError,
     NoNullSolutionError,
     build_hill_matrix,
-    damped_lattice_tail,
     damping,
     existence_test,
     extract_null_solution,
@@ -47,10 +46,19 @@ def test_problem_validation():
     assert p.potential_l1() == 2.0
 
 
+def bracket_power_sum(radius, n, m, extent):
+    """Brute-force sum of <k>^m over radius < |k|_inf <= extent."""
+    ks = np.arange(-extent, extent + 1)
+    grids = np.meshgrid(*([ks] * n), indexing="ij")
+    sup = np.max(np.abs(np.stack(grids)), axis=0)
+    sq = sum(g.astype(float) ** 2 for g in grids)
+    return float(np.sum((1.0 + sq[sup > radius]) ** (m / 2.0)))
+
+
 def test_damped_lattice_tail_dominates_true_tail():
     for n, nu in ((1, 2.0), (1, 1.5), (2, 3.0)):
         for radius in (4, 16, 64):
-            bound = damped_lattice_tail(radius, n, nu)
+            bound = shell_tail(radius, n, nu, 2.0 * np.pi, 1.0)
             if n == 1:
                 true = sum(
                     2.0 / ((2 * math.pi * k) ** nu + 1.0) for k in range(radius + 1, 200_000)
@@ -64,7 +72,17 @@ def test_damped_lattice_tail_dominates_true_tail():
                 true = float(np.sum(1.0 / ((2 * np.pi * norm[sel]) ** nu + 1.0)))
             assert bound >= true
             assert bound <= 20.0 * max(true, 1e-12)  # not wildly loose
-        assert damped_lattice_tail(64, n, nu) < damped_lattice_tail(16, n, nu)
+        assert shell_tail(64, n, nu, 2.0 * np.pi, 1.0) < shell_tail(16, n, nu, 2.0 * np.pi, 1.0)
+    # the bracket form: sum of <k>^m, m < -n (scale 1, offset 0, order -m)
+    for n, m, extent in ((1, -2.0, 200_000), (1, -3.5, 200_000), (2, -3.0, 300), (2, -4.5, 300)):
+        for radius in (0, 4, 16, 64):
+            bound = shell_tail(radius, n, -m)
+            true = bracket_power_sum(radius, n, m, extent)
+            assert bound >= true
+            assert bound <= 20.0 * true  # not wildly loose
+        assert shell_tail(64, n, -m) < shell_tail(16, n, -m)
+    with pytest.raises(ValueError, match="diverges"):
+        shell_tail(4, 2, 2.0)
 
 
 def test_build_hill_matrix_damped_entries():
@@ -190,6 +208,19 @@ def test_hill_determinant_eigenfunction_root_is_exact_zero():
     with pytest.raises(NonConvergenceError) as err:
         hill_determinant(p, 1e-8, max_radius=32, coverage_radius=1024)
     assert all(step.value == 0.0 for step in err.value.ladder)
+
+
+def test_existence_test_returns_the_ladder_hill_determinant_raises():
+    p = HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0})
+    with pytest.raises(NonConvergenceError) as err:
+        hill_determinant(p, 1e-8, max_radius=8, coverage_radius=32)
+    result = existence_test(p, 1e-8, 8, coverage_radius=32)
+    det = result.determinant
+    assert det.converged is False
+    assert det.ladder == err.value.ladder
+    assert det.value == err.value.last_value
+    assert det.certified_error == err.value.last_bound
+    assert result.decision == "only-trivial"
 
 
 def test_hill_determinant_real_for_real_even_potentials():

@@ -71,6 +71,21 @@ def test_canonical_form_drops_zeros_and_merges_duplicates():
     assert a.entry((1,), (1,)) == 2.0
 
 
+def test_float_values_stay_float64_through_the_sort_path():
+    # unsorted, (3, 1) twice, (5, 5) cancelling, one stored zero
+    rows = np.array([[3], [0], [3], [5], [1], [5], [-1]])
+    cols = np.array([[1], [0], [1], [5], [1], [5], [4]])
+    vals = np.array([0.5, 2.0, 0.25, 1.0, 0.0, -1.0, 3.0])
+    real = SparseL1Matrix.from_arrays(1, rows, cols, vals)
+    cplx = SparseL1Matrix.from_arrays(1, rows, cols, vals.astype(np.complex128))
+    assert real.vals.dtype == np.float64 and cplx.vals.dtype == np.complex128
+    assert real.nnz == 3
+    for got, ref in ((real, cplx), (real + real, cplx + cplx), (real @ real, cplx @ cplx)):
+        assert got.vals.dtype == np.float64
+        assert np.array_equal(got.rows, ref.rows) and np.array_equal(got.cols, ref.cols)
+        assert np.array_equal(got.vals, ref.vals) and got.l1_norm == ref.l1_norm
+
+
 def test_tracked_norm_recomputable():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -660,3 +675,23 @@ def test_invertibility_undecided_band():
 
     res = DeterminantResult(value=1e-3, ladder=[], certified_error=5e-3, converged=True)
     assert determinant_decision(res, 1e-8) == "undecided"
+
+
+@pytest.mark.parametrize("case", ["radius cap", "section limit"])
+def test_invertibility_test_returns_the_ladder_poincare_determinant_raises(case):
+    if case == "radius cap":
+        a = SparseL1Matrix(1, {((0,), (0,)): 0.3, ((2,), (1,)): 0.1 + 0.05j})
+        tail = TailModel.user_bound(lambda r: 0.01 * float(max(r, 1)) ** -3)
+        max_radius = 16
+    else:
+        a = five_dimensional_diagonal(1)
+        tail = TailModel.user_bound(lambda r: 1e-3)
+        max_radius = 4
+    with pytest.raises(NonConvergenceError) as err:
+        poincare_determinant(a, tail, 1e-8, max_radius=max_radius)
+    decision, result = invertibility_test(a, tail, 1e-8, max_radius=max_radius)
+    assert result.converged is False
+    assert result.ladder == err.value.ladder
+    assert result.value == err.value.last_value
+    assert result.certified_error == err.value.last_bound
+    assert decision == determinant_decision(result, 1e-8) == "invertible"
