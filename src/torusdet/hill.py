@@ -49,13 +49,19 @@ from .l1_algebra import (
     SparseL1Matrix,
     TailModel,
     _add_identity,
+    _check_section_size,
+    _converged,
+    _determinant_ladder,
+    _ladder_radii,
+    _section_matrix,
     _section_min_singular,
-    invertibility_test,
-    poincare_determinant,
-    truncate,
+    _section_singular_values,
+    _tail_cross_term,
+    determinant_decision,
 )
 
-_ENTRY_BUDGET = 4_000_000  # cap on stored entries for auto coverage windows
+_HEAD_BLOCK = 1 << 16  # lattice points per block of the head sums
+_HEAD_POINTS = 2049**2  # largest default head window: radius 1024 in 2-D
 
 
 class InfeasibleOrderError(ValueError):
@@ -123,16 +129,27 @@ def damping(coords, nu):
         return (2.0 * np.pi * euclid_norm_array(coords)) ** nu + 1.0
 
 
+def _damping_tail(radius, dimension, order):
+    """Upper bound on sum_{|k|_inf > radius} 1/((2 pi |k|_inf)^order + 1).
+
+    It dominates sum 1/d(k) at order nu and sum 1/d(k)^2 at order 2 nu over
+    the same k.  A negative radius takes in k = 0, whose term is 1.
+    """
+    tail = shell_tail(max(radius, 0), dimension, order, 2.0 * math.pi, 1.0)
+    return tail + 1.0 if radius < 0 else tail
+
+
 def _damped_tail_bound(mass, reach, dimension, nu, radius):
     """Bound on the l1 mass of B outside the window of the given radius.
 
     ``mass`` is ||g - delta||_1 (a float or an array of them) and ``reach``
     the largest sup-norm offset of g; union bound over the index pairs with
-    the row outside the window and those with the column outside.
+    the row outside the window and those with the column outside (whose
+    rows lie beyond radius - reach).
     """
     return mass * (
-        shell_tail(radius, dimension, nu, 2.0 * np.pi, 1.0)
-        + shell_tail(max(radius - reach, 0), dimension, nu, 2.0 * np.pi, 1.0)
+        _damping_tail(radius, dimension, nu)
+        + _damping_tail(radius - reach, dimension, nu)
     )
 
 
@@ -177,35 +194,224 @@ def build_hill_matrix(p: HillProblem, w: TruncationWindow):
     return matrix, TailModel.user_bound(bound)
 
 
-def _auto_coverage(p: HillProblem, tol, max_radius):
-    """Coverage radius for which the tail bound stays well under tol."""
+def _inverse_damping_tail(radius, dimension, nu):
+    """Two-sided bracket (lo, hi) on S = sum_{|k|_inf > radius} 1 / d(k).
+
+    In 1-D, f(x) = 1 / ((2 pi x)^nu + 1) is convex for x >= 1/2, so the
+    trapezoid and midpoint rules give
+    ``2 (int_{R+1} f + f(R+1) / 2) <= S <= 2 int_{R+1/2} f``, and
+    ``1/u - 1/u^2 <= 1/(u + 1) <= 1/u`` bracket the integrals in closed form;
+    the width is O(R^(-nu-1)).  In n >= 2 the bracket is [0, shell_tail].
+    """
+    if dimension > 1:
+        return 0.0, _damping_tail(radius, dimension, nu)
+    x = radius + 1.0
+    v = (2.0 * math.pi * x) ** -nu  # 1/u at x; underflows quietly to 0
+    lo = 2.0 * (x * v / (nu - 1.0) - x * v * v / (2.0 * nu - 1.0) + 0.5 * v / (1.0 + v))
+    x = radius + 0.5
+    hi = 2.0 * x * (2.0 * math.pi * x) ** -nu / (nu - 1.0)
+    return lo, hi
+
+
+def _square_pairs(coeffs, dimension):
+    """Offsets l with g_l and g_-l both set, one of each pair (l, -l).
+
+    Returns the offsets, the weights g_l g_-l (doubled for l != 0, whose
+    partner -l has the same shell sums) and the sup norms of the offsets.
+    """
+    offsets, weights = [], []
+    for l in sorted(coeffs):
+        neg = tuple(-c for c in l)
+        if neg in coeffs and l >= neg:
+            offsets.append(l)
+            weights.append(coeffs[l] * coeffs[neg] * (1.0 if l == neg else 2.0))
+    offsets = np.asarray(offsets, dtype=np.int64).reshape(len(offsets), dimension)
+    return offsets, np.asarray(weights, dtype=np.complex128), sup_norm_array(offsets)
+
+
+def _square_tail(radius, reach, dimension, nu):
+    """Upper bounds on sum_{max(|k|_inf, |k - l|_inf) > radius} 1/(d(k) d(k - l)).
+
+    One per offset sup norm in ``reach``: both indices lie beyond
+    radius - |l|_inf, 1/(d(k) d(k-l)) <= (1/d(k)^2 + 1/d(k-l)^2) / 2 and
+    d^2 >= (2 pi |k|_inf)^(2 nu) + 1.
+    """
+    return np.array([_damping_tail(radius - int(r), dimension, 2.0 * nu) for r in reach])
+
+
+def _head_sums(p: HillProblem, offsets, radius):
+    """Exact sums over the head window of the given radius, by shell.
+
+    ``shell[j]`` is sum_{|k|_inf = j} 1/d(k), and ``pair[i, j]`` the sum of
+    1/(d(k) d(k - l)) over the k with max(|k|_inf, |k - l|_inf) = j, for
+    the i-th offset l; j runs to the radius.  The window is visited in
+    blocks of ``_HEAD_BLOCK`` points.
+    """
+    w = TruncationWindow(radius, p.dimension)
+    shell = np.zeros(radius + 1)
+    pair = np.zeros((len(offsets), radius + 1))
+    for start in range(0, w.size, _HEAD_BLOCK):
+        ks = w.coords_array(start, start + _HEAD_BLOCK)
+        inv_d = 1.0 / damping(ks, p.nu)
+        r = sup_norm_array(ks)
+        shell += np.bincount(r, inv_d, radius + 1)
+        for i, l in enumerate(offsets):
+            if not l.any():
+                pair[i] += np.bincount(r, inv_d * inv_d, radius + 1)
+                continue
+            km = ks - l
+            key = np.maximum(r, sup_norm_array(km))
+            keep = key <= radius
+            h = inv_d[keep] / damping(km[keep], p.nu)
+            pair[i] += np.bincount(key[keep], h, radius + 1)
+    return shell, pair
+
+
+def _beyond(shells):
+    """Sums over the shells past each index: out[..., j] = sum_{i > j} shells[..., i]."""
+    summed = np.cumsum(shells[..., ::-1], axis=-1)[..., ::-1]
+    return np.concatenate([summed[..., 1:], np.zeros(shells.shape[:-1] + (1,))], axis=-1)
+
+
+class _HillTails:
+    """Tail provider of :func:`l1_algebra._determinant_ladder` for I + B.
+
+    Entries of B are materialized only on the last rung widened by the reach
+    of g ("near"): they give each rung's section, the boundary rows (inside
+    the window, with columns outside it) and ``Tr(G T^2)``, whose entries
+    all lie there.  The rest of the tail T of the window of radius R comes
+    from the potential, with S_R = sum_{|k|_inf > R} 1/d(k):
+
+        ||T||_1 <= ||g - delta||_1 S_R + (boundary rows),
+        Tr T = (g_0 - 1) S_R,
+        Tr T^2 = sum_l g_l g_-l sum_{k or k - l outside} 1/(d(k) d(k - l)),
+
+    with g_l standing for the damped coefficients g - delta.  Each lattice
+    sum is an exact head to the head radius K plus a two-sided bracket
+    beyond it; the moments are the bracket midpoints and carry half its
+    width as their error.
+    """
+
+    def __init__(self, p: HillProblem, head_radius, max_radius):
+        n = p.dimension
+        coeffs = p.damped_coeffs()
+        self.dimension = n
+        self.nu = p.nu
+        # B = 0 when g = delta: its first rung, radius 0, is already exact
+        self.radii = _ladder_radii(max_radius if coeffs else 0, max_radius)
+        window = TruncationWindow(self.radii[-1] + p.reach(), n)
+        near, _ = build_hill_matrix(p, window)
+        self.rows, self.cols, self.vals = near.rows, near.cols, near.vals
+        self.abs_vals = np.abs(near.vals)
+        self.row_r, self.col_r = sup_norm_array(near.rows), sup_norm_array(near.cols)
+        self.mass = float(sum(abs(v) for v in coeffs.values()))
+        self.g0 = complex(coeffs.get((0,) * n, 0.0))
+        offsets, self.weights, self.reach = _square_pairs(coeffs, n)
+        self.head = int(head_radius)
+        shell, pair = _head_sums(p, offsets, self.head)
+        self.shell_beyond, self.pair_beyond = _beyond(shell), _beyond(pair)
+
+    def _inside(self, rung):
+        r = self.radii[rung]
+        return self.row_r <= r, self.col_r <= r
+
+    def section(self, rung):
+        row_in, col_in = self._inside(rung)
+        inside = row_in & col_in
+        f_norm = float(np.sum(self.abs_vals[inside]))
+        return self.rows[inside], self.cols[inside], self.vals[inside], f_norm
+
+    def inverse_damping_sum(self, rung):
+        """(lo, hi) around S_R for the rung of radius R."""
+        r = self.radii[rung]
+        lo, hi = _inverse_damping_tail(max(r, self.head), self.dimension, self.nu)
+        head = float(self.shell_beyond[r]) if r < self.head else 0.0
+        return head + lo, head + hi
+
+    def l1_tail(self, rung, f_norm):
+        row_in, col_in = self._inside(rung)
+        boundary = float(np.sum(self.abs_vals[row_in & ~col_in]))
+        t_total = self.mass * self.inverse_damping_sum(rung)[1] + boundary
+        return t_total, f_norm + t_total
+
+    def correctable(self, rung):
+        return True
+
+    def trace_moments(self, rung):
+        """``(Tr T, error)`` and ``(Tr T^2, error)`` for the rung's tail."""
+        r = self.radii[rung]
+        lo, hi = self.inverse_damping_sum(rung)
+        head = self.pair_beyond[:, r] if r < self.head else np.zeros(len(self.weights))
+        width = _square_tail(max(r, self.head), self.reach, self.dimension, self.nu)
+        tr_t = (self.g0 * (0.5 * (lo + hi)), abs(self.g0) * 0.5 * (hi - lo))
+        tr_t2 = (
+            complex(np.sum(self.weights * (head + 0.5 * width))),
+            float(np.sum(np.abs(self.weights) * (0.5 * width))),
+        )
+        return tr_t, tr_t2
+
+    def cross_term(self, rung, g_dense, window):
+        """``Tr(G T^2)``, exact from the near entries."""
+        row_in, col_in = self._inside(rung)
+        out = ~(row_in & col_in)
+        return _tail_cross_term(
+            g_dense, window.radius, self.dimension,
+            self.rows[out], self.cols[out], self.vals[out],
+        )
+
+    def moments(self, rung, f_norm, g_dense, g1, window):
+        tr_t, (tr_t2, err) = self.trace_moments(rung)
+        return tr_t, (tr_t2 + 2.0 * self.cross_term(rung, g_dense, window), err)
+
+
+def _largest_head(dimension):
+    """Largest head radius whose window holds at most ``_HEAD_POINTS`` points."""
+    return (int(_HEAD_POINTS ** (1.0 / dimension) + 1e-9) - 1) // 2
+
+
+def _head_radius(p: HillProblem, tol, max_radius):
+    """Head radius K for :func:`hill_determinant` at ``tol``.
+
+    K doubles from max(4 max_radius, 64) until the brackets beyond K move
+    the log of the corrected value by at most tol / 16, or until the head
+    window would pass ``_HEAD_POINTS`` points.
+    """
+    n = p.dimension
+    largest = _largest_head(n)
     coeffs = p.damped_coeffs()
-    mass = float(sum(abs(v) for v in coeffs.values()))
-    n, nu = p.dimension, p.nu
-    offsets = max(len(coeffs), 1)
-    cap = int((_ENTRY_BUDGET / offsets) ** (1.0 / n)) // 2
-    if mass == 0.0:
-        return max(4 * max_radius, 64)
-    budget = tol / 16.0
-    c = 2 * mass * 2 * n * 3 ** (n - 1) * (2.0 * np.pi) ** (-nu) / (nu - n)
-    k = (c / budget) ** (1.0 / (nu - n))
-    return int(min(max(k, 4 * max_radius, 64), max(cap, 4 * max_radius)))
+    g0 = abs(coeffs.get((0,) * n, 0.0))
+    _, weights, reach = _square_pairs(coeffs, n)
+    weights = np.abs(weights)
+
+    def bracket_error(k):
+        lo, hi = _inverse_damping_tail(k, n, p.nu)
+        square = float(np.sum(weights * _square_tail(k, reach, n, p.nu)))
+        return g0 * 0.5 * (hi - lo) + 0.25 * square
+
+    k = min(max(4 * max_radius, 64), largest)
+    while bracket_error(k) > tol / 16.0 and 2 * k <= largest:
+        k *= 2
+    return k
 
 
 def hill_determinant(p: HillProblem, tol, max_radius=64, coverage_radius=None):
-    """Extended determinant of I + B with a tail model from the g-decay.
+    """Extended determinant of I + B, with its tail taken from the potential.
 
-    The matrix is materialized on a coverage window wide enough that the
-    unstored remainder does not dominate the certified error at ``tol``
-    (subject to an entry budget), then handed to the window-ladder
-    determinant.
+    Entries of B are materialized only on the last ladder rung widened by
+    the reach of g; ||T||_1, Tr T and Tr T^2 of every rung's tail are
+    lattice sums over the damping, exact to the head radius
+    ``coverage_radius`` and bracketed beyond it, and Tr(G T^2) is exact from
+    the materialized entries (see :class:`_HillTails`).  The certificate is
+    then the one of :func:`poincare_determinant`: the Lipschitz bound, or
+    the second-order correction whose error is the bracket half-widths plus
+    the third-order remainder s^3 / (3(1 - s)).  By default the head radius
+    is picked from ``tol``: the brackets must move the result by under
+    tol / 16 (in 1-D a few hundred), with at most 2049^2 head points.
+    A ladder that stops short of ``tol`` raises ``NonConvergenceError``.
     """
     if coverage_radius is None:
-        coverage_radius = _auto_coverage(p, tol, max_radius)
-    matrix, tail = build_hill_matrix(
-        p, TruncationWindow(int(coverage_radius), p.dimension)
-    )
-    return poincare_determinant(matrix, tail, tol, max_radius=max_radius)
+        coverage_radius = _head_radius(p, tol, max_radius)
+    return _converged(_HillTails(p, coverage_radius, max_radius), tol)
 
 
 @dataclass
@@ -220,17 +426,20 @@ def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None
 
     Maps the three-valued determinant test: a certified nonzero determinant means
     only the trivial solution, a certified zero means a nontrivial solution
-    exists.  When the determinant alone stays undecided, a finitely supported
+    exists.  The determinant is the ladder of :func:`hill_determinant`, with
+    the head radius ``coverage_radius`` of its lattice sums defaulting to
+    max(4 max_radius, 1024) (at most 2049^2 head points, so at most 80 in
+    3-D); a ladder that stops short of ``tol`` still
+    decides with its best value and bound.  When the determinant alone stays
+    undecided, a finitely supported
     candidate null vector from the window SVD is checked against every row of
     the infinite matrix it touches (exactly computable because g has finite
     support); a vanishing residual certifies singularity.
     """
     if coverage_radius is None:
-        coverage_radius = max(4 * max_radius, 1024)
-    matrix, tail = build_hill_matrix(
-        p, TruncationWindow(int(coverage_radius), p.dimension)
-    )
-    decision, det = invertibility_test(matrix, tail, tol, max_radius=max_radius)
+        coverage_radius = min(max(4 * max_radius, 1024), _largest_head(p.dimension))
+    det, _ = _determinant_ladder(_HillTails(p, coverage_radius, max_radius), tol)
+    decision = determinant_decision(det, tol)
     if decision == "invertible":
         return ExistenceResult("only-trivial", det)
     if decision == "singular":
@@ -241,10 +450,12 @@ def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None
 
 
 def _dense_section(p: HillProblem, radius):
+    """Window, dense I + B on it and the positions of the entries of B."""
     w = TruncationWindow(radius, p.dimension)
-    matrix, tail = build_hill_matrix(p, w)
-    section, _ = truncate(matrix, TailModel.exact_finite(), w)
-    return w, _add_identity(section.matrix)
+    _check_section_size(w)
+    matrix, _ = build_hill_matrix(p, w)
+    section, links = _section_matrix(matrix.rows, matrix.cols, matrix.vals, w)
+    return w, _add_identity(section), links
 
 
 def _full_residual(p: HillProblem, w: TruncationWindow, dense, b_vec):
@@ -273,10 +484,12 @@ def _full_residual(p: HillProblem, w: TruncationWindow, dense, b_vec):
 
 def _exact_kernel_vector(p: HillProblem, radius):
     """Window null vector that annihilates the infinite matrix, or None."""
-    w, dense = _dense_section(p, radius)
-    smallest, largest, v = _section_min_singular(dense)
+    w, dense, links = _dense_section(p, radius)
+    values = _section_singular_values(dense, links)
+    smallest, largest, _ = values
     if smallest > 1e-10 * max(largest, 1.0):
         return None
+    _, _, v = _section_min_singular(dense, values)
     b_vec = np.conj(v)
     residual = _full_residual(p, w, dense, b_vec)
     if residual <= 1e-13 * (1.0 + p.potential_l1() + 1.0):
@@ -310,14 +523,15 @@ def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
     """
     if w.dimension != p.dimension:
         raise ValueError(f"dimension {p.dimension} vs window {w.dimension}")
-    _, dense = _dense_section(p, w.radius)
-    smallest, _, v = _section_min_singular(dense)
-    if smallest > threshold:
+    _, dense, links = _dense_section(p, w.radius)
+    values = _section_singular_values(dense, links)
+    if values[0] > threshold:
         raise NoNullSolutionError(
-            f"smallest singular value {smallest:.3e} exceeds threshold "
+            f"smallest singular value {values[0]:.3e} exceeds threshold "
             f"{threshold:.3e}; no null solution on this window",
-            singular_value=smallest,
+            singular_value=values[0],
         )
+    smallest, _, v = _section_min_singular(dense, values)
     b_vec = np.conj(v)
     b_vec = b_vec / np.linalg.norm(b_vec)
     pts = w.coords_array()
@@ -387,7 +601,7 @@ def spectral_shift_scan(p: HillProblem, lambdas, tol, radius=32):
         raise ValueError("scan grid must be strictly increasing")
     grid = np.asarray(lambdas)
 
-    w, dense = _dense_section(p, radius)
+    w, dense, _ = _dense_section(p, radius)
     weights = damping(w.coords_array(), p.nu)
     mu = np.linalg.eigvals(weights[:, None] * dense)
     # ascending eigenvalues against ascending weights keep every factor

@@ -640,30 +640,49 @@ def _section_inv(m, blocks=None):
     return inv
 
 
-def _section_min_singular(m):
+def _section_singular_values(m, links=None):
+    """Smallest and largest singular value of m, without singular vectors.
+
+    Returns ``(smallest, largest, component)``: the ascending window
+    positions of the component with the smallest sigma_min (among tied
+    components, the one whose first position comes first), or None when m
+    is one component.  ``links`` are passed on to :func:`_section_blocks`.
+    """
+    blocks = _section_blocks(m, links)
+    if blocks is None:
+        svals = np.linalg.svd(m, compute_uv=False)
+        return float(svals[-1]), float(svals[0]), None
+    firsts, smallest, largest, components = [], [], [], []
+    for idx in blocks:
+        svals = np.linalg.svd(m[_block_index(idx)], compute_uv=False)
+        firsts.append(idx[:, 0])
+        smallest.append(svals[:, -1])
+        largest.append(svals[:, 0])
+        components.extend(idx)
+    firsts, smallest = np.concatenate(firsts), np.concatenate(smallest)
+    pick = np.lexsort((firsts, smallest))[0]
+    largest = float(np.max(np.concatenate(largest)))
+    return float(smallest[pick]), largest, components[pick]
+
+
+def _section_min_singular(m, values=None):
     """Smallest and largest singular value of m and a vector v for the smallest.
 
     v is LAPACK's last right singular vector (a row of V^H) of the component
     with the smallest sigma_min, zero elsewhere; among tied components, the
-    one whose first window position comes first.
+    one whose first window position comes first.  Only that component's
+    vectors are computed, from the :func:`_section_singular_values` of m
+    (``values``, when the caller already has them); the smallest value is
+    the one of that SVD.
     """
-    blocks = _section_blocks(m)
-    if blocks is None:
+    _, largest, idx = _section_singular_values(m) if values is None else values
+    if idx is None:
         _, svals, vh = np.linalg.svd(m)
         return float(svals[-1]), float(svals[0]), vh[-1]
-    firsts, smallest, largest, vectors = [], [], [], []
-    for idx in blocks:
-        _, svals, vh = np.linalg.svd(m[_block_index(idx)])
-        firsts.append(idx[:, 0])
-        smallest.append(svals[:, -1])
-        largest.append(svals[:, 0])
-        vectors.extend(zip(idx, vh[:, -1]))
-    firsts, smallest = np.concatenate(firsts), np.concatenate(smallest)
-    pick = np.lexsort((firsts, smallest))[0]
-    idx, row = vectors[pick]
-    v = np.zeros(m.shape[0], dtype=row.dtype)
-    v[idx] = row
-    return float(smallest[pick]), float(np.max(np.concatenate(largest))), v
+    _, svals, vh = np.linalg.svd(m[np.ix_(idx, idx)])
+    v = np.zeros(m.shape[0], dtype=vh.dtype)
+    v[idx] = vh[-1]
+    return float(svals[-1]), largest, v
 
 
 def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
@@ -827,16 +846,27 @@ class _LadderTails:
     the far part of ``Tr T^2`` is a separate pair sum; and only far entries
     with one index inside the last rung ("straddling") can meet a section in
     ``Tr(G T^2)``.  Both are gathered by the first rung that needs them.
+
+    This is the tail provider :func:`_determinant_ladder` reads, rung ``i``
+    by rung: ``radii``, ``dimension``, and the methods ``section``,
+    ``l1_tail``, ``correctable`` and ``moments``.  Everything the stored
+    entries do not hold is the tail model's bound at the coverage radius
+    (``unstored``), which enters every tail quantity as its error term.
     """
 
-    def __init__(self, a: SparseL1Matrix, radii):
+    def __init__(self, a: SparseL1Matrix, tail: TailModel, max_radius):
         self.a = a
-        self.last = radii[-1]
+        self.dimension = a.dimension
+        self.coverage = a.support_radius
+        self.unstored = tail.bound_at(self.coverage)  # all mass beyond the stored entries
+        self.norm_upper = a.l1_norm + self.unstored
+        self.radii = _ladder_radii(self.coverage, max_radius)
+        self.last = self.radii[-1]
         entry_radii = a.entry_radii
         near = entry_radii <= self.last
         idx = np.flatnonzero(near)
         self.covered, self.bucket = _rung_buckets(
-            entry_radii[idx], radii, a.support_radius
+            entry_radii[idx], self.radii, self.coverage
         )
         self.rows, self.cols, self.vals = a.rows[idx], a.cols[idx], a.vals[idx]
         self.abs_vals = np.abs(self.vals)
@@ -855,6 +885,44 @@ class _LadderTails:
     def inside(self, rung):
         """Mask of the near entries inside the rung with the given index."""
         return self.bucket <= min(rung, len(self.covered) - 1)
+
+    def section(self, rung):
+        """Rows, columns and values of the entries inside the rung, and ||F||_1."""
+        inside = self.inside(rung)
+        f_norm = float(np.sum(self.abs_vals[inside]))
+        return self.rows[inside], self.cols[inside], self.vals[inside], f_norm
+
+    def l1_tail(self, rung, f_norm):
+        """Upper bounds on ||T||_1 and ||A||_1: discarded stored plus all unstored."""
+        return (self.a.l1_norm - f_norm) + self.unstored, self.norm_upper
+
+    def correctable(self, rung):
+        """Whether the stored entries still represent the rung's tail."""
+        return self.radii[rung] <= self.coverage or self.coverage == 0
+
+    def moments(self, rung, f_norm, g_dense, g1, window):
+        """``(Tr T, error)`` and ``(Tr X^2, error)``, or None for first order only.
+
+        ``Tr X^2 = Tr T^2 + 2 Tr(G T^2)`` is formed from stored tails while
+        the off-diagonal tail entries stay under the cross-term cap; the
+        unstored mass u moves it by at most ``(1 + ||G||_1)^2 (2 t u + u^2)``
+        with t the discarded stored mass.
+        """
+        outside = ~self.inside(rung)
+        out_diag = outside & self.diag
+        c1 = self.far_trace + complex(np.sum(self.vals[out_diag]))
+        off_diag_out = self.far_off_count + int(
+            np.count_nonzero(outside) - np.count_nonzero(out_diag)
+        )
+        if off_diag_out > _CROSS_TERM_ENTRY_CAP:
+            return (c1, self.unstored), None
+        tr_t2, cross = self.second_order(g_dense, window, outside)
+        u_eff = self.unstored * (1.0 + g1)
+        s_stored = (1.0 + g1) * (self.a.l1_norm - f_norm)
+        return (c1, self.unstored), (
+            tr_t2 + 2.0 * cross,
+            2.0 * s_stored * u_eff + u_eff * u_eff,
+        )
 
     def _far_pair_statistics(self):
         """Far transpose-pair sum and the straddling entries, gathered once."""
@@ -906,7 +974,12 @@ def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64)
     A ladder that stops short of ``tol`` raises :class:`NonConvergenceError`
     carrying the ladder and the best rung's value and bound.
     """
-    result, stop = _determinant_ladder(a, tail, tol, max_radius)
+    return _converged(_LadderTails(a, tail, max_radius), tol)
+
+
+def _converged(tails, tol):
+    """The converged ladder on ``tails``, or :class:`NonConvergenceError`."""
+    result, stop = _determinant_ladder(tails, tol)
     if stop is not None:
         raise NonConvergenceError(
             f"determinant bound did not reach tol={tol} {stop} "
@@ -918,27 +991,23 @@ def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64)
     return result
 
 
-def _determinant_ladder(a: SparseL1Matrix, tail: TailModel, tol, max_radius):
+def _determinant_ladder(tails, tol):
     """The ladder of :func:`poincare_determinant` and why it stopped short.
 
-    Returns ``(result, stop)``: a converged result and None, or the best
-    rung's value and bound with ``converged=False`` and the phrase saying
-    where the ladder ended.  A first rung over the dense section limit
-    raises :func:`truncate`'s ``ValueError``.
+    ``tails`` provides the rungs and every tail quantity, as
+    :class:`_LadderTails` does for stored entries.  Returns
+    ``(result, stop)``: a converged result and None, or the best rung's
+    value and bound with ``converged=False`` and the phrase saying where the
+    ladder ended.  A first rung over the dense section limit raises
+    :func:`truncate`'s ``ValueError``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    coverage = a.support_radius
-    unstored = tail.bound_at(coverage)  # all mass beyond the stored entries
-    norm_upper = a.l1_norm + unstored
-    radii = _ladder_radii(coverage, max_radius)
-    tails = _LadderTails(a, radii)
-
     ladder = []
     best = None
-    stop = f"within radius {max_radius}"
-    for i, n in enumerate(radii):
-        window = TruncationWindow(n, a.dimension)
+    stop = f"within radius {tails.radii[-1]}"
+    for i, n in enumerate(tails.radii):
+        window = TruncationWindow(n, tails.dimension)
         if window.size > _SECTION_SIZE_LIMIT:
             if not ladder:  # no rung to fall back on: refuse as truncate does
                 _check_section_size(window)
@@ -947,24 +1016,21 @@ def _determinant_ladder(a: SparseL1Matrix, tail: TailModel, tol, max_radius):
                 f"passed the dense section limit {_SECTION_SIZE_LIMIT}"
             )
             break
-        inside = tails.inside(i)
-        section, links = _section_matrix(
-            tails.rows[inside], tails.cols[inside], tails.vals[inside], window
-        )
+        rows, cols, vals, f_norm = tails.section(i)
+        section, links = _section_matrix(rows, cols, vals, window)
         section = _add_identity(section)
         blocks = _section_blocks(section, links)
         det_n = _section_det(section, blocks)
-        f_norm = float(np.sum(tails.abs_vals[inside]))
-        t_stored = a.l1_norm - f_norm
-        t_bound = t_stored + unstored  # discarded stored plus all unstored
-        b_raw = t_bound * _safe_exp(1.0 + norm_upper + f_norm)
+        t_total, norm_upper = tails.l1_tail(i, f_norm)
+        # an empty tail certifies the section exactly, however large the norm
+        b_raw = t_total * _safe_exp(1.0 + norm_upper + f_norm) if t_total else 0.0
 
         value, bound = det_n, b_raw
         raw_value_bound = b_raw
         # a corrected bound can only matter against a nonzero raw bound
-        if (n <= coverage or coverage == 0) and b_raw != 0:
+        if b_raw != 0 and tails.correctable(i):
             corrected = _corrected_step(
-                tails, section, blocks, window, det_n, t_stored, unstored, ~inside
+                tails, i, section, blocks, window, det_n, f_norm, t_total
             )
             if corrected is not None:
                 value_corr, b_corr = corrected
@@ -979,13 +1045,13 @@ def _determinant_ladder(a: SparseL1Matrix, tail: TailModel, tol, max_radius):
     return best, stop
 
 
-def _corrected_step(tails, section, blocks, window, det_n, t_stored, unstored, outside):
+def _corrected_step(tails, rung, section, blocks, window, det_n, f_norm, t_total):
     """Tail-corrected determinant value and its certified bound, or None.
 
-    ``section`` is I + F on the window, ``blocks`` its components, and
-    ``outside`` masks the near entries of ``tails`` beyond the window.
+    ``section`` is I + F on the window, ``blocks`` its components, ``f_norm``
+    its ||F||_1 and ``t_total`` the rung's bound on ||T||_1; the moments of
+    the tail come from ``tails``, each with its own error term.
     """
-    t_total = t_stored + unstored
     # s = (1 + ||G||_1) t_total >= t_total: no inverse can bring s under 0.9
     if det_n == 0 or t_total >= 0.9:
         return None
@@ -1000,28 +1066,17 @@ def _corrected_step(tails, section, blocks, window, det_n, t_stored, unstored, o
     if s >= 0.9:
         return None
 
-    out_diag = outside & tails.diag
-    c1 = tails.far_trace + complex(np.sum(tails.vals[out_diag]))
-    off_diag_out = tails.far_off_count + int(
-        np.count_nonzero(outside) - np.count_nonzero(out_diag)
-    )
-    u_eff = unstored * (1.0 + g1)
-    s_stored = (1.0 + g1) * t_stored
-    if off_diag_out <= _CROSS_TERM_ENTRY_CAP:
-        # second order: Tr X^2 = Tr T^2 + 2 Tr(G T^2) from stored tails
-        tr_t2, cross = tails.second_order(g_dense, window, outside)
-        c2 = tr_t2 + 2.0 * cross
-        omega = c1 - 0.5 * c2
-        log_err = (
-            unstored
-            + 0.5 * (2.0 * s_stored * u_eff + u_eff * u_eff)
-            + s**3 / (3.0 * (1.0 - s))
-        )
-    else:
-        # first order only: |log Det(I+X) - Tr T| <= u + s^2/(2(1-s))
+    (c1, e1), second = tails.moments(rung, f_norm, g_dense, g1, window)
+    if second is None:
+        # first order only: |log Det(I+X) - Tr T| <= e1 + s^2/(2(1-s))
         c2 = 0.0
         omega = c1
-        log_err = unstored + s**2 / (2.0 * (1.0 - s))
+        log_err = e1 + s**2 / (2.0 * (1.0 - s))
+    else:
+        # second order: log Det(I+X) = Tr X - Tr X^2 / 2 + O(s^3)
+        c2, e2 = second
+        omega = c1 - 0.5 * c2
+        log_err = e1 + 0.5 * e2 + s**3 / (3.0 * (1.0 - s))
     log_err += 1e-14 * (1.0 + abs(c1) + abs(c2))  # accumulation roundoff slack
     value = det_n * np.exp(omega)
     det_slack = abs(det_n) * size * 5e-15  # LU determinant roundoff
@@ -1039,7 +1094,7 @@ def invertibility_test(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64):
     ``converged=False``), which decide the question whenever they can (a
     numerical zero test is one-sided; near-roots legitimately end undecided).
     """
-    result, _ = _determinant_ladder(a, tail, tol, max_radius)
+    result, _ = _determinant_ladder(_LadderTails(a, tail, max_radius), tol)
     return determinant_decision(result, tol), result
 
 

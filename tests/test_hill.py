@@ -5,11 +5,21 @@ import numpy as np
 import pytest
 
 from torusdet.lattice import TruncationWindow, shell_tail
-from torusdet.l1_algebra import NonConvergenceError, SparseL1Matrix, TailModel, truncate
+from torusdet.l1_algebra import (
+    NonConvergenceError,
+    SparseL1Matrix,
+    TailModel,
+    poincare_determinant,
+    truncate,
+)
 from torusdet.hill import (
     HillProblem,
     InfeasibleOrderError,
     NoNullSolutionError,
+    _HillTails,
+    _damped_tail_bound,
+    _inverse_damping_tail,
+    _square_tail,
     build_hill_matrix,
     damping,
     existence_test,
@@ -501,3 +511,238 @@ def test_extract_null_solution_degenerate_constant_in_two_dimensions():
     assert list(sol.coefficients) == [(-1, 0)]
     assert abs(sol.coefficients[(-1, 0)]) == pytest.approx(1.0, abs=1e-15)
     assert sol.residual == 0.0
+
+
+# --- the Hill tail provider against independent sums and oracles
+
+
+def monodromy_determinants(potentials, steps=4000):
+    """Det(I + B) = (tr M_Q - 2) / (2 cosh 1 - 2) for 1-D, nu = 2 potentials.
+
+    M_Q is the monodromy matrix of u'' = Q u over one period, integrated by
+    classical RK4 for all potentials at once; the two columns of the state
+    are the solutions with (u, u') = (1, 0) and (0, 1) at x = 0.
+    """
+    offsets = sorted({l for pot in potentials for l in pot})
+    g = np.array([[pot.get(l, 0.0) for l in offsets] for pot in potentials], dtype=complex)
+    freq = 2j * math.pi * np.array(offsets, dtype=float)
+
+    def f(x, y):  # y[:, 0] = (u of both solutions), y[:, 1] = (u' of both)
+        q = g @ np.exp(freq * x)
+        return np.stack([y[:, 1], q[:, None] * y[:, 0]], axis=1)
+
+    y = np.zeros((len(potentials), 2, 2), dtype=complex)
+    y[:, 0, 0] = y[:, 1, 1] = 1.0
+    h = 1.0 / steps
+    for i in range(steps):
+        x = i * h
+        k1 = f(x, y)
+        k2 = f(x + h / 2, y + h / 2 * k1)
+        k3 = f(x + h / 2, y + h / 2 * k2)
+        k4 = f(x + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return (y[:, 0, 0] + y[:, 1, 1] - 2.0) / (2.0 * math.cosh(1.0) - 2.0)
+
+
+def seeded_potentials():
+    """Real and complex one- and two-mode potentials {offset: g_l}."""
+    rng = np.random.default_rng(20261018)
+    pots = []
+    for _ in range(2):
+        g0, g1, g2 = rng.uniform(2.0, 4.0), rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+        pots.append({0: g0, 1: g1, -1: g1})
+        pots.append({0: g0, 1: g1, -1: g1, 2: g2, -2: g2})  # g0 + 2g1 cos 2pi x + 2g2 cos 4pi x
+        c = rng.normal(0, 0.6, 5) + 1j * rng.normal(0, 0.6, 5)
+        pots.append({0: 2.5 + c[0], 1: c[1], -1: c[2]})
+        pots.append({0: 2.5 + c[0], 1: c[1], -1: c[2], 2: c[3], -2: c[4]})
+    return pots
+
+
+def test_monodromy_oracle_matches_the_closed_form_of_constants():
+    c = np.array([0.5, 3.0, 7.5])
+    got = monodromy_determinants([{0: x} for x in c])
+    want = np.sinh(np.sqrt(c) / 2.0) ** 2 / math.sinh(0.5) ** 2
+    assert np.max(np.abs(got - want)) <= 1e-11
+
+
+def test_hill_determinant_certificates_cover_the_monodromy_oracle():
+    pots = seeded_potentials()
+    oracles = monodromy_determinants(pots)
+    for pot, oracle in zip(pots, oracles):
+        p = HillProblem(1, 2.0, {(l,): v for l, v in pot.items()})
+        try:
+            res = hill_determinant(p, 1e-6)
+            value, bound = res.value, res.certified_error
+        except NonConvergenceError as err:
+            value, bound = err.last_value, err.last_bound
+        assert abs(value - oracle) <= bound, (pot, value, oracle, bound)
+        assert bound < 1e-4
+        det = existence_test(p, tol=1e-8).determinant
+        assert abs(det.value - oracle) <= det.certified_error
+        for step in det.ladder:
+            assert abs(step.value - oracle) <= step.bound
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.0, 3.5, 200.0])
+def test_inverse_damping_tail_brackets_the_lattice_sum(nu):
+    # S_R = sum_{|k| > R} 1/d(k) summed to 2^21 and bracketed beyond by
+    # [0, shell_tail]: the 1-D bracket must overlap that range and be narrow
+    far = 2**21
+    k = np.arange(1, far + 1, dtype=float)
+    f = 1.0 / damping(k[:, None], nu)
+    for radius in (0, 1, 8, 64, 1000):
+        head = 2.0 * float(np.sum(f[radius:][::-1]))
+        lo, hi = _inverse_damping_tail(radius, 1, nu)
+        assert lo <= hi
+        assert lo <= head + shell_tail(far, 1, nu, 2 * math.pi, 1.0) + 1e-15 * head
+        assert hi >= head * (1 - 1e-13)
+        assert hi - lo <= max(nu * hi / (radius + 1), 1e-300)
+
+
+@pytest.mark.parametrize("n, nu", [(1, 2.0), (2, 3.0)])
+def test_square_and_union_tails_dominate_lattice_sums(n, nu):
+    # sum of 1/(d(k) d(k - l)) over the k with k or k - l beyond the radius,
+    # and the l1 mass of B beyond it, even for radii below the offset
+    far = 2**17 if n == 1 else 200
+    pts = TruncationWindow(far, n).coords_array()
+    inv_d = 1.0 / damping(pts, nu)
+    for l in [(1,), (2,), (3,)] if n == 1 else [(1, 0), (2, -1), (3, 3)]:
+        shifted = pts - np.asarray(l)
+        key = np.maximum(np.max(np.abs(pts), axis=1), np.max(np.abs(shifted), axis=1))
+        h = inv_d / damping(shifted, nu)
+        reach = max(abs(c) for c in l)
+        for radius in (0, 1, 2, 8, 32):
+            bound = _square_tail(radius, [reach], n, nu)[0]
+            assert float(np.sum(h[(key > radius) & (key <= far - reach)])) <= bound
+            # B with g = delta_l: row k, column k - l, value 1/d(k)
+            mass = float(np.sum(inv_d[(key > radius) & (key <= far - reach)]))
+            assert mass <= _damped_tail_bound(1.0, reach, n, nu, radius)
+
+
+def dense_tail_moments(p, window_radius, radius, g_dense):
+    """||T||_1, Tr T, Tr T^2 and Tr(G T^2) of the tail of the rung of the
+    given radius, summed over the dense B of a larger window, and the
+    remainder bound of each beyond that window (Tr(G T^2) has none)."""
+    n, nu = p.dimension, p.nu
+    big = TruncationWindow(window_radius, n)
+    b = damped_section(p.potential, window_radius, n, nu) - np.eye(big.size)
+    pts = big.coords_array()
+    inner = np.flatnonzero(np.max(np.abs(pts), axis=1) <= radius)
+    t = b.copy()
+    t[np.ix_(inner, inner)] = 0.0
+    coeffs = p.damped_coeffs()
+    _, tail = build_hill_matrix(p, big)
+    g0 = abs(coeffs.get((0,) * n, 0.0))
+    square = sum(
+        abs(v * coeffs[tuple(-c for c in l)])
+        * shell_tail(window_radius - max(abs(c) for c in l), n, 2 * nu, 2 * math.pi, 1.0)
+        for l, v in coeffs.items()
+        if tuple(-c for c in l) in coeffs
+    )
+    cross = np.sum(g_dense * (t[inner, :] @ t[:, inner]).T)
+    return {
+        "t_total": (float(np.sum(np.abs(t))), tail.bound_at(window_radius)),
+        "tr_t": (np.trace(t), g0 * shell_tail(window_radius, n, nu, 2 * math.pi, 1.0)),
+        "tr_t2": (np.sum(t * t.T), square),
+        "cross": (cross, 0.0),
+    }
+
+
+@pytest.mark.parametrize(
+    "problem, max_radius, head, window_radius",
+    [
+        (HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.8, (-2,): 0.5j}), 32, 24, 600),
+        (HillProblem(2, 3.0, {(0, 0): 2 + 1j, (1, 0): 0.5, (-1, 0): 0.4, (-1, 1): 0.3j,
+                              (1, -1): 0.2, (0, -2): 0.2 - 0.1j}), 16, 12, 20),
+    ],
+)
+def test_hill_tail_moments_match_dense_sums(problem, max_radius, head, window_radius):
+    # rungs inside and beyond the head radius; every moment within its stated
+    # error of the dense sum plus that sum's remainder beyond its window
+    tails = _HillTails(problem, head, max_radius)
+    assert tails.radii[0] < head < tails.radii[-1]
+    for i, radius in enumerate(tails.radii):
+        window = TruncationWindow(radius, problem.dimension)
+        rows, cols, vals, f_norm = tails.section(i)
+        section = np.eye(window.size, dtype=complex)
+        pos = lambda c: np.ravel_multi_index((c + radius).T, (2 * radius + 1,) * problem.dimension)
+        section[pos(rows), pos(cols)] += vals
+        g_dense = np.linalg.inv(section) - np.eye(window.size)
+        dense = dense_tail_moments(problem, window_radius, radius, g_dense)
+
+        t_total, norm_upper = tails.l1_tail(i, f_norm)
+        lo, hi = tails.inverse_damping_sum(i)
+        brute, rest = dense["t_total"]
+        assert brute <= t_total * (1 + 1e-13)
+        assert t_total <= brute + rest + tails.mass * (hi - lo) + 1e-13
+        assert norm_upper == f_norm + t_total
+
+        (tr_t, err_t), (tr_t2, err_t2) = tails.trace_moments(i)
+        cross = tails.cross_term(i, g_dense, window)
+        scale = 1e-12 * (1 + t_total) ** 2
+        for name, got, err in (("tr_t", tr_t, err_t), ("tr_t2", tr_t2, err_t2), ("cross", cross, 0.0)):
+            brute, rest = dense[name]
+            assert abs(got - brute) <= err + rest + scale, (name, radius, got, brute, err, rest)
+        (c1, e1), (c2, e2) = tails.moments(i, f_norm, g_dense, 0.0, window)
+        assert (c1, e1) == (tr_t, err_t) and (c2, e2) == (tr_t2 + 2.0 * cross, err_t2)
+
+
+@pytest.mark.parametrize(
+    "problem, head",
+    [
+        (HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.8, (-2,): 0.5j}), 64),
+        (HillProblem(2, 3.0, {(0, 0): 2 + 1j, (1, 0): 0.5, (-1, 0): 0.4, (-1, 1): 0.3j,
+                              (1, -1): 0.2, (0, -2): 0.2 - 0.1j}), 32),
+    ],
+)
+def test_hill_ladder_bound_is_no_worse_than_the_materialized_window(problem, head):
+    # the stored-entry ladder on B materialized to the same coverage radius
+    # is what hill_determinant computed before the lattice sums
+    matrix, tail = build_hill_matrix(problem, TruncationWindow(head, problem.dimension))
+    for max_radius in (8, 16):
+        with pytest.raises(NonConvergenceError) as new:
+            hill_determinant(problem, 1e-300, max_radius=max_radius, coverage_radius=head)
+        with pytest.raises(NonConvergenceError) as old:
+            poincare_determinant(matrix, tail, 1e-300, max_radius=max_radius)
+        new, old = new.value, old.value
+        assert [s.radius for s in new.ladder] == [s.radius for s in old.ladder]
+        assert [s.value for s in new.ladder] == [s.value for s in old.ladder]
+        assert new.last_bound <= old.last_bound
+        assert abs(new.last_value - old.last_value) <= new.last_bound + old.last_bound
+
+
+def test_hill_ladders_materialize_only_the_last_rung_and_the_reach(monkeypatch):
+    import torusdet.hill as hill
+
+    windows = []
+    original = hill.build_hill_matrix
+    monkeypatch.setattr(
+        hill, "build_hill_matrix", lambda p, w: windows.append(w.radius) or original(p, w)
+    )
+    p = HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.8, (-2,): 0.8})
+    with pytest.raises(NonConvergenceError):
+        hill_determinant(p, 1e-12, max_radius=32)
+    existence_test(p, tol=1e-8, max_radius=16)
+    assert windows == [34, 18]
+
+
+def test_null_solution_vectors_only_for_the_component_that_holds_sigma_min(monkeypatch):
+    calls = []
+    original = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("compute_uv", True)))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    # a refusal reads no singular vector, so none is computed
+    trig = HillProblem(2, 3.0, {(0, 0): 2.0, (1, 0): 0.4, (-1, 0): 0.4, (0, 1): 0.3, (0, -1): 0.3})
+    with pytest.raises(NoNullSolutionError):
+        extract_null_solution(trig, TruncationWindow(6, 2))
+    assert calls and all(uv is False for _, uv in calls)
+    # 169 one-point components: vectors of the chosen one only
+    calls.clear()
+    singular = HillProblem(2, 3.0, {(0, 0): -((2.0 * math.pi) ** 3)})
+    sol = extract_null_solution(singular, TruncationWindow(6, 2))
+    assert [shape for shape, uv in calls if uv is not False] == [(1, 1)]
+    assert list(sol.coefficients) == [(-1, 0)] and sol.singular_value == 0.0

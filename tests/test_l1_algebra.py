@@ -617,6 +617,16 @@ def test_exact_finite_last_rung_skips_the_inverse(monkeypatch):
     assert err.value.ladder[-1].value == expected
 
 
+def test_exact_finite_large_norm_has_a_zero_raw_bound():
+    # exp(1 + 2 ||A||_1) overflows past ||A||_1 ~ 350; an empty tail still
+    # certifies the whole-operator section, instead of 0 * inf = nan
+    a = SparseL1Matrix(1, {((0,), (0,)): 800.0})
+    res = poincare_determinant(a, TailModel.exact_finite(), 1e-8)
+    assert res.converged and res.certified_error == 0.0
+    assert res.value == pytest.approx(801.0, rel=1e-14)  # up to LU roundoff
+    assert [(s.radius, s.bound) for s in res.ladder] == [(0, 0.0)]
+
+
 def five_dimensional_diagonal(radius):
     pts = TruncationWindow(1, 5).coords_array()
     corner = np.full((1, 5), radius)
