@@ -292,13 +292,15 @@ class _HillTails:
     width as their error.
     """
 
+    floor = None  # the potential gives every entry: no coverage radius ends the ladder
+
     def __init__(self, p: HillProblem, head_radius, max_radius):
         n = p.dimension
         coeffs = p.damped_coeffs()
         self.dimension = n
         self.nu = p.nu
         # B = 0 when g = delta: its first rung, radius 0, is already exact
-        self.radii = _ladder_radii(max_radius if coeffs else 0, max_radius)
+        self.radii = _ladder_radii(max_radius if coeffs else 0)
         window = TruncationWindow(self.radii[-1] + p.reach(), n)
         near, _ = build_hill_matrix(p, window)
         self.rows, self.cols, self.vals = near.rows, near.cols, near.vals
@@ -333,9 +335,6 @@ class _HillTails:
         boundary = float(np.sum(self.abs_vals[row_in & ~col_in]))
         t_total = self.mass * self.inverse_damping_sum(rung)[1] + boundary
         return t_total, f_norm + t_total
-
-    def correctable(self, rung):
-        return True
 
     def trace_moments(self, rung):
         """``(Tr T, error)`` and ``(Tr T^2, error)`` for the rung's tail."""

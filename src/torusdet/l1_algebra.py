@@ -425,6 +425,10 @@ class TailModel:
     ``user-bound`` carries a nonincreasing function ``N -> upper bound on the
     l1 mass of the operator outside the window of radius N``; stored entries
     must be the operator's exact entries within their coverage window.
+    Ladders read the bound no further out than that window's radius C: a
+    wider window has the same entries and bound, so they end at
+    min(C, max_radius), and one ending at C short of its tolerance names C
+    and the bound there in its :class:`NonConvergenceError`.
     """
 
     kind: str
@@ -718,34 +722,32 @@ def _safe_exp(x):
     return math.inf if x > _EXP_CAP else math.exp(x)
 
 
-def _ladder_radii(coverage, max_radius, start_cap=8):
-    """Doubling window radii min(coverage, 8), ..., clamped to the caps."""
-    radii = []
-    n = min(coverage, start_cap)
-    while True:
-        n = min(n, max_radius)
-        radii.append(n)
-        if n >= max_radius:
-            break
-        n = max(2 * n, 1)
-        # visiting the coverage radius exactly lets exact-finite inputs finish
-        if radii[-1] < coverage < n:
-            n = coverage
+def _ladder_radii(top):
+    """Doubling window radii min(top, 8), 16, ..., ending exactly at ``top``."""
+    radii = [min(top, 8)]
+    while radii[-1] < top:
+        radii.append(min(2 * radii[-1], top))
     return radii
 
 
-def _rung_buckets(entry_radii, radii, coverage):
+def _rung_buckets(entry_radii, radii):
     """Ladder bucket of each entry radius, in one pass over the entries.
 
-    Rungs beyond the stored coverage see the same entries as the coverage
-    rung, so the radii are bucketed against the covered prefix of ``radii``
-    only, in the entries' dtype.  Bucket ``i`` holds the entries inside rung
-    ``i`` and outside rung ``i - 1``; bucket ``len(covered)`` those beyond
-    every covered rung.  Returns ``(covered, buckets)``.
+    Bucket ``i`` holds the entries inside rung ``i`` and outside rung
+    ``i - 1``; bucket ``len(radii)`` those beyond every rung.
     """
-    covered = [r for r in radii if r <= coverage] or radii[:1]
-    edges = np.asarray(covered, dtype=entry_radii.dtype)
-    return covered, np.searchsorted(edges, entry_radii, side="left")
+    edges = np.asarray(radii, dtype=entry_radii.dtype)
+    return np.searchsorted(edges, entry_radii, side="left")
+
+
+def _coverage_floor(coverage, unstored, max_radius):
+    """Why a stored ladder ends at its coverage radius (None: at max_radius)."""
+    if coverage >= max_radius:
+        return None
+    return (
+        f"within the coverage radius {coverage} of the stored entries, where "
+        f"the tail model bounds the unstored mass by {unstored:.3e}"
+    )
 
 
 def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
@@ -753,18 +755,18 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
 
     Stops at the first ladder window whose tail mass is at most ``tol``; the
     trace tail is dominated by the l1 tail, so that mass certifies the error.
-    As in :func:`truncate`, the model bound is floored at the stored coverage
-    radius, so unrepresented windows cannot manufacture certificates.
+    The ladder ends at min(C, ``max_radius``), C the support radius: a wider
+    window has rung C's entries and tail bound (see :class:`TailModel`).  If
+    it ends at C short of ``tol``, the error names C and the bound there.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     coverage = a.support_radius
-    radii = _ladder_radii(coverage, max_radius)
-    covered, buckets = _rung_buckets(a.entry_radii, radii, coverage)
-    nb = len(covered) + 1
-    mass_by_bucket = np.bincount(buckets, weights=np.abs(a.vals), minlength=nb)
-    inside_mass = np.cumsum(mass_by_bucket)
-    total_mass = float(inside_mass[-1]) if len(inside_mass) else 0.0
+    radii = _ladder_radii(min(coverage, max_radius))
+    buckets = _rung_buckets(a.entry_radii, radii)
+    nb = len(radii) + 1
+    inside_mass = np.cumsum(np.bincount(buckets, weights=np.abs(a.vals), minlength=nb))
+    total_mass = float(inside_mass[-1])
 
     all_diag = a.cols is a.rows or (a.nnz > 0 and bool(np.all(a.diag_mask)))
     db = buckets if all_diag else buckets[a.diag_mask]
@@ -777,18 +779,19 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
 
     attempts = []
     for i, n in enumerate(radii):
-        j = min(i, len(covered) - 1)
-        discarded = total_mass - float(inside_mass[j])
-        t_n = discarded + tail.bound_at(min(int(n), coverage))
+        discarded = total_mass - float(inside_mass[i])
+        t_n = discarded + tail.bound_at(n)
         attempts.append((int(n), t_n))
         if t_n <= tol:
-            value = complex(diag_re[j] + 1j * diag_im[j])
+            value = complex(diag_re[i] + 1j * diag_im[i])
             return TraceResult(value=value, certified_error=t_n)
+    stop = _coverage_floor(coverage, tail.bound_at(coverage), max_radius) or (
+        f"by radius {max_radius}: ladder tail {attempts[-3:]}"
+    )
     raise NonConvergenceError(
-        f"trace tail mass did not reach tol={tol} by radius {max_radius}: "
-        f"ladder tail {attempts[-3:]}",
+        f"trace tail mass did not reach tol={tol} {stop}",
         ladder=attempts,
-        last_bound=attempts[-1][1] if attempts else None,
+        last_bound=attempts[-1][1],
     )
 
 
@@ -848,26 +851,25 @@ class _LadderTails:
     ``Tr(G T^2)``.  Both are gathered by the first rung that needs them.
 
     This is the tail provider :func:`_determinant_ladder` reads, rung ``i``
-    by rung: ``radii``, ``dimension``, and the methods ``section``,
-    ``l1_tail``, ``correctable`` and ``moments``.  Everything the stored
-    entries do not hold is the tail model's bound at the coverage radius
-    (``unstored``), which enters every tail quantity as its error term.
+    by rung: ``radii``, ``dimension``, ``floor`` and the methods ``section``,
+    ``l1_tail`` and ``moments``.  Everything the stored entries do not hold
+    is the tail model's bound at the coverage radius (``unstored``), an error
+    term of every tail quantity; ``floor`` says so if the rungs end there.
     """
 
     def __init__(self, a: SparseL1Matrix, tail: TailModel, max_radius):
         self.a = a
         self.dimension = a.dimension
-        self.coverage = a.support_radius
-        self.unstored = tail.bound_at(self.coverage)  # all mass beyond the stored entries
+        coverage = a.support_radius
+        self.unstored = tail.bound_at(coverage)  # all mass beyond the stored entries
         self.norm_upper = a.l1_norm + self.unstored
-        self.radii = _ladder_radii(self.coverage, max_radius)
+        self.radii = _ladder_radii(min(coverage, max_radius))
         self.last = self.radii[-1]
+        self.floor = _coverage_floor(coverage, self.unstored, max_radius)
         entry_radii = a.entry_radii
         near = entry_radii <= self.last
         idx = np.flatnonzero(near)
-        self.covered, self.bucket = _rung_buckets(
-            entry_radii[idx], self.radii, self.coverage
-        )
+        self.bucket = _rung_buckets(entry_radii[idx], self.radii)
         self.rows, self.cols, self.vals = a.rows[idx], a.cols[idx], a.vals[idx]
         self.abs_vals = np.abs(self.vals)
         self.diag = a.diag_mask[idx]
@@ -882,23 +884,15 @@ class _LadderTails:
         self.far_off_count = a.nnz - len(idx) - len(far_diag)
         self._far_pairs = None
 
-    def inside(self, rung):
-        """Mask of the near entries inside the rung with the given index."""
-        return self.bucket <= min(rung, len(self.covered) - 1)
-
     def section(self, rung):
         """Rows, columns and values of the entries inside the rung, and ||F||_1."""
-        inside = self.inside(rung)
+        inside = self.bucket <= rung
         f_norm = float(np.sum(self.abs_vals[inside]))
         return self.rows[inside], self.cols[inside], self.vals[inside], f_norm
 
     def l1_tail(self, rung, f_norm):
         """Upper bounds on ||T||_1 and ||A||_1: discarded stored plus all unstored."""
         return (self.a.l1_norm - f_norm) + self.unstored, self.norm_upper
-
-    def correctable(self, rung):
-        """Whether the stored entries still represent the rung's tail."""
-        return self.radii[rung] <= self.coverage or self.coverage == 0
 
     def moments(self, rung, f_norm, g_dense, g1, window):
         """``(Tr T, error)`` and ``(Tr X^2, error)``, or None for first order only.
@@ -908,7 +902,7 @@ class _LadderTails:
         unstored mass u moves it by at most ``(1 + ||G||_1)^2 (2 t u + u^2)``
         with t the discarded stored mass.
         """
-        outside = ~self.inside(rung)
+        outside = self.bucket > rung
         out_diag = outside & self.diag
         c1 = self.far_trace + complex(np.sum(self.vals[out_diag]))
         off_diag_out = self.far_off_count + int(
@@ -971,8 +965,11 @@ def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64)
     for the returned value, which is the corrected one whenever its bound is
     the sharper of the two.  Each call passes over the stored entries once;
     a rung's work is its dense section and the entries near the windows.
+    The ladder ends at min(C, ``max_radius``), C the support radius: a wider
+    window has rung C's section and tail bound (see :class:`TailModel`).
     A ladder that stops short of ``tol`` raises :class:`NonConvergenceError`
-    carrying the ladder and the best rung's value and bound.
+    carrying the ladder and the best rung's value and bound; if it ended at
+    C, the message names C and the tail model's bound there.
     """
     return _converged(_LadderTails(a, tail, max_radius), tol)
 
@@ -1005,7 +1002,7 @@ def _determinant_ladder(tails, tol):
         raise ValueError("tol must be positive")
     ladder = []
     best = None
-    stop = f"within radius {tails.radii[-1]}"
+    stop = tails.floor or f"within radius {tails.radii[-1]}"
     for i, n in enumerate(tails.radii):
         window = TruncationWindow(n, tails.dimension)
         if window.size > _SECTION_SIZE_LIMIT:
@@ -1028,7 +1025,7 @@ def _determinant_ladder(tails, tol):
         value, bound = det_n, b_raw
         raw_value_bound = b_raw
         # a corrected bound can only matter against a nonzero raw bound
-        if b_raw != 0 and tails.correctable(i):
+        if b_raw != 0:
             corrected = _corrected_step(
                 tails, i, section, blocks, window, det_n, f_norm, t_total
             )
@@ -1089,8 +1086,9 @@ def invertibility_test(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64):
 
     ``invertible`` when the determinant is certifiably away from zero,
     ``singular`` when it is indistinguishable from zero at tolerance ``tol``,
-    ``undecided`` otherwise.  A ladder that exhausts the radius cap without
-    certifying to ``tol`` still yields its best value and bound (with
+    ``undecided`` otherwise.  The ladder is :func:`poincare_determinant`'s,
+    which ends at min(C, ``max_radius``) (see :class:`TailModel`); if it
+    ends short of ``tol`` it still yields its best value and bound (with
     ``converged=False``), which decide the question whenever they can (a
     numerical zero test is one-sided; near-roots legitimately end undecided).
     """

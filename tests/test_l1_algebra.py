@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from torusdet import l1_algebra
 from torusdet.lattice import TruncationWindow
 from torusdet.l1_algebra import (
     DimensionMismatchError,
@@ -26,6 +27,7 @@ from torusdet.l1_algebra import (
 from torusdet.l1_algebra import (
     _SECTION_SIZE_LIMIT,
     _LadderTails,
+    _ladder_radii,
     _section_det,
     _section_inv,
     _section_min_singular,
@@ -407,6 +409,71 @@ def test_poincare_determinant_nonconvergence_carries_ladder():
     assert [step.radius for step in err.value.ladder] == [8, 16]
 
 
+@pytest.mark.parametrize(
+    "top, radii",
+    [
+        (0, [0]),
+        (5, [5]),
+        (12, [8, 12]),
+        (64, [8, 16, 32, 64]),
+        (100, [8, 16, 32, 64, 100]),
+    ],
+)
+def test_ladder_radii_double_from_eight_and_end_at_the_top(top, radii):
+    assert _ladder_radii(top) == radii
+
+
+def test_stored_ladders_end_at_the_coverage_radius():
+    # past its support radius a stored matrix has no further entries and the
+    # tail model is read at the support radius: the ladder ends there
+    rng = np.random.default_rng(21)
+    never = TailModel.user_bound(lambda r: 0.5)  # no rung reaches tol
+    for n, radius in [(1, 0), (1, 3), (1, 12), (1, 40), (2, 5), (2, 11)]:
+        a = random_sparse(rng, n=n, max_entries=20, radius=radius, scale=0.5)
+        a = a + SparseL1Matrix(n, {((radius,) * n, (radius,) * n): 0.1})
+        assert a.support_radius == radius
+        for max_radius in (4, 16, 64):
+            top = min(radius, max_radius)
+            with pytest.raises(NonConvergenceError) as det:
+                poincare_determinant(a, never, 1e-12, max_radius=max_radius)
+            with pytest.raises(NonConvergenceError) as trace:
+                poincare_trace(a, never, 1e-12, max_radius=max_radius)
+            _, result = invertibility_test(a, never, 1e-12, max_radius=max_radius)
+            assert [s.radius for s in det.value.ladder] == _ladder_radii(top)
+            assert [r for r, _ in trace.value.ladder] == _ladder_radii(top)
+            assert result.ladder == det.value.ladder
+            floor = f"within the coverage radius {radius} of the stored entries"
+            for err in (det, trace):
+                assert (floor in str(err.value)) == (radius < max_radius)
+
+
+def test_two_entry_power_tail_stops_at_its_coverage_radius():
+    import tracemalloc
+
+    a = SparseL1Matrix(2, {((0, 0), (1, 0)): 0.5, ((3, 1), (3, 1)): 0.25})
+    tail = TailModel.user_bound(lambda r: 1e-3 * float(max(r, 1)) ** -2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergenceError) as err:
+            poincare_determinant(a, tail, 1e-8, max_radius=32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # no section past the 49 points of radius 3
+    assert [s.radius for s in err.value.ladder] == [3]
+    assert err.value.last_bound == err.value.ladder[0].bound
+    assert err.value.last_bound == pytest.approx(1.389e-4, rel=1e-3)
+    floor = (
+        "within the coverage radius 3 of the stored entries, where the tail "
+        "model bounds the unstored mass by 1.111e-04"
+    )
+    assert floor in str(err.value)
+    with pytest.raises(NonConvergenceError) as trace:
+        poincare_trace(a, tail, 1e-8)
+    assert floor in str(trace.value)
+    assert trace.value.ladder == [(3, tail.bound_at(3))]
+
+
 def test_tail_cross_term_matches_dense():
     # Tr(G T^2) for G dense on the window and T vanishing on window x window
     rng = np.random.default_rng(7)
@@ -634,22 +701,35 @@ def five_dimensional_diagonal(radius):
     return SparseL1Matrix.from_arrays(5, pts, pts, np.full(len(pts), 0.01))
 
 
-def test_ladder_section_guard_stops_before_the_refused_rung():
+def two_dimensional_diagonal(corner):
+    """0.01 on the diagonal of the radius-1 window and in row (corner, corner).
+
+    The corner entry sits in column 0, so a window that leaves it out has a
+    tail with Tr T = Tr T^2 = Tr(G T^2) = 0: the corrected value is the raw one.
+    """
+    pts = TruncationWindow(1, 2).coords_array()
+    rows = np.concatenate([pts, np.full((1, 2), corner)])
+    cols = np.concatenate([pts, np.zeros((1, 2), dtype=pts.dtype)])
+    return SparseL1Matrix.from_arrays(2, rows, cols, np.full(len(rows), 0.01))
+
+
+def test_ladder_section_guard_stops_before_the_refused_rung(monkeypatch):
     import tracemalloc
 
-    a = five_dimensional_diagonal(1)  # ladder 1, 2, 4: 243, 3125, 59049 points
-    assert TruncationWindow(4, 5).size > _SECTION_SIZE_LIMIT
+    monkeypatch.setattr(l1_algebra, "_SECTION_SIZE_LIMIT", 1000)
+    a = two_dimensional_diagonal(16)  # ladder 8, 16: 289, 1089 points
+    assert TruncationWindow(16, 2).size > l1_algebra._SECTION_SIZE_LIMIT
     never = TailModel.user_bound(lambda r: 1e-3)
     tracemalloc.start()
     try:
         with pytest.raises(NonConvergenceError) as err:
-            poincare_determinant(a, never, 1e-12, max_radius=4)
+            poincare_determinant(a, never, 1e-12, max_radius=64)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 3125**2 * 8  # one 3125-point section, not a 59049-point one
-    assert [s.radius for s in err.value.ladder] == [1, 2]
-    assert str(_SECTION_SIZE_LIMIT) in str(err.value)
+    assert peak < 6 * 289**2 * 8  # a few 289-point arrays, not a 1089-point section
+    assert [s.radius for s in err.value.ladder] == [8]
+    assert str(l1_algebra._SECTION_SIZE_LIMIT) in str(err.value)
     assert err.value.last_bound == min(s.bound for s in err.value.ladder)
     assert err.value.last_value is not None
 
@@ -688,15 +768,19 @@ def test_invertibility_undecided_band():
 
 
 @pytest.mark.parametrize("case", ["radius cap", "section limit"])
-def test_invertibility_test_returns_the_ladder_poincare_determinant_raises(case):
+def test_invertibility_test_returns_the_ladder_poincare_determinant_raises(case, monkeypatch):
     if case == "radius cap":
-        a = SparseL1Matrix(1, {((0,), (0,)): 0.3, ((2,), (1,)): 0.1 + 0.05j})
+        # the entry at 20 lies past the cap, so the ladder ends at the cap
+        a = SparseL1Matrix(
+            1, {((0,), (0,)): 0.3, ((2,), (1,)): 0.1 + 0.05j, ((20,), (20,)): 1e-3}
+        )
         tail = TailModel.user_bound(lambda r: 0.01 * float(max(r, 1)) ** -3)
         max_radius = 16
     else:
-        a = five_dimensional_diagonal(1)
+        monkeypatch.setattr(l1_algebra, "_SECTION_SIZE_LIMIT", 1000)
+        a = two_dimensional_diagonal(16)  # the rung of radius 16 is refused
         tail = TailModel.user_bound(lambda r: 1e-3)
-        max_radius = 4
+        max_radius = 64
     with pytest.raises(NonConvergenceError) as err:
         poincare_determinant(a, tail, 1e-8, max_radius=max_radius)
     decision, result = invertibility_test(a, tail, 1e-8, max_radius=max_radius)
@@ -705,3 +789,4 @@ def test_invertibility_test_returns_the_ladder_poincare_determinant_raises(case)
     assert result.value == err.value.last_value
     assert result.certified_error == err.value.last_bound
     assert decision == determinant_decision(result, 1e-8) == "invertible"
+    assert result.ladder[-1].radius == {"radius cap": 16, "section limit": 8}[case]
