@@ -244,30 +244,72 @@ def format_float(x):
 
 
 def dumps_fixed(doc, indent=0):
-    """Deterministic JSON: insertion order preserved, floats via .17g."""
-    pad = "  " * indent
-    if isinstance(doc, dict):
-        if not doc:
+    """Deterministic JSON: insertion order preserved, floats via .17g.
+
+    Each container is joined from its items' strings as soon as they are
+    written, so only one container's parts per level are alive at a time;
+    each distinct string key is encoded once per call.
+    """
+    return _fixed(doc, "  " * indent, {})
+
+
+def _fixed(value, pad, keys):
+    """The fixed form of ``value`` indented by ``pad``; ``keys`` caches encoded keys."""
+    kind = _JSON_KINDS.get(type(value)) or _json_kind(value)
+    if kind is float:
+        return format_float(value)
+    if kind is dict:
+        if not value:
             return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(key)}: {dumps_fixed(value, indent + 1)}'
-            for key, value in doc.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(doc, (list, tuple)):
-        if not doc:
+        inner = pad + "  "
+        items = []
+        for key, item in value.items():
+            text = keys.get(key)
+            if text is None:
+                text = json.dumps(key)
+                if type(key) is str:  # 1, 1.0 and True are equal keys
+                    keys[key] = text
+            items.append(inner + text + ": " + _fixed(item, inner, keys))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if kind is list:
+        if not value:
             return "[]"
-        items = ",\n".join(f"{pad}  {dumps_fixed(v, indent + 1)}" for v in doc)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(doc, bool) or doc is None:
-        return json.dumps(doc)
-    if isinstance(doc, int):
-        return str(doc)
-    if isinstance(doc, float):
-        return format_float(doc)
-    if isinstance(doc, str):
-        return json.dumps(doc)
-    raise TypeError(f"cannot serialize {type(doc).__name__}")
+        inner = pad + "  "
+        items = [inner + _fixed(item, inner, keys) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if kind is int:
+        return str(value)
+    return json.dumps(value)  # str, bool and None
+
+
+# exact types dumps_fixed writes, by the kind it writes them as
+_JSON_KINDS = {
+    float: float,
+    dict: dict,
+    list: list,
+    tuple: list,
+    int: int,
+    str: str,
+    bool: bool,
+    type(None): bool,
+}
+
+
+def _json_kind(value):
+    """The kind of a value whose type is not in ``_JSON_KINDS`` (a subclass)."""
+    if isinstance(value, dict):
+        return dict
+    if isinstance(value, (list, tuple)):
+        return list
+    if isinstance(value, bool) or value is None:
+        return bool
+    if isinstance(value, int):
+        return int
+    if isinstance(value, float):
+        return float
+    if isinstance(value, str):
+        return str
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def complex_doc(z):

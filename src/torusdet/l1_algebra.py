@@ -30,6 +30,7 @@ reported value and the infinite-dimensional limit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -187,7 +188,10 @@ class SparseL1Matrix:
         free, no exact zeros.  No verification passes are made, so huge
         structured matrices (analytic diagonals, bands) build in O(1) extra
         memory; ``norm`` may supply a precomputed l1 norm.  Passing the same
-        array object for rows and cols marks the matrix as diagonal.
+        array object for rows and cols marks the matrix as diagonal.  The
+        trace and determinant ladders and :func:`truncate` locate each
+        window's entries by binary search on the first row coordinate, so
+        arrays mislabelled as canonical give wrong windows, not an error.
         """
         return cls.__new__(cls)._adopt(
             dimension, rows, cols, vals, norm=norm, canonical=True
@@ -211,10 +215,7 @@ class SparseL1Matrix:
     def entry_radii(self):
         """Per-entry window radius max(|row|_inf, |col|_inf), cached."""
         if "radii" not in self._cache:
-            row_r = sup_norm_array(self.rows)
-            r = row_r if self.cols is self.rows else np.maximum(
-                row_r, sup_norm_array(self.cols)
-            )
+            r = _entry_radii(self, slice(None))
             r.setflags(write=False)
             self._cache["radii"] = r
         return self._cache["radii"]
@@ -235,10 +236,11 @@ class SparseL1Matrix:
 
     @property
     def support_radius(self):
-        """Largest sup norm over all stored row/col indices (0 if empty)."""
-        if self.nnz == 0:
-            return 0
-        return int(np.max(self.entry_radii))
+        """Largest sup norm over all stored row/col indices (0 if empty), cached."""
+        if "support" not in self._cache:
+            ends = [f(c, initial=0) for c in (self.rows, self.cols) for f in (np.min, np.max)]
+            self._cache["support"] = max(abs(int(e)) for e in ends)
+        return self._cache["support"]
 
     def items(self):
         for r, c, v in zip(self.rows, self.cols, self.vals):
@@ -697,13 +699,16 @@ def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
     the operator and the embedded section.  The model bound is evaluated no
     further out than the stored coverage radius: beyond it the stored data
     stops representing the operator, so the bound may not shrink further.
+    Only the entries of the window's :func:`_row_span` are read.
     """
     if w.dimension != a.dimension:
         raise DimensionMismatchError(f"dimension {a.dimension} vs {w.dimension}")
     _check_section_size(w)
-    inside = a.entry_radii <= w.radius
-    dense, _ = _section_matrix(a.rows[inside], a.cols[inside], a.vals[inside], w)
-    stored_tail = float(np.sum(np.abs(a.vals[~inside])))
+    lo, hi = _row_span(a, w.radius)
+    inside = lo + np.flatnonzero(_entry_radii(a, slice(lo, hi)) <= w.radius)
+    vals = a.vals[inside]
+    dense, _ = _section_matrix(a.rows[inside], a.cols[inside], vals, w)
+    stored_tail = _discarded_mass(a, float(np.sum(np.abs(vals))), w.radius)
     bound_radius = min(w.radius, a.support_radius)
     return FiniteSection(w, dense), stored_tail + tail.bound_at(bound_radius)
 
@@ -730,8 +735,35 @@ def _ladder_radii(top):
     return radii
 
 
+def _row_span(a, radius):
+    """Positions [lo, hi) of the entries whose first row coordinate is in [-radius, radius].
+
+    Canonical order sorts the entries by row first, so they are contiguous
+    and two binary searches on the (strided, uncopied) first row coordinate
+    find them.  Every entry inside the window of radius ``radius`` lies in
+    the span; in 1-D the span of a diagonal is exactly those entries.
+    """
+    first = a.rows[:, 0]
+    return bisect.bisect_left(first, -radius), bisect.bisect_right(first, radius)
+
+
+def _entry_radii(a, part):
+    """Window radius max(|row|_inf, |col|_inf) of the entries ``a[part]``."""
+    r = sup_norm_array(a.rows[part])
+    return r if a.cols is a.rows else np.maximum(r, sup_norm_array(a.cols[part]))
+
+
+def _discarded_mass(a, inside_mass, radius):
+    """Stored l1 mass outside the window of radius ``radius``, given the mass inside.
+
+    ``||A||_1`` minus the inside mass, never negative, and exactly 0 when
+    the window holds every stored entry.
+    """
+    return 0.0 if radius >= a.support_radius else max(a.l1_norm - inside_mass, 0.0)
+
+
 def _rung_buckets(entry_radii, radii):
-    """Ladder bucket of each entry radius, in one pass over the entries.
+    """Ladder bucket of each entry radius.
 
     Bucket ``i`` holds the entries inside rung ``i`` and outside rung
     ``i - 1``; bucket ``len(radii)`` those beyond every rung.
@@ -758,32 +790,38 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
     The ladder ends at min(C, ``max_radius``), C the support radius: a wider
     window has rung C's entries and tail bound (see :class:`TailModel`).  If
     it ends at C short of ``tol``, the error names C and the bound there.
+
+    Rung i reads only the entries that entered its :func:`_row_span` since
+    rung i - 1; those outside it are bucketed once, by the first rung that
+    holds them.  The discarded stored mass is ``||A||_1`` minus the mass
+    inside.  Entries beyond the stopping rung's span are never read.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     coverage = a.support_radius
     radii = _ladder_radii(min(coverage, max_radius))
-    buckets = _rung_buckets(a.entry_radii, radii)
-    nb = len(radii) + 1
-    inside_mass = np.cumsum(np.bincount(buckets, weights=np.abs(a.vals), minlength=nb))
-    total_mass = float(inside_mass[-1])
-
-    all_diag = a.cols is a.rows or (a.nnz > 0 and bool(np.all(a.diag_mask)))
-    db = buckets if all_diag else buckets[a.diag_mask]
-    dvals = a.vals if all_diag else a.vals[a.diag_mask]
-    diag_re = np.cumsum(np.bincount(db, weights=dvals.real, minlength=nb))
-    if np.iscomplexobj(dvals):
-        diag_im = np.cumsum(np.bincount(db, weights=dvals.imag, minlength=nb))
-    else:
-        diag_im = np.zeros(nb)
-
-    attempts = []
+    # mass of the entries already read that enter a later rung, by that rung
+    pending = np.zeros(len(radii) + 1)
+    inside_mass = 0.0
+    lo = hi = _row_span(a, radii[0])[0]  # empty, so rung 0 reads its whole span
+    pieces, attempts = [], []
     for i, n in enumerate(radii):
-        discarded = total_mass - float(inside_mass[i])
-        t_n = discarded + tail.bound_at(n)
+        new_lo, new_hi = _row_span(a, n)
+        for part in (slice(new_lo, lo), slice(hi, new_hi)):
+            r = _entry_radii(a, part)
+            mass = np.abs(a.vals[part])
+            out = r > n
+            inside_mass += float(np.sum(mass, where=~out))
+            at = np.flatnonzero(out)
+            b = _rung_buckets(r[at], radii)
+            pending += np.bincount(b, weights=mass[at], minlength=len(pending))
+            pieces.append((part, i, part.start + at, b))
+        lo, hi = new_lo, new_hi
+        inside_mass += float(pending[i])
+        t_n = _discarded_mass(a, inside_mass, n) + tail.bound_at(n)
         attempts.append((int(n), t_n))
         if t_n <= tol:
-            value = complex(diag_re[i] + 1j * diag_im[i])
+            value = _diagonal_sum(a, lo, hi, pieces, i)
             return TraceResult(value=value, certified_error=t_n)
     stop = _coverage_floor(coverage, tail.bound_at(coverage), max_radius) or (
         f"by radius {max_radius}: ladder tail {attempts[-3:]}"
@@ -793,6 +831,25 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
         ladder=attempts,
         last_bound=attempts[-1][1],
     )
+
+
+def _diagonal_sum(a, lo, hi, pieces, rung):
+    """Sum of the diagonal entries inside rung ``rung``, read from its span [lo, hi).
+
+    ``pieces`` are the parts of the span the trace ladder read, each with
+    the rung that read it and the positions and buckets of its entries
+    outside that rung.  One bincount over the span sums bucket by bucket in
+    canonical order, and the cumulative sum adds the buckets up to the rung.
+    """
+    b = np.empty(hi - lo, dtype=np.intp)
+    for part, i, at, out_buckets in pieces:
+        b[part.start - lo : part.stop - lo] = i
+        b[at - lo] = out_buckets
+    d = a.vals[lo:hi]
+    if a.cols is not a.rows:
+        b, d = b[a.diag_mask[lo:hi]], d[a.diag_mask[lo:hi]]
+    total = lambda w: np.cumsum(np.bincount(b, weights=w, minlength=rung + 1))[rung]
+    return complex(total(d.real) + 1j * (total(d.imag) if np.iscomplexobj(d) else 0.0))
 
 
 def _transpose_pair_sum(rows, cols, vals):
@@ -839,13 +896,15 @@ _CROSS_TERM_ENTRY_CAP = 500_000
 
 
 class _LadderTails:
-    """The stored entries of a determinant ladder, split in one pass.
+    """The stored entries of a determinant ladder, split at the last rung.
 
     Entries inside the last rung ("near") are kept with their rung bucket, so
-    each rung works only on them and on its dense section.  Entries beyond
-    the last rung ("far") lie in every rung's tail and are reduced once to
-    the totals the tail statistics need: the diagonal sum and square sum and
-    the off-diagonal count.  Transpose partners share an entry radius, so
+    each rung works only on them and on its dense section; they are read
+    from the last rung's :func:`_row_span`.  Entries beyond the last rung
+    ("far") lie in every rung's tail and are reduced once to the totals the
+    tail statistics need: the diagonal sum and square sum, piece by piece
+    over the runs before and after the span and the span's far entries,
+    and the off-diagonal count.  Transpose partners share an entry radius, so
     the far part of ``Tr T^2`` is a separate pair sum; and only far entries
     with one index inside the last rung ("straddling") can meet a section in
     ``Tr(G T^2)``.  Both are gathered by the first rung that needs them.
@@ -866,22 +925,23 @@ class _LadderTails:
         self.radii = _ladder_radii(min(coverage, max_radius))
         self.last = self.radii[-1]
         self.floor = _coverage_floor(coverage, self.unstored, max_radius)
-        entry_radii = a.entry_radii
-        near = entry_radii <= self.last
-        idx = np.flatnonzero(near)
-        self.bucket = _rung_buckets(entry_radii[idx], self.radii)
-        self.rows, self.cols, self.vals = a.rows[idx], a.cols[idx], a.vals[idx]
+        lo, hi = _row_span(a, self.last)
+        span_radii = _entry_radii(a, slice(lo, hi))
+        near = span_radii <= self.last
+        self._near = lo + np.flatnonzero(near)
+        self.bucket = _rung_buckets(span_radii[near], self.radii)
+        self.rows, self.cols = a.rows[self._near], a.cols[self._near]
+        self.vals = a.vals[self._near]
         self.abs_vals = np.abs(self.vals)
-        self.diag = a.diag_mask[idx]
-        far = ~near
-        if a.cols is a.rows:
-            far_diag, self._far_off = a.vals[far], None
-        else:
-            far_diag = a.vals[far & a.diag_mask]
-            self._far_off = far & ~a.diag_mask
-        self.far_trace = complex(np.sum(far_diag))
-        self.far_trace_sq = complex(np.dot(far_diag, far_diag))
-        self.far_off_count = a.nnz - len(idx) - len(far_diag)
+        diagonal = a.cols is a.rows  # then the E-long a.diag_mask is never built
+        self.diag = np.ones(len(self.vals), bool) if diagonal else a.diag_mask[self._near]
+        off_count = 0 if diagonal else a.nnz - int(np.count_nonzero(a.diag_mask))
+        self.far_off_count = off_count - int(np.count_nonzero(~self.diag))
+        self.far_trace = self.far_trace_sq = 0j
+        for part in (slice(0, lo), lo + np.flatnonzero(~near), slice(hi, a.nnz)):
+            d = a.vals[part] if diagonal else a.vals[part][a.diag_mask[part]]
+            self.far_trace += complex(np.sum(d))
+            self.far_trace_sq += complex(np.dot(d, d))
         self._far_pairs = None
 
     def section(self, rung):
@@ -892,7 +952,8 @@ class _LadderTails:
 
     def l1_tail(self, rung, f_norm):
         """Upper bounds on ||T||_1 and ||A||_1: discarded stored plus all unstored."""
-        return (self.a.l1_norm - f_norm) + self.unstored, self.norm_upper
+        stored = _discarded_mass(self.a, f_norm, self.radii[rung])
+        return stored + self.unstored, self.norm_upper
 
     def moments(self, rung, f_norm, g_dense, g1, window):
         """``(Tr T, error)`` and ``(Tr X^2, error)``, or None for first order only.
@@ -905,14 +966,12 @@ class _LadderTails:
         outside = self.bucket > rung
         out_diag = outside & self.diag
         c1 = self.far_trace + complex(np.sum(self.vals[out_diag]))
-        off_diag_out = self.far_off_count + int(
-            np.count_nonzero(outside) - np.count_nonzero(out_diag)
-        )
+        off_diag_out = self.far_off_count + int(np.count_nonzero(outside & ~self.diag))
         if off_diag_out > _CROSS_TERM_ENTRY_CAP:
             return (c1, self.unstored), None
         tr_t2, cross = self.second_order(g_dense, window, outside)
         u_eff = self.unstored * (1.0 + g1)
-        s_stored = (1.0 + g1) * (self.a.l1_norm - f_norm)
+        s_stored = (1.0 + g1) * _discarded_mass(self.a, f_norm, self.radii[rung])
         return (c1, self.unstored), (
             tr_t2 + 2.0 * cross,
             2.0 * s_stored * u_eff + u_eff * u_eff,
@@ -923,7 +982,9 @@ class _LadderTails:
         if self._far_pairs is None:
             pairs, straddle = 0.0j, None
             if self.far_off_count:
-                idx = np.flatnonzero(self._far_off)
+                far_off = ~self.a.diag_mask
+                far_off[self._near] = False
+                idx = np.flatnonzero(far_off)
                 rows, cols, vals = self.a.rows[idx], self.a.cols[idx], self.a.vals[idx]
                 pairs = _transpose_pair_sum(rows, cols, vals)
                 keep = np.minimum(sup_norm_array(rows), sup_norm_array(cols)) <= self.last
@@ -963,8 +1024,9 @@ def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64)
     bound are computed; the computation stops as soon as either certified
     bound reaches ``tol``.  ``certified_error`` bounds ``|value - Det(I+A)|``
     for the returned value, which is the corrected one whenever its bound is
-    the sharper of the two.  Each call passes over the stored entries once;
-    a rung's work is its dense section and the entries near the windows.
+    the sharper of the two.  Each call passes over the stored entries once
+    and copies only those inside the last rung; a rung's work is its dense
+    section and the entries near the windows.
     The ladder ends at min(C, ``max_radius``), C the support radius: a wider
     window has rung C's section and tail bound (see :class:`TailModel`).
     A ladder that stops short of ``tol`` raises :class:`NonConvergenceError`

@@ -153,3 +153,62 @@ def test_dumps_fixed_is_deterministic():
     parsed = json.loads(one)
     assert parsed == doc  # insertion order kept, values exact
     assert '"b": 1.5' in one
+
+
+def recursive_dumps_fixed(doc, indent=0):
+    """The recursive string-building writer dumps_fixed must match byte for byte."""
+    pad = "  " * indent
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = ",\n".join(
+            f"{pad}  {json.dumps(key)}: {recursive_dumps_fixed(value, indent + 1)}"
+            for key, value in doc.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        items = ",\n".join(f"{pad}  {recursive_dumps_fixed(v, indent + 1)}" for v in doc)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(doc, bool) or doc is None:
+        return json.dumps(doc)
+    if isinstance(doc, int):
+        return str(doc)
+    if isinstance(doc, float):
+        return format_float(doc)
+    if isinstance(doc, str):
+        return json.dumps(doc)
+    raise TypeError(f"cannot serialize {type(doc).__name__}")
+
+
+def test_dumps_fixed_matches_the_recursive_writer():
+    import collections
+
+    Pair = collections.namedtuple("Pair", "re im")
+    special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308]
+    rng = np.random.default_rng(3)
+    docs = [
+        {},
+        [],
+        (),
+        None,
+        True,
+        "plain",
+        -0.0,
+        {"nested": {"empty": {}, "list": [], "tuple": (), "deep": [[[{}], []], [{"x": [[]]}]]}},
+        {"floats": special, "ints": [0, -1, 2**70], "flags": [True, False, None]},
+        {"ключ": "значение", "日本": ["é", "\u2603", "tab\tquote\"\\"], "": 1, "\x00": 2},
+        {1: "int key", 2.5: "float key", None: "none key", True: "bool key"},
+        # subclasses take the isinstance route
+        collections.OrderedDict([("b", np.float64(0.1)), ("a", Pair(1.5, -2.0))]),
+        {"np": [np.float64(math.nan), np.float64(-math.inf), np.bool_(True).item()]},
+        [{"row": [int(i)], "col": [int(i) + 1], "re": float(v), "im": -float(v)}
+         for i, v in enumerate(rng.standard_normal(50))],
+    ]
+    for doc in docs:
+        for indent in (0, 1, 3):
+            assert dumps_fixed(doc, indent) == recursive_dumps_fixed(doc, indent)
+    for bad in (object(), {"k": {1, 2}}, [b"bytes"], {"c": 1j}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dumps_fixed(bad)

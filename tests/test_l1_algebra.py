@@ -25,13 +25,17 @@ from torusdet.l1_algebra import (
     truncate,
 )
 from torusdet.l1_algebra import (
+    _CROSS_TERM_ENTRY_CAP,
     _SECTION_SIZE_LIMIT,
     _LadderTails,
+    _coverage_floor,
+    _determinant_ladder,
     _ladder_radii,
     _section_det,
     _section_inv,
     _section_min_singular,
     _tail_cross_term,
+    _transpose_pair_sum,
 )
 
 
@@ -790,3 +794,283 @@ def test_invertibility_test_returns_the_ladder_poincare_determinant_raises(case,
     assert result.certified_error == err.value.last_bound
     assert decision == determinant_decision(result, 1e-8) == "invertible"
     assert result.ladder[-1].radius == {"radius cap": 16, "section limit": 8}[case]
+
+
+# --- ladders against a brute-force reference
+
+
+class MaskTails:
+    """Reference tail provider: every rung masks ``entry_radii`` over all entries.
+
+    Reads the stored entries with whole-array masks and sums each tail
+    moment directly over the entries outside the rung, so it shares no
+    span, bucket or near/far split with :class:`_LadderTails`.  The stored
+    tail mass is ``||A||_1 - ||F||_1`` (never negative, 0 when nothing is
+    outside), as the ladder takes it.
+    """
+
+    def __init__(self, a, tail, max_radius):
+        self.a, self.dimension = a, a.dimension
+        coverage = int(np.max(a.entry_radii)) if a.nnz else 0
+        self.unstored = tail.bound_at(coverage)
+        self.radii = _ladder_radii(min(coverage, max_radius))
+        self.floor = _coverage_floor(coverage, self.unstored, max_radius)
+        self.diag = np.all(a.rows == a.cols, axis=1)
+
+    def outside(self, rung):
+        return self.a.entry_radii > self.radii[rung]
+
+    def stored_tail(self, rung, f_norm):
+        return max(self.a.l1_norm - f_norm, 0.0) if np.any(self.outside(rung)) else 0.0
+
+    def section(self, rung):
+        a, inside = self.a, ~self.outside(rung)
+        f_norm = float(np.sum(np.abs(a.vals[inside])))
+        return a.rows[inside], a.cols[inside], a.vals[inside], f_norm
+
+    def l1_tail(self, rung, f_norm):
+        return self.stored_tail(rung, f_norm) + self.unstored, self.a.l1_norm + self.unstored
+
+    def moments(self, rung, f_norm, g_dense, g1, window):
+        a, out = self.a, self.outside(rung)
+        d = a.vals[out & self.diag]
+        off = out & ~self.diag
+        c1 = complex(np.sum(d))
+        if np.count_nonzero(off) > _CROSS_TERM_ENTRY_CAP:
+            return (c1, self.unstored), None
+        rows, cols, vals = a.rows[off], a.cols[off], a.vals[off]
+        tr_t2 = complex(np.dot(d, d)) + _transpose_pair_sum(rows, cols, vals)
+        cross = _tail_cross_term(g_dense, window.radius, window.dimension, rows, cols, vals)
+        u = self.unstored * (1.0 + g1)
+        s = (1.0 + g1) * self.stored_tail(rung, f_norm)
+        return (c1, self.unstored), (tr_t2 + 2.0 * cross, 2.0 * s * u + u * u)
+
+
+def reference_trace(a, tail, tol, max_radius):
+    """The trace ladder by masks: the value (None if not reached) and the attempts.
+
+    Each attempt is ``(radius, bound, discarded stored mass)``; a reached
+    ladder ends at the stopping rung.  The value adds the diagonal entries
+    rung bucket by rung bucket, each bucket in canonical order, as the
+    library does.
+    """
+    radii = _ladder_radii(min(int(np.max(a.entry_radii)) if a.nnz else 0, max_radius))
+    diag = np.all(a.rows == a.cols, axis=1)
+    re = im = 0.0
+    attempts = []
+    for i, n in enumerate(radii):
+        bucket = diag & (a.entry_radii <= n) & (a.entry_radii > (radii[i - 1] if i else -1))
+        b_re = b_im = 0.0
+        for v in a.vals[bucket]:
+            b_re += float(v.real)
+            b_im += float(np.imag(v))
+        re, im = re + b_re, im + b_im
+        discarded = float(np.sum(np.abs(a.vals[a.entry_radii > n])))
+        t_n = discarded + tail.bound_at(n)
+        attempts.append((n, t_n, discarded))
+        if t_n <= tol:
+            return complex(re, im), attempts
+    return None, attempts
+
+
+def reference_truncate(a, tail, radius):
+    """Dense section by masks and index arithmetic, its tail mass and discarded stored mass."""
+    n = a.dimension
+    inside = a.entry_radii <= radius
+    shape = (2 * radius + 1,) * n
+    pos = lambda c: np.ravel_multi_index((c + radius).T, shape)
+    vals = a.vals[inside]
+    real = not np.any(vals.imag)
+    dense = np.zeros((math.prod(shape),) * 2, dtype=float if real else complex)
+    dense[pos(a.rows[inside]), pos(a.cols[inside])] = vals.real if real else vals
+    coverage = int(np.max(a.entry_radii)) if a.nnz else 0
+    discarded = float(np.sum(np.abs(a.vals[~inside])))
+    return dense, discarded + tail.bound_at(min(radius, coverage)), discarded
+
+
+def canonical_ladder_matrices(rng, n, support):
+    """Seeded canonical matrices the row spans must get right.
+
+    Random entries (many with the row inside a window and the column
+    outside it, some with their transpose), entries whose first row
+    coordinate is exactly a ladder radius +-8 or +-16 with the other
+    coordinates on either side of it, empty and single-entry matrices, and
+    shared-index diagonals (real and complex) built with the same array for
+    rows and columns; one real diagonal holds -1 at the origin, so I + A is
+    singular.
+    """
+    out = [SparseL1Matrix.zero(n)]
+    out.append(SparseL1Matrix(n, {((3,) + (0,) * (n - 1), (-5,) + (1,) * (n - 1)): 0.4}))
+    for decay in (0.1, 1.0):
+        count = 40 * n
+        rows = rng.integers(-support, support + 1, size=(count, n))
+        cols = np.where(
+            rng.random((count, 1)) < 0.5,
+            rows + rng.integers(-2, 3, size=(count, n)),
+            rng.integers(-support, support + 1, size=(count, n)),
+        )
+        edge = np.array([8, -8, 16, -16])[rng.integers(0, 4, size=12)]
+        e_rows = rng.integers(-support, support + 1, size=(12, n))
+        e_rows[:, 0] = edge
+        e_rows[:4, 1:] = np.clip(e_rows[:4, 1:], -8, 8)  # n >= 2: rows inside the +-8 window
+        e_cols = np.where(rng.random((12, 1)) < 0.5, e_rows, rng.integers(-9, 10, size=(12, n)))
+        # transposes of a quarter of the entries, so that Tr T^2 has pairs
+        rows, cols = (
+            np.concatenate([rows, e_rows, cols[: count // 4]]),
+            np.concatenate([cols, e_cols, rows[: count // 4]]),
+        )
+        radius = np.maximum(np.max(np.abs(rows), axis=1), np.max(np.abs(cols), axis=1))
+        mags = 0.6 * rng.random(len(rows)) * np.exp(-decay * radius)
+        phases = np.exp(2j * np.pi * rng.random(len(rows)))
+        out.append(SparseL1Matrix.from_arrays(n, rows, cols, mags * phases))
+        pts = TruncationWindow(min(support, 24 // n), n).coords_array()
+        radius = np.max(np.abs(pts), axis=1)
+        diag = 4.0 / len(pts) * rng.random(len(pts)) * np.exp(-decay * radius)
+        if decay < 0.5:  # I + A exactly singular
+            diag[len(pts) // 2] = -1.0
+        out.append(SparseL1Matrix.from_canonical_arrays(n, pts, pts, diag))
+        phases = np.exp(2j * np.pi * rng.random(len(pts)))
+        out.append(SparseL1Matrix.from_canonical_arrays(n, pts, pts, diag * phases))
+    return out
+
+
+LADDER_TAILS = {
+    "exact": TailModel.exact_finite(),
+    "power": TailModel.user_bound(lambda r: 1e-3 * float(max(r, 1)) ** -2),
+    "constant": TailModel.user_bound(lambda r: 2e-6),
+}
+
+# (tol, max_radius) per dimension; 3-D determinant sections stop at radius 4
+LADDER_SETTINGS = {
+    1: [(1e-10, 4), (1e-6, 16), (1e-3, 64)],
+    2: [(1e-10, 4), (1e-6, 16), (1e-3, 8)],
+    3: [(1e-10, 2), (1e-3, 4)],
+}
+
+
+def close(got, want, rel=1e-12):
+    return got == want or abs(got - want) <= rel * abs(want)
+
+
+def close_discarded(got, want, discarded, a):
+    """Close, up to the rounding of ||A||_1 (1e-14 of it, about 45 ulps).
+
+    The trace and truncate take the discarded stored mass as ``||A||_1``
+    minus the mass inside, while the reference sums it directly; when the
+    discarded mass is tiny against ``||A||_1`` the difference is that
+    rounding.  With nothing discarded both must be the tail bound exactly.
+    """
+    if discarded == 0:
+        return got == want
+    return close(got, want) or abs(got - want) <= 1e-14 * a.l1_norm
+
+
+def assert_same_determinant(got, want):
+    """Raw rung values bit for bit, certificates and corrected values close."""
+    assert [s.radius for s in got.ladder] == [s.radius for s in want.ladder]
+    for g, w in zip(got.ladder, want.ladder):
+        assert g.value == w.value
+        assert close(g.bound, w.bound)
+    assert got.converged == want.converged
+    assert close(got.certified_error, want.certified_error)
+    if want.value in [s.value for s in want.ladder]:  # uncorrected
+        assert got.value == want.value
+    else:
+        assert close(got.value, want.value, rel=1e-14)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a ladder call, or the ladder it raised with, comparable by ==."""
+    try:
+        return fn(*args, **kwargs)
+    except NonConvergenceError as err:
+        return (str(err), err.ladder, err.last_bound, err.last_value)
+
+
+@pytest.mark.parametrize("n, support", [(1, 40), (2, 20), (3, 10)])
+def test_ladders_match_a_brute_force_reference(n, support):
+    rng = np.random.default_rng([17, n])
+    checked = 0
+    for a in canonical_ladder_matrices(rng, n, support):
+        for tail in LADDER_TAILS.values():
+            for tol, max_radius in LADDER_SETTINGS[n]:
+                want, want_stop = _determinant_ladder(MaskTails(a, tail, max_radius), tol)
+                decision, got = invertibility_test(a, tail, tol, max_radius=max_radius)
+                assert_same_determinant(got, want)
+                assert decision == determinant_decision(want, tol)
+                assert (decision, got) == invertibility_test(a, tail, tol, max_radius=max_radius)
+                det = outcome(poincare_determinant, a, tail, tol, max_radius=max_radius)
+                if want_stop is None:
+                    assert det == got
+                else:
+                    assert want_stop in det[0]
+                    assert det[1:] == (got.ladder, got.certified_error, got.value)
+
+                for top in (max_radius, 2**53):
+                    value, attempts = reference_trace(a, tail, tol, top)
+                    first = outcome(poincare_trace, a, tail, tol, max_radius=top)
+                    assert outcome(poincare_trace, a, tail, tol, max_radius=top) == first
+                    if value is None:
+                        ladder = first[1]
+                        assert [r for r, _ in ladder] == [r for r, _, _ in attempts]
+                        bounds = [g for _, g in ladder]
+                    else:
+                        assert first.value == value
+                        bounds, attempts = [first.certified_error], attempts[-1:]
+                    for got_bound, (_, want, discarded) in zip(bounds, attempts):
+                        assert close_discarded(got_bound, want, discarded, a)
+                checked += 1
+
+        for radius in (0, 1, 3, 8, 16):
+            w = TruncationWindow(radius, n)
+            if w.size > 1100:
+                break
+            for tail in LADDER_TAILS.values():
+                section, tail_mass = truncate(a, tail, w)
+                dense, want_mass, discarded = reference_truncate(a, tail, radius)
+                assert section.matrix.dtype == dense.dtype
+                assert np.array_equal(section.matrix, dense)
+                assert close_discarded(tail_mass, want_mass, discarded, a)
+                again = truncate(a, tail, w)
+                assert np.array_equal(again[0].matrix, section.matrix)
+                assert again[1] == tail_mass
+    assert checked > 0
+
+
+def test_ladders_read_only_the_spans_of_their_rungs():
+    import tracemalloc
+
+    # 2M stored entries a_k = 1 / (4 pi^2 k^2 + 1); the trace stops by rung 4096
+    k = np.arange(-1_000_000, 1_000_000)[:, None]
+    a = SparseL1Matrix.from_canonical_arrays(1, k, k, 1.0 / (4 * np.pi**2 * k[:, 0] ** 2.0 + 1.0))
+    tail = TailModel.user_bound(lambda r: (np.pi / 2 - math.atan(2 * np.pi * max(r, 1))) / np.pi)
+    tol = 1e-4
+    tracemalloc.start()
+    try:
+        trace = poincare_trace(a, tail, tol)
+        _, trace_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        det = poincare_determinant(a, tail, 1e-4, max_radius=64)
+        _, det_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace_peak < 2 * 2**20  # np.abs(a.vals) alone would be 16 MB
+    assert det.converged and det_peak < 2 * 2**20
+    # a ladder capped at 4096 has the same rungs up to 4096, so the trace
+    # stopped there or before
+    assert poincare_trace(a, tail, tol, max_radius=4096) == trace
+
+
+def test_a_supplied_norm_under_the_stored_sum_gives_no_negative_certificate():
+    # math.fsum rounds this sum 1 ulp under numpy's pairwise sum, so
+    # ||A||_1 - ||F||_1 is -4.4e-16 on the rung that holds every entry
+    k = np.arange(-20, 21)[:, None]
+    vals = 0.1 * np.random.default_rng(0).random(41)
+    a = SparseL1Matrix.from_canonical_arrays(1, k, k, vals, norm=math.fsum(vals))
+    assert a.l1_norm < float(np.sum(vals))
+    exact = TailModel.exact_finite()
+    result = poincare_determinant(a, exact, 1e-12)
+    assert result.certified_error == 0.0 and result.ladder[-1].bound == 0.0
+    assert result.value == finite_determinant(section_of(a, 20))
+    assert poincare_trace(a, exact, 1e-12).certified_error == 0.0
+    assert truncate(a, exact, TruncationWindow(20, 1))[1] == 0.0
