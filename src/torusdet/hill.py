@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._dense import _section_min_singular, _section_singular_values
 from .lattice import (
     TruncationWindow,
     as_index,
@@ -54,8 +55,6 @@ from .l1_algebra import (
     _determinant_ladder,
     _ladder_radii,
     _section_matrix,
-    _section_min_singular,
-    _section_singular_values,
     _tail_cross_term,
     determinant_decision,
 )
@@ -517,8 +516,13 @@ def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
     several components share the smallest singular value, as the +-k modes
     of a constant potential do, the candidate lives on the component holding
     the lexicographically first window point; within one component it is
-    LAPACK's last right singular vector.  The residual reports the undamped
-    coefficient equation: each damped row is multiplied back by d(k).
+    LAPACK's last right singular vector.  A section that is one component
+    and centrosymmetric (an even potential, g_-l = g_l) is solved as its even
+    and odd parity blocks: the candidate is then a pure cos-type
+    (b_-k = b_k) or sin-type (b_-k = -b_k) combination, from the block with
+    the smaller sigma_min, and from the even block when the two tie.  The
+    residual reports the undamped coefficient equation: each damped row is
+    multiplied back by d(k).
     """
     if w.dimension != p.dimension:
         raise ValueError(f"dimension {p.dimension} vs window {w.dimension}")

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._dense import _section_blocks, _section_det, _section_inv
 from .lattice import TruncationWindow, as_index, sup_norm_array
 
 _EXP_CAP = 700.0  # exp argument beyond which bounds are reported as inf
@@ -538,159 +539,6 @@ def _add_identity(dense):
     return dense
 
 
-# Dense kernels on sections.  A section is the direct sum of the connected
-# components of its nonzero pattern, so det, inverse and SVD are computed per
-# component, with one LAPACK call per component size on the stacked blocks.
-
-
-def _component_labels(size, i, j):
-    """Smallest index of the connected component of each of 0..size-1.
-
-    Components of the graph with the links (i[e], j[e]): roots are hooked
-    onto the smallest neighbouring root and pointers jumped to their roots
-    until no link joins two roots.
-    """
-    off = i != j
-    i, j = i[off], j[off]
-    labels = np.arange(size)
-    while True:
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-        li, lj = labels[i], labels[j]
-        split = li != lj
-        if not np.any(split):
-            return labels
-        li, lj = li[split], lj[split]
-        np.minimum.at(labels, np.maximum(li, lj), np.minimum(li, lj))
-
-
-def _section_blocks(m, links=None):
-    """Window positions of the components of m, grouped by component size.
-
-    Components are those of m's nonzero pattern; ``links`` may give the
-    positions (i, j) of m's off-diagonal nonzeros instead of a scan of m.
-    None when m is one component.  Otherwise a list of (count, s) index
-    arrays, one per size s; each row holds one component's positions in
-    ascending order, and rows are ordered by their first position.
-    """
-    i, j = np.nonzero(m) if links is None else links
-    labels = _component_labels(m.shape[0], i, j)
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
-    if len(starts) == 1:
-        return None
-    sizes = np.diff(starts, append=len(labels))
-    return [
-        order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)
-    ]
-
-
-def _block_index(idx):
-    """Index of the stacked (count, s, s) blocks on the (count, s) positions."""
-    return idx[:, :, None], idx[:, None, :]
-
-
-def _scaled_product(values):
-    """Product of nonzero values, carried as mantissa and binary exponent.
-
-    Every partial product is a product of at most 256 mantissas in
-    [0.5, 1), so none over- or underflows before the final scaling.
-    """
-    _, exps = np.frexp(np.abs(values))
-    mant = _ldexp(values, -exps)
-    value, exponent = 1.0, int(np.sum(exps))
-    for start in range(0, len(mant), 256):
-        value = value * np.prod(mant[start : start + 256])
-        _, e = np.frexp(np.abs(value))
-        value = _ldexp(value, -e)
-        exponent += int(e)
-    return complex(_ldexp(value, exponent))
-
-
-def _ldexp(x, e):
-    """x * 2**e, exact on the real and imaginary parts separately."""
-    if not np.iscomplexobj(x):
-        return np.ldexp(x, e)
-    out = np.empty(np.shape(x), dtype=np.complex128)
-    out.real = np.ldexp(x.real, e)
-    out.imag = np.ldexp(x.imag, e)
-    return out
-
-
-def _section_det(m, blocks=None):
-    """det(m), the product of its component determinants.
-
-    An exactly singular component gives exactly 0.  ``blocks`` may pass the
-    :func:`_section_blocks` of m when the caller already has them.
-    """
-    blocks = _section_blocks(m) if blocks is None else blocks
-    if blocks is None:
-        return complex(np.linalg.det(m))
-    dets = np.concatenate([np.linalg.det(m[_block_index(idx)]) for idx in blocks])
-    if not np.all(dets):
-        return 0j  # not the signed zero a product of mantissas may give
-    return _scaled_product(dets)
-
-
-def _section_inv(m, blocks=None):
-    """m^{-1}, assembled from the component inverses; LinAlgError if singular."""
-    blocks = _section_blocks(m) if blocks is None else blocks
-    if blocks is None:
-        return np.linalg.inv(m)
-    inv = np.zeros_like(m)
-    for idx in blocks:
-        inv[_block_index(idx)] = np.linalg.inv(m[_block_index(idx)])
-    return inv
-
-
-def _section_singular_values(m, links=None):
-    """Smallest and largest singular value of m, without singular vectors.
-
-    Returns ``(smallest, largest, component)``: the ascending window
-    positions of the component with the smallest sigma_min (among tied
-    components, the one whose first position comes first), or None when m
-    is one component.  ``links`` are passed on to :func:`_section_blocks`.
-    """
-    blocks = _section_blocks(m, links)
-    if blocks is None:
-        svals = np.linalg.svd(m, compute_uv=False)
-        return float(svals[-1]), float(svals[0]), None
-    firsts, smallest, largest, components = [], [], [], []
-    for idx in blocks:
-        svals = np.linalg.svd(m[_block_index(idx)], compute_uv=False)
-        firsts.append(idx[:, 0])
-        smallest.append(svals[:, -1])
-        largest.append(svals[:, 0])
-        components.extend(idx)
-    firsts, smallest = np.concatenate(firsts), np.concatenate(smallest)
-    pick = np.lexsort((firsts, smallest))[0]
-    largest = float(np.max(np.concatenate(largest)))
-    return float(smallest[pick]), largest, components[pick]
-
-
-def _section_min_singular(m, values=None):
-    """Smallest and largest singular value of m and a vector v for the smallest.
-
-    v is LAPACK's last right singular vector (a row of V^H) of the component
-    with the smallest sigma_min, zero elsewhere; among tied components, the
-    one whose first window position comes first.  Only that component's
-    vectors are computed, from the :func:`_section_singular_values` of m
-    (``values``, when the caller already has them); the smallest value is
-    the one of that SVD.
-    """
-    _, largest, idx = _section_singular_values(m) if values is None else values
-    if idx is None:
-        _, svals, vh = np.linalg.svd(m)
-        return float(svals[-1]), float(svals[0]), vh[-1]
-    _, svals, vh = np.linalg.svd(m[np.ix_(idx, idx)])
-    v = np.zeros(m.shape[0], dtype=vh.dtype)
-    v[idx] = vh[-1]
-    return float(svals[-1]), largest, v
-
-
 def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
     """Dense finite section on the window plus the certified tail mass.
 
@@ -1107,9 +955,10 @@ def _determinant_ladder(tails, tol):
 def _corrected_step(tails, rung, section, blocks, window, det_n, f_norm, t_total):
     """Tail-corrected determinant value and its certified bound, or None.
 
-    ``section`` is I + F on the window, ``blocks`` its components, ``f_norm``
-    its ||F||_1 and ``t_total`` the rung's bound on ||T||_1; the moments of
-    the tail come from ``tails``, each with its own error term.
+    ``section`` is I + F on the window, ``blocks`` its
+    :func:`_section_blocks`, ``f_norm`` its ||F||_1 and ``t_total`` the
+    rung's bound on ||T||_1; the moments of the tail come from ``tails``,
+    each with its own error term.
     """
     # s = (1 + ||G||_1) t_total >= t_total: no inverse can bring s under 0.9
     if det_n == 0 or t_total >= 0.9:

@@ -4,6 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
+from torusdet import _dense
+from torusdet._dense import (
+    _parity_blocks,
+    _section_blocks,
+    _section_det,
+    _section_inv,
+    _section_min_singular,
+    _section_singular_values,
+)
 from torusdet.lattice import TruncationWindow, shell_tail
 from torusdet.l1_algebra import (
     NonConvergenceError,
@@ -18,6 +27,7 @@ from torusdet.hill import (
     NoNullSolutionError,
     _HillTails,
     _damped_tail_bound,
+    _dense_section,
     _inverse_damping_tail,
     _square_tail,
     build_hill_matrix,
@@ -413,6 +423,9 @@ def test_extraction_at_scanned_mathieu_root():
     sol = extract_null_solution(shifted, TruncationWindow(16, 1), threshold=1e-4)
     assert sol.residual <= 1e-6
     assert sol.regularity_mass <= sol.regularity_bound + 1e-8
+    # the potential is even: b is a cos-type (b_-k = b_k) or sin-type combination
+    b = np.array([sol.coefficients.get((k,), 0j) for k in range(-16, 17)])
+    assert np.array_equal(b[::-1], b) or np.array_equal(b[::-1], -b)
 
 
 # --- dimension >= 2: independent oracles
@@ -465,6 +478,48 @@ def test_constant_potential_matches_lattice_product(n, nu, c, max_radius, covera
     assert abs(det.value - oracle) <= det.certified_error
 
 
+def constant_potential_bracket(c, n, nu, radius):
+    """Head and log remainder bound of prod_k (d(k) - 1 + c) / d(k) over Z^n.
+
+    The head is the product over |k|_inf <= radius, as a log sum one slice
+    of the first coordinate at a time.  The other factors move its log by at
+    most ``|c - 1| S / (1 - x)``: each is 1 + z with |z| <= x =
+    |c - 1| / (2 pi radius)^nu, |log(1 + z)| <= |z| / (1 - |z|), and
+    S = sum_{|k|_inf > radius} 1/d(k) <= 2n 3^(n-1) (2 pi)^-nu
+    radius^(n-nu) / (nu - n), since shell j holds at most 2n (3j)^(n-1)
+    points, each with d(k) >= (2 pi j)^nu.
+    """
+    axis = np.arange(-radius, radius + 1, dtype=float)
+    rest = sum(g**2 for g in np.meshgrid(*([axis] * (n - 1)), indexing="ij"))
+    total = 0j
+    for x in axis:
+        total += np.sum(np.log1p((c - 1.0) / ((2.0 * math.pi * np.sqrt(x * x + rest)) ** nu + 1.0)))
+    shells = 2 * n * 3 ** (n - 1) * (2 * math.pi) ** -nu * radius ** (n - nu) / (nu - n)
+    x = abs(c - 1.0) / (2.0 * math.pi * radius) ** nu
+    return complex(np.exp(total)), abs(c - 1.0) * shells / (1.0 - x)
+
+
+@pytest.mark.parametrize(
+    "n, nu, c, max_radius, coverage, oracle_radius",
+    [
+        (2, 4.0, 2.0, 16, 64, 400),
+        (2, 4.0, 1.5 + 0.5j, 16, 64, 400),
+        (3, 5.0, 2.0, 4, 16, 60),
+        (3, 6.0, 0.5 - 0.25j, 4, 16, 60),
+    ],
+)
+def test_constant_potential_within_the_bracketed_product(n, nu, c, max_radius, coverage, oracle_radius):
+    head, log_remainder = constant_potential_bracket(c, n, nu, oracle_radius)
+    assert log_remainder < 1e-6
+    result = existence_test(
+        HillProblem(n, nu, {(0,) * n: c}), tol=1e-8, max_radius=max_radius, coverage_radius=coverage
+    )
+    det = result.determinant
+    assert result.decision == "only-trivial" and det.certified_error < 1e-3
+    oracle_error = abs(head) * (math.expm1(log_remainder) + 1e-12)  # + log sum roundoff
+    assert abs(det.value - head) <= det.certified_error + oracle_error
+
+
 def test_constant_potential_certified_in_three_dimensions():
     p = HillProblem(3, 6.0, {(0, 0, 0): 0.5})
     res = hill_determinant(p, 1e-8, max_radius=4, coverage_radius=32)
@@ -500,6 +555,96 @@ def test_separable_potential_ladder_matches_dense_slogdet(second):
         sign, logabs = np.linalg.slogdet(damped_section(pot, step.radius, 2, 3.0))
         reference = sign * math.exp(logabs)
         assert abs(step.value - reference) <= 1e-12 * abs(reference)
+
+
+# even potentials g_-l = g_l, real and complex: centrosymmetric sections
+EVEN_2D = {(0, 0): 2.0, (1, 0): 0.4, (-1, 0): 0.4, (0, 1): 0.3, (0, -1): 0.3, (1, 1): 0.2, (-1, -1): 0.2}
+EVEN_2D_COMPLEX = {(0, 0): 2.0, (1, 0): 0.4 + 0.3j, (-1, 0): 0.4 + 0.3j, (0, 1): 0.3, (0, -1): 0.3}
+EVEN_3D = {
+    (0, 0, 0): 2.0,
+    (1, 0, 0): 0.4, (-1, 0, 0): 0.4,
+    (0, 1, 0): 0.3, (0, -1, 0): 0.3,
+    (0, 0, 1): 0.2, (0, 0, -1): 0.2,
+}
+EVEN_3D_COMPLEX = {
+    (0, 0, 0): 2.5 - 0.5j,
+    (1, 0, 0): 0.3j, (-1, 0, 0): 0.3j,
+    (0, 1, 0): 0.25, (0, -1, 0): 0.25,
+    (1, 1, 1): 0.2, (-1, -1, -1): 0.2,
+}
+NEAR_ROOT_1D = -FOUR_PI_SQ + 0.3  # g_0 near the |k| = 1 root: sigma_min is sin-type
+NEAR_ROOT_2D = -((2.0 * math.pi) ** 3) + 0.5
+
+
+@pytest.mark.parametrize(
+    "n, pot, radius, parity",
+    [
+        (1, {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.8, (-2,): 0.8}, 40, 1),
+        (1, {(0,): 3.0, (1,): 1.0 + 0.5j, (-1,): 1.0 + 0.5j}, 40, 1),
+        (1, {(0,): NEAR_ROOT_1D, (1,): 0.5, (-1,): 0.5}, 40, -1),
+        (1, {(0,): NEAR_ROOT_1D, (1,): 0.5 + 0.2j, (-1,): 0.5 + 0.2j}, 40, -1),
+        (2, EVEN_2D, 10, 1),
+        (2, EVEN_2D_COMPLEX, 10, 1),
+        (2, {(0, 0): NEAR_ROOT_2D, (1, 0): 0.4, (-1, 0): 0.4, (0, 1): 0.3, (0, -1): 0.3}, 8, -1),
+        (3, EVEN_3D, 3, 1),
+        (3, EVEN_3D_COMPLEX, 3, 1),
+    ],
+)
+def test_parity_kernels_match_unsplit_linalg_on_even_hill_sections(n, pot, radius, parity):
+    _, m, links = _dense_section(HillProblem(n, n + 1.0, pot), radius)
+    real = all(complex(v).imag == 0 for v in pot.values())
+    assert m.dtype == (np.float64 if real else np.complex128)
+    blocks = _section_blocks(m, links)
+    assert isinstance(blocks, tuple)
+    assert all(np.array_equal(b, ref) for b, ref in zip(blocks, _parity_blocks(m)))
+    assert abs(_section_det(m) - np.linalg.det(m)) <= 1e-12 * abs(np.linalg.det(m))
+    inv = np.linalg.inv(m)
+    assert np.linalg.norm(_section_inv(m) - inv) <= 1e-12 * np.linalg.norm(inv)
+    svals = np.linalg.svd(m, compute_uv=False)
+    smallest, largest, v = _section_min_singular(m, _section_singular_values(m, links))
+    assert abs(smallest - svals[-1]) <= 1e-12 * svals[-1]
+    assert abs(largest - svals[0]) <= 1e-12 * svals[0]
+    assert v.dtype == m.dtype and abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert np.linalg.norm(m @ np.conj(v)) <= smallest * (1 + 1e-12) + 1e-14
+    # a vector of one parity block: v(-k) = v(k) (even) or -v(k) (odd)
+    assert np.array_equal(v[::-1], parity * v)
+
+
+@pytest.mark.parametrize(
+    "n, pot, radii",
+    [(2, EVEN_2D, [8, 16]), (2, EVEN_2D_COMPLEX, [8, 16]), (3, EVEN_3D, [4]), (3, EVEN_3D_COMPLEX, [4])],
+)
+def test_even_potential_ladder_rungs_match_dense_slogdet(n, pot, radii):
+    nu = n + 1.0
+    p = HillProblem(n, nu, pot)
+    with pytest.raises(NonConvergenceError) as err:
+        hill_determinant(p, 1e-300, max_radius=radii[-1], coverage_radius=4 * radii[-1])
+    ladder = err.value.ladder
+    assert [step.radius for step in ladder] == radii
+    for step in ladder:
+        assert _parity_blocks(_dense_section(p, step.radius)[1]) is not None
+        sign, logabs = np.linalg.slogdet(damped_section(pot, step.radius, n, nu))
+        reference = sign * math.exp(logabs)
+        assert abs(step.value - reference) <= 1e-12 * abs(reference)
+
+
+def test_a_ladder_rung_splits_its_section_once(monkeypatch):
+    # det and inverse of a corrected rung reuse the blocks the rung found
+    calls = {"split": 0, "inverse": 0}
+    split, inverse = _dense._parity_blocks, _dense._parity_inverse
+
+    def count(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(_dense, "_parity_blocks", count("split", split))
+    monkeypatch.setattr(_dense, "_parity_inverse", count("inverse", inverse))
+    p = HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0})
+    result = hill_determinant(p, 1e-6)
+    assert calls["inverse"] == calls["split"] == len(result.ladder) > 1
 
 
 def test_extract_null_solution_degenerate_constant_in_two_dimensions():

@@ -31,11 +31,14 @@ from torusdet.l1_algebra import (
     _coverage_floor,
     _determinant_ladder,
     _ladder_radii,
+    _tail_cross_term,
+    _transpose_pair_sum,
+)
+from torusdet._dense import (
+    _parity_blocks,
     _section_det,
     _section_inv,
     _section_min_singular,
-    _tail_cross_term,
-    _transpose_pair_sum,
 )
 
 
@@ -653,6 +656,49 @@ def test_section_min_singular_tie_goes_to_the_first_window_position():
     smallest, _, v = _section_min_singular(m)
     assert smallest == 2.0
     assert np.flatnonzero(v).tolist() == [1] and abs(v[1]) == 1.0
+
+
+def test_parity_tie_goes_to_the_even_block():
+    # m = sqrt2 x (orthogonal), one component: E = [[0, r], [r, 0]] and
+    # O = [r] with r = fl(sqrt2), so both blocks have sigma_min exactly r
+    r = math.sqrt(2.0)
+    m = np.array([[r / 2, 1.0, -r / 2], [1.0, 0.0, 1.0], [-r / 2, 1.0, r / 2]])
+    even, odd = _parity_blocks(m)
+    sigma = [np.linalg.svd(b, compute_uv=False)[-1] for b in (even, odd)]
+    assert sigma == [r, r]
+    smallest, largest, v = _section_min_singular(m)
+    assert smallest == largest == r
+    assert v[1] != 0 and np.array_equal(v, v[::-1])  # even: v[::-1] = v, odd: = -v
+    assert np.linalg.norm(m @ np.conj(v)) == pytest.approx(r, rel=1e-15)
+
+
+def test_a_singular_parity_block_gives_an_exact_zero():
+    # rows 0 and 2 agree, so O = A - C = [0] while E is invertible
+    m = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 1.0]])
+    even, odd = _parity_blocks(m)
+    assert odd.tolist() == [[0.0]] and np.linalg.det(even) != 0
+    for section in (m, m * (1 - 2j)):
+        assert repr(_section_det(section)) == "0j"
+        with pytest.raises(np.linalg.LinAlgError):
+            _section_inv(section)
+
+
+def test_sections_that_are_not_centrosymmetric_pass_the_matrix_through():
+    # one entry off the reflection, deep inside (first and last rows agree),
+    # and an even order: LAPACK on m, bit for bit
+    rng = np.random.default_rng(15)
+    half = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    m = np.eye(9) + 0.2 * (half + half[::-1, ::-1])
+    assert _parity_blocks(m) is not None
+    m[4, 6] += 0.5
+    even_order = np.eye(8) + 0.2 * (half[:8, :8] + half[:8, :8][::-1, ::-1])
+    for section in (m, m.real.copy(), even_order):
+        assert _parity_blocks(section) is None
+        assert _section_det(section) == complex(np.linalg.det(section))
+        assert np.array_equal(_section_inv(section), np.linalg.inv(section))
+        _, svals, vh = np.linalg.svd(section)
+        smallest, largest, v = _section_min_singular(section)
+        assert (smallest, largest) == (svals[-1], svals[0]) and np.array_equal(v, vh[-1])
 
 
 def test_sections_are_real_exactly_when_the_values_are():
