@@ -368,9 +368,9 @@ def _largest_head(dimension):
 
 
 def _head_radius(p: HillProblem, tol, max_radius):
-    """Head radius K for :func:`hill_determinant` at ``tol``.
+    """Default head radius K of :func:`hill_determinant` and :func:`existence_test`.
 
-    K doubles from max(4 max_radius, 64) until the brackets beyond K move
+    K doubles from max(4 max_radius, 1024) until the brackets beyond K move
     the log of the corrected value by at most tol / 16, or until the head
     window would pass ``_HEAD_POINTS`` points.
     """
@@ -386,7 +386,7 @@ def _head_radius(p: HillProblem, tol, max_radius):
         square = float(np.sum(weights * _square_tail(k, reach, n, p.nu)))
         return g0 * 0.5 * (hi - lo) + 0.25 * square
 
-    k = min(max(4 * max_radius, 64), largest)
+    k = min(max(4 * max_radius, 1024), largest)
     while bracket_error(k) > tol / 16.0 and 2 * k <= largest:
         k *= 2
     return k
@@ -403,8 +403,8 @@ def hill_determinant(p: HillProblem, tol, max_radius=64, coverage_radius=None):
     then the one of :func:`poincare_determinant`: the Lipschitz bound, or
     the second-order correction whose error is the bracket half-widths plus
     the third-order remainder s^3 / (3(1 - s)).  By default the head radius
-    is picked from ``tol``: the brackets must move the result by under
-    tol / 16 (in 1-D a few hundred), with at most 2049^2 head points.
+    is :func:`_head_radius` at ``tol``: the brackets must move the result by
+    under tol / 16, with at most 2049^2 head points.
     A ladder that stops short of ``tol`` raises ``NonConvergenceError``.
     """
     if coverage_radius is None:
@@ -425,17 +425,16 @@ def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None
     Maps the three-valued determinant test: a certified nonzero determinant means
     only the trivial solution, a certified zero means a nontrivial solution
     exists.  The determinant is the ladder of :func:`hill_determinant`, with
-    the head radius ``coverage_radius`` of its lattice sums defaulting to
-    max(4 max_radius, 1024) (at most 2049^2 head points, so at most 80 in
-    3-D); a ladder that stops short of ``tol`` still
-    decides with its best value and bound.  When the determinant alone stays
-    undecided, a finitely supported
-    candidate null vector from the window SVD is checked against every row of
-    the infinite matrix it touches (exactly computable because g has finite
-    support); a vanishing residual certifies singularity.
+    the same default head radius ``coverage_radius`` of its lattice sums
+    (:func:`_head_radius` at ``tol``); a ladder that stops short of ``tol``
+    still decides with its best value and bound.  When the determinant alone
+    stays undecided, a finitely supported candidate null vector from the
+    window SVD is checked against every row of the infinite matrix it touches
+    (exactly computable because g has finite support); a vanishing residual
+    certifies singularity.
     """
     if coverage_radius is None:
-        coverage_radius = min(max(4 * max_radius, 1024), _largest_head(p.dimension))
+        coverage_radius = _head_radius(p, tol, max_radius)
     det, _ = _determinant_ladder(_HillTails(p, coverage_radius, max_radius), tol)
     decision = determinant_decision(det, tol)
     if decision == "invertible":
@@ -529,10 +528,12 @@ def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
     _, dense, links = _dense_section(p, w.radius)
     values = _section_singular_values(dense, links)
     if values[0] > threshold:
+        smallest = values[0]
+        del dense, links, values  # a caught error keeps this frame alive
         raise NoNullSolutionError(
-            f"smallest singular value {values[0]:.3e} exceeds threshold "
+            f"smallest singular value {smallest:.3e} exceeds threshold "
             f"{threshold:.3e}; no null solution on this window",
-            singular_value=values[0],
+            singular_value=smallest,
         )
     smallest, _, v = _section_min_singular(dense, values)
     b_vec = np.conj(v)

@@ -427,11 +427,12 @@ class TailModel:
     ``exact-finite`` asserts the stored entries are the whole operator.
     ``user-bound`` carries a nonincreasing function ``N -> upper bound on the
     l1 mass of the operator outside the window of radius N``; stored entries
-    must be the operator's exact entries within their coverage window.
-    Ladders read the bound no further out than that window's radius C: a
-    wider window has the same entries and bound, so they end at
-    min(C, max_radius), and one ending at C short of its tolerance names C
-    and the bound there in its :class:`NonConvergenceError`.
+    must be the operator's exact entries within their coverage window, of
+    radius C.  So :func:`truncate` and both ladders bound the tail of the
+    section F_R on the window of radius R by one rule: ``||A - F_R||_1 <=``
+    the discarded stored mass plus ``bound(C)``.  A wider window than C has
+    the same entries and bound, so ladders end at min(C, max_radius), and
+    one ending at C short of its tolerance names C and the bound there.
     """
 
     kind: str
@@ -542,11 +543,9 @@ def _add_identity(dense):
 def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
     """Dense finite section on the window plus the certified tail mass.
 
-    ``tail_norm`` is the l1 mass of discarded stored entries plus the tail
-    model's bound at the window radius; it dominates the l1 distance between
-    the operator and the embedded section.  The model bound is evaluated no
-    further out than the stored coverage radius: beyond it the stored data
-    stops representing the operator, so the bound may not shrink further.
+    ``tail_norm`` bounds the l1 distance between the operator and the
+    embedded section: the discarded stored mass plus the tail model's bound
+    at the coverage radius, the rule of both ladders (see :class:`TailModel`).
     Only the entries of the window's :func:`_row_span` are read.
     """
     if w.dimension != a.dimension:
@@ -557,8 +556,7 @@ def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
     vals = a.vals[inside]
     dense, _ = _section_matrix(a.rows[inside], a.cols[inside], vals, w)
     stored_tail = _discarded_mass(a, float(np.sum(np.abs(vals))), w.radius)
-    bound_radius = min(w.radius, a.support_radius)
-    return FiniteSection(w, dense), stored_tail + tail.bound_at(bound_radius)
+    return FiniteSection(w, dense), stored_tail + tail.bound_at(a.support_radius)
 
 
 def finite_trace(f: FiniteSection):
@@ -633,45 +631,35 @@ def _coverage_floor(coverage, unstored, max_radius):
 def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
     """Extended trace: diagonal sums over growing windows, with certification.
 
-    Stops at the first ladder window whose tail mass is at most ``tol``; the
-    trace tail is dominated by the l1 tail, so that mass certifies the error.
-    The ladder ends at min(C, ``max_radius``), C the support radius: a wider
-    window has rung C's entries and tail bound (see :class:`TailModel`).  If
-    it ends at C short of ``tol``, the error names C and the bound there.
-
-    Rung i reads only the entries that entered its :func:`_row_span` since
-    rung i - 1; those outside it are bucketed once, by the first rung that
-    holds them.  The discarded stored mass is ``||A||_1`` minus the mass
-    inside.  Entries beyond the stopping rung's span are never read.
+    Stops at the first ladder window whose tail mass, the one of
+    :func:`truncate`, is at most ``tol``; the trace tail is dominated by the
+    l1 tail, so that mass certifies the error.  The ladder ends at
+    min(C, ``max_radius``), C the support radius (see :class:`TailModel`);
+    if it ends at C short of ``tol``, the error names C and the bound there.
+    Rung i reads its whole :func:`_row_span`, so the ladder reads at most
+    twice the stopping span; the stopping rung sums its diagonal rung bucket
+    by rung bucket, each bucket in canonical order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     coverage = a.support_radius
+    unstored = tail.bound_at(coverage)
     radii = _ladder_radii(min(coverage, max_radius))
-    # mass of the entries already read that enter a later rung, by that rung
-    pending = np.zeros(len(radii) + 1)
-    inside_mass = 0.0
-    lo = hi = _row_span(a, radii[0])[0]  # empty, so rung 0 reads its whole span
-    pieces, attempts = [], []
+    attempts = []
     for i, n in enumerate(radii):
-        new_lo, new_hi = _row_span(a, n)
-        for part in (slice(new_lo, lo), slice(hi, new_hi)):
-            r = _entry_radii(a, part)
-            mass = np.abs(a.vals[part])
-            out = r > n
-            inside_mass += float(np.sum(mass, where=~out))
-            at = np.flatnonzero(out)
-            b = _rung_buckets(r[at], radii)
-            pending += np.bincount(b, weights=mass[at], minlength=len(pending))
-            pieces.append((part, i, part.start + at, b))
-        lo, hi = new_lo, new_hi
-        inside_mass += float(pending[i])
-        t_n = _discarded_mass(a, inside_mass, n) + tail.bound_at(n)
+        lo, hi = _row_span(a, n)
+        r = _entry_radii(a, slice(lo, hi))
+        inside_mass = float(np.sum(np.abs(a.vals[lo:hi])[r <= n]))
+        t_n = _discarded_mass(a, inside_mass, n) + unstored
         attempts.append((int(n), t_n))
         if t_n <= tol:
-            value = _diagonal_sum(a, lo, hi, pieces, i)
-            return TraceResult(value=value, certified_error=t_n)
-    stop = _coverage_floor(coverage, tail.bound_at(coverage), max_radius) or (
+            b, d = _rung_buckets(r, radii), a.vals[lo:hi]
+            if a.cols is not a.rows:
+                b, d = b[a.diag_mask[lo:hi]], d[a.diag_mask[lo:hi]]
+            total = lambda w: np.cumsum(np.bincount(b, weights=w, minlength=i + 1))[i]
+            value = total(d.real) + 1j * (total(d.imag) if np.iscomplexobj(d) else 0.0)
+            return TraceResult(value=complex(value), certified_error=t_n)
+    stop = _coverage_floor(coverage, unstored, max_radius) or (
         f"by radius {max_radius}: ladder tail {attempts[-3:]}"
     )
     raise NonConvergenceError(
@@ -679,25 +667,6 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
         ladder=attempts,
         last_bound=attempts[-1][1],
     )
-
-
-def _diagonal_sum(a, lo, hi, pieces, rung):
-    """Sum of the diagonal entries inside rung ``rung``, read from its span [lo, hi).
-
-    ``pieces`` are the parts of the span the trace ladder read, each with
-    the rung that read it and the positions and buckets of its entries
-    outside that rung.  One bincount over the span sums bucket by bucket in
-    canonical order, and the cumulative sum adds the buckets up to the rung.
-    """
-    b = np.empty(hi - lo, dtype=np.intp)
-    for part, i, at, out_buckets in pieces:
-        b[part.start - lo : part.stop - lo] = i
-        b[at - lo] = out_buckets
-    d = a.vals[lo:hi]
-    if a.cols is not a.rows:
-        b, d = b[a.diag_mask[lo:hi]], d[a.diag_mask[lo:hi]]
-    total = lambda w: np.cumsum(np.bincount(b, weights=w, minlength=rung + 1))[rung]
-    return complex(total(d.real) + 1j * (total(d.imag) if np.iscomplexobj(d) else 0.0))
 
 
 def _transpose_pair_sum(rows, cols, vals):

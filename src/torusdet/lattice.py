@@ -54,11 +54,6 @@ def euclid_norm_array(coords):
     return np.sqrt(np.sum(coords * coords, axis=1))
 
 
-def sup_norm(k):
-    """Sup norm max_i |k_i| of an index tuple."""
-    return max(abs(c) for c in as_index(k))
-
-
 def sup_norm_array(coords):
     """Vectorized sup norm for an (m, n) coordinate array."""
     coords = np.asarray(coords)

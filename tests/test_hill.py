@@ -296,6 +296,25 @@ def test_extract_null_solution_refuses_invertible_problem():
     assert err.value.singular_value > 0.5
 
 
+def test_a_caught_no_null_solution_error_holds_no_section():
+    import tracemalloc
+
+    # the 841-point section and its SVD take about 6.8 MB
+    p = HillProblem(2, 3.0, {(0, 0): 2, (1, 0): 0.3, (-1, 0): 0.3, (0, 1): 0.2, (0, -1): 0.2})
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        try:
+            extract_null_solution(p, TruncationWindow(14, 2))
+        except NoNullSolutionError as err:
+            caught = err
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert caught.singular_value > 1e-6
+    assert held - before < 0.1 * 2**20
+
+
 def test_scan_diagonal_roots():
     p = HillProblem(1, 2.0, {})
     lambdas = [float(x) for x in np.linspace(-90.0, 10.0, 201)]

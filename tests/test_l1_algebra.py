@@ -235,6 +235,20 @@ def test_truncate_diagonal_family_integral_bound():
     assert true_tail <= tail_mass
 
 
+def test_stored_tail_is_the_discarded_mass_plus_the_bound_at_coverage():
+    # stored to radius 40 with a tail bound 1e-4 / r: the mass in (16, 40]
+    # is stored and counted once, and the bound is read at 40, not at 16
+    k = np.arange(-40, 41)[:, None]
+    a = SparseL1Matrix.from_canonical_arrays(1, k, k, 1e-3 / (1.0 + k[:, 0] ** 2.0))
+    tail = TailModel.user_bound(lambda r: 1e-4 / max(r, 1))
+    discarded = float(np.sum(np.abs(a.vals[np.abs(k[:, 0]) > 16])))
+    want = discarded + tail.bound_at(40)
+    trace = poincare_trace(a, tail, 1e-4, max_radius=16)
+    _, tail_mass = truncate(a, tail, TruncationWindow(16, 1))
+    assert trace.certified_error == pytest.approx(want, rel=1e-12)
+    assert tail_mass == pytest.approx(want, rel=1e-12)
+
+
 # --- finite sections: trace and determinant
 
 
@@ -356,6 +370,27 @@ def test_poincare_trace_coth_family():
     assert abs(res.value - oracle) <= res.certified_error
     assert abs(res.value - oracle) <= 1e-6
     assert res.certified_error <= 1e-6
+
+
+def test_poincare_trace_separable_2d_family():
+    # a_k = c f(k_1) f(k_2), f(k) = 1 / (4 pi^2 k^2 + 1), stored to radius
+    # 160; sum f = coth(1/2) / 2 = S, and the 1-D integral bound
+    # t(N) = (pi/2 - atan(2 pi N)) / pi on sum_{|k|>N} f gives the union
+    # bound 2 c S t(N) on the mass outside the window of radius N
+    c, coverage = 1e-3, 160
+    s = 0.5 / math.tanh(0.5)
+    f = lambda k: 1.0 / (4 * np.pi**2 * k.astype(float) ** 2 + 1.0)
+    pts = TruncationWindow(coverage, 2).coords_array()
+    a = SparseL1Matrix.from_canonical_arrays(2, pts, pts, c * f(pts[:, 0]) * f(pts[:, 1]))
+    tail = TailModel.user_bound(
+        lambda r: 2 * c * s * (math.pi / 2 - math.atan(2 * math.pi * r)) / math.pi
+    )
+    res = poincare_trace(a, tail, 1e-6)
+    assert res.certified_error <= 1e-6
+    # stopped inside the coverage radius, where its span holds entries
+    # with |k_2| beyond the window
+    assert res.certified_error > tail.bound_at(coverage)
+    assert abs(res.value - c * s * s) <= res.certified_error
 
 
 def test_poincare_trace_nonconvergence_has_diagnostics():
@@ -900,7 +935,8 @@ def reference_trace(a, tail, tol, max_radius):
     rung bucket by rung bucket, each bucket in canonical order, as the
     library does.
     """
-    radii = _ladder_radii(min(int(np.max(a.entry_radii)) if a.nnz else 0, max_radius))
+    coverage = int(np.max(a.entry_radii)) if a.nnz else 0
+    radii = _ladder_radii(min(coverage, max_radius))
     diag = np.all(a.rows == a.cols, axis=1)
     re = im = 0.0
     attempts = []
@@ -912,7 +948,7 @@ def reference_trace(a, tail, tol, max_radius):
             b_im += float(np.imag(v))
         re, im = re + b_re, im + b_im
         discarded = float(np.sum(np.abs(a.vals[a.entry_radii > n])))
-        t_n = discarded + tail.bound_at(n)
+        t_n = discarded + tail.bound_at(coverage)
         attempts.append((n, t_n, discarded))
         if t_n <= tol:
             return complex(re, im), attempts
@@ -931,7 +967,7 @@ def reference_truncate(a, tail, radius):
     dense[pos(a.rows[inside]), pos(a.cols[inside])] = vals.real if real else vals
     coverage = int(np.max(a.entry_radii)) if a.nnz else 0
     discarded = float(np.sum(np.abs(a.vals[~inside])))
-    return dense, discarded + tail.bound_at(min(radius, coverage)), discarded
+    return dense, discarded + tail.bound_at(coverage), discarded
 
 
 def canonical_ladder_matrices(rng, n, support):
