@@ -353,8 +353,7 @@ class _HillTails:
         row_in, col_in = self._inside(rung)
         out = ~(row_in & col_in)
         return _tail_cross_term(
-            g_dense, window.radius, self.dimension,
-            self.rows[out], self.cols[out], self.vals[out],
+            g_dense, window.radius, self.rows[out], self.cols[out], self.vals[out]
         )
 
     def moments(self, rung, f_norm, g_dense, g1, window):

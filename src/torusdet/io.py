@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .hill import HillProblem, InfeasibleOrderError
 from .l1_algebra import SparseL1Matrix, TailModel
 from .toroidal import (
@@ -19,6 +17,7 @@ from .toroidal import (
     MultiplicationSymbol,
     MultiplierSymbol,
     SymbolSum,
+    _tabulated_rule,
     fractional_laplacian_symbol,
 )
 
@@ -118,16 +117,6 @@ def parse_matrix_document(doc):
     return SparseL1Matrix(n, entries), tail
 
 
-def _tabulated_rule(values):
-    def rule(k_coords):
-        return np.asarray(
-            [values.get(tuple(int(c) for c in k), 0.0) for k in k_coords],
-            dtype=np.complex128,
-        )
-
-    return rule
-
-
 def parse_symbol_document(doc):
     """Symbol document -> ToroidalSymbol."""
     n = _parse_dimension(doc, "symbol")
@@ -148,7 +137,7 @@ def parse_symbol_document(doc):
             where = f"symbol.values[{i}]"
             idx = _parse_index(_require(e, "index", list, where), n, f"{where}.index")
             values[idx] = _parse_complex(e, where)
-        return MultiplierSymbol(n, _tabulated_rule(values), order_m=order_m)
+        return MultiplierSymbol(n, _tabulated_rule(values, n), order_m=order_m)
 
     if kind == "multiplication":
         coeffs = {}
@@ -165,7 +154,7 @@ def parse_symbol_document(doc):
             off = _parse_index(_require(e, "offset", list, where), n, f"{where}.offset")
             idx = _parse_index(_require(e, "index", list, where), n, f"{where}.index")
             table.setdefault(off, {})[idx] = _parse_complex(e, where)
-        rules = {off: _tabulated_rule(vals) for off, vals in table.items()}
+        rules = {off: _tabulated_rule(vals, n) for off, vals in table.items()}
         return CoefficientTableSymbol(n, rules, order_m=order_m)
 
     if kind == "sum":

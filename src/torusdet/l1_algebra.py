@@ -37,7 +37,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._dense import _section_blocks, _section_det, _section_inv
-from .lattice import TruncationWindow, as_index, sup_norm_array
+from .lattice import (
+    TruncationWindow,
+    as_index,
+    index_keys,
+    matching_pairs,
+    sup_norm_array,
+    window_positions,
+)
 
 _EXP_CAP = 700.0  # exp argument beyond which bounds are reported as inf
 
@@ -76,9 +83,16 @@ def _as_coord_array(coords, count, dimension):
     return coords
 
 
-def _canonical_order(rows, cols):
-    combined = np.concatenate([rows, cols], axis=1)
-    return np.lexsort(combined[:, ::-1].T), combined
+def _run_sums(keys, vals):
+    """First position and value sum of each run of equal sorted ``keys``.
+
+    Each run is summed in array order, whatever the dtype of ``vals``.
+    """
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    sums = np.zeros(np.count_nonzero(first), dtype=vals.dtype)
+    np.add.at(sums, np.cumsum(first) - 1, vals)
+    return np.flatnonzero(first), sums
 
 
 class SparseL1Matrix:
@@ -141,30 +155,20 @@ class SparseL1Matrix:
     def _canonicalize(rows, cols, vals):
         if len(vals) == 0:
             return rows, cols, vals
+        combined = np.concatenate([rows, cols], axis=1)
+        (keys,) = index_keys(combined)
         # fast path: input already strictly sorted, duplicate free, zero free
-        packed = _try_pack(np.concatenate([rows, cols], axis=1))
-        if (
-            packed is not None
-            and np.all(packed[1:] > packed[:-1])
-            and not np.any(vals == 0)
-        ):
+        if np.all(keys[1:] > keys[:-1]) and not np.any(vals == 0):
             return (
                 np.ascontiguousarray(rows),
                 np.ascontiguousarray(cols),
                 np.ascontiguousarray(vals),
             )
-        order, combined = _canonical_order(rows, cols)
-        combined = combined[order]
-        vals = vals[order]
-        new_group = np.ones(len(vals), dtype=bool)
-        np.any(combined[1:] != combined[:-1], axis=1, out=new_group[1:])
-        group_ids = np.cumsum(new_group) - 1
-        summed = np.zeros(group_ids[-1] + 1, dtype=vals.dtype)
-        np.add.at(summed, group_ids, vals)
-        firsts = np.flatnonzero(new_group)
+        order = np.argsort(keys, kind="stable")
+        firsts, summed = _run_sums(keys[order], vals[order])
         keep = summed != 0
+        combined = combined[order[firsts[keep]]]
         n = rows.shape[1]
-        combined = combined[firsts][keep]
         return (
             np.ascontiguousarray(combined[:, :n]),
             np.ascontiguousarray(combined[:, n:]),
@@ -185,14 +189,16 @@ class SparseL1Matrix:
     def from_canonical_arrays(cls, dimension, rows, cols, vals, norm=None):
         """Adopt arrays the caller guarantees are already canonical.
 
-        Canonical means: lexicographically sorted by (row, col), duplicate
-        free, no exact zeros.  No verification passes are made, so huge
-        structured matrices (analytic diagonals, bands) build in O(1) extra
-        memory; ``norm`` may supply a precomputed l1 norm.  Passing the same
-        array object for rows and cols marks the matrix as diagonal.  The
-        trace and determinant ladders and :func:`truncate` locate each
-        window's entries by binary search on the first row coordinate, so
-        arrays mislabelled as canonical give wrong windows, not an error.
+        Canonical means: sorted by (row, col) lexicographically, the order of
+        :func:`~torusdet.lattice.index_keys` on rows and cols side by side,
+        duplicate free, no exact zeros.  No verification passes are made, so
+        huge structured matrices (analytic diagonals, bands) build in O(1)
+        extra memory; ``norm`` may supply a precomputed l1 norm.  Passing the
+        same array object for rows and cols marks the matrix as diagonal.
+        The trace and determinant ladders and :func:`truncate` locate each
+        window's entries by binary search on the first row coordinate, and
+        :func:`apply` sums its output row by row in stored order, so arrays
+        mislabelled as canonical give wrong windows and sums, not an error.
         """
         return cls.__new__(cls)._adopt(
             dimension, rows, cols, vals, norm=norm, canonical=True
@@ -301,44 +307,6 @@ def transpose(a: SparseL1Matrix):
     return a.transpose()
 
 
-def _pack_rows(coords, base, offset):
-    packed = np.zeros(len(coords), dtype=np.int64)
-    for i in range(coords.shape[1]):
-        packed = packed * base + (coords[:, i] + offset)
-    return packed
-
-
-def _try_pack(coords):
-    """Lexicographic int64 keys for coordinate rows, or None on overflow."""
-    if len(coords) == 0:
-        return np.zeros(0, dtype=np.int64)
-    m = int(np.max(np.abs(coords))) if coords.size else 0
-    base = 2 * m + 2
-    if base ** coords.shape[1] >= 2**62:
-        return None
-    return _pack_rows(coords, base, m)
-
-
-def _pack_keys(*coord_arrays):
-    """Pack multi-index arrays into comparable int64 keys (shared encoding).
-
-    Falls back to positional factorization via ``np.unique`` when the packed
-    range would overflow 64 bits.
-    """
-    stacked = np.concatenate([c for c in coord_arrays], axis=0)
-    if len(stacked) == 0:
-        return [np.zeros(0, dtype=np.int64) for _ in coord_arrays]
-    packed = _try_pack(stacked)
-    if packed is None:
-        _, packed = np.unique(stacked, axis=0, return_inverse=True)
-    out = []
-    pos = 0
-    for c in coord_arrays:
-        out.append(packed[pos : pos + len(c)])
-        pos += len(c)
-    return out
-
-
 def compose(a: SparseL1Matrix, b: SparseL1Matrix):
     """Matrix product (AB)[j, l] = sum_i A[j, i] B[i, l].
 
@@ -346,34 +314,11 @@ def compose(a: SparseL1Matrix, b: SparseL1Matrix):
     """
     if a.dimension != b.dimension:
         raise DimensionMismatchError(f"dimension {a.dimension} vs {b.dimension}")
-    n = a.dimension
-    if a.nnz == 0 or b.nnz == 0:
-        return SparseL1Matrix.zero(n)
-    a_mid, b_mid = _pack_keys(a.cols, b.rows)
-    a_order = np.argsort(a_mid, kind="stable")
-    b_order = np.argsort(b_mid, kind="stable")
-    a_mid_s = a_mid[a_order]
-    b_mid_s = b_mid[b_order]
-    shared = np.intersect1d(a_mid_s, b_mid_s)
-    out_rows, out_cols, out_vals = [], [], []
-    for key in shared:
-        ai = slice(*np.searchsorted(a_mid_s, [key, key + 1]))
-        bi = slice(*np.searchsorted(b_mid_s, [key, key + 1]))
-        ar = a.rows[a_order[ai]]
-        av = a.vals[a_order[ai]]
-        bc = b.cols[b_order[bi]]
-        bv = b.vals[b_order[bi]]
-        ca, cb = len(av), len(bv)
-        out_rows.append(np.repeat(ar, cb, axis=0))
-        out_cols.append(np.tile(bc, (ca, 1)))
-        out_vals.append((av[:, None] * bv[None, :]).ravel())
-    if not out_vals:
-        return SparseL1Matrix.zero(n)
+    i, j = matching_pairs(*index_keys(a.cols, b.rows))
+    if len(i) == 0:
+        return SparseL1Matrix.zero(a.dimension)
     return SparseL1Matrix.from_arrays(
-        n,
-        np.concatenate(out_rows),
-        np.concatenate(out_cols),
-        np.concatenate(out_vals),
+        a.dimension, a.rows[i], b.cols[j], a.vals[i] * b.vals[j]
     )
 
 
@@ -397,27 +342,16 @@ def apply(a: SparseL1Matrix, x, p=2):
     """
     del p  # the bound holds for every p; the action itself is p-independent
     n = a.dimension
-    if not x or a.nnz == 0:
-        return {}
     xk = np.array([as_index(k, n) for k in x], dtype=np.int64).reshape(len(x), n)
     xv = np.fromiter(x.values(), dtype=np.complex128, count=len(x))
-    a_keys, x_keys = _pack_keys(a.cols, xk)
-    x_order = np.argsort(x_keys, kind="stable")
-    pos = np.searchsorted(x_keys[x_order], a_keys)
-    pos = np.clip(pos, 0, len(x_keys) - 1)
-    hit = x_keys[x_order][pos] == a_keys
-    if not np.any(hit):
-        return {}
-    contrib = a.vals[hit] * xv[x_order[pos[hit]]]
-    out_rows = a.rows[hit]
-    urows, inv = np.unique(out_rows, axis=0, return_inverse=True)
-    acc = np.zeros(len(urows), dtype=np.complex128)
-    np.add.at(acc, inv, contrib)
-    result = {}
-    for r, v in zip(urows, acc):
-        if v != 0:
-            result[tuple(int(c) for c in r)] = complex(v)
-    return result
+    i, j = matching_pairs(*index_keys(a.cols, xk))
+    rows = a.rows[i]  # sorted, as i ascends in canonical order
+    firsts, sums = _run_sums(index_keys(rows)[0], a.vals[i] * xv[j])
+    return {
+        tuple(int(c) for c in r): complex(v)
+        for r, v in zip(rows[firsts], sums)
+        if v != 0
+    }
 
 
 @dataclass(frozen=True)
@@ -503,14 +437,6 @@ class TraceResult:
 _SECTION_SIZE_LIMIT = 20_000
 
 
-def _window_positions(coords, radius, dimension):
-    width = 2 * radius + 1
-    pos = np.zeros(len(coords), dtype=np.int64)
-    for i in range(dimension):
-        pos = pos * width + (coords[:, i] + radius)
-    return pos
-
-
 def _check_section_size(w: TruncationWindow):
     if w.size > _SECTION_SIZE_LIMIT:
         raise ValueError(
@@ -528,8 +454,8 @@ def _section_matrix(rows, cols, vals, window):
     """
     real = not np.any(vals.imag)
     dense = np.zeros((window.size, window.size), np.float64 if real else np.complex128)
-    r = _window_positions(rows, window.radius, window.dimension)
-    c = _window_positions(cols, window.radius, window.dimension)
+    r = window_positions(rows, window.radius)
+    c = window_positions(cols, window.radius)
     dense[r, c] = vals.real if real else vals
     return dense, (r, c)
 
@@ -571,6 +497,11 @@ def finite_determinant(f: FiniteSection):
 
 def _safe_exp(x):
     return math.inf if x > _EXP_CAP else math.exp(x)
+
+
+def _det_slack(det_n, size):
+    """Roundoff bound on ``det_n``, the LU determinant of a size x size section."""
+    return abs(det_n) * size * 5e-15
 
 
 def _ladder_radii(top):
@@ -649,7 +580,10 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
     for i, n in enumerate(radii):
         lo, hi = _row_span(a, n)
         r = _entry_radii(a, slice(lo, hi))
-        inside_mass = float(np.sum(np.abs(a.vals[lo:hi])[r <= n]))
+        # from C on nothing stored is discarded, whatever the mass inside
+        inside_mass = (
+            float(np.sum(np.abs(a.vals[lo:hi])[r <= n])) if n < coverage else 0.0
+        )
         t_n = _discarded_mass(a, inside_mass, n) + unstored
         attempts.append((int(n), t_n))
         if t_n <= tol:
@@ -671,41 +605,28 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
 
 def _transpose_pair_sum(rows, cols, vals):
     """Sum of T[i,j] T[j,i] over off-diagonal entries whose transpose is stored."""
-    if len(vals) == 0:
-        return 0.0j
-    fwd, rev = _pack_keys(
+    fwd, rev = index_keys(
         np.concatenate([rows, cols], axis=1), np.concatenate([cols, rows], axis=1)
     )
-    order = np.argsort(fwd, kind="stable")
-    pos = np.searchsorted(fwd[order], rev)
-    pos = np.clip(pos, 0, len(fwd) - 1)
-    hit = fwd[order][pos] == rev
-    return complex(np.sum(vals[hit] * vals[order[pos[hit]]]))
+    i, j = matching_pairs(rev, fwd)
+    return complex(np.sum(vals[i] * vals[j]))
 
 
-def _tail_cross_term(g_dense, radius, dimension, rows, cols, vals):
+def _tail_cross_term(g_dense, radius, rows, cols, vals):
     """Tr(G T^2) with G dense on the window and T supported off the window.
 
     Only T[b, c] with b inside and c outside meets T[c, a] with c outside and
     a inside, so ``Tr(G T^2) = sum G[a, b] T[b, c] T[c, a]`` over those
-    pairs; each row-in/col-out entry is expanded against the sorted range of
-    row-out/col-in entries sharing its outside index, as in :func:`compose`.
+    pairs, the :func:`~torusdet.lattice.matching_pairs` of their outside
+    indices.
     """
     row_in = sup_norm_array(rows) <= radius
     col_in = sup_norm_array(cols) <= radius
     wo = row_in & ~col_in  # T[b, c]: b in window, c outside
     ow = ~row_in & col_in  # T[c, a]: c outside, a in window
-    if not (np.any(wo) and np.any(ow)):
-        return 0.0j
-    mid_wo, mid_ow = _pack_keys(cols[wo], rows[ow])
-    order = np.argsort(mid_ow, kind="stable")
-    mid_sorted = mid_ow[order]
-    lo = np.searchsorted(mid_sorted, mid_wo, side="left")
-    counts = np.searchsorted(mid_sorted, mid_wo, side="right") - lo
-    i = np.repeat(np.arange(len(mid_wo)), counts)
-    j = order[np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
-    b_pos = _window_positions(rows[wo], radius, dimension)
-    a_pos = _window_positions(cols[ow], radius, dimension)
+    i, j = matching_pairs(*index_keys(cols[wo], rows[ow]))
+    b_pos = window_positions(rows[wo], radius)
+    a_pos = window_positions(cols[ow], radius)
     return complex(np.sum(g_dense[a_pos[j], b_pos[i]] * vals[wo][i] * vals[ow][j]))
 
 
@@ -826,9 +747,7 @@ class _LadderTails:
             rows = np.concatenate([rows, s_rows])
             cols = np.concatenate([cols, s_cols])
             vals = np.concatenate([vals, s_vals])
-        cross = _tail_cross_term(
-            g_dense, window.radius, window.dimension, rows, cols, vals
-        )
+        cross = _tail_cross_term(g_dense, window.radius, rows, cols, vals)
         return tr_t2, cross
 
 
@@ -898,13 +817,15 @@ def _determinant_ladder(tails, tol):
         blocks = _section_blocks(section, links)
         det_n = _section_det(section, blocks)
         t_total, norm_upper = tails.l1_tail(i, f_norm)
-        # an empty tail certifies the section exactly, however large the norm
-        b_raw = t_total * _safe_exp(1.0 + norm_upper + f_norm) if t_total else 0.0
+        if t_total:
+            b_raw = t_total * _safe_exp(1.0 + norm_upper + f_norm)
+        else:  # the section is the operator: only LU roundoff, none for I + 0
+            b_raw = _det_slack(det_n, window.size) if f_norm else 0.0
 
         value, bound = det_n, b_raw
         raw_value_bound = b_raw
-        # a corrected bound can only matter against a nonzero raw bound
-        if b_raw != 0:
+        # with no tail there is nothing to correct
+        if t_total:
             corrected = _corrected_step(
                 tails, i, section, blocks, window, det_n, f_norm, t_total
             )
@@ -956,8 +877,7 @@ def _corrected_step(tails, rung, section, blocks, window, det_n, f_norm, t_total
         log_err = e1 + 0.5 * e2 + s**3 / (3.0 * (1.0 - s))
     log_err += 1e-14 * (1.0 + abs(c1) + abs(c2))  # accumulation roundoff slack
     value = det_n * np.exp(omega)
-    det_slack = abs(det_n) * size * 5e-15  # LU determinant roundoff
-    bound = abs(value) * math.expm1(min(log_err, _EXP_CAP)) + det_slack
+    bound = abs(value) * math.expm1(min(log_err, _EXP_CAP)) + _det_slack(det_n, size)
     return complex(value), float(bound)
 
 

@@ -4,6 +4,13 @@ Indices are plain tuples of Python ints in the public API and int64 arrays of
 shape (count, n) internally.  Truncation windows are symmetric sup-norm boxes
 [-N, N]^n, enumerated in lexicographic order so that every reduction over a
 window is reproducible bit for bit.
+
+Every match of entries by multi-index goes through one key and one join:
+:func:`index_keys` encodes index rows as int64 keys that sort like the rows,
+and :func:`matching_pairs` lists the equal-key pairs of two key arrays.  The
+matrix canonical order, products, applications, the trace sums of the
+determinant ladder and tabulated symbols are all built on them;
+:func:`window_positions` places rows inside one window.
 """
 
 from __future__ import annotations
@@ -143,6 +150,49 @@ def window_position(w: TruncationWindow, k):
     for c in k:
         pos = pos * width + (c + w.radius)
     return pos
+
+
+def window_positions(coords, radius):
+    """:func:`window_position` of each row of an (m, n) array inside the window."""
+    pos = np.zeros(len(coords), dtype=np.int64)
+    for i in range(coords.shape[1]):
+        pos = pos * (2 * radius + 1) + coords[:, i] + radius
+    return pos
+
+
+def index_keys(*coord_arrays):
+    """One int64 key array per (m_i, n) coordinate array, on a shared encoding.
+
+    Equal rows get equal keys, and keys sort like the rows lexicographically,
+    so one sort or binary search on keys orders or matches multi-indices.
+    The keys are the rows' :func:`window_positions` in the window of radius
+    M, the largest |coordinate|; when that window has 2^62 points or more
+    they are the rows' ranks from ``np.unique`` instead.
+    """
+    stacked = np.concatenate(coord_arrays, axis=0)
+    if len(stacked) == 0:
+        return [np.zeros(0, dtype=np.int64) for _ in coord_arrays]
+    m = int(np.max(np.abs(stacked)))
+    if (2 * m + 1) ** stacked.shape[1] < 2**62:
+        keys = window_positions(stacked, m)
+    else:
+        keys = np.unique(stacked, axis=0, return_inverse=True)[1].reshape(-1)
+    return np.split(keys, np.cumsum([len(c) for c in coord_arrays[:-1]]))
+
+
+def matching_pairs(left, right):
+    """Every (i, j) with ``left[i] == right[j]``, for 1-D key arrays.
+
+    Ordered by i, then j: each left key is expanded against the range of
+    equal keys in a stable sort of ``right``.
+    """
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    lo = np.searchsorted(ordered, left, side="left")
+    counts = np.searchsorted(ordered, left, side="right") - lo
+    i = np.repeat(np.arange(len(left)), counts)
+    j = order[np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+    return i, j
 
 
 def forward_difference(phi, alpha, k):

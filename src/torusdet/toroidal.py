@@ -32,6 +32,8 @@ from .lattice import (
     TruncationWindow,
     as_index,
     bracket_array,
+    index_keys,
+    matching_pairs,
     shell_tail,
     sup_norm_array,
 )
@@ -220,14 +222,32 @@ class SymbolSum(ToroidalSymbol):
         return total
 
 
+def _tabulated_rule(values, dimension):
+    """Vectorized rule k -> ``values[k]`` for a table {index tuple: value}, 0 off it."""
+    index = np.array(list(values), dtype=np.int64).reshape(len(values), dimension)
+    table = np.fromiter(values.values(), dtype=np.complex128, count=len(values))
+
+    def rule(k_coords):
+        out = np.zeros(len(k_coords), dtype=np.complex128)
+        i, j = matching_pairs(*index_keys(k_coords, index))
+        out[i] = table[j]
+        return out
+
+    return rule
+
+
 def fractional_laplacian_symbol(nu, dimension):
-    """Multiplier (2pi)^nu |k|^nu of the fractional Laplacian, order nu."""
+    """Multiplier (2pi)^nu |k|^nu of the fractional Laplacian, order nu.
+
+    Values beyond the float range are inf.
+    """
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
 
     def values(k_coords):
         norm = np.sqrt(np.sum(np.asarray(k_coords, dtype=float) ** 2, axis=1))
-        return ((2.0 * np.pi) * norm) ** nu + 0.0j
+        with np.errstate(over="ignore"):
+            return ((2.0 * np.pi) * norm) ** nu + 0.0j
 
     return MultiplierSymbol(dimension, values, order_m=float(nu))
 
@@ -394,10 +414,11 @@ def matrix_to_symbol(a: SparseL1Matrix, x, k):
     return complex(np.sum(a.vals[sel] * phases))
 
 
-def det_gamma(sigma: ToroidalSymbol, tol, max_radius=64, coverage_radius=None):
+def det_gamma(sigma: ToroidalSymbol, tol, max_radius=64):
     """Determinant of I + T for the operator quantized from the symbol.
 
-    Defined as the extended determinant of I + A for the symbol's matrix;
+    Defined as the extended determinant of I + A for the symbol's matrix,
+    materialized on the window of radius max(8 ``max_radius``, 1024);
     symbols whose matrices cannot be l1 (no coefficient decay, e.g. any
     nonzero pure multiplication) are rejected with a diagnostic.
     """
@@ -413,9 +434,8 @@ def det_gamma(sigma: ToroidalSymbol, tol, max_radius=64, coverage_radius=None):
                 f"symbol order {sigma.order_m} does not satisfy m < -n = {-n}; "
                 "matrix summability is not guaranteed"
             )
-    if coverage_radius is None:
-        coverage_radius = max(8 * max_radius, 1024)
-    matrix, tail = symbol_to_matrix(sigma, TruncationWindow(coverage_radius, n))
+    window = TruncationWindow(max(8 * max_radius, 1024), n)
+    matrix, tail = symbol_to_matrix(sigma, window)
     return poincare_determinant(matrix, tail, tol, max_radius=max_radius)
 
 
@@ -458,21 +478,30 @@ def strong_ellipticity_check(sigma: ToroidalSymbol, m, w: TruncationWindow, x_gr
     Sweeps the x-grid and the window, in blocks of window points, then
     reports the smallest integer n0 and the largest C0 > 0 valid on the
     sample, or passed=False when no threshold works.  A failing check is a
-    report, not an error.
+    report, not an error.  Where <k>^m overflows, the ratio Re sigma / <k>^m
+    is taken in log space, with the sign of Re sigma.
     """
     xs = _x_grid_points(sigma.dimension, x_grid)
     coords = w.coords_array()
     norms2 = np.sum(coords.astype(np.int64) ** 2, axis=1)
-    weights = bracket_array(coords) ** m
+    brackets = bracket_array(coords)
+    with np.errstate(over="ignore"):
+        weights = brackets**m
 
-    ratios = np.empty(len(coords))
+    re_min = np.empty(len(coords))
     worst_x = np.empty(len(coords), dtype=np.int64)
     rows = max(1, _BLOCK // len(xs))
     for start in range(0, len(coords), rows):
         block = slice(start, start + rows)
-        re_vals = np.real(sigma.evaluate_block(xs, coords[block]))
+        with np.errstate(invalid="ignore"):  # inf sigma_hat: the imaginary part is nan
+            re_vals = np.real(sigma.evaluate_block(xs, coords[block]))
         worst_x[block] = np.argmin(re_vals, axis=1)
-        ratios[block] = re_vals[np.arange(len(re_vals)), worst_x[block]] / weights[block]
+        re_min[block] = re_vals[np.arange(len(re_vals)), worst_x[block]]
+    big = ~np.isfinite(weights)
+    ratios = re_min / np.where(big, 1.0, weights)
+    with np.errstate(divide="ignore"):  # log 0 = -inf gives the ratio 0
+        log_ratio = np.log(np.abs(re_min[big])) - m * np.log(brackets[big])
+    ratios[big] = np.sign(re_min[big]) * np.exp(log_ratio)
 
     order = np.argsort(norms2, kind="stable")
     sorted_norms2 = norms2[order]
@@ -647,24 +676,15 @@ def table_from_samples(fn, dimension, grid_size, w: TruncationWindow, order_m=No
     arrays at a fixed index k.  Row coefficients are exact for symbols that
     are trigonometric polynomials of degree < grid_size / 2 in x.
     """
-    offsets = {}
-    coords = [tuple(int(c) for c in row) for row in w.coords_array()]
     per_k = {}
-    for k in coords:
+    for row in w.coords_array():
+        k = tuple(int(c) for c in row)
         f = GridFunction.from_function(lambda *xs: fn(*xs, k), dimension, grid_size)
-        row = fourier_coeffs(f, TruncationWindow((grid_size - 1) // 2, dimension))
-        per_k[k] = {l: v for l, v in row.items() if abs(v) > 1e-15}
-        offsets.update({l: None for l in per_k[k]})
-
-    table = {}
-    for l in offsets:
-        data = {k: per_k[k].get(l, 0.0) for k in coords}
-
-        def rule(k_coords, _data=data):
-            return np.asarray(
-                [_data.get(tuple(int(c) for c in row), 0.0) for row in k_coords],
-                dtype=np.complex128,
-            )
-
-        table[l] = rule
+        coeffs = fourier_coeffs(f, TruncationWindow((grid_size - 1) // 2, dimension))
+        per_k[k] = {l: v for l, v in coeffs.items() if abs(v) > 1e-15}
+    offsets = dict.fromkeys(l for coeffs in per_k.values() for l in coeffs)
+    table = {
+        l: _tabulated_rule({k: c[l] for k, c in per_k.items() if l in c}, dimension)
+        for l in offsets
+    }
     return CoefficientTableSymbol(dimension, table, order_m=order_m)

@@ -62,6 +62,31 @@ def section_of(matrix, radius):
 # --- norms and canonical form
 
 
+def test_from_arrays_on_overflowing_coordinates_matches_a_dict_reference():
+    # rows and cols near +-2^40 in 2-D pack past 2^62, so the canonical order
+    # comes from np.unique ranks; half the base entries are stored twice,
+    # once cancelled to an exact zero and once doubled, and some are zeros
+    rng = np.random.default_rng(11)
+    base = 60
+    rows = rng.integers(-1, 2, size=(base, 2)) * 2**40 + rng.integers(-2, 3, size=(base, 2))
+    cols = rng.integers(-1, 2, size=(base, 2)) * 2**40 + rng.integers(-2, 3, size=(base, 2))
+    vals = rng.integers(-4, 5, size=base) + 0.5j * rng.integers(-1, 2, size=base)
+    pick = np.arange(0, base, 2)
+    vals_twice = np.where(pick % 4 == 0, -vals[pick], vals[pick])
+    perm = rng.permutation(base + len(pick))
+    rows = np.concatenate([rows, rows[pick]])[perm]
+    cols = np.concatenate([cols, cols[pick]])[perm]
+    vals = np.concatenate([vals, vals_twice])[perm]
+    ref = {}
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        ref[(tuple(r), tuple(c))] = ref.get((tuple(r), tuple(c)), 0) + v
+    want = sorted((key, v) for key, v in ref.items() if v != 0)
+    assert 0 < len(want) < base  # cancellations and zeros were dropped
+    a = SparseL1Matrix.from_arrays(2, rows, cols, vals)
+    assert list(a.to_dict().items()) == want
+    assert a.l1_norm == float(np.sum(np.abs([v for _, v in want])))
+
+
 def test_l1_norm_examples():
     assert l1_norm(SparseL1Matrix(1, {})) == 0.0
     assert SparseL1Matrix(1, {((0,), (0,)): 3 + 4j}).l1_norm == pytest.approx(5.0, abs=0)
@@ -411,7 +436,7 @@ def test_poincare_determinant_zero_and_finite():
     res = poincare_determinant(finite, TailModel.exact_finite(), 1e-12)
     section = section_of(finite, 2)
     assert res.value == finite_determinant(section)
-    assert res.certified_error == 0.0
+    assert res.certified_error == abs(res.value) * 5 * 5e-15  # LU roundoff, 5 points
 
 
 def test_poincare_determinant_diagonal_family():
@@ -526,7 +551,7 @@ def test_tail_cross_term_matches_dense():
             rows, cols, vals = t.rows[keep], t.cols[keep], t.vals[keep]
             w = TruncationWindow(radius, n)
             g = rng.standard_normal((w.size, w.size)) + 1j * rng.standard_normal((w.size, w.size))
-            got = _tail_cross_term(g, radius, n, rows, cols, vals)
+            got = _tail_cross_term(g, radius, rows, cols, vals)
 
             big = TruncationWindow(support, n)
             t_dense = np.zeros((big.size, big.size), dtype=complex)
@@ -759,7 +784,8 @@ def test_exact_finite_last_rung_skips_the_inverse(monkeypatch):
     res = poincare_determinant(a, TailModel.exact_finite(), 1e-12)
     assert calls == []
     assert [s.radius for s in res.ladder] == [a.support_radius]
-    assert res.value == expected and res.certified_error == 0.0 and res.converged
+    assert res.value == expected and res.converged
+    assert res.certified_error == abs(expected) * 11**2 * 5e-15  # LU roundoff
 
     # a tail of mass >= 0.9 cannot pass s < 0.9 either
     heavy = TailModel.user_bound(lambda r: 1.0)
@@ -769,14 +795,15 @@ def test_exact_finite_last_rung_skips_the_inverse(monkeypatch):
     assert err.value.ladder[-1].value == expected
 
 
-def test_exact_finite_large_norm_has_a_zero_raw_bound():
+def test_exact_finite_large_norm_raw_bound_is_the_lu_roundoff():
     # exp(1 + 2 ||A||_1) overflows past ||A||_1 ~ 350; an empty tail still
-    # certifies the whole-operator section, instead of 0 * inf = nan
+    # certifies the whole-operator section, instead of 0 * inf = nan, up to
+    # the roundoff of its LU determinant (801.0000000000003 here)
     a = SparseL1Matrix(1, {((0,), (0,)): 800.0})
     res = poincare_determinant(a, TailModel.exact_finite(), 1e-8)
-    assert res.converged and res.certified_error == 0.0
-    assert res.value == pytest.approx(801.0, rel=1e-14)  # up to LU roundoff
-    assert [(s.radius, s.bound) for s in res.ladder] == [(0, 0.0)]
+    assert res.converged
+    assert abs(801.0 - res.value) <= res.certified_error <= 1e-12 * abs(res.value)
+    assert [(s.radius, s.bound) for s in res.ladder] == [(0, res.certified_error)]
 
 
 def five_dimensional_diagonal(radius):
@@ -921,7 +948,7 @@ class MaskTails:
             return (c1, self.unstored), None
         rows, cols, vals = a.rows[off], a.cols[off], a.vals[off]
         tr_t2 = complex(np.dot(d, d)) + _transpose_pair_sum(rows, cols, vals)
-        cross = _tail_cross_term(g_dense, window.radius, window.dimension, rows, cols, vals)
+        cross = _tail_cross_term(g_dense, window.radius, rows, cols, vals)
         u = self.unstored * (1.0 + g1)
         s = (1.0 + g1) * self.stored_tail(rung, f_norm)
         return (c1, self.unstored), (tr_t2 + 2.0 * cross, 2.0 * s * u + u * u)
@@ -1151,8 +1178,9 @@ def test_a_supplied_norm_under_the_stored_sum_gives_no_negative_certificate():
     a = SparseL1Matrix.from_canonical_arrays(1, k, k, vals, norm=math.fsum(vals))
     assert a.l1_norm < float(np.sum(vals))
     exact = TailModel.exact_finite()
-    result = poincare_determinant(a, exact, 1e-12)
-    assert result.certified_error == 0.0 and result.ladder[-1].bound == 0.0
+    result = poincare_determinant(a, exact, 1e-11)
+    # the LU roundoff of the 41-point section, 1.7e-12
+    assert result.certified_error == result.ladder[-1].bound == abs(result.value) * 41 * 5e-15
     assert result.value == finite_determinant(section_of(a, 20))
     assert poincare_trace(a, exact, 1e-12).certified_error == 0.0
     assert truncate(a, exact, TruncationWindow(20, 1))[1] == 0.0

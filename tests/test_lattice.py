@@ -10,7 +10,10 @@ from torusdet.lattice import (
     bracket,
     enumerate_window,
     forward_difference,
+    index_keys,
+    matching_pairs,
     window_position,
+    window_positions,
 )
 
 
@@ -146,6 +149,63 @@ def test_window_position_matches_enumeration():
         assert window_position(w, p) == i
     with pytest.raises(ValueError):
         window_position(w, (3, 0))
+
+
+def test_window_positions_match_window_position():
+    for n, radius in ((1, 4), (2, 2), (3, 1)):
+        w = TruncationWindow(radius, n)
+        pts = w.coords_array()
+        want = [window_position(w, tuple(p)) for p in pts.tolist()]
+        assert want == list(range(w.size))
+        assert window_positions(pts, radius).tolist() == want
+        # narrow index dtypes give the same positions
+        assert window_positions(pts[::-1].astype(np.int8), radius).tolist() == want[::-1]
+
+
+def test_index_keys_sort_like_the_rows():
+    rng = np.random.default_rng(5)
+    near = 2**40 + rng.integers(-3, 4, size=(150, 3))
+    near[::2] *= -1  # (2 M + 2)^3 passes 2^62: the keys are np.unique ranks
+    cases = [rng.integers(-50, 51, size=(150, n)) for n in (1, 2, 4)] + [near]
+    for rows in cases:
+        keys = np.concatenate(index_keys(rows[:100], rows[100:], rows[:0]))
+        assert keys.dtype == np.int64 and len(keys) == len(rows)
+        tuples = [tuple(r) for r in rows.tolist()]
+        want = [[(a > b) - (a < b) for b in tuples] for a in tuples]
+        assert np.sign(keys[:, None] - keys[None, :]).tolist() == want
+    distinct = len({tuple(r) for r in near.tolist()})
+    assert sorted(set(np.concatenate(index_keys(near)).tolist())) == list(range(distinct))
+
+
+def test_matching_pairs_is_the_ordered_double_loop():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        for trial in range(20):
+            # few distinct rows: keys repeat on both sides
+            left = rng.integers(-1, 2, size=(int(rng.integers(0, 40)), n))
+            right = rng.integers(-1, 2, size=(int(rng.integers(0, 40)), n))
+            if trial % 2:
+                left, right = left * 2**40, right * 2**40
+            i, j = matching_pairs(*index_keys(left, right))
+            want = [
+                (a, b)
+                for a, x in enumerate(left.tolist())
+                for b, y in enumerate(right.tolist())
+                if x == y
+            ]
+            assert list(zip(i.tolist(), j.tolist())) == want
+
+
+def test_index_keys_and_matching_pairs_on_empty_inputs():
+    none = np.zeros((0, 2), dtype=np.int64)
+    some = np.array([[1, 2], [1, 2]])
+    assert [len(k) for k in index_keys(none, none)] == [0, 0]
+    assert [len(k) for k in index_keys(none, some)] == [0, 2]
+    for left, right in ((none, none), (none, some), (some, none)):
+        i, j = matching_pairs(*index_keys(left, right))
+        assert i.tolist() == j.tolist() == []
+    empty = np.zeros(0, dtype=np.int64)
+    assert [x.tolist() for x in matching_pairs(empty, empty)] == [[], []]
 
 
 def test_window_ordering_and_size():

@@ -1,11 +1,13 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from torusdet import toroidal
+from torusdet.io import parse_symbol_document
 from torusdet.lattice import TruncationWindow
 from torusdet.l1_algebra import SparseL1Matrix, TailModel, compose, poincare_determinant
 from torusdet.toroidal import (
@@ -248,9 +250,11 @@ def test_det_gamma_rejects_non_decaying_multiplier():
 
 def test_det_gamma_matches_explicit_matrix_pipeline():
     sym = bracket_power_symbol(-2.0)
-    res_sym = det_gamma(sym, 1e-3, max_radius=256, coverage_radius=8192)
+    # the default window max(8 max_radius, 1024); at 2048 (max_radius 256)
+    # the fitted tail bound floors the ladder at 2.6e-3
+    res_sym = det_gamma(sym, 1e-3, max_radius=1024)
     matrix, tail = symbol_to_matrix(sym, TruncationWindow(8192, 1))
-    res_mat = poincare_determinant(matrix, tail, 1e-3, max_radius=256)
+    res_mat = poincare_determinant(matrix, tail, 1e-3, max_radius=1024)
     assert res_sym.value == res_mat.value
     assert res_sym.certified_error == res_mat.certified_error
     assert [(s.radius, s.value, s.bound) for s in res_sym.ladder] == [
@@ -398,6 +402,19 @@ def test_strong_ellipticity_block_sweep_matches_naive_reference():
     ]
 
 
+def test_strong_ellipticity_of_a_high_order_symbol_is_finite():
+    # (2 pi |k|)^200 overflows for |k| >= 6 and <k>^200 for |k| >= 35, where
+    # inf / inf was nan; the ratio (2 pi)^200 (k^2 / (1 + k^2))^100 grows
+    # with |k|, so C0 is its value at |k| = 1
+    sigma = fractional_laplacian_symbol(200, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = strong_ellipticity_check(sigma, 200, TruncationWindow(40, 1))
+    assert report.passed and report.n0 == 1
+    assert report.C0 == pytest.approx((2 * math.pi) ** 200 / 2**100, rel=1e-12)
+    assert report.worst[1] == (-1,)
+
+
 def test_order_diagnostic_recovers_powers():
     for m in (-2.0, 0.0, 1.5, 2.0):
         sym = MultiplierSymbol(
@@ -494,6 +511,45 @@ def test_l1_membership_memory_does_not_grow_with_the_ladder():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20  # one float per point of the 8M-point window is 64 MB
+
+
+def test_tabulated_symbols_match_dict_lookups():
+    rng = np.random.default_rng(21)
+    ks = TruncationWindow(7, 2).coords_array()  # the tables reach radius 5
+    table = {}
+    for idx in rng.integers(-5, 6, size=(40, 2)).tolist():
+        table[tuple(idx)] = complex(*rng.standard_normal(2))
+    lookup = lambda values: [values.get(k, 0j) for k in map(tuple, ks.tolist())]
+
+    entries = [{"index": list(k), "re": v.real, "im": v.imag} for k, v in table.items()]
+    mult = parse_symbol_document({"dimension": 2, "kind": "multiplier", "values": entries})
+    assert mult.multiplier(ks).tolist() == lookup(table)
+    offsets = {(1, 0): table, (0, -2): {k: 2 * v for k, v in list(table.items())[:5]}}
+    doc = {"dimension": 2, "kind": "table", "entries": [
+        {"offset": list(l), "index": list(k), "re": v.real, "im": v.imag}
+        for l, values in offsets.items()
+        for k, v in values.items()
+    ]}
+    tab = parse_symbol_document(doc)
+    for l in [(1, 0), (0, -2), (0, 0)]:
+        assert tab.coefficient(l, ks).tolist() == lookup(offsets.get(l, {}))
+    empty = parse_symbol_document({"dimension": 2, "kind": "multiplier", "values": []})
+    assert empty.multiplier(ks).tolist() == [0j] * len(ks)
+
+    def black_box(x, k):
+        return np.exp(2j * np.pi * x) / (1.0 + k[0] ** 2) + 0.5 * (k[0] % 3) * np.cos(4 * np.pi * x)
+
+    w = TruncationWindow(4, 1)
+    sym = table_from_samples(black_box, 1, 16, w)
+    rows = {}
+    for k in map(tuple, w.coords_array().tolist()):
+        f = GridFunction.from_function(lambda x: black_box(x, k), 1, 16)
+        rows[k] = {l: v for l, v in fourier_coeffs(f, TruncationWindow(7, 1)).items() if abs(v) > 1e-15}
+    ks = TruncationWindow(9, 1).coords_array()
+    assert sym.offsets() == [(-2,), (1,), (2,)]
+    for l in sym.offsets():
+        column = {k: row[l] for k, row in rows.items() if l in row}
+        assert sym.coefficient(l, ks).tolist() == [column.get((k,), 0j) for k in range(-9, 10)]
 
 
 def test_table_from_samples_round_trip():
