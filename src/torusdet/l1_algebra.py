@@ -116,9 +116,10 @@ class SparseL1Matrix:
         """Store (E, n) index arrays and (E,) values as this matrix's entries.
 
         float64 and complex128 values and integer index dtypes are kept as
-        given; other values become complex128.  Unless ``canonical`` (the
-        caller guarantees sorted, duplicate free, zero free), the entries are
-        canonicalized, in the values' dtype.  The same array for rows and cols
+        given, except that rows and cols of different index dtypes both take
+        their common one; other values become complex128.  Unless
+        ``canonical`` (the caller guarantees sorted, duplicate free, zero
+        free), the entries are canonicalized, in the values' dtype.  The same array for rows and cols
         marks the matrix as diagonal.  ``norm`` may supply the l1 norm.
         """
         if dimension < 1:
@@ -128,6 +129,11 @@ class SparseL1Matrix:
             vals = vals.astype(np.complex128)
         rows = _as_coord_array(rows, len(vals), dimension)
         cols = _as_coord_array(cols, len(vals), dimension)
+        if rows.dtype != cols.dtype:  # one index dtype, whichever path follows
+            common = np.result_type(rows, cols)
+            if not np.issubdtype(common, np.integer):  # uint64 with a signed type
+                common = np.int64
+            rows, cols = rows.astype(common), cols.astype(common)
         if not canonical:
             rows, cols, vals = self._canonicalize(rows, cols, vals)
         if (
@@ -491,8 +497,13 @@ def finite_trace(f: FiniteSection):
 
 
 def finite_determinant(f: FiniteSection):
-    """det(I + F) by pivoted LU of each connected component of I + F."""
-    return _section_det(np.eye(f.matrix.shape[0]) + f.matrix)
+    """det(I + F) by pivoted LU of each connected component of I + F.
+
+    A one-component section of bounded first-coordinate reach is swept slab
+    by slab instead, as a ladder rung on the same window is.
+    """
+    m = np.eye(f.matrix.shape[0]) + f.matrix
+    return _section_det(m, _section_blocks(m, window=f.window))
 
 
 def _safe_exp(x):
@@ -814,7 +825,7 @@ def _determinant_ladder(tails, tol):
         rows, cols, vals, f_norm = tails.section(i)
         section, links = _section_matrix(rows, cols, vals, window)
         section = _add_identity(section)
-        blocks = _section_blocks(section, links)
+        blocks = _section_blocks(section, links, window)
         det_n = _section_det(section, blocks)
         t_total, norm_upper = tails.l1_tail(i, f_norm)
         if t_total:

@@ -105,7 +105,9 @@ class ToroidalSymbol:
 
         Returns shape (p, q).  Offsets are summed in ``offsets()`` order and a
         zero coefficient adds nothing (not even 0 times a non-finite phase),
-        so each row is bit-identical to summing one k at a time.
+        so each row is bit-identical to summing one k at a time.  The zero
+        offset adds its coefficient itself: its phase is 1, and an infinite
+        coefficient times 1 + 0j would have a nan imaginary part.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ks = np.asarray(ks, dtype=np.int64).reshape(-1, self.dimension)
@@ -114,6 +116,9 @@ class ToroidalSymbol:
             c = self.coefficient(l, ks)
             nonzero = c != 0
             if not nonzero.any():
+                continue
+            if not any(l):
+                total += c[:, None]
                 continue
             phase = np.exp(2j * np.pi * (xs @ np.asarray(l, dtype=float)))
             if nonzero.all():
@@ -493,8 +498,7 @@ def strong_ellipticity_check(sigma: ToroidalSymbol, m, w: TruncationWindow, x_gr
     rows = max(1, _BLOCK // len(xs))
     for start in range(0, len(coords), rows):
         block = slice(start, start + rows)
-        with np.errstate(invalid="ignore"):  # inf sigma_hat: the imaginary part is nan
-            re_vals = np.real(sigma.evaluate_block(xs, coords[block]))
+        re_vals = np.real(sigma.evaluate_block(xs, coords[block]))
         worst_x[block] = np.argmin(re_vals, axis=1)
         re_min[block] = re_vals[np.arange(len(re_vals)), worst_x[block]]
     big = ~np.isfinite(weights)
@@ -573,7 +577,7 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
     for x in xs:
         vals = np.zeros(len(coords), dtype=np.complex128)
         for c, l in terms:
-            vals += c * np.exp(2j * np.pi * float(np.dot(x, l)))
+            vals += c * np.exp(2j * np.pi * float(np.dot(x, l))) if l.any() else c
         tables.append(vals.reshape(box_shape))
 
     base_slices = tuple(slice(0, 2 * w.radius + 1) for _ in range(n))

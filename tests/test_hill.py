@@ -6,6 +6,7 @@ import pytest
 
 from torusdet import _dense
 from torusdet._dense import (
+    _Slabs,
     _parity_blocks,
     _section_blocks,
     _section_det,
@@ -591,6 +592,9 @@ EVEN_3D_COMPLEX = {
     (0, 1, 0): 0.25, (0, -1, 0): 0.25,
     (1, 1, 1): 0.2, (-1, -1, -1): 0.2,
 }
+# not even: g_(1,0) != g_(-1,0) and a (1,1) mode without its mirror
+SKEW_2D = {(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.2, (0, 1): 0.3, (0, -1): 0.3, (1, 1): 0.25}
+SKEW_2D_COMPLEX = {(0, 0): 2.0 + 0.3j, (1, 0): 0.5, (-1, 0): 0.2 - 0.1j, (0, -1): 0.3, (1, 1): 0.25j}
 NEAR_ROOT_1D = -FOUR_PI_SQ + 0.3  # g_0 near the |k| = 1 root: sigma_min is sin-type
 NEAR_ROOT_2D = -((2.0 * math.pi) ** 3) + 0.5
 
@@ -631,17 +635,28 @@ def test_parity_kernels_match_unsplit_linalg_on_even_hill_sections(n, pot, radiu
 
 @pytest.mark.parametrize(
     "n, pot, radii",
-    [(2, EVEN_2D, [8, 16]), (2, EVEN_2D_COMPLEX, [8, 16]), (3, EVEN_3D, [4]), (3, EVEN_3D_COMPLEX, [4])],
+    [
+        (2, EVEN_2D, [8, 16]),
+        (2, EVEN_2D_COMPLEX, [8, 16]),
+        (3, EVEN_3D, [4]),
+        (3, EVEN_3D_COMPLEX, [4]),
+        (2, SKEW_2D, [8, 16]),
+        (2, SKEW_2D_COMPLEX, [8, 16]),
+    ],
 )
 def test_even_potential_ladder_rungs_match_dense_slogdet(n, pot, radii):
+    # every rung is one component swept slab by slab, centrosymmetric or not
     nu = n + 1.0
     p = HillProblem(n, nu, pot)
+    even = all(pot.get(tuple(-c for c in l)) == g for l, g in pot.items())
     with pytest.raises(NonConvergenceError) as err:
         hill_determinant(p, 1e-300, max_radius=radii[-1], coverage_radius=4 * radii[-1])
     ladder = err.value.ladder
     assert [step.radius for step in ladder] == radii
     for step in ladder:
-        assert _parity_blocks(_dense_section(p, step.radius)[1]) is not None
+        w, m, links = _dense_section(p, step.radius)
+        assert (_parity_blocks(m) is not None) == even
+        assert isinstance(_section_blocks(m, links, w), _Slabs)
         sign, logabs = np.linalg.slogdet(damped_section(pot, step.radius, n, nu))
         reference = sign * math.exp(logabs)
         assert abs(step.value - reference) <= 1e-12 * abs(reference)
@@ -664,6 +679,62 @@ def test_a_ladder_rung_splits_its_section_once(monkeypatch):
     p = HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0})
     result = hill_determinant(p, 1e-6)
     assert calls["inverse"] == calls["split"] == len(result.ladder) > 1
+
+
+@pytest.mark.parametrize(
+    "n, pot, radius",
+    [(2, EVEN_2D, 10), (2, SKEW_2D, 10), (2, SKEW_2D_COMPLEX, 8), (3, EVEN_3D, 3), (3, EVEN_3D_COMPLEX, 3)],
+)
+def test_slab_kernels_match_unsplit_linalg_on_hill_sections(n, pot, radius):
+    w, m, links = _dense_section(HillProblem(n, n + 1.0, pot), radius)
+    slabs = _section_blocks(m, links, w)
+    assert isinstance(slabs, _Slabs)
+    assert set(np.diff(slabs.bounds).tolist()) == {(2 * radius + 1) ** (n - 1)}
+    det, inv = np.linalg.det(m), np.linalg.inv(m)
+    assert abs(_section_det(m, slabs) - det) <= 1e-12 * abs(det)
+    assert np.linalg.norm(_section_inv(m, slabs) - inv) <= 1e-12 * np.linalg.norm(inv)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_one_dimensional_sections_never_take_the_slab_path(monkeypatch):
+    sweeps = count_calls(monkeypatch, _dense, "_slab_sweep")
+    for pot in (
+        {(0,): 3.0, (1,): 1.0, (-1,): 1.0},
+        {(0,): 3.0, (1,): 0.7, (-2,): 0.4 + 0.2j, (3,): 0.3},
+    ):
+        p = HillProblem(1, 2.0, pot)
+        assert hill_determinant(p, 1e-6).converged
+        existence_test(p, tol=1e-8, max_radius=64)
+    # a stored band of reach 20 would make slabs of order 20 in n >= 2
+    rng = np.random.default_rng(31)
+    band = {((k,), (k + d,)): 0.01 * rng.standard_normal() for k in range(-30, 31) for d in range(-20, 21)}
+    poincare_determinant(SparseL1Matrix(1, band), TailModel.exact_finite(), 1e-10)
+    assert sweeps == []
+
+
+def test_a_ladder_rung_sweeps_its_slabs_once(monkeypatch):
+    # det and inverse of a corrected 2-D rung reuse one sweep; no LAPACK
+    # call sees more than a slab
+    sweeps = count_calls(monkeypatch, _dense, "_slab_sweep")
+    inverses = count_calls(monkeypatch, _dense._Slabs, "inverse")
+    shapes = count_calls(monkeypatch, np.linalg, "inv")
+    with pytest.raises(NonConvergenceError) as err:
+        hill_determinant(HillProblem(2, 3.0, SKEW_2D), 1e-300, max_radius=16, coverage_radius=64)
+    radii = [step.radius for step in err.value.ladder]
+    assert radii == [8, 16] and len(sweeps) == len(inverses) == 2
+    assert [args[1] for args in sweeps] == [2 * r + 1 for r in radii]
+    assert max(args[0].shape[0] for args in shapes) == 33
 
 
 def test_extract_null_solution_degenerate_constant_in_two_dimensions():

@@ -35,10 +35,14 @@ from torusdet.l1_algebra import (
     _transpose_pair_sum,
 )
 from torusdet._dense import (
+    _SLAB_CONDITION_LIMIT,
+    _Slabs,
     _parity_blocks,
+    _section_blocks,
     _section_det,
     _section_inv,
     _section_min_singular,
+    _slab_sweep,
 )
 
 
@@ -118,6 +122,25 @@ def test_float_values_stay_float64_through_the_sort_path():
         assert got.vals.dtype == np.float64
         assert np.array_equal(got.rows, ref.rows) and np.array_equal(got.cols, ref.cols)
         assert np.array_equal(got.vals, ref.vals) and got.l1_norm == ref.l1_norm
+
+
+def test_mixed_index_dtypes_take_their_common_one_on_every_path():
+    narrow, wide = np.array([[1], [0]], np.int32), np.array([[0], [1]], np.int64)
+    unsorted = SparseL1Matrix.from_arrays(1, narrow, wide, [1.0, 2.0])
+    canonical = SparseL1Matrix.from_arrays(1, narrow[::-1], wide[::-1], [2.0, 1.0])
+    for a in (unsorted, canonical):
+        assert a.rows.dtype == a.cols.dtype == np.int64
+        assert a.to_dict() == {((0,), (1,)): 2.0, ((1,), (0,)): 1.0}
+    # a product of an int32- and an int64-indexed matrix, in either order
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        a, b = random_sparse(rng, radius=3), random_sparse(rng, radius=3)
+        a32 = SparseL1Matrix.from_arrays(1, a.rows.astype(np.int32), a.cols.astype(np.int32), a.vals)
+        for left, right in ((a32, b), (b, a32)):
+            product = compose(left, right)
+            assert product.rows.dtype == product.cols.dtype == np.int64
+    same = compose(a32, a32)
+    assert same.rows.dtype == same.cols.dtype == np.int32
 
 
 def test_tracked_norm_recomputable():
@@ -759,6 +782,100 @@ def test_sections_that_are_not_centrosymmetric_pass_the_matrix_through():
         _, svals, vh = np.linalg.svd(section)
         smallest, largest, v = _section_min_singular(section)
         assert (smallest, largest) == (svals[-1], svals[0]) and np.array_equal(v, vh[-1])
+
+
+def slab_banded(rng, size, width, reach, complex_values):
+    """I + F linking positions at most ``reach`` levels apart, level = position // width.
+
+    On a window of stride ``width`` the levels are k_1 + R, so F has
+    first-coordinate reach ``reach``; F is scaled to keep I + F well
+    conditioned.
+    """
+    level = np.arange(size) // width
+    f = rng.standard_normal((size, size))
+    if complex_values:
+        f = f + 1j * rng.standard_normal((size, size))
+    near = np.abs(level[:, None] - level[None, :]) <= reach
+    return np.eye(size) + np.where(near, 0.2 / math.sqrt((2 * reach + 1) * width), 0.0) * f
+
+
+def assert_matches_linalg(m, blocks):
+    det, inv = np.linalg.det(m), np.linalg.inv(m)
+    assert abs(_section_det(m, blocks) - det) <= 1e-12 * abs(det)
+    assert rel_err(_section_inv(m, blocks), inv) <= 1e-12
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("reach, orders", [(1, [19] * 19), (2, [38] * 9 + [19])])
+def test_slab_kernels_match_unsplit_linalg_on_window_sections(complex_values, reach, orders):
+    # slabs of `reach` consecutive k_1 values: 19 points each on the 19 x 19
+    # window; for reach 2 the last slab holds one k_1 value only
+    w = TruncationWindow(9, 2)
+    m = slab_banded(np.random.default_rng(20 + reach), w.size, 19, reach, complex_values)
+    slabs = _section_blocks(m, window=w)
+    assert isinstance(slabs, _Slabs) and np.diff(slabs.bounds).tolist() == orders
+    assert_matches_linalg(m, slabs)
+    # no window, no slabs: the LAPACK path as before
+    assert _section_blocks(m) == []
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_slab_kernels_on_a_ragged_last_slab(complex_values):
+    m = slab_banded(np.random.default_rng(23), 100, 7, 1, complex_values)
+    slabs = _slab_sweep(m, 7)
+    assert np.diff(slabs.bounds).tolist() == [7] * 14 + [2]
+    assert_matches_linalg(m, slabs)
+
+
+def fallback_sections(rng, complex_values):
+    """Slab sections on the radius-9 2-D window whose sweep must stop.
+
+    S_0 exactly singular; S_0 of condition 1e9; S_1 = A_1 - L_1 S_0^{-1} U_0
+    zero up to roundoff, a difference of two O(1) terms.
+    """
+    w = TruncationWindow(9, 2)
+    base = slab_banded(rng, w.size, 19, 1, complex_values)
+    zero = base.copy()
+    zero[:19, :19] = 0.0
+    ill = base.copy()
+    u, _, vh = np.linalg.svd(base[:19, :19])
+    ill[:19, :19] = (u * np.logspace(0, -9, 19)) @ vh
+    cancel = base.copy()
+    cancel[19:38, 19:38] = base[19:38, :19] @ np.linalg.solve(base[:19, :19], base[:19, 19:38])
+    return w, [zero, ill, cancel]
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_a_slab_sweep_that_fails_its_guard_takes_the_lapack_path(complex_values):
+    w, sections = fallback_sections(np.random.default_rng(24), complex_values)
+    for m in sections:
+        assert _slab_sweep(m, 19) is None
+        blocks = _section_blocks(m, window=w)
+        assert blocks == [] and _parity_blocks(m) is None
+        assert _section_det(m, blocks) == complex(np.linalg.det(m))
+        assert np.array_equal(_section_inv(m, blocks), np.linalg.inv(m))
+    # the cancellation leaves S_1 of modest condition; only its scale
+    # against A_1 and L_1 S_0^{-1} U_0 gives it away
+    cancel = sections[2]
+    s1 = cancel[19:38, 19:38] - cancel[19:38, :19] @ (np.linalg.inv(cancel[:19, :19]) @ cancel[:19, 19:38])
+    assert np.linalg.cond(s1, 1) < _SLAB_CONDITION_LIMIT
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_a_singular_last_schur_complement_gives_an_exact_zero(complex_values):
+    # U = 0 above the last slab makes S_last = A_last exactly; a zero column
+    # there makes it singular, while L keeps the section one component
+    w = TruncationWindow(9, 2)
+    m = slab_banded(np.random.default_rng(25), w.size, 19, 1, complex_values)
+    m[323:342, 342:] = 0.0
+    m[342:, -1] = 0.0
+    slabs = _section_blocks(m, window=w)
+    assert isinstance(slabs, _Slabs) and not np.any(slabs.schur[-1][:, -1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert repr(_section_det(m, slabs)) == "0j"
+    with pytest.raises(np.linalg.LinAlgError):
+        _section_inv(m, slabs)
 
 
 def test_sections_are_real_exactly_when_the_values_are():

@@ -415,6 +415,20 @@ def test_strong_ellipticity_of_a_high_order_symbol_is_finite():
     assert report.worst[1] == (-1,)
 
 
+def test_an_infinite_zero_offset_coefficient_stays_real():
+    # (2 pi |k|)^200 is inf from |k| = 6: the zero offset adds it as it is,
+    # where inf times the phase 1 + 0j had a nan imaginary part
+    sigma = fractional_laplacian_symbol(200, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sigma.evaluate((0.0,), (6,)) == complex(math.inf, 0.0)
+        values = sigma.evaluate_many(np.array([[0.0], [0.25], [0.5]]), (-7,))
+        # the radius-5 box reaches |k| = 6 for the first difference
+        diag = symbol_order_diagnostic(sigma, (1,), TruncationWindow(5, 1), x_grid=2)
+    assert np.all(values.real == math.inf) and not np.any(values.imag)
+    assert math.isfinite(diag.order_estimate)
+
+
 def test_order_diagnostic_recovers_powers():
     for m in (-2.0, 0.0, 1.5, 2.0):
         sym = MultiplierSymbol(
