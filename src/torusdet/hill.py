@@ -54,8 +54,8 @@ from .l1_algebra import (
     _converged,
     _determinant_ladder,
     _ladder_radii,
+    _rung_buckets,
     _section_matrix,
-    _tail_cross_term,
     determinant_decision,
 )
 
@@ -276,10 +276,12 @@ class _HillTails:
     """Tail provider of :func:`l1_algebra._determinant_ladder` for I + B.
 
     Entries of B are materialized only on the last rung widened by the reach
-    of g ("near"): they give each rung's section, the boundary rows (inside
-    the window, with columns outside it) and ``Tr(G T^2)``, whose entries
-    all lie there.  The rest of the tail T of the window of radius R comes
-    from the potential, with S_R = sum_{|k|_inf > R} 1/d(k):
+    of g ("near"), each with the rung bucket of max(row radius, col radius):
+    they give each rung's section, the boundary rows (inside the window,
+    with columns outside it) and the tail entries the ladder meets with G in
+    ``Tr(G T^2)``, which all lie there.  The rest of the tail T of the window
+    of radius R comes from the potential, with
+    S_R = sum_{|k|_inf > R} 1/d(k):
 
         ||T||_1 <= ||g - delta||_1 S_R + (boundary rows),
         Tr T = (g_0 - 1) S_R,
@@ -288,7 +290,7 @@ class _HillTails:
     with g_l standing for the damped coefficients g - delta.  Each lattice
     sum is an exact head to the head radius K plus a two-sided bracket
     beyond it; the moments are the bracket midpoints and carry half its
-    width as their error.
+    width as their error.  These sums cover all of T, so no mass is unstored.
     """
 
     floor = None  # the potential gives every entry: no coverage radius ends the ladder
@@ -304,7 +306,10 @@ class _HillTails:
         near, _ = build_hill_matrix(p, window)
         self.rows, self.cols, self.vals = near.rows, near.cols, near.vals
         self.abs_vals = np.abs(near.vals)
-        self.row_r, self.col_r = sup_norm_array(near.rows), sup_norm_array(near.cols)
+        self.row_r = sup_norm_array(near.rows)
+        self.bucket = _rung_buckets(
+            np.maximum(self.row_r, sup_norm_array(near.cols)), self.radii
+        )
         self.mass = float(sum(abs(v) for v in coeffs.values()))
         self.g0 = complex(coeffs.get((0,) * n, 0.0))
         offsets, self.weights, self.reach = _square_pairs(coeffs, n)
@@ -312,15 +317,9 @@ class _HillTails:
         shell, pair = _head_sums(p, offsets, self.head)
         self.shell_beyond, self.pair_beyond = _beyond(shell), _beyond(pair)
 
-    def _inside(self, rung):
-        r = self.radii[rung]
-        return self.row_r <= r, self.col_r <= r
-
-    def section(self, rung):
-        row_in, col_in = self._inside(rung)
-        inside = row_in & col_in
-        f_norm = float(np.sum(self.abs_vals[inside]))
-        return self.rows[inside], self.cols[inside], self.vals[inside], f_norm
+    def straddle(self):
+        """None: every tail entry that meets a section is near."""
+        return None
 
     def inverse_damping_sum(self, rung):
         """(lo, hi) around S_R for the rung of radius R."""
@@ -330,12 +329,13 @@ class _HillTails:
         return head + lo, head + hi
 
     def l1_tail(self, rung, f_norm):
-        row_in, col_in = self._inside(rung)
-        boundary = float(np.sum(self.abs_vals[row_in & ~col_in]))
+        """Bound on ||T||_1, no unstored mass, and a bound on ||B||_1."""
+        rows_in = (self.bucket > rung) & (self.row_r <= self.radii[rung])
+        boundary = float(np.sum(self.abs_vals[rows_in]))
         t_total = self.mass * self.inverse_damping_sum(rung)[1] + boundary
-        return t_total, f_norm + t_total
+        return t_total, 0.0, f_norm + t_total
 
-    def trace_moments(self, rung):
+    def moments(self, rung):
         """``(Tr T, error)`` and ``(Tr T^2, error)`` for the rung's tail."""
         r = self.radii[rung]
         lo, hi = self.inverse_damping_sum(rung)
@@ -347,18 +347,6 @@ class _HillTails:
             float(np.sum(np.abs(self.weights) * (0.5 * width))),
         )
         return tr_t, tr_t2
-
-    def cross_term(self, rung, g_dense, window):
-        """``Tr(G T^2)``, exact from the near entries."""
-        row_in, col_in = self._inside(rung)
-        out = ~(row_in & col_in)
-        return _tail_cross_term(
-            g_dense, window.radius, self.rows[out], self.cols[out], self.vals[out]
-        )
-
-    def moments(self, rung, f_norm, g_dense, g1, window):
-        tr_t, (tr_t2, err) = self.trace_moments(rung)
-        return tr_t, (tr_t2 + 2.0 * self.cross_term(rung, g_dense, window), err)
 
 
 def _largest_head(dimension):
@@ -397,13 +385,14 @@ def hill_determinant(p: HillProblem, tol, max_radius=64, coverage_radius=None):
     Entries of B are materialized only on the last ladder rung widened by
     the reach of g; ||T||_1, Tr T and Tr T^2 of every rung's tail are
     lattice sums over the damping, exact to the head radius
-    ``coverage_radius`` and bracketed beyond it, and Tr(G T^2) is exact from
-    the materialized entries (see :class:`_HillTails`).  The certificate is
-    then the one of :func:`poincare_determinant`: the Lipschitz bound, or
-    the second-order correction whose error is the bracket half-widths plus
-    the third-order remainder s^3 / (3(1 - s)).  By default the head radius
-    is :func:`_head_radius` at ``tol``: the brackets must move the result by
-    under tol / 16, with at most 2049^2 head points.
+    ``coverage_radius`` and bracketed beyond it, and the ladder forms
+    Tr(G T^2) exactly from the materialized entries (see :class:`_HillTails`).
+    The certificate is then the one of :func:`poincare_determinant`: the
+    Lipschitz bound, or the second-order correction whose error is the
+    bracket half-widths plus the third-order remainder s^3 / (3(1 - s)).
+    By default the head radius is :func:`_head_radius` at ``tol``: the
+    brackets must move the result by under tol / 16, with at most 2049^2
+    head points.
     A ladder that stops short of ``tol`` raises ``NonConvergenceError``.
     """
     if coverage_radius is None:

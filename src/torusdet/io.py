@@ -45,6 +45,8 @@ def load_document(path):
 
 
 def _require(doc, field, types, where):
+    if not isinstance(doc, dict):
+        raise ValidationError(where, "expected an object")
     if field not in doc:
         raise ValidationError(f"{where}.{field}", "missing required field")
     value = doc[field]
@@ -108,8 +110,6 @@ def parse_matrix_document(doc):
     entries = {}
     for i, e in enumerate(entries_doc):
         where = f"matrix.entries[{i}]"
-        if not isinstance(e, dict):
-            raise ValidationError(where, "expected an object")
         row = _parse_index(_require(e, "row", list, where), n, f"{where}.row")
         col = _parse_index(_require(e, "col", list, where), n, f"{where}.col")
         entries[(row, col)] = entries.get((row, col), 0.0) + _parse_complex(e, where)
@@ -180,8 +180,6 @@ def parse_hill_document(doc):
     potential = {}
     for i, e in enumerate(_require(doc, "potential", list, "hill")):
         where = f"hill.potential[{i}]"
-        if not isinstance(e, dict):
-            raise ValidationError(where, "expected an object")
         idx = _parse_index(_require(e, "index", list, where), n, f"{where}.index")
         potential[idx] = _parse_complex(e, where)
     try:

@@ -641,6 +641,8 @@ def _tail_cross_term(g_dense, radius, rows, cols, vals):
     return complex(np.sum(g_dense[a_pos[j], b_pos[i]] * vals[wo][i] * vals[ow][j]))
 
 
+# off-diagonal tail entries past which a rung corrects to first order only:
+# the Tr T^2 and Tr(G T^2) joins would sort them all
 _CROSS_TERM_ENTRY_CAP = 500_000
 
 
@@ -659,10 +661,12 @@ class _LadderTails:
     ``Tr(G T^2)``.  Both are gathered by the first rung that needs them.
 
     This is the tail provider :func:`_determinant_ladder` reads, rung ``i``
-    by rung: ``radii``, ``dimension``, ``floor`` and the methods ``section``,
-    ``l1_tail`` and ``moments``.  Everything the stored entries do not hold
-    is the tail model's bound at the coverage radius (``unstored``), an error
-    term of every tail quantity; ``floor`` says so if the rungs end there.
+    by rung: ``radii``, ``dimension``, ``floor``, the near entries ``rows``,
+    ``cols``, ``vals`` and ``abs_vals`` with their ``bucket``, and the
+    methods ``l1_tail``, ``moments`` and ``straddle``.  Everything the stored
+    entries do not hold is the tail model's bound at the coverage radius
+    (``unstored``), an error term of every tail quantity; ``floor`` says so
+    if the rungs end there.
     """
 
     def __init__(self, a: SparseL1Matrix, tail: TailModel, max_radius):
@@ -693,38 +697,34 @@ class _LadderTails:
             self.far_trace_sq += complex(np.dot(d, d))
         self._far_pairs = None
 
-    def section(self, rung):
-        """Rows, columns and values of the entries inside the rung, and ||F||_1."""
-        inside = self.bucket <= rung
-        f_norm = float(np.sum(self.abs_vals[inside]))
-        return self.rows[inside], self.cols[inside], self.vals[inside], f_norm
-
     def l1_tail(self, rung, f_norm):
-        """Upper bounds on ||T||_1 and ||A||_1: discarded stored plus all unstored."""
-        stored = _discarded_mass(self.a, f_norm, self.radii[rung])
-        return stored + self.unstored, self.norm_upper
+        """Discarded stored mass, unstored mass and an upper bound on ||A||_1."""
+        return _discarded_mass(self.a, f_norm, self.radii[rung]), self.unstored, self.norm_upper
 
-    def moments(self, rung, f_norm, g_dense, g1, window):
-        """``(Tr T, error)`` and ``(Tr X^2, error)``, or None for first order only.
+    def moments(self, rung):
+        """``(Tr T, error)`` and ``(Tr T^2, 0)``, or None over the cross-term cap.
 
-        ``Tr X^2 = Tr T^2 + 2 Tr(G T^2)`` is formed from stored tails while
-        the off-diagonal tail entries stay under the cross-term cap; the
-        unstored mass u moves it by at most ``(1 + ||G||_1)^2 (2 t u + u^2)``
-        with t the discarded stored mass.
+        Both are sums over the stored tail; the unstored mass is the error
+        of ``Tr T``.
         """
         outside = self.bucket > rung
-        out_diag = outside & self.diag
-        c1 = self.far_trace + complex(np.sum(self.vals[out_diag]))
-        off_diag_out = self.far_off_count + int(np.count_nonzero(outside & ~self.diag))
-        if off_diag_out > _CROSS_TERM_ENTRY_CAP:
+        d = self.vals[outside & self.diag]
+        c1 = self.far_trace + complex(np.sum(d))
+        off = outside & ~self.diag
+        if self.far_off_count + int(np.count_nonzero(off)) > _CROSS_TERM_ENTRY_CAP:
             return (c1, self.unstored), None
-        tr_t2, cross = self.second_order(g_dense, window, outside)
-        u_eff = self.unstored * (1.0 + g1)
-        s_stored = (1.0 + g1) * _discarded_mass(self.a, f_norm, self.radii[rung])
-        return (c1, self.unstored), (
-            tr_t2 + 2.0 * cross,
-            2.0 * s_stored * u_eff + u_eff * u_eff,
+        pairs, _ = self._far_pair_statistics()
+        tr_t2 = (
+            self.far_trace_sq
+            + complex(np.dot(d, d))
+            + pairs
+            + _transpose_pair_sum(self.rows[off], self.cols[off], self.vals[off])
         )
+        return (c1, self.unstored), (tr_t2, 0.0)
+
+    def straddle(self):
+        """Rows, columns and values of the straddling far entries, or None."""
+        return self._far_pair_statistics()[1]
 
     def _far_pair_statistics(self):
         """Far transpose-pair sum and the straddling entries, gathered once."""
@@ -740,26 +740,6 @@ class _LadderTails:
                 straddle = rows[keep], cols[keep], vals[keep]
             self._far_pairs = pairs, straddle
         return self._far_pairs
-
-    def second_order(self, g_dense, window, outside):
-        """``Tr T^2`` and ``Tr(G T^2)`` for the tail of the rung on ``window``."""
-        pairs, straddle = self._far_pair_statistics()
-        off = outside & ~self.diag
-        d = self.vals[outside & self.diag]
-        rows, cols, vals = self.rows[off], self.cols[off], self.vals[off]
-        tr_t2 = (
-            self.far_trace_sq
-            + complex(np.dot(d, d))
-            + pairs
-            + _transpose_pair_sum(rows, cols, vals)
-        )
-        if straddle is not None:
-            s_rows, s_cols, s_vals = straddle
-            rows = np.concatenate([rows, s_rows])
-            cols = np.concatenate([cols, s_cols])
-            vals = np.concatenate([vals, s_vals])
-        cross = _tail_cross_term(g_dense, window.radius, rows, cols, vals)
-        return tr_t2, cross
 
 
 def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64):
@@ -800,8 +780,9 @@ def _converged(tails, tol):
 def _determinant_ladder(tails, tol):
     """The ladder of :func:`poincare_determinant` and why it stopped short.
 
-    ``tails`` provides the rungs and every tail quantity, as
-    :class:`_LadderTails` does for stored entries.  Returns
+    ``tails`` provides the rungs, the entries with their rung buckets and
+    every tail quantity, as :class:`_LadderTails` does for stored entries;
+    rung ``i``'s section holds the entries of bucket ``<= i``.  Returns
     ``(result, stop)``: a converged result and None, or the best rung's
     value and bound with ``converged=False`` and the phrase saying where the
     ladder ended.  A first rung over the dense section limit raises
@@ -822,12 +803,16 @@ def _determinant_ladder(tails, tol):
                 f"passed the dense section limit {_SECTION_SIZE_LIMIT}"
             )
             break
-        rows, cols, vals, f_norm = tails.section(i)
-        section, links = _section_matrix(rows, cols, vals, window)
+        inside = tails.bucket <= i
+        f_norm = float(np.sum(tails.abs_vals[inside]))
+        section, links = _section_matrix(
+            tails.rows[inside], tails.cols[inside], tails.vals[inside], window
+        )
         section = _add_identity(section)
         blocks = _section_blocks(section, links, window)
         det_n = _section_det(section, blocks)
-        t_total, norm_upper = tails.l1_tail(i, f_norm)
+        stored, unstored, norm_upper = tails.l1_tail(i, f_norm)
+        t_total = stored + unstored
         if t_total:
             b_raw = t_total * _safe_exp(1.0 + norm_upper + f_norm)
         else:  # the section is the operator: only LU roundoff, none for I + 0
@@ -837,9 +822,7 @@ def _determinant_ladder(tails, tol):
         raw_value_bound = b_raw
         # with no tail there is nothing to correct
         if t_total:
-            corrected = _corrected_step(
-                tails, i, section, blocks, window, det_n, f_norm, t_total
-            )
+            corrected = _corrected_step(tails, i, section, blocks, det_n, stored, unstored)
             if corrected is not None:
                 value_corr, b_corr = corrected
                 raw_value_bound = min(b_raw, b_corr + abs(value_corr - det_n))
@@ -853,14 +836,16 @@ def _determinant_ladder(tails, tol):
     return best, stop
 
 
-def _corrected_step(tails, rung, section, blocks, window, det_n, f_norm, t_total):
+def _corrected_step(tails, rung, section, blocks, det_n, stored, unstored):
     """Tail-corrected determinant value and its certified bound, or None.
 
-    ``section`` is I + F on the window, ``blocks`` its
-    :func:`_section_blocks`, ``f_norm`` its ||F||_1 and ``t_total`` the
-    rung's bound on ||T||_1; the moments of the tail come from ``tails``,
-    each with its own error term.
+    ``section`` is I + F on the rung's window and ``blocks`` its
+    :func:`_section_blocks`; ``stored`` bounds the tail mass the moments of
+    ``tails`` sum over and ``unstored`` the rest.  ``G`` is formed here and
+    ``Tr X^2 = Tr T^2 + 2 Tr(G T^2)``: the unstored mass u moves it by at
+    most ``(1 + ||G||_1)^2 (2 t u + u^2)``, t the stored mass.
     """
+    t_total = stored + unstored
     # s = (1 + ||G||_1) t_total >= t_total: no inverse can bring s under 0.9
     if det_n == 0 or t_total >= 0.9:
         return None
@@ -875,7 +860,7 @@ def _corrected_step(tails, rung, section, blocks, window, det_n, f_norm, t_total
     if s >= 0.9:
         return None
 
-    (c1, e1), second = tails.moments(rung, f_norm, g_dense, g1, window)
+    (c1, e1), second = tails.moments(rung)
     if second is None:
         # first order only: |log Det(I+X) - Tr T| <= e1 + s^2/(2(1-s))
         c2 = 0.0
@@ -883,7 +868,16 @@ def _corrected_step(tails, rung, section, blocks, window, det_n, f_norm, t_total
         log_err = e1 + s**2 / (2.0 * (1.0 - s))
     else:
         # second order: log Det(I+X) = Tr X - Tr X^2 / 2 + O(s^3)
-        c2, e2 = second
+        tr_t2, e2 = second
+        outside = tails.bucket > rung
+        crossing = [tails.rows[outside], tails.cols[outside], tails.vals[outside]]
+        straddle = tails.straddle()
+        if straddle is not None:
+            crossing = [np.concatenate(pair) for pair in zip(crossing, straddle)]
+        c2 = tr_t2 + 2.0 * _tail_cross_term(g_dense, tails.radii[rung], *crossing)
+        u_eff = unstored * (1.0 + g1)
+        s_stored = (1.0 + g1) * stored
+        e2 += 2.0 * s_stored * u_eff + u_eff * u_eff
         omega = c1 - 0.5 * c2
         log_err = e1 + 0.5 * e2 + s**3 / (3.0 * (1.0 - s))
     log_err += 1e-14 * (1.0 + abs(c1) + abs(c2))  # accumulation roundoff slack

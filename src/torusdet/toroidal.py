@@ -561,8 +561,11 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
     """Fit <k>-power decay of |Delta_k^alpha sigma| for each alpha <= alpha_max.
 
     Least squares of log magnitude against log <k> over sup-norm shells; the
-    slope estimates m - |alpha|.  Advisory only: symbol classes are sup
-    bounds, a finite sample cannot prove them.
+    slope estimates m - |alpha|.  A non-finite magnitude (an overflowed
+    value, or inf - inf in a difference) counts as inf; shells whose
+    largest magnitude is 0 or inf stay out of the fit, and the constant is
+    inf when any sampled magnitude is.  Advisory only: symbol classes are
+    sup bounds, a finite sample cannot prove them.
     """
     alpha_max = as_index(alpha_max, sigma.dimension)
     n = sigma.dimension
@@ -572,13 +575,14 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
     box_shape = tuple(len(r) for r in ext)
 
     xs = _x_grid_points(n, x_grid)
-    terms = [(sigma.coefficient(l, coords), np.asarray(l, dtype=float)) for l in sigma.offsets()]
-    tables = []
-    for x in xs:
-        vals = np.zeros(len(coords), dtype=np.complex128)
-        for c, l in terms:
-            vals += c * np.exp(2j * np.pi * float(np.dot(x, l))) if l.any() else c
-        tables.append(vals.reshape(box_shape))
+    # sigma on the box, one table per x sample, in blocks of box points
+    tables = np.empty((len(xs), len(coords)), dtype=np.complex128)
+    rows = max(1, _BLOCK // len(xs))
+    with np.errstate(invalid="ignore", over="ignore"):  # nan counts as inf below
+        for start in range(0, len(coords), rows):
+            block = slice(start, start + rows)
+            tables[:, block] = sigma.evaluate_block(xs, coords[block]).T
+    tables = tables.reshape((len(xs),) + box_shape)
 
     base_slices = tuple(slice(0, 2 * w.radius + 1) for _ in range(n))
     base_coords = coords.reshape(box_shape + (n,))[base_slices].reshape(-1, n)
@@ -595,19 +599,19 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
     fits = {}
     for alpha in itertools.product(*(range(a + 1) for a in alpha_max)):
         mags = None
-        for table in tables:
-            d = _difference_table(table, alpha)
-            m = np.abs(d[base_slices]).reshape(-1)
-            mags = m if mags is None else np.maximum(mags, m)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan
+            for table in tables:
+                m = np.abs(_difference_table(table, alpha)[base_slices]).reshape(-1)
+                mags = m if mags is None else np.maximum(mags, m)
+        mags[~np.isfinite(mags)] = math.inf
         shell_max = np.maximum.reduceat(mags[by_shell], shell_starts)
-        positive = shell_max > 0
-        if np.count_nonzero(positive) < 4:
+        finite = shell_max < math.inf
+        fit = finite & (shell_max > 0)
+        if np.count_nonzero(fit) < 4:
             fits[alpha] = OrderFit(alpha, float("nan"), float(np.max(shell_max)))
             continue
-        logb = np.log(shell_bracket[positive])
-        logm = np.log(shell_max[positive])
-        slope, intercept = np.polyfit(logb, logm, 1)
-        constant = float(np.max(mags / brackets**slope))
+        slope, _ = np.polyfit(np.log(shell_bracket[fit]), np.log(shell_max[fit]), 1)
+        constant = float(np.max(mags / brackets**slope)) if finite.all() else math.inf
         fits[alpha] = OrderFit(alpha, float(slope), constant)
 
     zero = (0,) * n
@@ -642,7 +646,7 @@ def l1_membership_check(sigma: ToroidalSymbol, radii, order_m=None, cauchy_tol=1
             )
             m = diag.order_estimate
             warning = f"order estimated from decay fit: m ~ {m:.3f}"
-        except (DiagnosticWindowError, UnsupportedRepresentationError):
+        except DiagnosticWindowError:
             m = math.inf
             warning = "order unavailable; assuming non-summable"
 

@@ -192,6 +192,27 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "nu must exceed dimension" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc, where",
+    [
+        (["diagnose"], {"dimension": 1, "kind": "multiplier", "values": [1]}, "symbol.values[0]"),
+        (["det"], {"dimension": 1, "entries": [], "tail_bound": 3}, "matrix.tail_bound"),
+        (
+            ["det"],
+            {"dimension": 1, "entries": [], "tail_bound": {"kind": "power", "parameters": 3}},
+            "matrix.tail_bound",
+        ),
+        (["hill", "scan"], {"dimension": 1, "nu": 2.0, "potential": [], "scan": 5}, "hill.scan"),
+    ],
+)
+def test_non_object_containers_are_input_errors(tmp_path, capsys, command, doc, where):
+    path = write(tmp_path, "bad.json", doc)
+    status, out, err = run_cli(capsys, *command, path)
+    assert status == 1
+    assert out == ""
+    assert err == f"input error: {where}: expected an object\n"
+
+
 def test_usage_errors(tmp_path, capsys):
     status, _, err = run_cli(capsys, "explode")
     assert status == 1

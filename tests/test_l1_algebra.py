@@ -613,29 +613,62 @@ def test_ladder_far_and_straddling_tails_match_dense(monkeypatch, n, support, ma
     dense_a = section_of(a, support).matrix
     pos = lambda c: np.ravel_multi_index((c + support).T, (2 * support + 1,) * n)
 
-    seen = []
-    second_order = _LadderTails.second_order
-
-    def spy(self, g_dense, window, outside):
-        tr_t2, cross = second_order(self, g_dense, window, outside)
-        inner = pos(window.coords_array())
+    def tail_of(radius):
+        inner = pos(TruncationWindow(radius, n).coords_array())
         t_dense = dense_a.copy()
         t_dense[np.ix_(inner, inner)] = 0.0
+        return inner, t_dense, np.sum(np.abs(t_dense)) ** 2
+
+    seen, crossed = [], []
+    moments = _LadderTails.moments
+    cross_term = l1_algebra._tail_cross_term
+
+    def moments_spy(self, rung):
+        first, (tr_t2, err) = moments(self, rung)
+        _, t_dense, scale = tail_of(self.radii[rung])
+        assert abs(tr_t2 - np.trace(t_dense @ t_dense)) <= 1e-13 * scale
+        straddle = self.straddle()
+        seen.append((self.far_off_count, 0 if straddle is None else len(straddle[2])))
+        return first, (tr_t2, err)
+
+    def cross_spy(g_dense, radius, rows, cols, vals):
+        cross = cross_term(g_dense, radius, rows, cols, vals)
+        inner, t_dense, scale = tail_of(radius)
         g_big = np.zeros_like(dense_a)
         g_big[np.ix_(inner, inner)] = g_dense
-        t_sq = t_dense @ t_dense
-        scale = np.sum(np.abs(t_dense)) ** 2
-        assert abs(tr_t2 - np.trace(t_sq)) <= 1e-13 * scale
-        assert abs(cross - np.trace(g_big @ t_sq)) <= 1e-13 * scale * np.sum(np.abs(g_dense))
-        _, straddle = self._far_pair_statistics()
-        seen.append((self.far_off_count, 0 if straddle is None else len(straddle[2])))
-        return tr_t2, cross
+        want = np.trace(g_big @ t_dense @ t_dense)
+        assert abs(cross - want) <= 1e-13 * scale * np.sum(np.abs(g_dense))
+        crossed.append(radius)
+        return cross
 
-    monkeypatch.setattr(_LadderTails, "second_order", spy)
+    monkeypatch.setattr(_LadderTails, "moments", moments_spy)
+    monkeypatch.setattr(l1_algebra, "_tail_cross_term", cross_spy)
     res = poincare_determinant(a, TailModel.exact_finite(), 1e-4, max_radius=max_radius)
     assert seen and all(far > 0 and straddling > 0 for far, straddling in seen)
+    assert len(crossed) == len(seen)
     sign, logabs = np.linalg.slogdet(np.eye(full.size) + dense_a)
     assert abs(res.value - sign * np.exp(logabs)) <= res.certified_error
+
+
+@pytest.mark.parametrize(
+    "n, support, max_radius, decay", [(1, 40, 16, 0.5), (2, 10, 4, 2.0)]
+)
+def test_ladder_over_the_cross_term_cap_corrects_to_first_order(monkeypatch, n, support, max_radius, decay):
+    # with the cap at 0 every rung's tail is over it: Tr T with the remainder
+    # s^2 / (2(1 - s)) replaces the second-order step and still certifies
+    a = banded_matrix(np.random.default_rng(11), n, support, 1, 0.3, decay)
+    tail = TailModel.exact_finite()
+    _, second = invertibility_test(a, tail, 1e-4, max_radius=max_radius)
+    monkeypatch.setattr(l1_algebra, "_CROSS_TERM_ENTRY_CAP", 0)
+    tails = _LadderTails(a, tail, max_radius)
+    assert all(tails.moments(i)[1] is None for i in range(len(tails.radii)))
+    _, first = invertibility_test(a, tail, 1e-4, max_radius=max_radius)
+    assert first.value not in [s.value for s in first.ladder]  # corrected
+    assert first.value != second.value
+    assert first.certified_error > second.certified_error
+    dense = section_of(a, support).matrix
+    sign, logabs = np.linalg.slogdet(np.eye(len(dense)) + dense)
+    assert abs(first.value - sign * np.exp(logabs)) <= first.certified_error
 
 
 # --- dense section kernels
@@ -1027,11 +1060,11 @@ def test_invertibility_test_returns_the_ladder_poincare_determinant_raises(case,
 class MaskTails:
     """Reference tail provider: every rung masks ``entry_radii`` over all entries.
 
-    Reads the stored entries with whole-array masks and sums each tail
-    moment directly over the entries outside the rung, so it shares no
-    span, bucket or near/far split with :class:`_LadderTails`.  The stored
-    tail mass is ``||A||_1 - ||F||_1`` (never negative, 0 when nothing is
-    outside), as the ladder takes it.
+    Hands the ladder every stored entry, bucketed by counting the rungs its
+    radius exceeds, and sums each tail moment directly over the entries
+    outside the rung, so it shares no span, bucket search or near/far split
+    with :class:`_LadderTails`.  The stored tail mass is ``||A||_1 - ||F||_1``
+    (never negative, 0 when nothing is outside), as the ladder takes it.
     """
 
     def __init__(self, a, tail, max_radius):
@@ -1041,34 +1074,28 @@ class MaskTails:
         self.radii = _ladder_radii(min(coverage, max_radius))
         self.floor = _coverage_floor(coverage, self.unstored, max_radius)
         self.diag = np.all(a.rows == a.cols, axis=1)
+        self.rows, self.cols, self.vals, self.abs_vals = a.rows, a.cols, a.vals, np.abs(a.vals)
+        self.bucket = np.sum(a.entry_radii[:, None] > np.asarray(self.radii), axis=1)
 
     def outside(self, rung):
         return self.a.entry_radii > self.radii[rung]
 
-    def stored_tail(self, rung, f_norm):
-        return max(self.a.l1_norm - f_norm, 0.0) if np.any(self.outside(rung)) else 0.0
-
-    def section(self, rung):
-        a, inside = self.a, ~self.outside(rung)
-        f_norm = float(np.sum(np.abs(a.vals[inside])))
-        return a.rows[inside], a.cols[inside], a.vals[inside], f_norm
+    def straddle(self):
+        return None  # every entry is handed over
 
     def l1_tail(self, rung, f_norm):
-        return self.stored_tail(rung, f_norm) + self.unstored, self.a.l1_norm + self.unstored
+        stored = max(self.a.l1_norm - f_norm, 0.0) if np.any(self.outside(rung)) else 0.0
+        return stored, self.unstored, self.a.l1_norm + self.unstored
 
-    def moments(self, rung, f_norm, g_dense, g1, window):
+    def moments(self, rung):
         a, out = self.a, self.outside(rung)
         d = a.vals[out & self.diag]
         off = out & ~self.diag
         c1 = complex(np.sum(d))
         if np.count_nonzero(off) > _CROSS_TERM_ENTRY_CAP:
             return (c1, self.unstored), None
-        rows, cols, vals = a.rows[off], a.cols[off], a.vals[off]
-        tr_t2 = complex(np.dot(d, d)) + _transpose_pair_sum(rows, cols, vals)
-        cross = _tail_cross_term(g_dense, window.radius, rows, cols, vals)
-        u = self.unstored * (1.0 + g1)
-        s = (1.0 + g1) * self.stored_tail(rung, f_norm)
-        return (c1, self.unstored), (tr_t2 + 2.0 * cross, 2.0 * s * u + u * u)
+        tr_t2 = complex(np.dot(d, d)) + _transpose_pair_sum(a.rows[off], a.cols[off], a.vals[off])
+        return (c1, self.unstored), (tr_t2, 0.0)
 
 
 def reference_trace(a, tail, tol, max_radius):

@@ -19,6 +19,8 @@ from torusdet.toroidal import (
     MultiplierSymbol,
     NonSummableSymbolError,
     SymbolSum,
+    ToroidalSymbol,
+    UnsupportedRepresentationError,
     coeffs_to_grid,
     det_gamma,
     fourier_coeffs,
@@ -429,6 +431,20 @@ def test_an_infinite_zero_offset_coefficient_stays_real():
     assert math.isfinite(diag.order_estimate)
 
 
+def test_order_diagnostic_leaves_infinite_shells_out_of_the_fit():
+    # (2 pi |k|)^200 is inf from |k| = 6, and its first difference is
+    # inf - inf there: shells 6 to 8 count as inf, the fit uses shells 1 to 5
+    sigma = fractional_laplacian_symbol(200, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = symbol_order_diagnostic(sigma, (1,), TruncationWindow(8, 1))
+        finite = symbol_order_diagnostic(sigma, (0,), TruncationWindow(5, 1))
+    assert math.isfinite(diag.order_estimate)
+    assert diag.order_estimate == finite.order_estimate
+    for fit in diag.fits.values():
+        assert math.isfinite(fit.exponent) and fit.constant == math.inf
+
+
 def test_order_diagnostic_recovers_powers():
     for m in (-2.0, 0.0, 1.5, 2.0):
         sym = MultiplierSymbol(
@@ -473,6 +489,25 @@ def test_l1_membership_boundary_and_failure():
     report = l1_membership_check(boundary, [4, 8, 16, 32])
     assert not report.in_l1
     assert "boundary" in report.warning
+
+
+def test_l1_membership_without_an_order_fits_one_or_assumes_non_summable():
+    table = CoefficientTableSymbol(1, {(0,): lambda k: 1.0 / (1.0 + k[:, 0].astype(float) ** 2)})
+    report = l1_membership_check(table, [4, 8, 16])
+    assert report.order_used == pytest.approx(-2.0, abs=1e-9)
+    assert report.warning == "order estimated from decay fit: m ~ -2.000"
+    assert not report.in_l1  # the ladder is not Cauchy yet
+
+    report = l1_membership_check(table, [1, 2])  # 3 shells: too few to fit
+    assert not report.in_l1 and report.order_used == math.inf
+    assert report.warning == "order unavailable; assuming non-summable"
+    assert [r for r, _ in report.ladder] == [1, 2]
+
+    class Opaque(ToroidalSymbol):
+        dimension = 1
+
+    with pytest.raises(UnsupportedRepresentationError):
+        l1_membership_check(Opaque(), [4, 8])
 
 
 def test_l1_membership_streamed_ladder_matches_exact_sums():
