@@ -10,6 +10,7 @@ undecided, 1 on any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -72,7 +73,9 @@ def _positive_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = _Parser(prog="torusdet", description=__doc__)
     parser.add_argument("--tol", type=_positive_float, default=1e-8,
                         help="certified tolerance (default 1e-8)")
@@ -123,13 +126,13 @@ def _cmd_symbol2matrix(args):
     window = TruncationWindow(args.radius, symbol.dimension)
     matrix, _ = symbol_to_matrix(symbol, window)
     entries = [
-        {
-            "row": list(row),
-            "col": list(col),
-            "re": value.real,
-            "im": value.imag,
-        }
-        for row, col, value in matrix.items()
+        {"row": row, "col": col, "re": re, "im": im}
+        for row, col, re, im in zip(
+            matrix.rows.tolist(),
+            matrix.cols.tolist(),
+            matrix.vals.real.tolist(),
+            matrix.vals.imag.tolist(),
+        )
     ]
     radius, norms = 1, []
     radii = []

@@ -61,11 +61,11 @@ class DiagnosticWindowError(ValueError):
     """Too few |k| shells in the window to fit a decay exponent."""
 
 
-# window points (times torus points, for the ellipticity sweep) that the
-# diagnostics evaluate at once; bounds their memory whatever the window size.
-# At 64 KB per float array a block's temporaries stay in cache and stay with
-# the allocator, where larger ones are handed back to the OS and faulted in
-# again for every block.
+# values (window points times torus points) that the diagnostics synthesize
+# or stream at once; bounds their memory whatever the window size.  At 64 KB
+# per float array a block's temporaries stay in cache and stay with the
+# allocator, where larger ones are handed back to the OS and faulted in again
+# for every block.
 _BLOCK = 1 << 13
 
 
@@ -100,32 +100,45 @@ class ToroidalSymbol:
         k = as_index(k, self.dimension)
         return self.evaluate_block(x_points, np.asarray([k], dtype=np.int64))[0]
 
+    def coefficient_table(self, ks):
+        """sigma_hat on a (p, n) index array ks, one ``coefficient`` call per offset.
+
+        Returns ``(zero, offsets, table)``: the zero-offset column (p,), the
+        (L, n) array of the L nonzero offsets in ``offsets()`` order, and
+        their (p, L) coefficient table.
+        """
+        ks = np.asarray(ks, dtype=np.int64).reshape(-1, self.dimension)
+        columns = {l: self.coefficient(l, ks) for l in self.offsets()}
+        zero = columns.pop((0,) * self.dimension, np.zeros(len(ks), dtype=np.complex128))
+        table = np.empty((len(ks), len(columns)), dtype=np.complex128)
+        for j, c in enumerate(columns.values()):
+            table[:, j] = c
+        return zero, np.array(list(columns), dtype=np.int64).reshape(-1, self.dimension), table
+
     def evaluate_block(self, xs, ks):
         """sigma(x, k) for a (p, n) index array ks and a (q, n) point array xs.
 
-        Returns shape (p, q).  Offsets are summed in ``offsets()`` order and a
-        zero coefficient adds nothing (not even 0 times a non-finite phase),
-        so each row is bit-identical to summing one k at a time.  The zero
-        offset adds its coefficient itself: its phase is 1, and an infinite
-        coefficient times 1 + 0j would have a nan imaginary part.
+        Returns shape (p, q): the coefficient table of ks times the phase
+        table of xs, one complex GEMM, plus the zero-offset column added as
+        it is (its phase is 1, and an infinite coefficient times 1 + 0j
+        would have a nan imaginary part).  Terms are summed in BLAS order,
+        not offset by offset.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ks = np.asarray(ks, dtype=np.int64).reshape(-1, self.dimension)
-        total = np.zeros((len(ks), len(xs)), dtype=np.complex128)
-        for l in self.offsets():
-            c = self.coefficient(l, ks)
-            nonzero = c != 0
-            if not nonzero.any():
-                continue
-            if not any(l):
-                total += c[:, None]
-                continue
-            phase = np.exp(2j * np.pi * (xs @ np.asarray(l, dtype=float)))
-            if nonzero.all():
-                total += c[:, None] * phase
-            else:
-                total[nonzero] += c[nonzero, None] * phase
-        return total
+        zero, offsets, table = self.coefficient_table(ks)
+        return _synthesize(zero, table, _phase_table(offsets, xs))
+
+
+def _phase_table(offsets, xs):
+    """(L, q) table exp(2 pi i l.x) for L offsets and q torus points."""
+    return np.exp(2j * np.pi * (offsets.astype(float) @ xs.T))
+
+
+def _synthesize(zero, table, phases):
+    """sum_l table[:, l] phases[l] + zero, shape (p, q)."""
+    out = table @ phases
+    out += zero[:, None]
+    return out
 
 
 class MultiplierSymbol(ToroidalSymbol):
@@ -477,35 +490,61 @@ def _run_starts(sorted_values):
     return np.flatnonzero(np.concatenate([[True], sorted_values[1:] != sorted_values[:-1]]))
 
 
+def _ratios(values, brackets, power):
+    """values / brackets**power, in log space where the power leaves the float range.
+
+    Where brackets**power overflows or underflows to 0, the ratio is
+    exp(log|value| - power log bracket) with the sign of the value.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        weights = brackets**power
+    out = np.empty(len(values))
+    ok = (weights > 0) & (weights < math.inf)
+    np.divide(values, weights, out=out, where=ok)
+    far = ~ok
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf gives the ratio 0
+        log_ratio = np.log(np.abs(values[far])) - power * np.log(brackets[far])
+        out[far] = np.sign(values[far]) * np.exp(log_ratio)
+    return weights, out
+
+
 def strong_ellipticity_check(sigma: ToroidalSymbol, m, w: TruncationWindow, x_grid=16):
     """Sampled lower-bound check Re sigma(x, k) >= C0 <k>^m for |k| >= n0.
 
-    Sweeps the x-grid and the window, in blocks of window points, then
-    reports the smallest integer n0 and the largest C0 > 0 valid on the
-    sample, or passed=False when no threshold works.  A failing check is a
-    report, not an error.  Where <k>^m overflows, the ratio Re sigma / <k>^m
-    is taken in log space, with the sign of Re sigma.
+    Builds the window's coefficient table and the x-grid's phase table
+    once, synthesizes sigma in row blocks of window points, then reports
+    the smallest integer n0 and the largest C0 > 0 valid on the sample, or
+    passed=False when no threshold works.  A failing check is a report, not
+    an error.  Where <k>^m overflows or underflows to 0, the ratio
+    Re sigma / <k>^m is taken in log space, with the sign of Re sigma; a
+    sample where both underflow to 0 constrains nothing.
     """
     xs = _x_grid_points(sigma.dimension, x_grid)
     coords = w.coords_array()
     norms2 = np.sum(coords.astype(np.int64) ** 2, axis=1)
     brackets = bracket_array(coords)
-    with np.errstate(over="ignore"):
-        weights = brackets**m
 
+    zero, offsets, table = sigma.coefficient_table(coords)
+    phases = _phase_table(offsets, xs)
     re_min = np.empty(len(coords))
     worst_x = np.empty(len(coords), dtype=np.int64)
     rows = max(1, _BLOCK // len(xs))
     for start in range(0, len(coords), rows):
         block = slice(start, start + rows)
-        re_vals = np.real(sigma.evaluate_block(xs, coords[block]))
+        re_vals = _synthesize(zero[block], table[block], phases).real
         worst_x[block] = np.argmin(re_vals, axis=1)
         re_min[block] = re_vals[np.arange(len(re_vals)), worst_x[block]]
-    big = ~np.isfinite(weights)
-    ratios = re_min / np.where(big, 1.0, weights)
-    with np.errstate(divide="ignore"):  # log 0 = -inf gives the ratio 0
-        log_ratio = np.log(np.abs(re_min[big])) - m * np.log(brackets[big])
-    ratios[big] = np.sign(re_min[big]) * np.exp(log_ratio)
+    weights, ratios = _ratios(re_min, brackets, m)
+    # where both underflow to 0, 0 >= C0 * 0 holds for every C0
+    ratios[(re_min == 0) & (weights == 0)] = math.inf
+
+    def report(i):
+        value = ratios[i] * weights[i] if 0 < weights[i] < math.inf else re_min[i]
+        return (
+            tuple(float(v) for v in xs[worst_x[i]]),
+            tuple(int(c) for c in coords[i]),
+            float(value),
+        )
 
     order = np.argsort(norms2, kind="stable")
     sorted_norms2 = norms2[order]
@@ -518,20 +557,9 @@ def strong_ellipticity_check(sigma: ToroidalSymbol, m, w: TruncationWindow, x_gr
             n0 = math.isqrt(int(sorted_norms2[start]))
             if n0 * n0 < sorted_norms2[start]:
                 n0 += 1
-            rel = order[start:][np.argmin(sorted_ratios[start:])]
-            worst = (
-                tuple(float(v) for v in xs[worst_x[rel]]),
-                tuple(int(c) for c in coords[rel]),
-                float(ratios[rel] * weights[rel]),
-            )
-            return EllipticityReport(True, c0, int(n0), worst)
-    rel = int(np.argmin(ratios))
-    worst = (
-        tuple(float(v) for v in xs[worst_x[rel]]),
-        tuple(int(c) for c in coords[rel]),
-        float(ratios[rel] * weights[rel]),
-    )
-    return EllipticityReport(False, 0.0, 0, worst)
+            binding = order[start:][np.argmin(sorted_ratios[start:])]
+            return EllipticityReport(True, c0, int(n0), report(binding))
+    return EllipticityReport(False, 0.0, 0, report(int(np.argmin(ratios))))
 
 
 @dataclass(frozen=True)
@@ -564,8 +592,9 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
     slope estimates m - |alpha|.  A non-finite magnitude (an overflowed
     value, or inf - inf in a difference) counts as inf; shells whose
     largest magnitude is 0 or inf stay out of the fit, and the constant is
-    inf when any sampled magnitude is.  Advisory only: symbol classes are
-    sup bounds, a finite sample cannot prove them.
+    inf when any sampled magnitude is; where <k>^slope leaves the float
+    range the constant's ratios are taken in log space.  Advisory only:
+    symbol classes are sup bounds, a finite sample cannot prove them.
     """
     alpha_max = as_index(alpha_max, sigma.dimension)
     n = sigma.dimension
@@ -573,16 +602,6 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
     grids = np.meshgrid(*[np.array(list(r), dtype=np.int64) for r in ext], indexing="ij")
     coords = np.stack([g.ravel() for g in grids], axis=1)
     box_shape = tuple(len(r) for r in ext)
-
-    xs = _x_grid_points(n, x_grid)
-    # sigma on the box, one table per x sample, in blocks of box points
-    tables = np.empty((len(xs), len(coords)), dtype=np.complex128)
-    rows = max(1, _BLOCK // len(xs))
-    with np.errstate(invalid="ignore", over="ignore"):  # nan counts as inf below
-        for start in range(0, len(coords), rows):
-            block = slice(start, start + rows)
-            tables[:, block] = sigma.evaluate_block(xs, coords[block]).T
-    tables = tables.reshape((len(xs),) + box_shape)
 
     base_slices = tuple(slice(0, 2 * w.radius + 1) for _ in range(n))
     base_coords = coords.reshape(box_shape + (n,))[base_slices].reshape(-1, n)
@@ -596,13 +615,32 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
     brackets = bracket_array(base_coords)
     shell_bracket = np.maximum.reduceat(brackets[by_shell], shell_starts)
 
+    xs = _x_grid_points(n, x_grid)
+    # Delta^alpha is linear in sigma_hat: difference the box's coefficient
+    # table once per alpha, then synthesize |Delta^alpha sigma| in row blocks
+    zero, offsets, table = sigma.coefficient_table(coords)
+    zero = zero.reshape(box_shape)
+    table = table.reshape(box_shape + (len(offsets),))
+    phases = _phase_table(offsets, xs)
+    rows = max(1, _BLOCK // len(xs))
+
     fits = {}
     for alpha in itertools.product(*(range(a + 1) for a in alpha_max)):
-        mags = None
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan
-            for table in tables:
-                m = np.abs(_difference_table(table, alpha)[base_slices]).reshape(-1)
-                mags = m if mags is None else np.maximum(mags, m)
+            d_zero = _difference_table(zero, alpha)[base_slices].reshape(-1)
+            d_table = _difference_table(table, alpha)[base_slices].reshape(len(d_zero), -1)
+            # an offset whose coefficient is constant in k (a multiplication
+            # part) differences to 0 and adds nothing at any x
+            live = np.any(d_table != 0, axis=0)
+            if live.any():
+                d_table, live_phases = d_table[:, live], phases[live]
+                mags = np.empty(len(d_zero))
+                for start in range(0, len(mags), rows):
+                    block = slice(start, start + rows)
+                    values = _synthesize(d_zero[block], d_table[block], live_phases)
+                    mags[block] = np.abs(values).max(axis=1)
+            else:
+                mags = np.abs(d_zero)
         mags[~np.isfinite(mags)] = math.inf
         shell_max = np.maximum.reduceat(mags[by_shell], shell_starts)
         finite = shell_max < math.inf
@@ -611,11 +649,10 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
             fits[alpha] = OrderFit(alpha, float("nan"), float(np.max(shell_max)))
             continue
         slope, _ = np.polyfit(np.log(shell_bracket[fit]), np.log(shell_max[fit]), 1)
-        constant = float(np.max(mags / brackets**slope)) if finite.all() else math.inf
+        constant = float(np.max(_ratios(mags, brackets, slope)[1])) if finite.all() else math.inf
         fits[alpha] = OrderFit(alpha, float(slope), constant)
 
-    zero = (0,) * n
-    return OrderDiagnostic(order_estimate=fits[zero].exponent, fits=fits)
+    return OrderDiagnostic(order_estimate=fits[(0,) * n].exponent, fits=fits)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import torusdet
+from torusdet import cli
 from torusdet.cli import main
 
 FOUR_PI_SQ = (2.0 * math.pi) ** 2
@@ -220,6 +221,17 @@ def test_usage_errors(tmp_path, capsys):
     status, _, err = run_cli(capsys, "--grid", "100", "det", path)
     assert status == 1
     assert "power of two" in err
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    path = write(tmp_path, "sym.json", {"dimension": 1, "kind": "fractional_laplacian", "nu": 2.0})
+    assert run_cli(capsys, "symbol2matrix", path, "--radius", "4")[0] == 0
+    status, _, err = run_cli(capsys, "symbol2matrix", path, "--radius", "0")
+    assert status == 1 and "must be >= 1" in err
+    status, out, _ = run_cli(capsys, "symbol2matrix", path)
+    assert status == 0
+    assert json.loads(out)["radius"] == 8  # the default, not a value of an earlier call
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_console_entry_point(tmp_path):

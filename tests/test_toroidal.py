@@ -8,7 +8,7 @@ import pytest
 
 from torusdet import toroidal
 from torusdet.io import parse_symbol_document
-from torusdet.lattice import TruncationWindow
+from torusdet.lattice import TruncationWindow, bracket_array, sup_norm_array
 from torusdet.l1_algebra import SparseL1Matrix, TailModel, compose, poincare_determinant
 from torusdet.toroidal import (
     AliasingError,
@@ -443,6 +443,136 @@ def test_order_diagnostic_leaves_infinite_shells_out_of_the_fit():
     assert diag.order_estimate == finite.order_estimate
     for fit in diag.fits.values():
         assert math.isfinite(fit.exponent) and fit.constant == math.inf
+
+
+def test_an_underflowing_weight_is_divided_in_log_space():
+    # <k>^-400 underflows to 0 from |k| = 7 on; sigma is the same power, so
+    # where both are 0 the sample constrains nothing and elsewhere the ratio is 1
+    sigma = MultiplierSymbol(1, lambda k: bracket_array(k) ** -400.0 + 0j, order_m=-400.0)
+    w = TruncationWindow(40, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = strong_ellipticity_check(sigma, -400.0, w)
+        diag = symbol_order_diagnostic(sigma, (2,), w)
+    assert report.passed and report.n0 == 0
+    assert report.C0 == pytest.approx(1.0, rel=1e-12)
+    assert math.isfinite(report.worst[2])
+    assert diag.order_estimate == pytest.approx(-400.0, rel=1e-12)
+    for fit in diag.fits.values():
+        assert math.isfinite(fit.exponent) and math.isfinite(fit.constant)
+
+
+def naive_order_fit(sigma, alpha_max, w, x_grid):
+    """Reference order fit: sigma at every x sample, differenced per sample.
+
+    Each sample's table sums sigma_hat(l, k) exp(2 pi i x.l) offset by
+    offset over the box; the magnitudes are the maxima over the samples of
+    |Delta^alpha| of those tables.  Returns {alpha: (exponent, constant,
+    shell classes)} with each shell 0, 1 (finite, in the fit) or inf.
+    """
+    n = sigma.dimension
+    box = [np.arange(-w.radius, w.radius + 1 + a) for a in alpha_max]
+    coords = np.stack([g.ravel() for g in np.meshgrid(*box, indexing="ij")], axis=1)
+    shape = tuple(len(b) for b in box)
+    axis = np.arange(x_grid) / x_grid
+    base = tuple(slice(0, 2 * w.radius + 1) for _ in range(n))
+    base_coords = coords.reshape(shape + (n,))[base].reshape(-1, n)
+    shells = sup_norm_array(base_coords)
+    brackets = bracket_array(base_coords)
+    out = {}
+    with np.errstate(invalid="ignore", over="ignore"):
+        tables = []
+        for x in itertools.product(axis, repeat=n):
+            total = np.zeros(len(coords), dtype=np.complex128)
+            for l in sigma.offsets():
+                c = sigma.coefficient(l, coords)
+                total += c if not any(l) else c * np.exp(2j * np.pi * np.dot(x, l))
+            tables.append(total.reshape(shape))
+        for alpha in itertools.product(*(range(a + 1) for a in alpha_max)):
+            mags = np.zeros(len(base_coords))
+            for table in tables:
+                for ax, a in enumerate(alpha):
+                    table = np.diff(table, n=a, axis=ax) if a else table
+                mags = np.fmax(mags, np.abs(table[base]).reshape(-1))
+                mags[np.isnan(np.abs(table[base]).reshape(-1))] = math.inf
+            radii = np.unique(shells)
+            shell_max = np.array([mags[shells == r].max() for r in radii])
+            classes = tuple(0 if v == 0 else (math.inf if v == math.inf else 1) for v in shell_max)
+            fit = np.array(classes) == 1
+            if np.count_nonzero(fit) < 4:
+                out[alpha] = (math.nan, float(shell_max.max()), classes)
+                continue
+            shell_bracket = np.array([brackets[shells == r].max() for r in radii])
+            slope = np.polyfit(np.log(shell_bracket[fit]), np.log(shell_max[fit]), 1)[0]
+            constant = math.inf if math.inf in classes else float(np.max(mags / brackets**slope))
+            out[alpha] = (float(slope), constant, classes)
+    return out
+
+
+def test_order_fit_matches_a_per_sample_reference():
+    def partly_zero(k):  # zero where k_1 < -3, on part of every box
+        return np.where(k[:, 0] < -3, 0.0, (0.4 - 0.3j) / (1.0 + k[:, 1].astype(float) ** 2))
+
+    cases = [
+        (SymbolSum([fractional_laplacian_symbol(3.0, 2),
+                    CoefficientTableSymbol(2, {(1, 0): partly_zero, (0, -1): 0.3j,
+                                               (1, 1): lambda k: (0.2 + 0.1j) * np.cos(k[:, 0]),
+                                               (0, 0): -2.0})]),
+         (2, 2), TruncationWindow(10, 2), 4),
+        (SymbolSum([fractional_laplacian_symbol(2.5, 3),
+                    MultiplicationSymbol(3, {(1, 0, 0): 0.5 + 0.5j, (0, -1, 1): -0.25j})]),
+         (1, 2, 1), TruncationWindow(5, 3), 2),
+        (SymbolSum([fractional_laplacian_symbol(200, 2),
+                    MultiplicationSymbol(2, {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.25j})]),
+         (1, 1), TruncationWindow(8, 2), 4),
+    ]
+    for sigma, alpha_max, w, x_grid in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = symbol_order_diagnostic(sigma, alpha_max, w, x_grid=x_grid)
+        want = naive_order_fit(sigma, alpha_max, w, x_grid)
+        assert list(diag.fits) == list(want)
+        for alpha, fit in diag.fits.items():
+            exponent, constant, classes = want[alpha]
+            for got, ref in ((fit.exponent, exponent), (fit.constant, constant)):
+                if math.isfinite(ref):
+                    assert got == pytest.approx(ref, rel=1e-9), (alpha, got, ref)
+                else:
+                    assert got == ref or (math.isnan(got) and math.isnan(ref)), (alpha, got, ref)
+            # the fit shells are the reference's finite nonzero shells: a
+            # different set would move the fitted exponent far past 1e-9
+            assert (fit.constant == math.inf) == (math.inf in classes)
+    # the last case's infinite zero-offset column puts its outer shells at inf
+    assert math.inf in want[(0, 0)][2]
+
+
+def test_order_fit_memory_does_not_grow_with_the_x_samples():
+    # one table per x sample, the 27^3 box times 8^3 samples, would be a 161 MB complex
+    # table; the k-dependent offset keeps differences in k_1 synthesized
+    sigma = SymbolSum([fractional_laplacian_symbol(2.5, 3),
+                       CoefficientTableSymbol(3, {(1, 0, 0): 0.5 + 0.5j, (-1, 0, 0): 0.5 - 0.5j,
+                                                  (0, -1, 1): lambda k: 0.25j / (1.0 + k[:, 0] ** 2.0)})])
+    tracemalloc.start()
+    try:
+        symbol_order_diagnostic(sigma, (2, 2, 2), TruncationWindow(12, 3), x_grid=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
+def test_strong_ellipticity_memory_stays_in_row_blocks():
+    # the whole 129^2 window times 16^2 samples would be a 68 MB complex table
+    sigma = SymbolSum([fractional_laplacian_symbol(3.0, 2),
+                       MultiplicationSymbol(2, {(1, 0): 0.3, (-1, 0): 0.3, (1, 1): 0.2j, (-1, -1): -0.2j})])
+    tracemalloc.start()
+    try:
+        report = strong_ellipticity_check(sigma, 3.0, TruncationWindow(64, 2), x_grid=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 32 * 2**20
 
 
 def test_order_diagnostic_recovers_powers():
