@@ -108,12 +108,18 @@ class ToroidalSymbol:
         their (p, L) coefficient table.
         """
         ks = np.asarray(ks, dtype=np.int64).reshape(-1, self.dimension)
-        columns = {l: self.coefficient(l, ks) for l in self.offsets()}
-        zero = columns.pop((0,) * self.dimension, np.zeros(len(ks), dtype=np.complex128))
-        table = np.empty((len(ks), len(columns)), dtype=np.complex128)
-        for j, c in enumerate(columns.values()):
-            table[:, j] = c
-        return zero, np.array(list(columns), dtype=np.int64).reshape(-1, self.dimension), table
+        origin = (0,) * self.dimension
+        support = self.offsets()
+        offsets = [l for l in support if l != origin]
+        if origin in support:
+            zero = self.coefficient(origin, ks)
+        else:
+            zero = np.zeros(len(ks), dtype=np.complex128)
+        # each column goes straight into the table: one copy of it is alive
+        table = np.empty((len(ks), len(offsets)), dtype=np.complex128)
+        for j, l in enumerate(offsets):
+            table[:, j] = self.coefficient(l, ks)
+        return zero, np.array(offsets, dtype=np.int64).reshape(-1, self.dimension), table
 
     def evaluate_block(self, xs, ks):
         """sigma(x, k) for a (p, n) index array ks and a (q, n) point array xs.
@@ -513,11 +519,14 @@ def strong_ellipticity_check(sigma: ToroidalSymbol, m, w: TruncationWindow, x_gr
 
     Builds the window's coefficient table and the x-grid's phase table
     once, synthesizes sigma in row blocks of window points, then reports
-    the smallest integer n0 and the largest C0 > 0 valid on the sample, or
-    passed=False when no threshold works.  A failing check is a report, not
-    an error.  Where <k>^m overflows or underflows to 0, the ratio
-    Re sigma / <k>^m is taken in log space, with the sign of Re sigma; a
-    sample where both underflow to 0 constrains nothing.
+    the smallest integer n0 and the largest finite C0 > 0 valid on the
+    sample, or passed=False when no threshold works.  A failing check is a
+    report, not an error.  Memory is O(window x offsets) for the
+    coefficient table plus one row block.  Where <k>^m overflows or
+    underflows to 0, the ratio Re sigma / <k>^m is taken in log space, with
+    the sign of Re sigma.  A sample where Re sigma and <k>^m both underflow
+    to 0 is not resolved in floating point and constrains nothing; a pass
+    needs a resolved sample at or beyond n0, so C0 is finite.
     """
     xs = _x_grid_points(sigma.dimension, x_grid)
     coords = w.coords_array()
@@ -535,7 +544,9 @@ def strong_ellipticity_check(sigma: ToroidalSymbol, m, w: TruncationWindow, x_gr
         worst_x[block] = np.argmin(re_vals, axis=1)
         re_min[block] = re_vals[np.arange(len(re_vals)), worst_x[block]]
     weights, ratios = _ratios(re_min, brackets, m)
-    # where both underflow to 0, 0 >= C0 * 0 holds for every C0
+    # where both underflow to 0, 0 >= C0 * 0 holds for every C0; the
+    # synthesis's sums do not keep the sign of an underflowed term, so a
+    # zero of either sign counts
     ratios[(re_min == 0) & (weights == 0)] = math.inf
 
     def report(i):
@@ -553,7 +564,7 @@ def strong_ellipticity_check(sigma: ToroidalSymbol, m, w: TruncationWindow, x_gr
 
     for start in _run_starts(sorted_norms2):
         c0 = float(suffix_min[start])
-        if c0 > 0:
+        if 0 < c0 < math.inf:
             n0 = math.isqrt(int(sorted_norms2[start]))
             if n0 * n0 < sorted_norms2[start]:
                 n0 += 1
@@ -622,7 +633,6 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
     zero = zero.reshape(box_shape)
     table = table.reshape(box_shape + (len(offsets),))
     phases = _phase_table(offsets, xs)
-    rows = max(1, _BLOCK // len(xs))
 
     fits = {}
     for alpha in itertools.product(*(range(a + 1) for a in alpha_max)):
@@ -630,17 +640,19 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
             d_zero = _difference_table(zero, alpha)[base_slices].reshape(-1)
             d_table = _difference_table(table, alpha)[base_slices].reshape(len(d_zero), -1)
             # an offset whose coefficient is constant in k (a multiplication
-            # part) differences to 0 and adds nothing at any x
+            # part) differences to 0 and adds nothing at any x; with no
+            # offset left, Delta^alpha sigma is the same at every x and one
+            # x sample gives its magnitude
             live = np.any(d_table != 0, axis=0)
-            if live.any():
-                d_table, live_phases = d_table[:, live], phases[live]
-                mags = np.empty(len(d_zero))
-                for start in range(0, len(mags), rows):
-                    block = slice(start, start + rows)
-                    values = _synthesize(d_zero[block], d_table[block], live_phases)
-                    mags[block] = np.abs(values).max(axis=1)
-            else:
-                mags = np.abs(d_zero)
+            d_table, live_phases = d_table[:, live], phases[live]
+            if not live.any():
+                live_phases = live_phases[:, :1]
+            rows = max(1, _BLOCK // live_phases.shape[1])
+            mags = np.empty(len(d_zero))
+            for start in range(0, len(mags), rows):
+                block = slice(start, start + rows)
+                values = _synthesize(d_zero[block], d_table[block], live_phases)
+                mags[block] = np.abs(values).max(axis=1)
         mags[~np.isfinite(mags)] = math.inf
         shell_max = np.maximum.reduceat(mags[by_shell], shell_starts)
         finite = shell_max < math.inf

@@ -460,6 +460,15 @@ def test_an_underflowing_weight_is_divided_in_log_space():
     assert diag.order_estimate == pytest.approx(-400.0, rel=1e-12)
     for fit in diag.fits.values():
         assert math.isfinite(fit.exponent) and math.isfinite(fit.constant)
+    # samples where both are 0 leave no threshold with a finite C0 for the
+    # zero symbol, whose resolved ratios are 0, or for -<k>^-400, whose are -1
+    for values in (lambda k: np.zeros(len(k), dtype=np.complex128),
+                   lambda k: -(bracket_array(k) ** -400.0) + 0j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = strong_ellipticity_check(MultiplierSymbol(1, values, order_m=-400.0), -400.0, w)
+        assert not report.passed and report.C0 == 0.0
+        assert abs(report.worst[1][0]) <= 6 and report.worst[2] <= 0.0
 
 
 def naive_order_fit(sigma, alpha_max, w, x_grid):
