@@ -167,7 +167,12 @@ def _cmd_diagnose(args):
     m_for_ellipticity = symbol.order_m if symbol.order_m is not None else order.order_estimate
     ellipt = strong_ellipticity_check(symbol, m_for_ellipticity, window, x_grid=x_grid)
     radii = [r for r in (4, 8, 16, 32, 64, window_radius) if r <= window_radius]
-    membership = l1_membership_check(symbol, sorted(set(radii)))
+    # the summability rule reads m from the order fit above, not from a fit of its own
+    membership = l1_membership_check(symbol, radii, order_m=m_for_ellipticity)
+    warning = membership.warning
+    if symbol.order_m is None:
+        estimated = f"order estimated from decay fit: m ~ {m_for_ellipticity:.3f}"
+        warning = f"{estimated}; {warning}" if warning else estimated
     return EXIT_OK, {
         "command": "diagnose",
         "order_estimate": order.order_estimate,
@@ -188,7 +193,7 @@ def _cmd_diagnose(args):
         "l1_membership": {
             "in_l1": membership.in_l1,
             "order_used": membership.order_used,
-            "warning": membership.warning,
+            "warning": warning,
             "ladder": [{"radius": r, "l1_norm": v} for r, v in membership.ladder],
         },
     }

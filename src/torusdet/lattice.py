@@ -3,7 +3,8 @@
 Indices are plain tuples of Python ints in the public API and int64 arrays of
 shape (count, n) internally.  Truncation windows are symmetric sup-norm boxes
 [-N, N]^n, enumerated in lexicographic order so that every reduction over a
-window is reproducible bit for bit.
+window is reproducible bit for bit; :func:`box_coords` enumerates any
+rectangular box, and a window is its cube case.
 
 Every match of entries by multi-index goes through one key and one join:
 :func:`index_keys` encodes index rows as int64 keys that sort like the rows,
@@ -97,18 +98,33 @@ class TruncationWindow:
     def coords_array(self, start=0, stop=None):
         """Window points as a (count, n) int64 array, lexicographic order.
 
-        ``start`` and ``stop`` select positions with slice semantics, so
-        ``coords_array(a, b)`` equals ``coords_array()[a:b]`` but allocates
-        only the selected points.
+        The cube case of :func:`box_coords`: ``coords_array(a, b)`` equals
+        ``coords_array()[a:b]`` but allocates only the selected points.
         """
-        start, stop, _ = slice(start, stop).indices(self.size)
-        flat = np.arange(start, stop, dtype=np.int64)
-        out = np.empty((len(flat), self.dimension), dtype=np.int64)
-        for axis in range(self.dimension - 1, 0, -1):
-            flat, digit = np.divmod(flat, 2 * self.radius + 1)
-            out[:, axis] = digit - self.radius
-        out[:, 0] = flat - self.radius
-        return out
+        return box_coords((-self.radius,) * self.dimension, (self.radius,) * self.dimension,
+                          start, stop)
+
+
+def box_size(lo, hi):
+    """Number of points of the box prod_i [lo_i, hi_i] (0 when any lo_i > hi_i)."""
+    return math.prod(max(h - l + 1, 0) for l, h in zip(lo, hi))
+
+
+def box_coords(lo, hi, start=0, stop=None):
+    """Points of the box prod_i [lo_i, hi_i] as a (count, n) int64 array.
+
+    Lexicographic order; ``start`` and ``stop`` select positions with slice
+    semantics, so ``box_coords(lo, hi, a, b)`` equals
+    ``box_coords(lo, hi)[a:b]`` but allocates only the selected points.
+    """
+    start, stop, _ = slice(start, stop).indices(box_size(lo, hi))
+    flat = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((len(flat), len(lo)), dtype=np.int64)
+    for axis in range(len(lo) - 1, 0, -1):
+        flat, digit = np.divmod(flat, hi[axis] - lo[axis] + 1)
+        np.add(digit, lo[axis], out=out[:, axis])
+    np.add(flat, lo[0], out=out[:, 0])
+    return out
 
 
 def shell_tail(radius, dimension, order, scale=1.0, offset=0.0):

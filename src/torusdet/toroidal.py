@@ -31,6 +31,8 @@ import numpy as np
 from .lattice import (
     TruncationWindow,
     as_index,
+    box_coords,
+    box_size,
     bracket_array,
     index_keys,
     matching_pairs,
@@ -667,6 +669,59 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
     return OrderDiagnostic(order_estimate=fits[(0,) * n].exponent, fits=fits)
 
 
+def _rung_pieces(l, radii):
+    """Disjoint (lo, hi, rung) boxes of the columns that offset ``l`` adds per rung.
+
+    Column k holds an entry of rung j's window when |k| and |k + l| are both
+    at most r = radii[j], that is when k lies in the box
+    prod_i [max(-r, -r - l_i), min(r, r - l_i)], which may be empty.  The
+    boxes grow with r, so rung j adds B_j minus B_{j-1}: per axis, the slabs
+    below and above B_{j-1}, inside B_{j-1} on the earlier axes.  Together
+    the pieces tile the last box.
+    """
+    pieces = []
+    inner = None
+    for j, r in enumerate(radii):
+        lo = [max(-r, -r - c) for c in l]
+        hi = [min(r, r - c) for c in l]
+        if box_size(lo, hi) == 0:
+            continue  # the earlier boxes, nested in this one, are empty too
+        if inner is None:
+            pieces.append((lo, hi, j))
+        else:
+            ilo, ihi = inner
+            for axis in range(len(l)):
+                for a, b in ((lo[axis], ilo[axis] - 1), (ihi[axis] + 1, hi[axis])):
+                    if a <= b:
+                        pieces.append((ilo[:axis] + [a] + lo[axis + 1:],
+                                       ihi[:axis] + [b] + hi[axis + 1:], j))
+        inner = (lo, hi)
+    return pieces
+
+
+def _piece_blocks(pieces):
+    """The pieces' points back to back, in blocks of ``_BLOCK`` points.
+
+    Yields ``(parts, cuts, rungs)`` per block: the coordinate arrays of the
+    stretches of pieces that fill it, in order, the block position where
+    each stretch starts, and each stretch's rung.
+    """
+    parts, cuts, rungs, filled = [], [], [], 0
+    for lo, hi, rung in pieces:
+        size, at = box_size(lo, hi), 0
+        while at < size:
+            take = min(size - at, _BLOCK - filled)
+            parts.append(box_coords(lo, hi, at, at + take))
+            cuts.append(filled)
+            rungs.append(rung)
+            at, filled = at + take, filled + take
+            if filled == _BLOCK:
+                yield parts, cuts, rungs
+                parts, cuts, rungs, filled = [], [], [], 0
+    if parts:
+        yield parts, cuts, rungs
+
+
 @dataclass(frozen=True)
 class L1MembershipReport:
     in_l1: bool
@@ -680,12 +735,15 @@ def l1_membership_check(sigma: ToroidalSymbol, radii, order_m=None, cauchy_tol=1
 
     ``in_l1`` requires strict order decay m < -n and a Cauchy norm ladder
     (successive differences below ``cauchy_tol``).  Boundary order m = -n is
-    rejected with a warning.
+    rejected with a warning.  Equal radii are one rung, so the ladder needs
+    two distinct radii to be Cauchy; a negative radius is a ValueError.
     """
     n = sigma.dimension
-    radii = sorted(int(r) for r in radii)
+    radii = sorted({int(r) for r in radii})
     if not radii:
         raise ValueError("need at least one ladder radius")
+    if radii[0] < 0:
+        raise ValueError(f"ladder radius {radii[0]} is negative")
     m = order_m if order_m is not None else sigma.order_m
     warning = ""
     if m is None:
@@ -699,22 +757,17 @@ def l1_membership_check(sigma: ToroidalSymbol, radii, order_m=None, cauchy_tol=1
             m = math.inf
             warning = "order unavailable; assuming non-summable"
 
-    # stream the largest window in blocks; an entry counts toward every rung
-    # whose window holds both its row and its column, so its mass goes to the
-    # bucket of the first such rung (the last bucket: no rung) and the ladder
-    # is the cumulative sum of the buckets
-    big = TruncationWindow(radii[-1], n)
-    rungs = np.asarray(radii)
-    buckets = np.zeros(len(radii) + 1)
-    for start in range(0, big.size, _BLOCK):
-        cols = big.coords_array(start, start + _BLOCK)
-        col_radii = sup_norm_array(cols)
-        for l in sigma.offsets():
+    # an entry counts toward every rung whose window holds both its row and
+    # its column; per offset, those columns tile into boxes by the first such
+    # rung, so each rung's new mass is a sum over its boxes, and the ladder is
+    # the cumulative sum of the rungs' masses
+    masses = np.zeros(len(radii))
+    for l in sigma.offsets():
+        for parts, cuts, rungs in _piece_blocks(_rung_pieces(l, radii)):
+            cols = parts[0] if len(parts) == 1 else np.concatenate(parts)
             vals = np.abs(sigma.coefficient(l, cols))
-            eff = np.maximum(col_radii, sup_norm_array(cols + np.asarray(l, dtype=np.int64)))
-            rung = np.searchsorted(rungs, eff, side="left")
-            buckets += np.bincount(rung, weights=vals, minlength=len(buckets))
-    ladder = [(r, float(t)) for r, t in zip(radii, np.cumsum(buckets[:-1]))]
+            masses += np.bincount(rungs, weights=np.add.reduceat(vals, cuts), minlength=len(radii))
+    ladder = [(r, float(t)) for r, t in zip(radii, np.cumsum(masses))]
 
     diffs = [abs(ladder[i + 1][1] - ladder[i][1]) for i in range(len(ladder) - 1)]
     cauchy = bool(diffs and diffs[-1] <= cauchy_tol)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import torusdet
-from torusdet import cli
+from torusdet import cli, toroidal
 from torusdet.cli import main
 
 FOUR_PI_SQ = (2.0 * math.pi) ** 2
@@ -175,6 +175,30 @@ def test_diagnose_fractional_laplacian(tmp_path, capsys):
     assert abs(doc["order_estimate"] - 1.5) <= 0.1
     assert doc["strong_ellipticity"]["passed"] is True
     assert doc["l1_membership"]["in_l1"] is False
+
+
+def test_diagnose_fits_the_order_once_and_reports_it_as_estimated(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "sum.json", {"dimension": 1, "kind": "sum", "parts": [
+        {"kind": "fractional_laplacian", "nu": 2.0},
+        {"kind": "multiplication", "coefficients": [{"index": [1], "re": 0.5, "im": 0.0}]},
+    ]})
+    fits = []
+    fit = toroidal.symbol_order_diagnostic
+
+    def counted(*args, **kwargs):
+        fits.append(args[1])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(toroidal, "symbol_order_diagnostic", counted)
+    monkeypatch.setattr(cli, "symbol_order_diagnostic", counted)
+    status, out, _ = run_cli(capsys, "--max-radius", "16", "diagnose", path)
+    assert status == 0
+    assert fits == [(2,)]
+    doc = json.loads(out)
+    membership = doc["l1_membership"]
+    assert membership["order_used"] == doc["order_estimate"] == doc["strong_ellipticity"]["order_m"]
+    assert membership["warning"] == f"order estimated from decay fit: m ~ {doc['order_estimate']:.3f}"
+    assert [e["radius"] for e in membership["ladder"]] == [4, 8, 16]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

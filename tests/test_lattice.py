@@ -7,6 +7,8 @@ import pytest
 from torusdet.lattice import (
     InvalidOrderError,
     TruncationWindow,
+    box_coords,
+    box_size,
     bracket,
     enumerate_window,
     forward_difference,
@@ -231,3 +233,17 @@ def test_coords_array_slice_matches_full_window():
             assert np.array_equal(part, full[start:stop])
     with pytest.raises(ValueError):
         TruncationWindow(-1, 2)
+
+
+def test_box_coords_enumerates_boxes_lexicographically_and_by_slice():
+    boxes = [([-2], [3]), ([1, -4], [2, -1]), ([0, 5, -1], [1, 7, 1]), ([-3, 2], [-3, 2])]
+    for lo, hi in boxes:
+        full = box_coords(lo, hi)
+        want = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+        assert box_size(lo, hi) == len(want)
+        assert full.dtype == np.int64 and [tuple(c) for c in full] == want
+        for start, stop in ((0, 0), (2, 5), (len(want) - 1, None), (-3, None), (4, 1)):
+            assert np.array_equal(box_coords(lo, hi, start, stop), full[start:stop])
+    for lo, hi in (([0], [-1]), ([0, 3], [4, 2]), ([2, 0, 0], [1, 5, 5])):
+        assert box_size(lo, hi) == 0
+        assert box_coords(lo, hi).shape == (0, len(lo))

@@ -649,6 +649,26 @@ def test_l1_membership_without_an_order_fits_one_or_assumes_non_summable():
         l1_membership_check(Opaque(), [4, 8])
 
 
+def per_point_ladder(sym, radii):
+    """The ladder summed point by point with math.fsum: every column of the
+    largest window under every offset, counted from the first rung whose
+    window holds both the column and its row."""
+    radii = sorted(set(radii))
+    cols = TruncationWindow(radii[-1], sym.dimension).coords_array()
+    entries = []
+    for l in sym.offsets():
+        eff = np.maximum(sup_norm_array(cols), sup_norm_array(cols + np.asarray(l)))
+        entries.append((eff, np.abs(sym.coefficient(l, cols))))
+    return [
+        (r, math.fsum(float(v) for eff, vals in entries for v in vals[eff <= r])) for r in radii
+    ]
+
+
+def decaying(power, phase):
+    """A complex coefficient rule phase * <k>^power in any dimension."""
+    return lambda k: phase * (1.0 + np.sum(k.astype(float) ** 2, axis=1)) ** (power / 2.0)
+
+
 def test_l1_membership_streamed_ladder_matches_exact_sums():
     sym = CoefficientTableSymbol(
         2,
@@ -660,18 +680,10 @@ def test_l1_membership_streamed_ladder_matches_exact_sums():
         order_m=-3.0,
     )
     radii = [3, 20, 50, 90]
-    window = TruncationWindow(radii[-1], 2)
-    assert window.size > 3 * toroidal._BLOCK  # the ladder streams several blocks
-    cols = window.coords_array()
-    entries = []
-    for l in sym.offsets():
-        rows = cols + np.asarray(l)
-        eff = np.maximum(np.max(np.abs(cols), axis=1), np.max(np.abs(rows), axis=1))
-        entries.append((eff, np.abs(sym.coefficient(l, cols))))
+    assert TruncationWindow(radii[-1], 2).size > 3 * toroidal._BLOCK  # several blocks
     report = l1_membership_check(sym, radii)
     assert [r for r, _ in report.ladder] == radii
-    for r, got in report.ladder:
-        want = math.fsum(float(v) for eff, vals in entries for v in vals[eff <= r])
+    for (_, got), (_, want) in zip(report.ladder, per_point_ladder(sym, radii)):
         assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
@@ -699,6 +711,63 @@ def test_l1_membership_memory_does_not_grow_with_the_ladder():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20  # one float per point of the 8M-point window is 64 MB
+
+
+@pytest.mark.parametrize(
+    "sym, radii",
+    [
+        # 1-D, unsorted radii with a rung of radius 0; the last box spans 10 blocks
+        (CoefficientTableSymbol(1, {(0,): decaying(-2.0, 1 - 2j), (3,): decaying(-3.0, 0.5j),
+                                    (-2,): 0.25 + 0.1j}), [7, 0, 40_000, 3]),
+        # 2-D: boxes of 32761 points stream through several blocks
+        (CoefficientTableSymbol(2, {(0, 0): decaying(-3.0, 1.0), (1, -1): decaying(-2.5, 0.5 - 2j),
+                                    (0, 5): decaying(-2.0, 3j), (-4, 2): 1e-3 - 1e-3j}),
+         [90, 0, 1, 3, 20, 50]),
+        # 3-D, unsorted with radius 0; the last box (29^3 points) spans several blocks
+        (CoefficientTableSymbol(3, {(0, 0, 0): decaying(-4.0, 2.0), (2, -1, 1): decaying(-3.5, -1j),
+                                    (0, 0, 7): 0.5 + 0.5j}), [14, 0, 5, 9, 2]),
+    ],
+)
+def test_l1_membership_ladder_matches_per_point_fsum(sym, radii):
+    got = l1_membership_check(sym, radii).ladder
+    want = per_point_ladder(sym, radii)
+    assert [r for r, _ in got] == [r for r, _ in want] == sorted(radii)
+    for (_, g), (_, w) in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-13, abs=0)
+
+
+def test_l1_membership_offset_outside_the_small_rungs_adds_exact_zeros():
+    # offset (0, 5) has no column whose row stays in a window of radius < 3
+    sym = CoefficientTableSymbol(2, {(0, 5): decaying(-3.0, 1 + 1j)}, order_m=-3.0)
+    radii = [1, 2, 3, 40]
+    ladder = l1_membership_check(sym, radii).ladder
+    assert ladder[0][1] == 0.0 and ladder[1][1] == 0.0
+    for (_, g), (_, w) in zip(ladder, per_point_ladder(sym, radii)):
+        assert g == pytest.approx(w, rel=1e-13, abs=0)
+
+
+def test_l1_membership_equal_radii_are_one_rung():
+    # one truncated sum is not a Cauchy ladder, however often its radius is given
+    report = l1_membership_check(bracket_power_symbol(-2.0), [8, 8])
+    assert not report.in_l1
+    assert [r for r, _ in report.ladder] == [8]
+
+
+def test_l1_membership_rejects_negative_radii():
+    for radii in ([-1, 2], [3, -5, 8], [-2]):
+        with pytest.raises(ValueError, match="negative"):
+            l1_membership_check(bracket_power_symbol(-2.0), radii)
+
+
+def test_l1_membership_to_4m_traces_under_a_megabyte():
+    sym = bracket_power_symbol(-2.0)
+    tracemalloc.start()
+    try:
+        l1_membership_check(sym, [100_000, 1_000_000, 2_000_000, 4_000_000])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_tabulated_symbols_match_dict_lookups():
