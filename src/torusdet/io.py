@@ -9,6 +9,7 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 
 from .hill import HillProblem, InfeasibleOrderError
 from .l1_algebra import SparseL1Matrix, TailModel
@@ -235,7 +236,9 @@ def dumps_fixed(doc, indent=0):
 
     Each container is joined from its items' strings as soon as they are
     written, so only one container's parts per level are alive at a time;
-    each distinct string key is encoded once per call.
+    each distinct key is encoded once per call.  A list of same-shape flat
+    records is written by one template (:func:`_record_table`).  Keys must
+    be strings: JSON has no other kind.
     """
     return _fixed(doc, "  " * indent, {})
 
@@ -251,22 +254,75 @@ def _fixed(value, pad, keys):
         inner = pad + "  "
         items = []
         for key, item in value.items():
-            text = keys.get(key)
-            if text is None:
-                text = json.dumps(key)
-                if type(key) is str:  # 1, 1.0 and True are equal keys
-                    keys[key] = text
+            text = keys.get(key) or _key(key, keys)
             items.append(inner + text + ": " + _fixed(item, inner, keys))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if kind is list:
         if not value:
             return "[]"
         inner = pad + "  "
-        items = [inner + _fixed(item, inner, keys) for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        body = _record_table(value, inner, keys)
+        if body is None:
+            body = ",\n".join([inner + _fixed(item, inner, keys) for item in value])
+        return "[\n" + body + "\n" + pad + "]"
     if kind is int:
         return str(value)
     return json.dumps(value)  # str, bool and None
+
+
+def _key(key, keys):
+    """The encoded form of a dict key not yet in ``keys``, cached there."""
+    if not isinstance(key, str):
+        raise TypeError(f"cannot serialize {type(key).__name__} key {key!r}")
+    text = keys[key] = json.dumps(key)
+    return text
+
+
+def _record_table(records, pad, keys):
+    """The items of a list of flat records indented by ``pad``, or None.
+
+    A flat record is a dict with str keys whose values are floats, ints or
+    lists of ints, each of exactly that type (not bool, not a numpy scalar).
+    When every record has the first one's keys, value types and list
+    lengths, and every float is finite, one ``%`` template for that shape
+    writes them all, byte for byte as the item-by-item path would.  Floats
+    must be finite because ``%.17g`` writes nan and inf, not NaN and
+    Infinity.  Otherwise the result is None and the caller writes the list
+    item by item.
+    """
+    first = records[0]
+    if type(first) is not dict or not first or not all(
+            type(v) in (float, int, list) for v in first.values()):
+        return None
+    names = tuple(first)
+    if set(map(type, records)) != {dict} or set(map(tuple, records)) != {names}:
+        return None
+    inner = pad + "  "
+    fields, slots = [], []
+    for name, column in zip(names, zip(*map(dict.values, records))):
+        if type(name) is not str:
+            return None
+        kinds = set(map(type, column))
+        if kinds == {float} and all(map(math.isfinite, column)):
+            slots.append(column)
+            form = "%.17g"
+        elif kinds == {int}:
+            slots.append(column)
+            form = "%d"
+        elif kinds == {list} and len(set(map(len, column))) == 1:
+            parts = list(zip(*column))  # one tuple per list position
+            if any(set(map(type, part)) != {int} for part in parts):
+                return None
+            slots.extend(parts)
+            form = ("[\n" + ",\n".join([inner + "  %d"] * len(parts)) + "\n" + inner + "]"
+                    if parts else "[]")
+        else:
+            return None
+        text = keys.get(name) or _key(name, keys)
+        fields.append(inner + text.replace("%", "%%") + ": " + form)
+    template = pad + "{\n" + ",\n".join(fields) + "\n" + pad + "}"
+    rows = zip(*slots) if slots else [()] * len(records)
+    return ",\n".join(map(template.__mod__, rows))
 
 
 # exact types dumps_fixed writes, by the kind it writes them as

@@ -93,6 +93,10 @@ class ToroidalSymbol:
             f"{type(self).__name__} cannot produce coefficient rows"
         )
 
+    def coefficient_abs(self, l, k_coords):
+        """|sigma_hat(l, k)| for each row of ``k_coords``, as float64."""
+        return np.abs(self.coefficient(l, k_coords))
+
     def evaluate(self, x, k):
         """sigma(x, k) at a single point x (floats) and index k."""
         return complex(self.evaluate_many(np.asarray([x], dtype=float), k)[0])
@@ -208,15 +212,32 @@ class CoefficientTableSymbol(ToroidalSymbol):
     def offsets(self):
         return sorted(self._table)
 
-    def coefficient(self, l, k_coords):
-        l = as_index(l, self.dimension)
+    def _rule_values(self, l, k_coords):
+        """(points, values): the rule's own array at ``k_coords``, else its constant or None."""
         k_coords = np.asarray(k_coords, dtype=np.int64).reshape(-1, self.dimension)
-        rule = self._table.get(l)
-        if rule is None:
-            return np.zeros(len(k_coords), dtype=np.complex128)
+        rule = self._table.get(as_index(l, self.dimension))
         if callable(rule):
-            return np.asarray(rule(k_coords), dtype=np.complex128)
-        return np.full(len(k_coords), complex(rule), dtype=np.complex128)
+            return len(k_coords), np.asarray(rule(k_coords))
+        return len(k_coords), None if rule is None else complex(rule)
+
+    @staticmethod
+    def _as_complex(n, vals):
+        if isinstance(vals, np.ndarray):
+            return np.asarray(vals, dtype=np.complex128)
+        return np.full(n, 0j if vals is None else vals, dtype=np.complex128)
+
+    def coefficient(self, l, k_coords):
+        return self._as_complex(*self._rule_values(l, k_coords))
+
+    def coefficient_abs(self, l, k_coords):
+        """|sigma_hat(l, k)|; a rule's float64 values are not widened to complex first.
+
+        |x| equals |x + 0j| exactly, so the magnitudes are those of ``coefficient``.
+        """
+        n, vals = self._rule_values(l, k_coords)
+        if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64):
+            vals = self._as_complex(n, vals)
+        return np.abs(vals)
 
 
 class SymbolSum(ToroidalSymbol):
@@ -765,7 +786,7 @@ def l1_membership_check(sigma: ToroidalSymbol, radii, order_m=None, cauchy_tol=1
     for l in sigma.offsets():
         for parts, cuts, rungs in _piece_blocks(_rung_pieces(l, radii)):
             cols = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            vals = np.abs(sigma.coefficient(l, cols))
+            vals = sigma.coefficient_abs(l, cols)
             masses += np.bincount(rungs, weights=np.add.reduceat(vals, cuts), minlength=len(radii))
     ladder = [(r, float(t)) for r, t in zip(radii, np.cumsum(masses))]
 

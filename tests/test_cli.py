@@ -1,3 +1,5 @@
+import ast
+import glob
 import json
 import math
 import os
@@ -272,3 +274,16 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == {"re": 1, "im": 0}
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml promises Python >= 3.10; CI runs a 3.10 leg
+    src = os.path.dirname(torusdet.__file__)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    paths = sorted(glob.glob(os.path.join(src, "*.py")) + glob.glob(os.path.join(tests, "*.py")))
+    assert len(paths) >= 16
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=path, feature_version=(3, 10))
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

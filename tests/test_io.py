@@ -1,9 +1,11 @@
+import collections
 import json
 import math
 
 import numpy as np
 import pytest
 
+from torusdet import cli, io
 from torusdet.io import (
     ParseError,
     ValidationError,
@@ -161,6 +163,8 @@ def recursive_dumps_fixed(doc, indent=0):
     if isinstance(doc, dict):
         if not doc:
             return "{}"
+        if not all(isinstance(key, str) for key in doc):
+            raise TypeError("cannot serialize a non-string key")
         items = ",\n".join(
             f"{pad}  {json.dumps(key)}: {recursive_dumps_fixed(value, indent + 1)}"
             for key, value in doc.items()
@@ -183,8 +187,6 @@ def recursive_dumps_fixed(doc, indent=0):
 
 
 def test_dumps_fixed_matches_the_recursive_writer():
-    import collections
-
     Pair = collections.namedtuple("Pair", "re im")
     special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308]
     rng = np.random.default_rng(3)
@@ -199,7 +201,6 @@ def test_dumps_fixed_matches_the_recursive_writer():
         {"nested": {"empty": {}, "list": [], "tuple": (), "deep": [[[{}], []], [{"x": [[]]}]]}},
         {"floats": special, "ints": [0, -1, 2**70], "flags": [True, False, None]},
         {"ключ": "значение", "日本": ["é", "\u2603", "tab\tquote\"\\"], "": 1, "\x00": 2},
-        {1: "int key", 2.5: "float key", None: "none key", True: "bool key"},
         # subclasses take the isinstance route
         collections.OrderedDict([("b", np.float64(0.1)), ("a", Pair(1.5, -2.0))]),
         {"np": [np.float64(math.nan), np.float64(-math.inf), np.bool_(True).item()]},
@@ -209,6 +210,114 @@ def test_dumps_fixed_matches_the_recursive_writer():
     for doc in docs:
         for indent in (0, 1, 3):
             assert dumps_fixed(doc, indent) == recursive_dumps_fixed(doc, indent)
-    for bad in (object(), {"k": {1, 2}}, [b"bytes"], {"c": 1j}):
+    # JSON keys are strings; 1 and None used to be written as bare 1 and null
+    non_string_keys = [{1: "int key"}, {2.5: "float key"}, {None: "none key"},
+                       {True: "bool key"}, {"a": 1, (1, 2): "tuple key"},
+                       [{"row": [1], 3: 2.0}] * 60]
+    for bad in (object(), {"k": {1, 2}}, [b"bytes"], {"c": 1j}, *non_string_keys):
         with pytest.raises(TypeError, match="cannot serialize"):
             dumps_fixed(bad)
+
+
+def record_rows(count, seed=5):
+    """``count`` flat records of the symbol2matrix entry shape."""
+    rng = np.random.default_rng(seed)
+    return [
+        {"row": [int(a), int(b)], "col": [int(b), -int(a)], "re": float(x), "im": float(y)}
+        for a, b, x, y in zip(rng.integers(-40, 40, count), rng.integers(-40, 40, count),
+                              rng.standard_normal(count), rng.standard_normal(count) * 1e-300)
+    ]
+
+
+def broken_at(records, position, **changes):
+    """A copy of ``records`` whose record at ``position`` has ``changes`` applied."""
+    out = [dict(r) for r in records]
+    out[position].update(changes)
+    return out
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        record_rows(60),
+        [{"radius": 2**k, "l1_norm": 1.0 / (k + 1)} for k in range(64)],
+        [{"alpha": [], "exponent": 0.5, "%key%": 1} for _ in range(50)],
+        [{"empty": []} for _ in range(50)],
+        # one record breaks the shape partway through
+        broken_at(record_rows(60), 37, re=math.nan),
+        broken_at(record_rows(60), 37, im=math.inf),
+        broken_at(record_rows(60), 59, re=-math.inf),
+        broken_at(record_rows(60), 30, im=-0.0),
+        broken_at(record_rows(60), 50, row=[True, 2]),
+        broken_at([{"radius": k, "l1_norm": 0.5} for k in range(60)], 41, radius=True),
+        broken_at(record_rows(60), 12, re=np.float64(0.25)),
+        broken_at(record_rows(60), 44, col=[1, 2, 3]),
+        broken_at(record_rows(60), 44, col=[]),
+        broken_at(record_rows(60), 20, row=2**70),
+        broken_at([{"radius": k, "l1_norm": 0.5} for k in range(60)], 25, radius=-(2**70)),
+        record_rows(30) + [{"col": [1, 2], "row": [3, 4], "re": 1.0, "im": 2.0}] + record_rows(30),
+        record_rows(55) + [{"row": [1, 2], "col": [3, 4], "re": 1.0}],
+        record_rows(50) + [{"row": [1, 2], "col": [3, 4], "re": 1.0, "im": 2.0, "x": 0}],
+        record_rows(50) + [[1, 2]],
+        [{"radius": 2**70 + k, "l1_norm": -0.0} for k in range(50)],
+        [{"v": [2**70, -(2**70)], "w": 5e-324} for _ in range(50)],
+        [{"s": "text", "r": 1.0} for _ in range(50)],
+        [{"d": {"re": 1.0}} for _ in range(50)],
+        [collections.OrderedDict(r) for r in record_rows(50)],
+    ],
+)
+def test_record_tables_match_the_recursive_writer(table):
+    for indent in (0, 1, 3):
+        assert dumps_fixed(table, indent) == recursive_dumps_fixed(table, indent)
+        nested = {"entries": table, "after": [table[:3]]}
+        assert dumps_fixed(nested, indent) == recursive_dumps_fixed(nested, indent)
+
+
+def test_a_record_table_is_not_written_record_by_record(monkeypatch):
+    calls = []
+    general = io._fixed
+    monkeypatch.setattr(io, "_fixed", lambda *args: calls.append(args) or general(*args))
+    doc = {"entries": record_rows(2000), "norm_ladder": [{"radius": 1, "l1_norm": 2.0}]}
+    assert dumps_fixed(doc) == recursive_dumps_fixed(doc)
+    assert len(calls) == 3  # the document and its two lists
+
+
+CLI_DOCUMENTS = {
+    "toeplitz1.json": {"dimension": 1, "kind": "multiplication", "coefficients": [
+        {"index": [l], "re": 0.3 * l - 0.7, "im": 1.0 / (l + 7)} for l in (-4, -1, 0, 2, 3)]},
+    "toeplitz2.json": {"dimension": 2, "kind": "multiplication", "coefficients": [
+        {"index": [a, b], "re": 0.1 * a + 1.0 / 3.0, "im": -0.2 * b}
+        for a, b in ((0, 0), (1, -2), (-2, 1), (2, 2))]},
+    "schroedinger2.json": {"dimension": 2, "kind": "sum", "parts": [
+        {"kind": "fractional_laplacian", "nu": 2.7},
+        {"kind": "multiplication", "coefficients": [
+            {"index": [1, 0], "re": 0.35}, {"index": [-1, 0], "re": 0.35},
+            {"index": [1, 1], "re": 0.2}, {"index": [-1, -1], "re": 0.2}]}]},
+    "matrix.json": {"dimension": 1, "entries": [
+        {"row": [k], "col": [k], "re": 1.0 / (1.0 + k * k), "im": 0.1 / (2.0 + k * k)}
+        for k in range(-6, 7)], "tail_bound": {"kind": "exact"}},
+    "scan.json": {"dimension": 1, "nu": 2.0, "potential": [
+        {"index": [2], "re": 0.5}, {"index": [-2], "re": 0.5}],
+        "scan": {"lambda_min": -50.0, "lambda_max": 5.0, "steps": 41}},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symbol2matrix", "toeplitz1.json", "--radius", "64"],
+        ["symbol2matrix", "toeplitz2.json", "--radius", "8"],
+        ["--max-radius", "16", "diagnose", "schroedinger2.json"],
+        ["det", "matrix.json"],
+        ["--max-radius", "16", "hill", "scan", "scan.json"],
+    ],
+)
+def test_cli_stdout_matches_the_recursive_writer(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a in CLI_DOCUMENTS else a for a in argv]
+    for name, doc in CLI_DOCUMENTS.items():
+        write(tmp_path, name, doc)
+    status = cli.main(argv)
+    out = capsys.readouterr().out
+    assert status == 0
+    # json.loads reads every .17g float back exactly, so this pins the bytes
+    assert out == recursive_dumps_fixed(json.loads(out)) + "\n"

@@ -770,6 +770,34 @@ def test_l1_membership_to_4m_traces_under_a_megabyte():
     assert peak < 2**20
 
 
+def as_complex_rule(rule):
+    return lambda k: np.asarray(rule(k), dtype=np.complex128)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        lambda k: 1.3 / (1.0 + 2.5 * np.sum(k.astype(float) ** 2, axis=1)),  # float64
+        lambda k: np.where(k[:, 0] % 2 == 0, -1.0, 0.5) / (1.0 + k[:, 0] ** 2.0),  # signed float64
+        lambda k: np.where(k[:, 0] == 3, -0.0, 1.0 / (1.0 + k[:, 0] ** 4.0)),  # a -0.0
+        lambda k: (k[:, 0] % 5 - 2).astype(np.int64),  # int64, widened as before
+        lambda k: (1.0 / (1.0 + k[:, 0] ** 2.0)).astype(np.float32),  # float32, widened as before
+    ],
+)
+def test_l1_membership_of_a_real_rule_equals_its_complex_form_bit_for_bit(rule):
+    radii = [0, 3, 40_000, 100_000]
+    real = CoefficientTableSymbol(1, {(0,): rule, (2,): rule, (-1,): 0.5}, order_m=-2.0)
+    wide = CoefficientTableSymbol(1, {(0,): as_complex_rule(rule), (2,): as_complex_rule(rule),
+                                      (-1,): 0.5}, order_m=-2.0)
+    ks = TruncationWindow(50, 1).coords_array()
+    for l in real.offsets():
+        magnitudes = real.coefficient_abs(l, ks)
+        assert magnitudes.dtype == np.float64
+        assert magnitudes.tobytes() == np.abs(real.coefficient(l, ks)).tobytes()
+    got = [v.hex() for _, v in l1_membership_check(real, radii).ladder]
+    assert got == [v.hex() for _, v in l1_membership_check(wide, radii).ladder]
+
+
 def test_tabulated_symbols_match_dict_lookups():
     rng = np.random.default_rng(21)
     ks = TruncationWindow(7, 2).coords_array()  # the tables reach radius 5
