@@ -326,19 +326,23 @@ def _section_inv(m, blocks=None):
     return inv
 
 
-def _section_singular_values(m, links=None):
-    """Smallest and largest singular value of m, without singular vectors.
+def _section_min_singular(m, links=None, wanted=None):
+    """Smallest and largest singular value of m and a vector v for the smallest.
 
-    Returns ``(smallest, largest, where)``; ``where`` says which part of m
-    holds the smallest value:
+    The singular values of m's parts come first, without vectors; v is then
+    computed only if ``wanted(smallest, largest)`` is true (always, when
+    ``wanted`` is None), and is None otherwise.  v is LAPACK's last right
+    singular vector (a row of V^H) of the part of m that holds the smallest
+    sigma_min, and the smallest value returned is the one of that SVD:
 
-    * the ascending window positions of the component with the smallest
-      sigma_min when m has several; among tied components, the one whose
-      first position comes first;
-    * ``(block, odd)`` when m is one component that splits into parity
-      blocks: the even block, or the odd one if ``odd``.  On a tie the even
-      block holds it;
-    * None otherwise: m itself.
+    * the component with the smallest sigma_min when m has several, among
+      tied components the one whose first position comes first; v is zero
+      off it;
+    * the even or odd parity block when m is one component that splits
+      (see :func:`_parity_blocks`), the even block on a tie; v is mapped
+      back by :func:`_parity_vector`, so that v[::-1] = v for the even block
+      and -v for the odd one;
+    * m itself otherwise, whose vector SVD then gives the largest value too.
 
     ``links`` are passed on to :func:`_section_blocks`.
     """
@@ -347,43 +351,31 @@ def _section_singular_values(m, links=None):
         even, odd = (np.linalg.svd(b, compute_uv=False) for b in blocks)
         odd_wins = bool(odd[-1] < even[-1])  # a tie goes to the even block
         smallest = odd[-1] if odd_wins else even[-1]
-        return float(smallest), float(max(even[0], odd[0])), (blocks[odd_wins], odd_wins)
-    if not blocks:
+        largest = max(even[0], odd[0])
+    elif not blocks:
         svals = np.linalg.svd(m, compute_uv=False)
-        return float(svals[-1]), float(svals[0]), None
-    firsts, smallest, largest, components = [], [], [], []
-    for idx in blocks:
-        svals = np.linalg.svd(m[_block_index(idx)], compute_uv=False)
-        firsts.append(idx[:, 0])
-        smallest.append(svals[:, -1])
-        largest.append(svals[:, 0])
-        components.extend(idx)
-    firsts, smallest = np.concatenate(firsts), np.concatenate(smallest)
-    pick = np.lexsort((firsts, smallest))[0]
-    largest = float(np.max(np.concatenate(largest)))
-    return float(smallest[pick]), largest, components[pick]
-
-
-def _section_min_singular(m, values=None):
-    """Smallest and largest singular value of m and a vector v for the smallest.
-
-    v is LAPACK's last right singular vector (a row of V^H) of the part of m
-    that holds the smallest sigma_min (see :func:`_section_singular_values`
-    for which part, and its tie rules): of a component, zero elsewhere, or
-    of a parity block, mapped back by :func:`_parity_vector`, so that
-    v[::-1] = v for the even block and -v for the odd one.  Only that part's
-    vectors are computed, from the :func:`_section_singular_values` of m
-    (``values``, when the caller already has them); the smallest value is
-    the one of that SVD.
-    """
-    _, largest, where = _section_singular_values(m) if values is None else values
-    if where is None:
+        smallest, largest = svals[-1], svals[0]
+    else:
+        firsts, smallest, largest, components = [], [], [], []
+        for idx in blocks:
+            svals = np.linalg.svd(m[_block_index(idx)], compute_uv=False)
+            firsts.append(idx[:, 0])
+            smallest.append(svals[:, -1])
+            largest.append(svals[:, 0])
+            components.extend(idx)
+        firsts, smallest = np.concatenate(firsts), np.concatenate(smallest)
+        pick = np.lexsort((firsts, smallest))[0]
+        smallest, largest = smallest[pick], np.max(np.concatenate(largest))
+    smallest, largest = float(smallest), float(largest)
+    if wanted is not None and not wanted(smallest, largest):
+        return smallest, largest, None
+    if isinstance(blocks, tuple):
+        _, svals, vh = np.linalg.svd(blocks[odd_wins])
+        return float(svals[-1]), largest, _parity_vector(vh[-1], odd_wins)
+    if not blocks:
         _, svals, vh = np.linalg.svd(m)
         return float(svals[-1]), float(svals[0]), vh[-1]
-    if isinstance(where, tuple):
-        block, odd = where
-        _, svals, vh = np.linalg.svd(block)
-        return float(svals[-1]), largest, _parity_vector(vh[-1], odd)
+    where = components[pick]
     _, svals, vh = np.linalg.svd(m[np.ix_(where, where)])
     v = np.zeros(m.shape[0], dtype=vh.dtype)
     v[where] = vh[-1]

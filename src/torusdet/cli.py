@@ -30,7 +30,6 @@ from .l1_algebra import (
 )
 from .lattice import TruncationWindow
 from .toroidal import (
-    NonSummableSymbolError,
     l1_membership_check,
     strong_ellipticity_check,
     symbol_order_diagnostic,
@@ -89,19 +88,25 @@ def build_parser():
 
     p = sub.add_parser("det", help="extended determinant of I + A for a matrix file")
     p.add_argument("file")
+    p.set_defaults(func=_cmd_det)
     p = sub.add_parser("trace", help="extended trace of a matrix file")
     p.add_argument("file")
+    p.set_defaults(func=_cmd_trace)
     p = sub.add_parser("symbol2matrix", help="matrix of a symbol on a window")
     p.add_argument("file")
     p.add_argument("--radius", type=_positive_int, default=8)
+    p.set_defaults(func=_cmd_symbol2matrix)
     p = sub.add_parser("diagnose", help="ellipticity, order and summability reports")
     p.add_argument("file")
+    p.set_defaults(func=_cmd_diagnose)
     hill = sub.add_parser("hill", help="Hill determinant method")
     hill_sub = hill.add_subparsers(dest="hill_command", required=True)
     p = hill_sub.add_parser("check", help="existence of nontrivial periodic solutions")
     p.add_argument("file")
+    p.set_defaults(func=_cmd_hill_check)
     p = hill_sub.add_parser("scan", help="determinant roots over a spectral shift grid")
     p.add_argument("file")
+    p.set_defaults(func=_cmd_hill_scan)
     return parser
 
 
@@ -272,35 +277,19 @@ def _cmd_hill_scan(args):
     }
 
 
-_DISPATCH = {
-    "det": _cmd_det,
-    "trace": _cmd_trace,
-    "symbol2matrix": _cmd_symbol2matrix,
-    "diagnose": _cmd_diagnose,
-}
-
-
-def dispatch(args):
-    if args.command == "hill":
-        fn = _cmd_hill_check if args.hill_command == "check" else _cmd_hill_scan
-    else:
-        fn = _DISPATCH[args.command]
-    return fn(args)
-
-
 def main(argv=None):
     parser = build_parser()
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
-        status, doc = dispatch(args)
+        status, doc = args.func(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     except (docio.ParseError, docio.ValidationError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except (NonConvergenceError, NonSummableSymbolError, ValueError) as err:
+    except (NonConvergenceError, ValueError) as err:
         print(f"computation error: {err}", file=sys.stderr)
         return EXIT_ERROR
     if isinstance(doc, str):

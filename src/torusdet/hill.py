@@ -37,11 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dense import _section_min_singular, _section_singular_values
+from ._dense import _section_min_singular
 from .lattice import (
     TruncationWindow,
     as_index,
     euclid_norm_array,
+    index_keys,
     shell_tail,
     sup_norm_array,
 )
@@ -429,7 +430,7 @@ def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None
         return ExistenceResult("only-trivial", det)
     if decision == "singular":
         return ExistenceResult("nontrivial-solution", det)
-    if _exact_kernel_vector(p, max_radius) is not None:
+    if _kernel_certified(p, max_radius):
         return ExistenceResult("nontrivial-solution", det, kernel_certified=True)
     return ExistenceResult("undecided", det)
 
@@ -448,38 +449,31 @@ def _full_residual(p: HillProblem, w: TruncationWindow, dense, b_vec):
 
     Rows inside the window use the dense section ``dense`` of I + B; rows
     outside receive only the g-convolution term, computed exactly from the
-    finite potential.
+    finite potential: the terms of all offsets are summed per row through
+    the rows' lattice keys, offset by offset in ``damped_coeffs`` order.
     """
     coeffs = p.damped_coeffs()
-    pts = w.coords_array()
-    inside = dense @ b_vec
-    outside = {}
-    for l, v in coeffs.items():
-        rows = pts + np.asarray(l, dtype=np.int64)
-        out = sup_norm_array(rows) > w.radius
-        if not np.any(out):
-            continue
-        weights = damping(rows[out], p.nu)
-        for r, d, bv in zip(rows[out], weights, b_vec[out]):
-            key = tuple(int(c) for c in r)
-            outside[key] = outside.get(key, 0.0) + v * bv / d
-    out_sq = sum(abs(v) ** 2 for v in outside.values())
-    return math.sqrt(float(np.sum(np.abs(inside) ** 2)) + out_sq)
+    offsets = np.asarray(list(coeffs), dtype=np.int64).reshape(len(coeffs), p.dimension)
+    shifted = w.coords_array()[None, :, :] + offsets[:, None, :]
+    out = np.max(np.abs(shifted), axis=2) > w.radius
+    rows = shifted[out]  # offset by offset, each in window order
+    values = np.asarray(list(coeffs.values()), dtype=np.complex128)
+    terms = (values[:, None] * b_vec)[out] / damping(rows, p.nu)
+    _, row = np.unique(index_keys(rows)[0], return_inverse=True)
+    outside = np.bincount(row, terms.real) ** 2 + np.bincount(row, terms.imag) ** 2
+    inside = float(np.sum(np.abs(dense @ b_vec) ** 2))
+    return math.sqrt(inside + float(np.sum(outside)))
 
 
-def _exact_kernel_vector(p: HillProblem, radius):
-    """Window null vector that annihilates the infinite matrix, or None."""
+def _kernel_certified(p: HillProblem, radius):
+    """Whether a window null vector annihilates the infinite matrix."""
     w, dense, links = _dense_section(p, radius)
-    values = _section_singular_values(dense, links)
-    smallest, largest, _ = values
-    if smallest > 1e-10 * max(largest, 1.0):
-        return None
-    _, _, v = _section_min_singular(dense, values)
-    b_vec = np.conj(v)
-    residual = _full_residual(p, w, dense, b_vec)
-    if residual <= 1e-13 * (1.0 + p.potential_l1() + 1.0):
-        return w, b_vec
-    return None
+    _, _, v = _section_min_singular(
+        dense, links, lambda smallest, largest: smallest <= 1e-10 * max(largest, 1.0)
+    )
+    if v is None:
+        return False
+    return _full_residual(p, w, dense, np.conj(v)) <= 1e-13 * (1.0 + p.potential_l1() + 1.0)
 
 
 @dataclass
@@ -514,16 +508,16 @@ def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
     if w.dimension != p.dimension:
         raise ValueError(f"dimension {p.dimension} vs window {w.dimension}")
     _, dense, links = _dense_section(p, w.radius)
-    values = _section_singular_values(dense, links)
-    if values[0] > threshold:
-        smallest = values[0]
-        del dense, links, values  # a caught error keeps this frame alive
+    smallest, _, v = _section_min_singular(
+        dense, links, lambda smallest, _: smallest <= threshold
+    )
+    if v is None:
+        del dense, links  # a caught error keeps this frame alive
         raise NoNullSolutionError(
             f"smallest singular value {smallest:.3e} exceeds threshold "
             f"{threshold:.3e}; no null solution on this window",
             singular_value=smallest,
         )
-    smallest, _, v = _section_min_singular(dense, values)
     b_vec = np.conj(v)
     b_vec = b_vec / np.linalg.norm(b_vec)
     pts = w.coords_array()

@@ -340,13 +340,12 @@ def lp_norm(x, p):
     return float(np.sum(mags**p) ** (1.0 / p))
 
 
-def apply(a: SparseL1Matrix, x, p=2):
+def apply(a: SparseL1Matrix, x):
     """Apply the matrix to a finitely supported sequence {index: value}.
 
     Returns y with ``y_j = sum_k A[j, k] x_k``; the Schur test gives
     ``||y||_p <= ||A||_1 ||x||_p`` for every p >= 1.
     """
-    del p  # the bound holds for every p; the action itself is p-independent
     n = a.dimension
     xk = np.array([as_index(k, n) for k in x], dtype=np.int64).reshape(len(x), n)
     xv = np.fromiter(x.values(), dtype=np.complex128, count=len(x))

@@ -153,54 +153,6 @@ def _synthesize(zero, table, phases):
     return out
 
 
-class MultiplierSymbol(ToroidalSymbol):
-    """x-independent symbol sigma(x, k) = m(k); matrix side is diagonal."""
-
-    def __init__(self, dimension, values, order_m=None):
-        """``values`` maps an (m, n) int array of indices to complex values."""
-        self.dimension = int(dimension)
-        self._values = values
-        self.order_m = order_m
-
-    def offsets(self):
-        return [(0,) * self.dimension]
-
-    def coefficient(self, l, k_coords):
-        k_coords = np.asarray(k_coords, dtype=np.int64).reshape(-1, self.dimension)
-        if any(c != 0 for c in l):
-            return np.zeros(len(k_coords), dtype=np.complex128)
-        return np.asarray(self._values(k_coords), dtype=np.complex128)
-
-    def multiplier(self, k_coords):
-        return self.coefficient((0,) * self.dimension, k_coords)
-
-
-class MultiplicationSymbol(ToroidalSymbol):
-    """Multiplication by Q(x) = sum_l qhat(l) e^{2pi i x.l}, finite table.
-
-    Its matrix is Toeplitz with constant diagonals, so it is never l1 on the
-    full lattice unless Q = 0; determinant use is rejected upstream.
-    """
-
-    def __init__(self, dimension, coeffs):
-        self.dimension = int(dimension)
-        self._coeffs = {
-            as_index(l, dimension): complex(v) for l, v in coeffs.items() if v != 0
-        }
-
-    def offsets(self):
-        return sorted(self._coeffs)
-
-    def coefficient(self, l, k_coords):
-        l = as_index(l, self.dimension)
-        v = self._coeffs.get(l, 0.0)
-        return np.full(np.asarray(k_coords).reshape(-1, self.dimension).shape[0], v, dtype=np.complex128)
-
-    @property
-    def coeffs(self):
-        return dict(self._coeffs)
-
-
 class CoefficientTableSymbol(ToroidalSymbol):
     """sigma_hat given per spatial offset, each a constant or a rule in k."""
 
@@ -238,6 +190,32 @@ class CoefficientTableSymbol(ToroidalSymbol):
         if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64):
             vals = self._as_complex(n, vals)
         return np.abs(vals)
+
+
+class MultiplierSymbol(CoefficientTableSymbol):
+    """x-independent symbol sigma(x, k) = m(k); matrix side is diagonal."""
+
+    def __init__(self, dimension, values, order_m=None):
+        """``values`` maps an (m, n) int array of indices to complex values."""
+        super().__init__(dimension, {(0,) * int(dimension): values}, order_m=order_m)
+
+    def multiplier(self, k_coords):
+        return self.coefficient((0,) * self.dimension, k_coords)
+
+
+class MultiplicationSymbol(CoefficientTableSymbol):
+    """Multiplication by Q(x) = sum_l qhat(l) e^{2pi i x.l}, finite table.
+
+    Its matrix is Toeplitz with constant diagonals, so it is never l1 on the
+    full lattice unless Q = 0; determinant use is rejected upstream.
+    """
+
+    def __init__(self, dimension, coeffs):
+        super().__init__(dimension, {l: complex(v) for l, v in coeffs.items() if v != 0})
+
+    @property
+    def coeffs(self):
+        return dict(self._table)
 
 
 class SymbolSum(ToroidalSymbol):
@@ -509,9 +487,7 @@ class EllipticityReport:
 
 
 def _x_grid_points(dimension, size):
-    axes = [np.arange(size) / size] * dimension
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return box_coords((0,) * dimension, (size - 1,) * dimension) / size
 
 
 def _run_starts(sorted_values):
@@ -632,13 +608,13 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
     """
     alpha_max = as_index(alpha_max, sigma.dimension)
     n = sigma.dimension
-    ext = [range(-w.radius, w.radius + 1 + a) for a in alpha_max]
-    grids = np.meshgrid(*[np.array(list(r), dtype=np.int64) for r in ext], indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    box_shape = tuple(len(r) for r in ext)
+    # the window extended by alpha_max on the high side of each axis, so
+    # that every difference of order alpha <= alpha_max starts in the window
+    coords = box_coords((-w.radius,) * n, tuple(w.radius + a for a in alpha_max))
+    box_shape = tuple(2 * w.radius + 1 + a for a in alpha_max)
 
     base_slices = tuple(slice(0, 2 * w.radius + 1) for _ in range(n))
-    base_coords = coords.reshape(box_shape + (n,))[base_slices].reshape(-1, n)
+    base_coords = w.coords_array()
     shells = sup_norm_array(base_coords)
     by_shell = np.argsort(shells, kind="stable")
     shell_starts = _run_starts(shells[by_shell])

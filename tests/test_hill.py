@@ -12,9 +12,8 @@ from torusdet._dense import (
     _section_det,
     _section_inv,
     _section_min_singular,
-    _section_singular_values,
 )
-from torusdet.lattice import TruncationWindow, shell_tail
+from torusdet.lattice import TruncationWindow, shell_tail, sup_norm_array
 from torusdet.l1_algebra import (
     NonConvergenceError,
     SparseL1Matrix,
@@ -30,7 +29,9 @@ from torusdet.hill import (
     _HillTails,
     _damped_tail_bound,
     _dense_section,
+    _full_residual,
     _inverse_damping_tail,
+    _kernel_certified,
     _square_tail,
     build_hill_matrix,
     damping,
@@ -625,7 +626,7 @@ def test_parity_kernels_match_unsplit_linalg_on_even_hill_sections(n, pot, radiu
     inv = np.linalg.inv(m)
     assert np.linalg.norm(_section_inv(m) - inv) <= 1e-12 * np.linalg.norm(inv)
     svals = np.linalg.svd(m, compute_uv=False)
-    smallest, largest, v = _section_min_singular(m, _section_singular_values(m, links))
+    smallest, largest, v = _section_min_singular(m, links)
     assert abs(smallest - svals[-1]) <= 1e-12 * svals[-1]
     assert abs(largest - svals[0]) <= 1e-12 * svals[0]
     assert v.dtype == m.dtype and abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -983,3 +984,86 @@ def test_null_solution_vectors_only_for_the_component_that_holds_sigma_min(monke
     sol = extract_null_solution(singular, TruncationWindow(6, 2))
     assert [shape for shape, uv in calls if uv is not False] == [(1, 1)]
     assert list(sol.coefficients) == [(-1, 0)] and sol.singular_value == 0.0
+
+
+def test_an_unwanted_vector_is_never_computed(monkeypatch):
+    calls = []
+    original = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rng = np.random.default_rng(21)
+    half = rng.standard_normal((7, 7))
+    several = np.diag([4.0, 2.0, 3.0, 0.5, 2.0])
+    several[0, 3] = several[3, 0] = 1.0
+    sections = {
+        "components": several,
+        "parity": np.eye(7) + 0.2 * (half + half[::-1, ::-1]),
+        "whole": np.eye(7) + 0.2 * half,
+    }
+    for name, m in sections.items():
+        for refuse in (True, False):
+            calls.clear()
+            seen = []
+            smallest, largest, v = _section_min_singular(
+                m, wanted=lambda s, l: seen.append((s, l)) or not refuse
+            )
+            assert len(seen) == 1, name
+            if refuse:
+                # the values of the parts alone, and no vector SVD at all
+                assert v is None and seen == [(smallest, largest)], name
+                assert calls and not any(calls), name
+            else:
+                # the values of the vector SVD, within roundoff of those seen
+                assert seen[0] == pytest.approx((smallest, largest), rel=1e-14), name
+                assert calls.count(True) == 1, name
+                want = _section_min_singular(m)
+                assert (smallest, largest) == want[:2] and np.array_equal(v, want[2]), name
+    # the kernel check of an undecided problem refuses the same way
+    calls.clear()
+    near_root = HillProblem(1, 2.0, {(0,): -40.475 + 0.5, (2,): 1.0, (-2,): 1.0})
+    assert not _kernel_certified(near_root, 16)
+    assert calls and not any(calls)
+
+
+def dict_loop_residual(p, w, dense, b_vec):
+    """The full residual summed per outside row in a dict, one point at a time."""
+    pts = w.coords_array()
+    inside = dense @ b_vec
+    outside = {}
+    for l, v in p.damped_coeffs().items():
+        rows = pts + np.asarray(l, dtype=np.int64)
+        out = sup_norm_array(rows) > w.radius
+        weights = damping(rows[out], p.nu)
+        for r, d, bv in zip(rows[out], weights, b_vec[out]):
+            key = tuple(int(c) for c in r)
+            outside[key] = outside.get(key, 0.0) + v * bv / d
+    out_sq = sum(abs(v) ** 2 for v in outside.values())
+    return math.sqrt(float(np.sum(np.abs(inside) ** 2)) + out_sq)
+
+
+@pytest.mark.parametrize(
+    "n, pot, radius",
+    [
+        (1, {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.8 - 0.1j, (-3,): 0.5}, 6),
+        (1, {(0,): NEAR_ROOT_1D, (1,): 0.5, (-1,): 0.5}, 4),
+        (2, EVEN_2D, 3),
+        (2, SKEW_2D_COMPLEX, 4),
+    ],
+)
+def test_full_residual_matches_a_per_row_dict_reference(n, pot, radius):
+    # outside rows collect terms of several offsets, (1, 1) and (1, 0) among them
+    p = HillProblem(n, n + 1.0, pot)
+    w, dense, _ = _dense_section(p, radius)
+    rng = np.random.default_rng(radius)
+    for _ in range(3):
+        b_vec = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
+        for b in (b_vec, b_vec.real.copy()):
+            # a zero section leaves the outside rows alone, far below the inside
+            for section in (dense, np.zeros_like(dense)):
+                want = dict_loop_residual(p, w, section, b)
+                assert want > 0
+                assert _full_residual(p, w, section, b) == pytest.approx(want, rel=1e-14, abs=0)
