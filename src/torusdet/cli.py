@@ -79,7 +79,7 @@ def build_parser():
     parser.add_argument("--tol", type=_positive_float, default=1e-8,
                         help="certified tolerance (default 1e-8)")
     parser.add_argument("--max-radius", type=_positive_int, default=64,
-                        help="largest truncation window radius (default 64)")
+                        help="largest truncation window radius (default 64; trace ignores it)")
     parser.add_argument("--grid", type=_power_of_two, default=256,
                         help="grid size per axis, power of two (default 256)")
     parser.add_argument("--format", choices=("json", "csv"), default="json",

@@ -60,7 +60,7 @@ from .l1_algebra import (
     determinant_decision,
 )
 
-_HEAD_BLOCK = 1 << 16  # lattice points per block of the head sums
+_HEAD_BLOCK = 1 << 16  # points per block of the head sums; factors per block of the scan
 _HEAD_POINTS = 2049**2  # largest default head window: radius 1024 in 2-D
 
 
@@ -296,7 +296,7 @@ class _HillTails:
 
     floor = None  # the potential gives every entry: no coverage radius ends the ladder
 
-    def __init__(self, p: HillProblem, head_radius, max_radius):
+    def __init__(self, p: HillProblem, tol, max_radius, head_radius=None):
         n = p.dimension
         coeffs = p.damped_coeffs()
         self.dimension = n
@@ -314,9 +314,30 @@ class _HillTails:
         self.mass = float(sum(abs(v) for v in coeffs.values()))
         self.g0 = complex(coeffs.get((0,) * n, 0.0))
         offsets, self.weights, self.reach = _square_pairs(coeffs, n)
+        if head_radius is None:
+            head_radius = self._default_head(tol, max_radius)
         self.head = int(head_radius)
         shell, pair = _head_sums(p, offsets, self.head)
         self.shell_beyond, self.pair_beyond = _beyond(shell), _beyond(pair)
+
+    def _default_head(self, tol, max_radius):
+        """Default head radius K, doubled from max(4 max_radius, 1024) until the
+        brackets beyond K move the log of the corrected value by at most
+        tol / 16, or until the head window would pass ``_HEAD_POINTS`` points.
+        """
+        n = self.dimension
+        largest = (int(_HEAD_POINTS ** (1.0 / n) + 1e-9) - 1) // 2
+        g0, weights = abs(self.g0), np.abs(self.weights)
+
+        def bracket_error(k):
+            lo, hi = _inverse_damping_tail(k, n, self.nu)
+            square = float(np.sum(weights * _square_tail(k, self.reach, n, self.nu)))
+            return g0 * 0.5 * (hi - lo) + 0.25 * square
+
+        k = min(max(4 * max_radius, 1024), largest)
+        while bracket_error(k) > tol / 16.0 and 2 * k <= largest:
+            k *= 2
+        return k
 
     def straddle(self):
         """None: every tail entry that meets a section is near."""
@@ -350,36 +371,6 @@ class _HillTails:
         return tr_t, tr_t2
 
 
-def _largest_head(dimension):
-    """Largest head radius whose window holds at most ``_HEAD_POINTS`` points."""
-    return (int(_HEAD_POINTS ** (1.0 / dimension) + 1e-9) - 1) // 2
-
-
-def _head_radius(p: HillProblem, tol, max_radius):
-    """Default head radius K of :func:`hill_determinant` and :func:`existence_test`.
-
-    K doubles from max(4 max_radius, 1024) until the brackets beyond K move
-    the log of the corrected value by at most tol / 16, or until the head
-    window would pass ``_HEAD_POINTS`` points.
-    """
-    n = p.dimension
-    largest = _largest_head(n)
-    coeffs = p.damped_coeffs()
-    g0 = abs(coeffs.get((0,) * n, 0.0))
-    _, weights, reach = _square_pairs(coeffs, n)
-    weights = np.abs(weights)
-
-    def bracket_error(k):
-        lo, hi = _inverse_damping_tail(k, n, p.nu)
-        square = float(np.sum(weights * _square_tail(k, reach, n, p.nu)))
-        return g0 * 0.5 * (hi - lo) + 0.25 * square
-
-    k = min(max(4 * max_radius, 1024), largest)
-    while bracket_error(k) > tol / 16.0 and 2 * k <= largest:
-        k *= 2
-    return k
-
-
 def hill_determinant(p: HillProblem, tol, max_radius=64, coverage_radius=None):
     """Extended determinant of I + B, with its tail taken from the potential.
 
@@ -391,14 +382,11 @@ def hill_determinant(p: HillProblem, tol, max_radius=64, coverage_radius=None):
     The certificate is then the one of :func:`poincare_determinant`: the
     Lipschitz bound, or the second-order correction whose error is the
     bracket half-widths plus the third-order remainder s^3 / (3(1 - s)).
-    By default the head radius is :func:`_head_radius` at ``tol``: the
-    brackets must move the result by under tol / 16, with at most 2049^2
-    head points.
+    The default head radius is the provider's own at ``tol``
+    (:meth:`_HillTails._default_head`).
     A ladder that stops short of ``tol`` raises ``NonConvergenceError``.
     """
-    if coverage_radius is None:
-        coverage_radius = _head_radius(p, tol, max_radius)
-    return _converged(_HillTails(p, coverage_radius, max_radius), tol)
+    return _converged(_HillTails(p, tol, max_radius, coverage_radius), tol)
 
 
 @dataclass
@@ -414,17 +402,14 @@ def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None
     Maps the three-valued determinant test: a certified nonzero determinant means
     only the trivial solution, a certified zero means a nontrivial solution
     exists.  The determinant is the ladder of :func:`hill_determinant`, with
-    the same default head radius ``coverage_radius`` of its lattice sums
-    (:func:`_head_radius` at ``tol``); a ladder that stops short of ``tol``
-    still decides with its best value and bound.  When the determinant alone
-    stays undecided, a finitely supported candidate null vector from the
-    window SVD is checked against every row of the infinite matrix it touches
-    (exactly computable because g has finite support); a vanishing residual
-    certifies singularity.
+    the same default head radius ``coverage_radius`` of its lattice sums; a
+    ladder that stops short of ``tol`` still decides with its best value and
+    bound.  When the determinant alone stays undecided, a finitely supported
+    candidate null vector from the window SVD is checked against every row of
+    the infinite matrix it touches (exactly computable because g has finite
+    support); a vanishing residual certifies singularity.
     """
-    if coverage_radius is None:
-        coverage_radius = _head_radius(p, tol, max_radius)
-    det, _ = _determinant_ladder(_HillTails(p, coverage_radius, max_radius), tol)
+    det, _ = _determinant_ladder(_HillTails(p, tol, max_radius, coverage_radius), tol)
     decision = determinant_decision(det, tol)
     if decision == "invertible":
         return ExistenceResult("only-trivial", det)
@@ -593,7 +578,9 @@ def spectral_shift_scan(p: HillProblem, lambdas, tol, radius=32):
     # ascending eigenvalues against ascending weights keep every factor
     # (mu_i + lambda) / d_i of moderate size, so the product cannot overflow
     mu = mu[np.argsort(mu.real)]
-    values = np.prod((mu + grid[:, None]) / np.sort(weights), axis=1)
+    scale, rows = np.sort(weights), max(1, _HEAD_BLOCK // len(mu))
+    values = np.concatenate([np.prod((mu + grid[i:i + rows, None]) / scale, axis=1)
+                             for i in range(0, len(grid), rows)])
     if np.isrealobj(dense):
         values = values.real  # conjugate eigenvalue pairs leave roundoff
 

@@ -59,26 +59,60 @@ def _require(doc, field, types, where):
     return value
 
 
-def _parse_index(obj, dimension, where):
-    if not isinstance(obj, list) or len(obj) != dimension:
-        raise ValidationError(where, f"expected a list of {dimension} integers")
-    out = []
-    for i, c in enumerate(obj):
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValidationError(f"{where}[{i}]", "expected an integer")
-        out.append(c)
-    return tuple(out)
+def _not_a_number(value, integer=False):
+    """None if ``value`` is a finite number (an int64 integer if ``integer``), else why not.
+
+    Python's json also reads NaN, Infinity and integer literals of any
+    length, and true and false are Python ints: none of them passes.
+    """
+    if integer:
+        if not isinstance(value, int) or isinstance(value, bool):
+            return "expected an integer"
+        return None if -(2**63) <= value < 2**63 else "integer outside the int64 range"
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"expected a finite number, got {value}"
+    if not isinstance(value, int) or isinstance(value, bool):
+        return "expected a number"
+    try:
+        float(value)
+    except OverflowError:
+        return "number outside the float range"
+    return None
 
 
-def _parse_complex(obj, where):
-    if not isinstance(obj, dict):
-        raise ValidationError(where, "expected an object with re/im fields")
-    re = obj.get("re", 0.0)
-    im = obj.get("im", 0.0)
-    for name, v in (("re", re), ("im", im)):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValidationError(f"{where}.{name}", "expected a number")
-    return complex(re, im)
+def _require_number(doc, field, where):
+    value = _require(doc, field, (int, float), where)
+    error = _not_a_number(value)
+    if error:
+        raise ValidationError(f"{where}.{field}", error)
+    return value
+
+
+def _indexed_items(doc, field, where, dimension, names=("index",)):
+    """``[*indices, value]`` for each item of the list ``doc[field]``.
+
+    Each item is an object holding one index (a list of ``dimension``
+    integers) per name in ``names`` and a complex value in ``re``/``im``.
+    """
+    for i, item in enumerate(_require(doc, field, list, where)):
+        at = f"{where}.{field}[{i}]"
+        parsed = []
+        for name in names:
+            index = _require(item, name, list, at)
+            if len(index) != dimension:
+                raise ValidationError(f"{at}.{name}", f"expected a list of {dimension} integers")
+            for j, c in enumerate(index):
+                error = _not_a_number(c, integer=True)
+                if error:
+                    raise ValidationError(f"{at}.{name}[{j}]", error)
+            parsed.append(tuple(index))
+        re, im = item.get("re", 0.0), item.get("im", 0.0)
+        for name, value in (("re", re), ("im", im)):
+            error = _not_a_number(value)
+            if error:
+                raise ValidationError(f"{at}.{name}", error)
+        parsed.append(complex(re, im))
+        yield parsed
 
 
 def _parse_dimension(doc, where):
@@ -96,8 +130,8 @@ def parse_tail_bound(doc, where):
         return TailModel.exact_finite()
     if kind == "power":
         params = doc.get("parameters", doc)
-        c = _require(params, "c", (int, float), where)
-        p = _require(params, "p", (int, float), where)
+        c = _require_number(params, "c", where)
+        p = _require_number(params, "p", where)
         if c < 0 or p <= 0:
             raise ValidationError(where, f"power bound needs c >= 0, p > 0, got c={c}, p={p}")
         return TailModel.user_bound(lambda radius: c * float(max(radius, 1)) ** (-p))
@@ -107,13 +141,9 @@ def parse_tail_bound(doc, where):
 def parse_matrix_document(doc):
     """Matrix document -> (SparseL1Matrix, TailModel)."""
     n = _parse_dimension(doc, "matrix")
-    entries_doc = _require(doc, "entries", list, "matrix")
     entries = {}
-    for i, e in enumerate(entries_doc):
-        where = f"matrix.entries[{i}]"
-        row = _parse_index(_require(e, "row", list, where), n, f"{where}.row")
-        col = _parse_index(_require(e, "col", list, where), n, f"{where}.col")
-        entries[(row, col)] = entries.get((row, col), 0.0) + _parse_complex(e, where)
+    for row, col, value in _indexed_items(doc, "entries", "matrix", n, ("row", "col")):
+        entries[(row, col)] = entries.get((row, col), 0.0) + value
     tail = parse_tail_bound(doc.get("tail_bound"), "matrix.tail_bound")
     return SparseL1Matrix(n, entries), tail
 
@@ -123,38 +153,27 @@ def parse_symbol_document(doc):
     n = _parse_dimension(doc, "symbol")
     kind = _require(doc, "kind", str, "symbol")
     order_m = doc.get("order_m")
-    if order_m is not None and (not isinstance(order_m, (int, float)) or isinstance(order_m, bool)):
-        raise ValidationError("symbol.order_m", "expected a number")
+    error = order_m is not None and _not_a_number(order_m)
+    if error:
+        raise ValidationError("symbol.order_m", error)
 
     if kind == "fractional_laplacian":
-        nu = _require(doc, "nu", (int, float), "symbol")
+        nu = _require_number(doc, "nu", "symbol")
         if nu <= 0:
             raise ValidationError("symbol.nu", f"nu must be positive, got {nu}")
         return fractional_laplacian_symbol(float(nu), n)
 
     if kind == "multiplier":
-        values = {}
-        for i, e in enumerate(_require(doc, "values", list, "symbol")):
-            where = f"symbol.values[{i}]"
-            idx = _parse_index(_require(e, "index", list, where), n, f"{where}.index")
-            values[idx] = _parse_complex(e, where)
+        values = dict(_indexed_items(doc, "values", "symbol", n))
         return MultiplierSymbol(n, _tabulated_rule(values, n), order_m=order_m)
 
     if kind == "multiplication":
-        coeffs = {}
-        for i, e in enumerate(_require(doc, "coefficients", list, "symbol")):
-            where = f"symbol.coefficients[{i}]"
-            idx = _parse_index(_require(e, "index", list, where), n, f"{where}.index")
-            coeffs[idx] = _parse_complex(e, where)
-        return MultiplicationSymbol(n, coeffs)
+        return MultiplicationSymbol(n, dict(_indexed_items(doc, "coefficients", "symbol", n)))
 
     if kind == "table":
         table = {}
-        for i, e in enumerate(_require(doc, "entries", list, "symbol")):
-            where = f"symbol.entries[{i}]"
-            off = _parse_index(_require(e, "offset", list, where), n, f"{where}.offset")
-            idx = _parse_index(_require(e, "index", list, where), n, f"{where}.index")
-            table.setdefault(off, {})[idx] = _parse_complex(e, where)
+        for off, k, v in _indexed_items(doc, "entries", "symbol", n, ("offset", "index")):
+            table.setdefault(off, {})[k] = v
         rules = {off: _tabulated_rule(vals, n) for off, vals in table.items()}
         return CoefficientTableSymbol(n, rules, order_m=order_m)
 
@@ -177,12 +196,8 @@ def parse_symbol_document(doc):
 def parse_hill_document(doc):
     """Problem document -> (HillProblem, scan parameters or None)."""
     n = _parse_dimension(doc, "hill")
-    nu = _require(doc, "nu", (int, float), "hill")
-    potential = {}
-    for i, e in enumerate(_require(doc, "potential", list, "hill")):
-        where = f"hill.potential[{i}]"
-        idx = _parse_index(_require(e, "index", list, where), n, f"{where}.index")
-        potential[idx] = _parse_complex(e, where)
+    nu = _require_number(doc, "nu", "hill")
+    potential = dict(_indexed_items(doc, "potential", "hill", n))
     try:
         problem = HillProblem(n, float(nu), potential)
     except InfeasibleOrderError as err:
@@ -190,8 +205,8 @@ def parse_hill_document(doc):
 
     scan = doc.get("scan")
     if scan is not None:
-        lo = _require(scan, "lambda_min", (int, float), "hill.scan")
-        hi = _require(scan, "lambda_max", (int, float), "hill.scan")
+        lo = _require_number(scan, "lambda_min", "hill.scan")
+        hi = _require_number(scan, "lambda_max", "hill.scan")
         steps = _require(scan, "steps", int, "hill.scan")
         if not hi > lo:
             raise ValidationError("hill.scan", f"lambda_max must exceed lambda_min")

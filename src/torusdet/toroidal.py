@@ -22,6 +22,7 @@ table by FFT.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -218,8 +219,8 @@ class MultiplicationSymbol(CoefficientTableSymbol):
         return dict(self._table)
 
 
-class SymbolSum(ToroidalSymbol):
-    """Pointwise sum of symbols on the same torus."""
+class SymbolSum(CoefficientTableSymbol):
+    """Pointwise sum of symbols on the same torus, one summed rule per offset."""
 
     def __init__(self, parts):
         parts = list(parts)
@@ -228,23 +229,19 @@ class SymbolSum(ToroidalSymbol):
         dims = {p.dimension for p in parts}
         if len(dims) != 1:
             raise ValueError(f"parts live on different dimensions: {sorted(dims)}")
-        self.dimension = dims.pop()
-        self.parts = parts
         orders = [p.order_m for p in parts]
-        self.order_m = max(orders) if all(o is not None for o in orders) else None
+        order_m = max(orders) if all(o is not None for o in orders) else None
+        rules = {l: functools.partial(_part_sum, parts, l) for p in parts for l in p.offsets()}
+        super().__init__(dims.pop(), rules, order_m)
+        self.parts = parts
 
-    def offsets(self):
-        out = set()
-        for p in self.parts:
-            out.update(p.offsets())
-        return sorted(out)
 
-    def coefficient(self, l, k_coords):
-        k_coords = np.asarray(k_coords, dtype=np.int64).reshape(-1, self.dimension)
-        total = np.zeros(len(k_coords), dtype=np.complex128)
-        for p in self.parts:
-            total += p.coefficient(l, k_coords)
-        return total
+def _part_sum(parts, l, k_coords):
+    """sigma_hat(l, k) of a sum: the parts' coefficients added in part order."""
+    total = np.zeros(len(k_coords), dtype=np.complex128)
+    for p in parts:
+        total += p.coefficient(l, k_coords)
+    return total
 
 
 def _tabulated_rule(values, dimension):

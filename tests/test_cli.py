@@ -240,6 +240,76 @@ def test_non_object_containers_are_input_errors(tmp_path, capsys, command, doc, 
     assert err == f"input error: {where}: expected an object\n"
 
 
+def with_items(base, field, *items):
+    return {**base, field: list(items)}
+
+
+MATRIX = {"dimension": 1}
+ENTRY = {"row": [0], "col": [0], "re": 0.5, "im": 0.0}
+POWER = {"kind": "power", "c": 2.0, "p": 1.0}
+HILL = {"dimension": 1, "nu": 2.0, "potential": [{"index": [0], "re": 3.0}]}
+SCAN = {"lambda_min": -5.0, "lambda_max": 5.0, "steps": 11}
+
+
+# json.dumps writes nan and inf as NaN and Infinity, which json.load reads back
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        (["trace"], with_items(MATRIX, "entries", ENTRY, {**ENTRY, "re": math.nan}),
+         "matrix.entries[1].re"),
+        (["det"], with_items(MATRIX, "entries", {**ENTRY, "im": -math.inf}), "matrix.entries[0].im"),
+        (["det"], with_items(MATRIX, "entries", {**ENTRY, "re": 10**400}), "matrix.entries[0].re"),
+        (["trace"], with_items(MATRIX, "entries", {**ENTRY, "row": [10**30]}),
+         "matrix.entries[0].row[0]"),
+        (["det"], with_items(MATRIX, "entries", {**ENTRY, "col": [-(2**63) - 1]}),
+         "matrix.entries[0].col[0]"),
+        (["det"], {**MATRIX, "entries": [], "tail_bound": {**POWER, "c": True}},
+         "matrix.tail_bound.c"),
+        (["det"], {**MATRIX, "entries": [], "tail_bound": {**POWER, "p": math.nan}},
+         "matrix.tail_bound.p"),
+        (["det"], {**MATRIX, "entries": [], "tail_bound": {"kind": "power", "parameters": {
+            "c": math.inf, "p": 1.0}}}, "matrix.tail_bound.c"),
+        (["symbol2matrix"], {"dimension": 1, "kind": "multiplier", "values": [
+            {"index": [0], "re": math.nan}]}, "symbol.values[0].re"),
+        (["diagnose"], {"dimension": 1, "kind": "multiplier", "values": [
+            {"index": [2**63], "re": 1.0}]}, "symbol.values[0].index[0]"),
+        (["diagnose"], {"dimension": 1, "kind": "fractional_laplacian", "nu": math.inf},
+         "symbol.nu"),
+        (["symbol2matrix"], {"dimension": 1, "kind": "fractional_laplacian", "nu": True},
+         "symbol.nu"),
+        (["diagnose"], {"dimension": 1, "kind": "table", "order_m": math.nan, "entries": []},
+         "symbol.order_m"),
+        (["symbol2matrix"], {"dimension": 1, "kind": "table", "entries": [
+            {"offset": [False], "index": [0], "re": 1.0}]}, "symbol.entries[0].offset[0]"),
+        (["symbol2matrix"], {"dimension": 1, "kind": "multiplication", "coefficients": [
+            {"index": [1], "re": 1.0, "im": -(10**400)}]}, "symbol.coefficients[0].im"),
+        (["diagnose"], {"dimension": 1, "kind": "sum", "parts": [
+            {"kind": "fractional_laplacian", "nu": 2.0},
+            {"kind": "multiplication", "coefficients": [{"index": [0], "re": -math.inf}]}]},
+         "symbol.coefficients[0].re"),
+        (["hill", "check"], {**HILL, "potential": [{"index": [0], "re": math.inf}]},
+         "hill.potential[0].re"),
+        (["hill", "check"], {**HILL, "nu": math.nan}, "hill.nu"),
+        (["hill", "check"], {**HILL, "nu": True}, "hill.nu"),
+        (["hill", "scan"], {**HILL, "potential": [{"index": [-(2**64)], "re": 1.0}], "scan": SCAN},
+         "hill.potential[0].index[0]"),
+        (["hill", "scan"], {**HILL, "scan": {**SCAN, "lambda_min": -math.inf}},
+         "hill.scan.lambda_min"),
+        (["hill", "scan"], {**HILL, "scan": {**SCAN, "lambda_max": 10**400}},
+         "hill.scan.lambda_max"),
+    ],
+)
+def test_malformed_numbers_are_input_errors(tmp_path, capsys, command, doc, field):
+    # an uncaught exception (the OverflowError of a long integer literal)
+    # would end this call, and the test, with a traceback
+    path = write(tmp_path, "bad.json", doc)
+    status, out, err = run_cli(capsys, *command, path)
+    assert status == 1
+    assert out == ""
+    assert err.startswith(f"input error: {field}: ")
+    assert err.count("\n") == 1
+
+
 def test_usage_errors(tmp_path, capsys):
     status, _, err = run_cli(capsys, "explode")
     assert status == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -404,6 +405,35 @@ def test_scan_small_coupling_root_near_zero():
     near_zero = [lam for lam, _ in scan.roots if abs(lam) <= 0.1]
     assert near_zero
     assert min(abs(lam) for lam in near_zero) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        HillProblem(2, 3.0, {(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.3, (0, -1): 0.3}),
+        HillProblem(2, 3.0, {(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.4, (1, 1): 0.2j, (-1, -1): -0.3}),
+    ],
+)
+def test_scan_table_in_row_blocks_is_the_one_block_table(monkeypatch, problem):
+    import torusdet.hill as hill
+
+    grid = np.linspace(-300.0, 50.0, 20000).tolist()
+    tables = []
+    for block in (10**9, hill._HEAD_BLOCK, 1000):  # one block, the default, 3-row blocks
+        monkeypatch.setattr(hill, "_HEAD_BLOCK", block)
+        scan = spectral_shift_scan(problem, grid, 1e-8, radius=8)
+        tables.append(scan.values)
+    assert tables[0] == tables[1] == tables[2]
+
+    # the 289-point section: one (steps x points) complex table would be 92 MB
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        spectral_shift_scan(problem, grid, 1e-8, radius=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_scan_rejects_bad_grids():
@@ -896,7 +926,7 @@ def dense_tail_moments(p, window_radius, radius, g_dense):
 def test_hill_tail_moments_match_dense_sums(problem, max_radius, head, window_radius):
     # rungs inside and beyond the head radius; every moment within its stated
     # error of the dense sum plus that sum's remainder beyond its window
-    tails = _HillTails(problem, head, max_radius)
+    tails = _HillTails(problem, 1e-8, max_radius, head)
     assert tails.radii[0] < head < tails.radii[-1]
     assert tails.straddle() is None
     for i, radius in enumerate(tails.radii):
@@ -962,6 +992,41 @@ def test_hill_ladders_materialize_only_the_last_rung_and_the_reach(monkeypatch):
         hill_determinant(p, 1e-12, max_radius=32)
     existence_test(p, tol=1e-8, max_radius=16)
     assert windows == [34, 18]
+
+
+TRIG_1D = HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.8, (-2,): 0.8})
+TRIG_2D = HillProblem(2, 3.0, {(0, 0): 2 + 1j, (1, 0): 0.5, (-1, 0): 0.4, (-1, 1): 0.3j,
+                               (1, -1): 0.2, (0, -2): 0.2 - 0.1j})
+
+
+@pytest.mark.parametrize(
+    "problem, tol, max_radius, head",
+    [
+        (TRIG_1D, 1e-6, 64, 1024),  # the start, max(4 max_radius, 1024)
+        (TRIG_1D, 1e-10, 64, 2048),
+        (TRIG_1D, 1e-6, 512, 2048),
+        (TRIG_2D, 1e-8, 16, 1024),  # 2049^2 head points at most
+        (HillProblem(1, 2.0, {(0,): 3.0}), 1e-14, 64, 32768),
+        (HillProblem(3, 5.0, {(0, 0, 0): 2.0}), 1e-8, 8, 80),
+    ],
+)
+def test_default_head_radius(monkeypatch, problem, tol, max_radius, head):
+    import torusdet.hill as hill
+
+    class Stop(Exception):
+        pass
+
+    radii = []
+
+    def spy(p, offsets, radius):
+        radii.append(radius)
+        raise Stop  # the head sums themselves are not needed here
+
+    monkeypatch.setattr(hill, "_head_sums", spy)
+    for entry in (hill_determinant, existence_test):
+        with pytest.raises(Stop):
+            entry(problem, tol, max_radius=max_radius)
+    assert radii == [head, head]
 
 
 def test_null_solution_vectors_only_for_the_component_that_holds_sigma_min(monkeypatch):

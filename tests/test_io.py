@@ -57,6 +57,59 @@ def test_parse_matrix_validation_errors():
         )
 
 
+# the five indexed lists: the document around the list, the list's field,
+# the path that messages name, the index fields of an item and the parser
+INDEXED_LISTS = {
+    "matrix.entries": ({"dimension": 1}, "entries", ("row", "col"), parse_matrix_document),
+    "symbol.values": ({"dimension": 1, "kind": "multiplier"}, "values", ("index",),
+                      parse_symbol_document),
+    "symbol.coefficients": ({"dimension": 1, "kind": "multiplication"}, "coefficients",
+                            ("index",), parse_symbol_document),
+    "symbol.entries": ({"dimension": 1, "kind": "table"}, "entries", ("offset", "index"),
+                       parse_symbol_document),
+    "hill.potential": ({"dimension": 1, "nu": 2.0}, "potential", ("index",), parse_hill_document),
+}
+
+
+def indexed_list_errors():
+    """(path, list value or MISSING, exact message) for every malformed list."""
+    for path, (_, _, fields, _) in INDEXED_LISTS.items():
+        good = {**{f: [0] for f in fields}, "re": 1.0, "im": 0.5}
+        first, last = fields[0], fields[-1]
+        item = f"{path}[1]"
+        cases = [
+            (None, f"{path}: missing required field"),
+            ({"re": 1.0}, f"{path}: expected list, got dict"),
+            ("[]", f"{path}: expected list, got str"),
+            ([good, 3], f"{item}: expected an object"),
+            ([good, [0]], f"{item}: expected an object"),
+            ([good, {"re": 1.0}], f"{item}.{first}: missing required field"),
+            ([good, {**good, first: 0}], f"{item}.{first}: expected list, got int"),
+            ([good, {**good, last: [0, 0]}], f"{item}.{last}: expected a list of 1 integers"),
+            ([good, {**good, last: []}], f"{item}.{last}: expected a list of 1 integers"),
+            ([good, {**good, last: [1.5]}], f"{item}.{last}[0]: expected an integer"),
+            ([good, {**good, last: [True]}], f"{item}.{last}[0]: expected an integer"),
+            ([good, {**good, last: ["1"]}], f"{item}.{last}[0]: expected an integer"),
+            ([good, {**good, "re": "x"}], f"{item}.re: expected a number"),
+            ([good, {**good, "re": None}], f"{item}.re: expected a number"),
+            ([good, {**good, "re": False}], f"{item}.re: expected a number"),
+            ([good, {**good, "im": [1.0]}], f"{item}.im: expected a number"),
+        ]
+        for value, message in cases:
+            yield pytest.param(path, value, message, id=f"{path}-{message.split(': ', 1)[1]}")
+
+
+@pytest.mark.parametrize("path, value, message", indexed_list_errors())
+def test_indexed_list_errors_name_the_field(path, value, message):
+    context, field, _, parse = INDEXED_LISTS[path]
+    doc = dict(context)
+    if value is not None:
+        doc[field] = value
+    with pytest.raises(ValidationError) as err:
+        parse(doc)
+    assert str(err.value) == message
+
+
 def test_parse_tail_bounds():
     exact = parse_tail_bound({"kind": "exact"}, "t")
     assert exact.bound_at(3) == 0.0

@@ -300,6 +300,88 @@ def test_sobolev_norm_examples():
     assert sobolev_norm(coeffs, 0.0) == pytest.approx(l2, rel=1e-14)
 
 
+class PartSum(ToroidalSymbol):
+    """A pointwise sum that adds the parts' coefficients one part at a time.
+
+    This is the arithmetic ``SymbolSum`` must keep to the bit: a complex
+    zero, then ``+=`` each part's ``coefficient`` in part order.
+    """
+
+    def __init__(self, parts):
+        self.parts = list(parts)
+        self.dimension = self.parts[0].dimension
+        orders = [p.order_m for p in self.parts]
+        self.order_m = max(orders) if all(o is not None for o in orders) else None
+
+    def offsets(self):
+        return sorted({l for p in self.parts for l in p.offsets()})
+
+    def coefficient(self, l, k_coords):
+        k_coords = np.asarray(k_coords, dtype=np.int64).reshape(-1, self.dimension)
+        total = np.zeros(len(k_coords), dtype=np.complex128)
+        for p in self.parts:
+            total += p.coefficient(l, k_coords)
+        return total
+
+
+def symbol_sum_parts():
+    """Part lists whose offsets overlap, in 1-D to 3-D: real rules, infs, signed zeros."""
+    return [
+        [fractional_laplacian_symbol(2.0, 1),
+         MultiplicationSymbol(1, {(1,): -0.5, (-1,): -0.5, (0,): 0.25 + 1e-17j}),
+         CoefficientTableSymbol(1, {(0,): lambda k: 1.0 / (1.0 + k[:, 0] ** 2.0),
+                                    (1,): lambda k: (0.3 + 0.4j) / (1.0 + k[:, 0] ** 2.0),
+                                    (-2,): 0.25j}, order_m=-2.0)],
+        [fractional_laplacian_symbol(3.0, 2),
+         CoefficientTableSymbol(2, {(1, 0): lambda k: np.cos(k[:, 0]) / 3.0, (0, -1): 0.3j,
+                                    (0, 0): -2.0}, order_m=0.0),
+         MultiplicationSymbol(2, {(1, 0): 0.1 + 0.7j, (0, 0): 1.0 / 3.0, (-1, 1): -0.2})],
+        [fractional_laplacian_symbol(200, 2),
+         MultiplicationSymbol(2, {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.25j})],
+        [fractional_laplacian_symbol(2.5, 3),
+         MultiplicationSymbol(3, {(1, 0, 0): 0.5 + 0.5j, (0, -1, 1): -0.25j, (0, 0, 0): 0.1}),
+         MultiplierSymbol(3, lambda k: np.exp(-np.sum(k * k, axis=1) / 7.0), order_m=-4.0)],
+        # signed zeros: the sum starts from +0, so -0 parts add up to +0
+        [MultiplicationSymbol(1, {(0,): complex(0.5, -0.0), (1,): complex(-0.0, -2.0)}),
+         CoefficientTableSymbol(1, {(1,): lambda k: np.full(len(k), -0.0)})],
+    ]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("parts", symbol_sum_parts())
+def test_symbol_sum_coefficients_and_diagnostics_are_the_part_by_part_sum(parts):
+    ours, ref = SymbolSum(parts), PartSum(parts)
+    n = ours.dimension
+    assert ours.offsets() == ref.offsets()
+    assert ours.order_m == ref.order_m
+    w = TruncationWindow(6 if n < 3 else 3, n)
+    ks = w.coords_array()
+    for l in ref.offsets() + [(3,) * n]:
+        assert ours.coefficient(l, ks).dtype == np.complex128
+        assert same_bits(ours.coefficient(l, ks), ref.coefficient(l, ks))
+        assert same_bits(ours.coefficient_abs(l, ks), ref.coefficient_abs(l, ks))
+    for got, want in zip(ours.coefficient_table(ks), ref.coefficient_table(ks)):
+        assert same_bits(got, want)
+    xs = np.array([[0.1] * n, [0.7] * n])
+    assert same_bits(ours.evaluate_block(xs, ks), ref.evaluate_block(xs, ks))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        # reports of floats and tuples: equal reprs are equal bits
+        for check in (
+            lambda s: symbol_order_diagnostic(s, (1,) * n, w, x_grid=4),
+            lambda s: strong_ellipticity_check(s, 2.0, w, x_grid=4),
+            lambda s: l1_membership_check(s, [1, 2, 4], order_m=-3.0),
+            lambda s: l1_membership_check(s, [2, 4]),
+        ):
+            assert repr(check(ours)) == repr(check(ref))
+        got, want = symbol_to_matrix(ours, w)[0], symbol_to_matrix(ref, w)[0]
+        for name in ("rows", "cols", "vals"):
+            assert same_bits(getattr(got, name), getattr(want, name))
+
+
 # --- diagnostics
 
 
