@@ -31,7 +31,6 @@ of the undamped section, so the scan solves one eigenproblem per section
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -78,7 +77,14 @@ class NoNullSolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class HillProblem:
-    """Equation data: dimension n, order nu > n, potential coefficients g."""
+    """Equation data: dimension n, order nu > n, potential coefficients g.
+
+    Everything derived from (g, nu) is computed here once: the damped
+    numerators g - delta (``offsets`` in descending lexicographic order,
+    ``values``, l1 ``mass``, ``g0``), ``off_mass`` = ||g||_1 - |g_0|, the
+    reach and the ``pair_*`` arrays of :func:`_square_pairs`; :meth:`weights`
+    is the one evaluation of the damping d(k).
+    """
 
     dimension: int
     nu: float
@@ -97,13 +103,28 @@ class HillProblem:
             if v != 0:
                 clean[as_index(k, self.dimension)] = v
         object.__setattr__(self, "potential", clean)
+        coeffs = self.damped_coeffs()
+        offsets = sorted(coeffs, reverse=True)
+        zero = (0,) * self.dimension
+        pair_offsets, pair_weights, pair_reach = _square_pairs(coeffs, self.dimension)
+        vars(self).update(
+            offsets=np.asarray(offsets, dtype=np.int64).reshape(len(offsets), self.dimension),
+            values=np.asarray([coeffs[l] for l in offsets]),
+            mass=float(sum(abs(v) for v in coeffs.values())),
+            g0=complex(coeffs.get(zero, 0.0)),
+            off_mass=self.potential_l1() - abs(clean.get(zero, 0.0)),
+            _reach=max((max(abs(c) for c in l) for l in clean), default=0),
+            pair_offsets=pair_offsets,
+            pair_weights=pair_weights,
+            pair_reach=pair_reach,
+        )
 
     def potential_l1(self):
         return float(sum(abs(v) for v in self.potential.values()))
 
     def reach(self):
         """Largest sup-norm offset carrying a potential coefficient."""
-        return max((max(abs(c) for c in l) for l in self.potential), default=0)
+        return self._reach
 
     def shifted(self, lam):
         """The problem for Q + lam (g_0 replaced by g_0 + lam)."""
@@ -119,38 +140,30 @@ class HillProblem:
         g[zero] = g.get(zero, 0.0) - 1.0
         return {l: v for l, v in g.items() if v != 0}
 
+    def weights(self, coords):
+        """Damping weights d(k) = (2pi)^nu |k|^nu + 1 at the rows of an (m, n)
+        array; weights beyond the float range are inf, whose reciprocal 0 is
+        the limit."""
+        with np.errstate(over="ignore"):
+            return (2.0 * np.pi * euclid_norm_array(coords)) ** self.nu + 1.0
 
-def damping(coords, nu):
-    """Damping weights d(k) = (2pi)^nu |k|^nu + 1, vectorized.
+    def tail_bound(self, radius, mass=None):
+        """Bound on the l1 mass of B outside the window of the given radius,
+        union bound over the pairs with the row outside and those with the
+        column outside (rows beyond radius - reach).  ``mass`` defaults to
+        ||g - delta||_1; the scan passes those of its shifted problems."""
+        mass = self.mass if mass is None else mass
+        return mass * (_damping_tail(self, radius) + _damping_tail(self, radius - self._reach))
 
-    Weights beyond the float range are inf, whose reciprocal 0 is the limit.
+
+def _damping_tail(p: HillProblem, radius, power=1):
+    """Upper bound on sum_{|k|_inf > radius} 1/((2 pi |k|_inf)^(power nu) + 1).
+
+    It dominates sum 1/d(k)^power over the same k.  A negative radius takes
+    in k = 0, whose term is 1.
     """
-    with np.errstate(over="ignore"):
-        return (2.0 * np.pi * euclid_norm_array(coords)) ** nu + 1.0
-
-
-def _damping_tail(radius, dimension, order):
-    """Upper bound on sum_{|k|_inf > radius} 1/((2 pi |k|_inf)^order + 1).
-
-    It dominates sum 1/d(k) at order nu and sum 1/d(k)^2 at order 2 nu over
-    the same k.  A negative radius takes in k = 0, whose term is 1.
-    """
-    tail = shell_tail(max(radius, 0), dimension, order, 2.0 * math.pi, 1.0)
+    tail = shell_tail(max(radius, 0), p.dimension, power * p.nu, 2.0 * math.pi, 1.0)
     return tail + 1.0 if radius < 0 else tail
-
-
-def _damped_tail_bound(mass, reach, dimension, nu, radius):
-    """Bound on the l1 mass of B outside the window of the given radius.
-
-    ``mass`` is ||g - delta||_1 (a float or an array of them) and ``reach``
-    the largest sup-norm offset of g; union bound over the index pairs with
-    the row outside the window and those with the column outside (whose
-    rows lie beyond radius - reach).
-    """
-    return mass * (
-        _damping_tail(radius, dimension, nu)
-        + _damping_tail(radius - reach, dimension, nu)
-    )
 
 
 def build_hill_matrix(p: HillProblem, w: TruncationWindow):
@@ -166,35 +179,26 @@ def build_hill_matrix(p: HillProblem, w: TruncationWindow):
     """
     if w.dimension != p.dimension:
         raise ValueError(f"dimension {p.dimension} vs window {w.dimension}")
-    coeffs = p.damped_coeffs()
     ks = w.coords_array()
-    weights = damping(ks, p.nu)
-    offsets = sorted(coeffs, reverse=True)
-    vals = np.asarray([coeffs[l] for l in offsets]) / weights[:, None]
-    shifts = np.asarray(offsets, dtype=np.int64).reshape(len(offsets), p.dimension)
-    if not offsets:
+    vals = p.values / p.weights(ks)[:, None]
+    if not len(p.offsets):
         matrix = SparseL1Matrix.zero(p.dimension)
-    elif not shifts.any():
+    elif not p.offsets.any():
         # g_0 alone: one array for rows and cols marks the matrix diagonal
         keep = vals[:, 0] != 0
         rows = ks[keep]
-        matrix = SparseL1Matrix.from_canonical_arrays(
-            p.dimension, rows, rows, vals[keep, 0]
-        )
+        matrix = SparseL1Matrix.from_canonical_arrays(p.dimension, rows, rows, vals[keep, 0])
     else:
-        cols = ks[:, None, :] - shifts[None, :, :]
+        cols = ks[:, None, :] - p.offsets[None, :, :]
         inside = sup_norm_array(cols.reshape(-1, p.dimension)) <= w.radius
         keep = inside.reshape(vals.shape) & (vals != 0)
         matrix = SparseL1Matrix.from_canonical_arrays(
             p.dimension, ks[np.nonzero(keep)[0]], cols[keep], vals[keep]
         )
-
-    mass = float(sum(abs(v) for v in coeffs.values()))
-    bound = functools.partial(_damped_tail_bound, mass, p.reach(), p.dimension, p.nu)
-    return matrix, TailModel.user_bound(bound)
+    return matrix, TailModel.user_bound(p.tail_bound)
 
 
-def _inverse_damping_tail(radius, dimension, nu):
+def _inverse_damping_tail(p: HillProblem, radius):
     """Two-sided bracket (lo, hi) on S = sum_{|k|_inf > radius} 1 / d(k).
 
     In 1-D, f(x) = 1 / ((2 pi x)^nu + 1) is convex for x >= 1/2, so the
@@ -203,13 +207,13 @@ def _inverse_damping_tail(radius, dimension, nu):
     ``1/u - 1/u^2 <= 1/(u + 1) <= 1/u`` bracket the integrals in closed form;
     the width is O(R^(-nu-1)).  In n >= 2 the bracket is [0, shell_tail].
     """
-    if dimension > 1:
-        return 0.0, _damping_tail(radius, dimension, nu)
+    if p.dimension > 1:
+        return 0.0, _damping_tail(p, radius)
     x = radius + 1.0
-    v = (2.0 * math.pi * x) ** -nu  # 1/u at x; underflows quietly to 0
-    lo = 2.0 * (x * v / (nu - 1.0) - x * v * v / (2.0 * nu - 1.0) + 0.5 * v / (1.0 + v))
+    v = (2.0 * math.pi * x) ** -p.nu  # 1/u at x; underflows quietly to 0
+    lo = 2.0 * (x * v / (p.nu - 1.0) - x * v * v / (2.0 * p.nu - 1.0) + 0.5 * v / (1.0 + v))
     x = radius + 0.5
-    hi = 2.0 * x * (2.0 * math.pi * x) ** -nu / (nu - 1.0)
+    hi = 2.0 * x * (2.0 * math.pi * x) ** -p.nu / (p.nu - 1.0)
     return lo, hi
 
 
@@ -229,40 +233,40 @@ def _square_pairs(coeffs, dimension):
     return offsets, np.asarray(weights, dtype=np.complex128), sup_norm_array(offsets)
 
 
-def _square_tail(radius, reach, dimension, nu):
+def _square_tail(p: HillProblem, radius):
     """Upper bounds on sum_{max(|k|_inf, |k - l|_inf) > radius} 1/(d(k) d(k - l)).
 
-    One per offset sup norm in ``reach``: both indices lie beyond
+    One per square pair offset l of the problem: both indices lie beyond
     radius - |l|_inf, 1/(d(k) d(k-l)) <= (1/d(k)^2 + 1/d(k-l)^2) / 2 and
     d^2 >= (2 pi |k|_inf)^(2 nu) + 1.
     """
-    return np.array([_damping_tail(radius - int(r), dimension, 2.0 * nu) for r in reach])
+    return np.array([_damping_tail(p, radius - int(r), 2) for r in p.pair_reach])
 
 
-def _head_sums(p: HillProblem, offsets, radius):
+def _head_sums(p: HillProblem, radius):
     """Exact sums over the head window of the given radius, by shell.
 
     ``shell[j]`` is sum_{|k|_inf = j} 1/d(k), and ``pair[i, j]`` the sum of
     1/(d(k) d(k - l)) over the k with max(|k|_inf, |k - l|_inf) = j, for
-    the i-th offset l; j runs to the radius.  The window is visited in
-    blocks of ``_HEAD_BLOCK`` points.
+    the i-th square pair offset l; j runs to the radius.  The window is
+    visited in blocks of ``_HEAD_BLOCK`` points.
     """
     w = TruncationWindow(radius, p.dimension)
     shell = np.zeros(radius + 1)
-    pair = np.zeros((len(offsets), radius + 1))
+    pair = np.zeros((len(p.pair_offsets), radius + 1))
     for start in range(0, w.size, _HEAD_BLOCK):
         ks = w.coords_array(start, start + _HEAD_BLOCK)
-        inv_d = 1.0 / damping(ks, p.nu)
+        inv_d = 1.0 / p.weights(ks)
         r = sup_norm_array(ks)
         shell += np.bincount(r, inv_d, radius + 1)
-        for i, l in enumerate(offsets):
+        for i, l in enumerate(p.pair_offsets):
             if not l.any():
                 pair[i] += np.bincount(r, inv_d * inv_d, radius + 1)
                 continue
             km = ks - l
             key = np.maximum(r, sup_norm_array(km))
             keep = key <= radius
-            h = inv_d[keep] / damping(km[keep], p.nu)
+            h = inv_d[keep] / p.weights(km[keep])
             pair[i] += np.bincount(key[keep], h, radius + 1)
     return shell, pair
 
@@ -295,15 +299,13 @@ class _HillTails:
     """
 
     floor = None  # the potential gives every entry: no coverage radius ends the ladder
+    dimension = property(lambda self: self.problem.dimension)
 
     def __init__(self, p: HillProblem, tol, max_radius, head_radius=None):
-        n = p.dimension
-        coeffs = p.damped_coeffs()
-        self.dimension = n
-        self.nu = p.nu
+        self.problem = p
         # B = 0 when g = delta: its first rung, radius 0, is already exact
-        self.radii = _ladder_radii(max_radius if coeffs else 0)
-        window = TruncationWindow(self.radii[-1] + p.reach(), n)
+        self.radii = _ladder_radii(max_radius if len(p.offsets) else 0)
+        window = TruncationWindow(self.radii[-1] + p.reach(), p.dimension)
         near, _ = build_hill_matrix(p, window)
         self.rows, self.cols, self.vals = near.rows, near.cols, near.vals
         self.abs_vals = np.abs(near.vals)
@@ -311,13 +313,8 @@ class _HillTails:
         self.bucket = _rung_buckets(
             np.maximum(self.row_r, sup_norm_array(near.cols)), self.radii
         )
-        self.mass = float(sum(abs(v) for v in coeffs.values()))
-        self.g0 = complex(coeffs.get((0,) * n, 0.0))
-        offsets, self.weights, self.reach = _square_pairs(coeffs, n)
-        if head_radius is None:
-            head_radius = self._default_head(tol, max_radius)
-        self.head = int(head_radius)
-        shell, pair = _head_sums(p, offsets, self.head)
+        self.head = int(self._default_head(tol, max_radius) if head_radius is None else head_radius)
+        shell, pair = _head_sums(p, self.head)
         self.shell_beyond, self.pair_beyond = _beyond(shell), _beyond(pair)
 
     def _default_head(self, tol, max_radius):
@@ -325,13 +322,13 @@ class _HillTails:
         brackets beyond K move the log of the corrected value by at most
         tol / 16, or until the head window would pass ``_HEAD_POINTS`` points.
         """
-        n = self.dimension
-        largest = (int(_HEAD_POINTS ** (1.0 / n) + 1e-9) - 1) // 2
-        g0, weights = abs(self.g0), np.abs(self.weights)
+        p = self.problem
+        largest = (int(_HEAD_POINTS ** (1.0 / p.dimension) + 1e-9) - 1) // 2
+        g0, weights = abs(p.g0), np.abs(p.pair_weights)
 
         def bracket_error(k):
-            lo, hi = _inverse_damping_tail(k, n, self.nu)
-            square = float(np.sum(weights * _square_tail(k, self.reach, n, self.nu)))
+            lo, hi = _inverse_damping_tail(p, k)
+            square = float(np.sum(weights * _square_tail(p, k)))
             return g0 * 0.5 * (hi - lo) + 0.25 * square
 
         k = min(max(4 * max_radius, 1024), largest)
@@ -346,7 +343,7 @@ class _HillTails:
     def inverse_damping_sum(self, rung):
         """(lo, hi) around S_R for the rung of radius R."""
         r = self.radii[rung]
-        lo, hi = _inverse_damping_tail(max(r, self.head), self.dimension, self.nu)
+        lo, hi = _inverse_damping_tail(self.problem, max(r, self.head))
         head = float(self.shell_beyond[r]) if r < self.head else 0.0
         return head + lo, head + hi
 
@@ -354,19 +351,19 @@ class _HillTails:
         """Bound on ||T||_1, no unstored mass, and a bound on ||B||_1."""
         rows_in = (self.bucket > rung) & (self.row_r <= self.radii[rung])
         boundary = float(np.sum(self.abs_vals[rows_in]))
-        t_total = self.mass * self.inverse_damping_sum(rung)[1] + boundary
+        t_total = self.problem.mass * self.inverse_damping_sum(rung)[1] + boundary
         return t_total, 0.0, f_norm + t_total
 
     def moments(self, rung):
         """``(Tr T, error)`` and ``(Tr T^2, error)`` for the rung's tail."""
-        r = self.radii[rung]
+        p, r = self.problem, self.radii[rung]
         lo, hi = self.inverse_damping_sum(rung)
-        head = self.pair_beyond[:, r] if r < self.head else np.zeros(len(self.weights))
-        width = _square_tail(max(r, self.head), self.reach, self.dimension, self.nu)
-        tr_t = (self.g0 * (0.5 * (lo + hi)), abs(self.g0) * 0.5 * (hi - lo))
+        head = self.pair_beyond[:, r] if r < self.head else np.zeros(len(p.pair_weights))
+        width = _square_tail(p, max(r, self.head))
+        tr_t = (p.g0 * (0.5 * (lo + hi)), abs(p.g0) * 0.5 * (hi - lo))
         tr_t2 = (
-            complex(np.sum(self.weights * (head + 0.5 * width))),
-            float(np.sum(np.abs(self.weights) * (0.5 * width))),
+            complex(np.sum(p.pair_weights * (head + 0.5 * width))),
+            float(np.sum(np.abs(p.pair_weights) * (0.5 * width))),
         )
         return tr_t, tr_t2
 
@@ -421,12 +418,12 @@ def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None
 
 
 def _dense_section(p: HillProblem, radius):
-    """Window, dense I + B on it and the positions of the entries of B."""
+    """Window, dense I + B on it, positions of the entries of B, and d(k) on it."""
     w = TruncationWindow(radius, p.dimension)
     _check_section_size(w)
     matrix, _ = build_hill_matrix(p, w)
     section, links = _section_matrix(matrix.rows, matrix.cols, matrix.vals, w)
-    return w, _add_identity(section), links
+    return w, _add_identity(section), links, p.weights(w.coords_array())
 
 
 def _full_residual(p: HillProblem, w: TruncationWindow, dense, b_vec):
@@ -435,15 +432,12 @@ def _full_residual(p: HillProblem, w: TruncationWindow, dense, b_vec):
     Rows inside the window use the dense section ``dense`` of I + B; rows
     outside receive only the g-convolution term, computed exactly from the
     finite potential: the terms of all offsets are summed per row through
-    the rows' lattice keys, offset by offset in ``damped_coeffs`` order.
+    the rows' lattice keys, offset by offset in the problem's offset order.
     """
-    coeffs = p.damped_coeffs()
-    offsets = np.asarray(list(coeffs), dtype=np.int64).reshape(len(coeffs), p.dimension)
-    shifted = w.coords_array()[None, :, :] + offsets[:, None, :]
+    shifted = w.coords_array()[None, :, :] + p.offsets[:, None, :]
     out = np.max(np.abs(shifted), axis=2) > w.radius
     rows = shifted[out]  # offset by offset, each in window order
-    values = np.asarray(list(coeffs.values()), dtype=np.complex128)
-    terms = (values[:, None] * b_vec)[out] / damping(rows, p.nu)
+    terms = (p.values[:, None] * b_vec)[out] / p.weights(rows)
     _, row = np.unique(index_keys(rows)[0], return_inverse=True)
     outside = np.bincount(row, terms.real) ** 2 + np.bincount(row, terms.imag) ** 2
     inside = float(np.sum(np.abs(dense @ b_vec) ** 2))
@@ -452,7 +446,7 @@ def _full_residual(p: HillProblem, w: TruncationWindow, dense, b_vec):
 
 def _kernel_certified(p: HillProblem, radius):
     """Whether a window null vector annihilates the infinite matrix."""
-    w, dense, links = _dense_section(p, radius)
+    w, dense, links, _ = _dense_section(p, radius)
     _, _, v = _section_min_singular(
         dense, links, lambda smallest, largest: smallest <= 1e-10 * max(largest, 1.0)
     )
@@ -492,7 +486,7 @@ def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
     """
     if w.dimension != p.dimension:
         raise ValueError(f"dimension {p.dimension} vs window {w.dimension}")
-    _, dense, links = _dense_section(p, w.radius)
+    _, dense, links, weights = _dense_section(p, w.radius)
     smallest, _, v = _section_min_singular(
         dense, links, lambda smallest, _: smallest <= threshold
     )
@@ -506,13 +500,10 @@ def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
     b_vec = np.conj(v)
     b_vec = b_vec / np.linalg.norm(b_vec)
     pts = w.coords_array()
-    weights = damping(pts, p.nu)
     residual = float(np.linalg.norm((dense @ b_vec) * weights))
     norms = euclid_norm_array(pts)
     regularity_mass = float(np.sum(norms**p.nu * np.abs(b_vec)))
-    g_mass = p.potential_l1()
-    b_mass = float(np.sum(np.abs(b_vec)))
-    bound = (2.0 * np.pi) ** (-p.nu) * b_mass * g_mass
+    bound = (2.0 * np.pi) ** (-p.nu) * float(np.sum(np.abs(b_vec))) * p.potential_l1()
     coeffs = {
         tuple(int(c) for c in pts[i]): complex(b_vec[i])
         for i in range(len(pts))
@@ -572,8 +563,7 @@ def spectral_shift_scan(p: HillProblem, lambdas, tol, radius=32):
         raise ValueError("scan grid must be strictly increasing")
     grid = np.asarray(lambdas)
 
-    w, dense, _ = _dense_section(p, radius)
-    weights = damping(w.coords_array(), p.nu)
+    _, dense, _, weights = _dense_section(p, radius)
     mu = np.linalg.eigvals(weights[:, None] * dense)
     # ascending eigenvalues against ascending weights keep every factor
     # (mu_i + lambda) / d_i of moderate size, so the product cannot overflow
@@ -584,17 +574,14 @@ def spectral_shift_scan(p: HillProblem, lambdas, tol, radius=32):
     if np.isrealobj(dense):
         values = values.real  # conjugate eigenvalue pairs leave roundoff
 
-    zero = (0,) * p.dimension
-    g0 = p.potential.get(zero, 0.0)
-    off_mass = p.potential_l1() - abs(g0)
     # ||F||_1 of the section of B(lambda): fixed off-diagonal part plus the
     # shifted diagonal |g_0 + lambda - 1| / d(k)
     off_norm = float(np.sum(np.abs(dense)) - np.sum(np.abs(np.diag(dense))))
     inv_d_sum = float(np.sum(1.0 / weights))
 
     def certificate(lam):
-        diag = np.abs(g0 - 1.0 + lam)
-        t = _damped_tail_bound(diag + off_mass, p.reach(), p.dimension, p.nu, radius)
+        diag = np.abs(p.g0 + lam)
+        t = p.tail_bound(radius, diag + p.off_mass)
         f_norm = off_norm + diag * inv_d_sum
         with np.errstate(over="ignore"):
             return t * np.exp(1.0 + 2.0 * f_norm + t)

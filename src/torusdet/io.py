@@ -23,6 +23,10 @@ from .toroidal import (
 )
 
 
+# largest scan grid a document may ask for: the table holds one row per step
+MAX_SCAN_STEPS = 10**6
+
+
 class ParseError(ValueError):
     """Malformed document (bad JSON or missing structure)."""
 
@@ -210,8 +214,11 @@ def parse_hill_document(doc):
         steps = _require(scan, "steps", int, "hill.scan")
         if not hi > lo:
             raise ValidationError("hill.scan", f"lambda_max must exceed lambda_min")
-        if steps < 2:
-            raise ValidationError("hill.scan.steps", "need at least 2 steps")
+        error = _not_a_number(steps, integer=True)
+        if not error and not 2 <= steps <= MAX_SCAN_STEPS:
+            error = f"need 2 to {MAX_SCAN_STEPS} steps, got {steps}"
+        if error:
+            raise ValidationError("hill.scan.steps", error)
         scan = {"lambda_min": float(lo), "lambda_max": float(hi), "steps": steps}
     return problem, scan
 

@@ -31,6 +31,7 @@ reported value and the infinite-dimensional limit.
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -579,7 +580,8 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
     if it ends at C short of ``tol``, the error names C and the bound there.
     Rung i reads its whole :func:`_row_span`, so the ladder reads at most
     twice the stopping span; the stopping rung sums its diagonal rung bucket
-    by rung bucket, each bucket in canonical order.
+    by rung bucket, each bucket in canonical order.  A sum that overflows
+    the float range raises ``NonConvergenceError``: no bound covers it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -601,8 +603,11 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
             if a.cols is not a.rows:
                 b, d = b[a.diag_mask[lo:hi]], d[a.diag_mask[lo:hi]]
             total = lambda w: np.cumsum(np.bincount(b, weights=w, minlength=i + 1))[i]
-            value = total(d.real) + 1j * (total(d.imag) if np.iscomplexobj(d) else 0.0)
-            return TraceResult(value=complex(value), certified_error=t_n)
+            value = complex(total(d.real) + 1j * (total(d.imag) if np.iscomplexobj(d) else 0.0))
+            if not cmath.isfinite(value):
+                message = f"trace sum overflowed the float range within radius {n}: {value}"
+                raise NonConvergenceError(message, ladder=attempts, last_bound=t_n)
+            return TraceResult(value=value, certified_error=t_n)
     stop = _coverage_floor(coverage, unstored, max_radius) or (
         f"by radius {max_radius}: ladder tail {attempts[-3:]}"
     )

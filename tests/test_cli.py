@@ -310,6 +310,30 @@ def test_malformed_numbers_are_input_errors(tmp_path, capsys, command, doc, fiel
     assert err.count("\n") == 1
 
 
+def test_an_overflowed_trace_is_a_computation_error(tmp_path, capsys):
+    path = write(tmp_path, "big.json", with_items(
+        MATRIX, "entries", {**ENTRY, "re": 1e308}, {**ENTRY, "row": [1], "col": [1], "re": 1e308}))
+    # reading the document sums the l1 norm, which overflows with numpy's warning
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        status, out, err = run_cli(capsys, "trace", path)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("computation error: ") and "overflow" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [(True, "expected an integer"), (2**63 - 1, "need 2 to 1000000 steps, got 9223372036854775807")],
+)
+def test_scan_steps_must_be_a_bounded_integer(tmp_path, capsys, steps, message):
+    path = write(tmp_path, "scan.json", {**HILL, "scan": {**SCAN, "steps": steps}})
+    status, out, err = run_cli(capsys, "hill", "scan", path)
+    assert status == 1
+    assert out == ""
+    assert err == f"input error: hill.scan.steps: {message}\n"
+
+
 def test_usage_errors(tmp_path, capsys):
     status, _, err = run_cli(capsys, "explode")
     assert status == 1

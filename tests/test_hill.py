@@ -28,14 +28,12 @@ from torusdet.hill import (
     InfeasibleOrderError,
     NoNullSolutionError,
     _HillTails,
-    _damped_tail_bound,
     _dense_section,
     _full_residual,
     _inverse_damping_tail,
     _kernel_certified,
     _square_tail,
     build_hill_matrix,
-    damping,
     existence_test,
     extract_null_solution,
     hill_determinant,
@@ -68,6 +66,37 @@ def test_problem_validation():
     p = HillProblem(1, 2.0, {(0,): 0.0, (1,): 2.0})
     assert p.potential == {(1,): 2.0}  # zeros dropped
     assert p.potential_l1() == 2.0
+
+
+def test_problems_compare_by_their_equation_data():
+    p = HillProblem(1, 2.0, {0: 3.0, (2,): 0.5j})
+    assert p == HillProblem(1, 2.0, {(0,): 3 + 0j, (2,): 0.5j, (1,): 0.0})
+    assert p != HillProblem(1, 2.5, {(0,): 3.0, (2,): 0.5j})
+    assert p != HillProblem(1, 2.0, {(0,): 3.0})
+    assert repr(p) == "HillProblem(dimension=1, nu=2.0, potential={(0,): (3+0j), (2,): 0.5j})"
+
+
+@pytest.mark.parametrize(
+    "problem, damped, l1, reach, lam, shifted",
+    [
+        (HillProblem(1, 2.0, {(0,): 3.0, (1,): 0.5, (-2,): 0.25j}),
+         [((0,), 2 + 0j), ((1,), 0.5 + 0j), ((-2,), 0.25j)], 3.75, 2,
+         1.5, {(0,): 4.5 + 0j, (1,): 0.5 + 0j, (-2,): 0.25j}),
+        (HillProblem(2, 3.0, {(1, 0): 0.5, (0, -2): 0.2 - 0.1j}),
+         [((1, 0), 0.5 + 0j), ((0, -2), 0.2 - 0.1j), ((0, 0), -1.0)], 0.5 + abs(0.2 - 0.1j), 2,
+         -0.5, {(1, 0): 0.5 + 0j, (0, -2): 0.2 - 0.1j, (0, 0): -0.5 + 0j}),
+        # g_0 = 1 cancels the identity: the damped g_0 is dropped
+        (HillProblem(1, 2.0, {(0,): 1.0, (3,): 2.0}), [((3,), 2 + 0j)], 3.0, 3,
+         -1.0, {(3,): 2 + 0j}),
+        (HillProblem(1, 2.0, {}), [((0,), -1.0)], 0.0, 0, 2.0, {(0,): 2 + 0j}),
+    ],
+)
+def test_problem_derived_values(problem, damped, l1, reach, lam, shifted):
+    assert list(problem.damped_coeffs().items()) == damped
+    assert problem.potential_l1() == l1
+    assert problem.reach() == reach
+    assert problem.shifted(lam) == HillProblem(problem.dimension, problem.nu, shifted)
+    assert list(problem.shifted(lam).potential.items()) == list(shifted.items())
 
 
 def bracket_power_sum(radius, n, m, extent):
@@ -165,7 +194,7 @@ def test_build_hill_matrix_tail_bound_dominates():
 def hill_triples(p, w):
     """The damped entries (k, k - l, (g_l - delta_l0) / d(k)), offset by offset."""
     ks = w.coords_array()
-    weights = damping(ks, p.nu)
+    weights = p.weights(ks)
     rows, cols, vals = [], [], []
     for l, v in p.damped_coeffs().items():
         c = ks - np.asarray(l)
@@ -436,6 +465,18 @@ def test_scan_table_in_row_blocks_is_the_one_block_table(monkeypatch, problem):
     assert peak <= 8 * 2**20
 
 
+def test_scan_certificate_keeps_the_undamped_off_diagonal_mass():
+    # ||g||_1 - |g_0| and ||g||_1 - |(g_0 - 1) + 1| differ in the last bit
+    # here: the second moves the first certificate in its 17th digit
+    p = HillProblem(1, 2.0, {(0,): -1.4468124409744065, (2,): 0.4833514281886899,
+                             (-2,): 0.4833514281886899})
+    grid = np.linspace(2.4468124409744065, 3.4468124409744065, 5).tolist()
+    assert spectral_shift_scan(p, grid, 1e-8).certified == [
+        0.06853012013155357, 0.1481604796646206, 0.30679575200889153,
+        0.6168246065171171, 1.213849002019519,
+    ]
+
+
 def test_scan_rejects_bad_grids():
     p = HillProblem(1, 2.0, {})
     with pytest.raises(ValueError):
@@ -646,7 +687,7 @@ NEAR_ROOT_2D = -((2.0 * math.pi) ** 3) + 0.5
     ],
 )
 def test_parity_kernels_match_unsplit_linalg_on_even_hill_sections(n, pot, radius, parity):
-    _, m, links = _dense_section(HillProblem(n, n + 1.0, pot), radius)
+    _, m, links, _ = _dense_section(HillProblem(n, n + 1.0, pot), radius)
     real = all(complex(v).imag == 0 for v in pot.values())
     assert m.dtype == (np.float64 if real else np.complex128)
     blocks = _section_blocks(m, links)
@@ -686,7 +727,7 @@ def test_even_potential_ladder_rungs_match_dense_slogdet(n, pot, radii):
     ladder = err.value.ladder
     assert [step.radius for step in ladder] == radii
     for step in ladder:
-        w, m, links = _dense_section(p, step.radius)
+        w, m, links, _ = _dense_section(p, step.radius)
         assert (_parity_blocks(m) is not None) == even
         assert isinstance(_section_blocks(m, links, w), _Slabs)
         sign, logabs = np.linalg.slogdet(damped_section(pot, step.radius, n, nu))
@@ -718,7 +759,7 @@ def test_a_ladder_rung_splits_its_section_once(monkeypatch):
     [(2, EVEN_2D, 10), (2, SKEW_2D, 10), (2, SKEW_2D_COMPLEX, 8), (3, EVEN_3D, 3), (3, EVEN_3D_COMPLEX, 3)],
 )
 def test_slab_kernels_match_unsplit_linalg_on_hill_sections(n, pot, radius):
-    w, m, links = _dense_section(HillProblem(n, n + 1.0, pot), radius)
+    w, m, links, _ = _dense_section(HillProblem(n, n + 1.0, pot), radius)
     slabs = _section_blocks(m, links, w)
     assert isinstance(slabs, _Slabs)
     assert set(np.diff(slabs.bounds).tolist()) == {(2 * radius + 1) ** (n - 1)}
@@ -856,10 +897,10 @@ def test_inverse_damping_tail_brackets_the_lattice_sum(nu):
     # [0, shell_tail]: the 1-D bracket must overlap that range and be narrow
     far = 2**21
     k = np.arange(1, far + 1, dtype=float)
-    f = 1.0 / damping(k[:, None], nu)
+    f = 1.0 / HillProblem(1, nu, {}).weights(k[:, None])
     for radius in (0, 1, 8, 64, 1000):
         head = 2.0 * float(np.sum(f[radius:][::-1]))
-        lo, hi = _inverse_damping_tail(radius, 1, nu)
+        lo, hi = _inverse_damping_tail(HillProblem(1, nu, {}), radius)
         assert lo <= hi
         assert lo <= head + shell_tail(far, 1, nu, 2 * math.pi, 1.0) + 1e-15 * head
         assert hi >= head * (1 - 1e-13)
@@ -872,18 +913,23 @@ def test_square_and_union_tails_dominate_lattice_sums(n, nu):
     # and the l1 mass of B beyond it, even for radii below the offset
     far = 2**17 if n == 1 else 200
     pts = TruncationWindow(far, n).coords_array()
-    inv_d = 1.0 / damping(pts, nu)
+    unit = HillProblem(n, nu, {})
+    inv_d = 1.0 / unit.weights(pts)
     for l in [(1,), (2,), (3,)] if n == 1 else [(1, 0), (2, -1), (3, 3)]:
         shifted = pts - np.asarray(l)
         key = np.maximum(np.max(np.abs(pts), axis=1), np.max(np.abs(shifted), axis=1))
-        h = inv_d / damping(shifted, nu)
+        h = inv_d / unit.weights(shifted)
         reach = max(abs(c) for c in l)
+        # g = delta + g_l delta_l + g_-l delta_-l: one square pair, reach |l|_inf
+        neg = tuple(-c for c in l)
+        p = HillProblem(n, nu, {(0,) * n: 1.0, l: 1.0, neg: 1.0})
+        assert p.pair_reach.tolist() == [reach] and p.reach() == reach
         for radius in (0, 1, 2, 8, 32):
-            bound = _square_tail(radius, [reach], n, nu)[0]
+            bound = _square_tail(p, radius)[0]
             assert float(np.sum(h[(key > radius) & (key <= far - reach)])) <= bound
             # B with g = delta_l: row k, column k - l, value 1/d(k)
             mass = float(np.sum(inv_d[(key > radius) & (key <= far - reach)]))
-            assert mass <= _damped_tail_bound(1.0, reach, n, nu, radius)
+            assert mass <= p.tail_bound(radius, 1.0)
 
 
 def dense_tail_moments(p, window_radius, radius, g_dense):
@@ -943,7 +989,7 @@ def test_hill_tail_moments_match_dense_sums(problem, max_radius, head, window_ra
         lo, hi = tails.inverse_damping_sum(i)
         brute, rest = dense["t_total"]
         assert brute <= t_total * (1 + 1e-13)
-        assert t_total <= brute + rest + tails.mass * (hi - lo) + 1e-13
+        assert t_total <= brute + rest + problem.mass * (hi - lo) + 1e-13
         assert unstored == 0.0 and norm_upper == f_norm + t_total
 
         (tr_t, err_t), (tr_t2, err_t2) = tails.moments(i)
@@ -1018,7 +1064,7 @@ def test_default_head_radius(monkeypatch, problem, tol, max_radius, head):
 
     radii = []
 
-    def spy(p, offsets, radius):
+    def spy(p, radius):
         radii.append(radius)
         raise Stop  # the head sums themselves are not needed here
 
@@ -1102,7 +1148,7 @@ def dict_loop_residual(p, w, dense, b_vec):
     for l, v in p.damped_coeffs().items():
         rows = pts + np.asarray(l, dtype=np.int64)
         out = sup_norm_array(rows) > w.radius
-        weights = damping(rows[out], p.nu)
+        weights = p.weights(rows[out])
         for r, d, bv in zip(rows[out], weights, b_vec[out]):
             key = tuple(int(c) for c in r)
             outside[key] = outside.get(key, 0.0) + v * bv / d
@@ -1122,7 +1168,7 @@ def dict_loop_residual(p, w, dense, b_vec):
 def test_full_residual_matches_a_per_row_dict_reference(n, pot, radius):
     # outside rows collect terms of several offsets, (1, 1) and (1, 0) among them
     p = HillProblem(n, n + 1.0, pot)
-    w, dense, _ = _dense_section(p, radius)
+    w, dense, _, _ = _dense_section(p, radius)
     rng = np.random.default_rng(radius)
     for _ in range(3):
         b_vec = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)

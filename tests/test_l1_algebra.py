@@ -441,6 +441,16 @@ def test_poincare_trace_separable_2d_family():
     assert abs(res.value - c * s * s) <= res.certified_error
 
 
+def test_poincare_trace_refuses_an_overflowed_sum():
+    # the l1 norm of the stored entries overflows too, with numpy's warning
+    pts = np.array([[0], [1]])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        a = SparseL1Matrix.from_canonical_arrays(1, pts, pts, np.array([1e308, 1e308]))
+    with pytest.raises(NonConvergenceError, match="overflow") as err:
+        poincare_trace(a, TailModel.exact_finite(), 1e-8)
+    assert err.value.ladder
+
+
 def test_poincare_trace_nonconvergence_has_diagnostics():
     matrix, _ = diagonal_family(3.0, 64)
     slow = TailModel.user_bound(lambda r: 0.5)  # never reaches tol
