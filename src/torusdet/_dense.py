@@ -31,9 +31,10 @@ against LAPACK's O(N^3) (see :meth:`_Slabs.inverse`).  The sweep stops, and
 the section takes the path above unchanged, when an intermediate S_i is
 singular or ill conditioned on the scale of the terms it is formed from
 (see :func:`_slab_sweep`).  A singular last S_i gives det 0 exactly, as a
-singular block does.  Singular values (the SVD of
-``extract_null_solution`` and the kernel check) never use slabs: no window
-is passed there, and a sweep gives no singular values.
+singular block does.  Singular values never use slabs, which give none:
+:func:`_section_min_singular` takes one values-only SVD per stack of its
+parts (the component stacks, the parity blocks or the section itself),
+then one vector SVD of the matrix with the smallest sigma_min.
 """
 
 from __future__ import annotations
@@ -287,6 +288,7 @@ def _ldexp(x, e):
     return out
 
 
+@np.errstate(over="ignore")  # a determinant past the float range is inf
 def _section_det(m, blocks=None):
     """det(m), the product of its component (or parity block) determinants.
 
@@ -326,57 +328,48 @@ def _section_inv(m, blocks=None):
     return inv
 
 
+def _scatter(size, where, u):
+    """The vector of order ``size`` that is u on the positions ``where``, 0 off them."""
+    v = np.zeros(size, dtype=u.dtype)
+    v[where] = u
+    return v
+
+
 def _section_min_singular(m, links=None, wanted=None):
     """Smallest and largest singular value of m and a vector v for the smallest.
 
-    The singular values of m's parts come first, without vectors; v is then
-    computed only if ``wanted(smallest, largest)`` is true (always, when
-    ``wanted`` is None), and is None otherwise.  v is LAPACK's last right
-    singular vector (a row of V^H) of the part of m that holds the smallest
-    sigma_min, and the smallest value returned is the one of that SVD:
-
-    * the component with the smallest sigma_min when m has several, among
-      tied components the one whose first position comes first; v is zero
-      off it;
-    * the even or odd parity block when m is one component that splits
-      (see :func:`_parity_blocks`), the even block on a tie; v is mapped
-      back by :func:`_parity_vector`, so that v[::-1] = v for the even block
-      and -v for the odd one;
-    * m itself otherwise, whose vector SVD then gives the largest value too.
-
-    ``links`` are passed on to :func:`_section_blocks`.
+    m's parts are one list of stacks, each matrix with a key and each stack
+    with its rule mapping a vector of one of its matrices back to m: the
+    component stacks when m has several components (one per size, keys the
+    first positions, v zero off the component); the even and odd blocks,
+    keyed 0 and 1, when m is one component that splits (v mapped by
+    :func:`_parity_vector`: v[::-1] = v for the even block, -v for the odd);
+    else m itself.  One values-only SVD per stack gives the smallest
+    sigma_min, a tie going to the smaller key, and the largest sigma_max.
+    v is computed only if ``wanted(smallest, largest)`` holds (or ``wanted``
+    is None), and is None otherwise: LAPACK's last right singular vector (a
+    row of V^H) of the winning matrix, whose vector SVD gives the smallest
+    value returned, and the largest too when m is the only part.  ``links``
+    are as for :func:`_section_blocks`.
     """
     blocks = _section_blocks(m, links)
     if isinstance(blocks, tuple):
-        even, odd = (np.linalg.svd(b, compute_uv=False) for b in blocks)
-        odd_wins = bool(odd[-1] < even[-1])  # a tie goes to the even block
-        smallest = odd[-1] if odd_wins else even[-1]
-        largest = max(even[0], odd[0])
-    elif not blocks:
-        svals = np.linalg.svd(m, compute_uv=False)
-        smallest, largest = svals[-1], svals[0]
+        parts = [(b[None], [odd], lambda _, u, odd=odd: _parity_vector(u, odd))
+                 for odd, b in enumerate(blocks)]
+    elif blocks:
+        parts = [(m[_block_index(idx)], idx[:, 0],
+                  lambda row, u, idx=idx: _scatter(m.shape[0], idx[row], u)) for idx in blocks]
     else:
-        firsts, smallest, largest, components = [], [], [], []
-        for idx in blocks:
-            svals = np.linalg.svd(m[_block_index(idx)], compute_uv=False)
-            firsts.append(idx[:, 0])
-            smallest.append(svals[:, -1])
-            largest.append(svals[:, 0])
-            components.extend(idx)
-        firsts, smallest = np.concatenate(firsts), np.concatenate(smallest)
-        pick = np.lexsort((firsts, smallest))[0]
-        smallest, largest = smallest[pick], np.max(np.concatenate(largest))
-    smallest, largest = float(smallest), float(largest)
+        parts = [(m[None], [0], lambda _, u: u)]
+    values = [np.linalg.svd(stack, compute_uv=False) for stack, _, _ in parts]
+    minima = np.concatenate([s[:, -1] for s in values])
+    pick = np.lexsort((np.concatenate([keys for _, keys, _ in parts]), minima))[0]
+    smallest, largest = float(minima[pick]), float(max(np.max(s[:, 0]) for s in values))
     if wanted is not None and not wanted(smallest, largest):
         return smallest, largest, None
-    if isinstance(blocks, tuple):
-        _, svals, vh = np.linalg.svd(blocks[odd_wins])
-        return float(svals[-1]), largest, _parity_vector(vh[-1], odd_wins)
-    if not blocks:
-        _, svals, vh = np.linalg.svd(m)
-        return float(svals[-1]), float(svals[0]), vh[-1]
-    where = components[pick]
-    _, svals, vh = np.linalg.svd(m[np.ix_(where, where)])
-    v = np.zeros(m.shape[0], dtype=vh.dtype)
-    v[where] = vh[-1]
-    return float(svals[-1]), largest, v
+    for stack, _, back in parts:
+        if pick < len(stack):
+            break
+        pick -= len(stack)
+    _, svals, vh = np.linalg.svd(stack[pick])
+    return float(svals[-1]), (float(svals[0]) if len(minima) == 1 else largest), back(pick, vh[-1])

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import l1_algebra
 from ._dense import _section_min_singular
 from .lattice import (
     TruncationWindow,
@@ -103,6 +104,8 @@ class HillProblem:
             if v != 0:
                 clean[as_index(k, self.dimension)] = v
         object.__setattr__(self, "potential", clean)
+        if not math.isfinite(self.potential_l1()):
+            raise ValueError("the l1 mass of the potential is not finite")
         coeffs = self.damped_coeffs()
         offsets = sorted(coeffs, reverse=True)
         zero = (0,) * self.dimension
@@ -299,7 +302,6 @@ class _HillTails:
     """
 
     floor = None  # the potential gives every entry: no coverage radius ends the ladder
-    dimension = property(lambda self: self.problem.dimension)
 
     def __init__(self, p: HillProblem, tol, max_radius, head_radius=None):
         self.problem = p
@@ -401,10 +403,11 @@ def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None
     exists.  The determinant is the ladder of :func:`hill_determinant`, with
     the same default head radius ``coverage_radius`` of its lattice sums; a
     ladder that stops short of ``tol`` still decides with its best value and
-    bound.  When the determinant alone stays undecided, a finitely supported
-    candidate null vector from the window SVD is checked against every row of
-    the infinite matrix it touches (exactly computable because g has finite
-    support); a vanishing residual certifies singularity.
+    bound.  When the determinant alone stays undecided and the ``max_radius``
+    window is within the dense section limit, a candidate null vector from
+    its SVD is checked against every row of the infinite matrix it touches
+    (exact, as g has finite support); a vanishing residual certifies
+    singularity.
     """
     det, _ = _determinant_ladder(_HillTails(p, tol, max_radius, coverage_radius), tol)
     decision = determinant_decision(det, tol)
@@ -412,7 +415,8 @@ def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None
         return ExistenceResult("only-trivial", det)
     if decision == "singular":
         return ExistenceResult("nontrivial-solution", det)
-    if _kernel_certified(p, max_radius):
+    fits = TruncationWindow(max_radius, p.dimension).size <= l1_algebra._SECTION_SIZE_LIMIT
+    if fits and _kernel_certified(p, max_radius):
         return ExistenceResult("nontrivial-solution", det, kernel_certified=True)
     return ExistenceResult("undecided", det)
 
@@ -470,19 +474,16 @@ class SolutionCandidate:
 def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
     """Reconstruct a null solution from the smallest singular vector.
 
-    SVD of the dense section of I + B on the window, one per connected
-    component; the right singular vector of the smallest singular value is
-    the candidate (robust under the +-k degeneracies of even problems).  When
-    several components share the smallest singular value, as the +-k modes
-    of a constant potential do, the candidate lives on the component holding
-    the lexicographically first window point; within one component it is
-    LAPACK's last right singular vector.  A section that is one component
-    and centrosymmetric (an even potential, g_-l = g_l) is solved as its even
-    and odd parity blocks: the candidate is then a pure cos-type
-    (b_-k = b_k) or sin-type (b_-k = -b_k) combination, from the block with
-    the smaller sigma_min, and from the even block when the two tie.  The
-    residual reports the undamped coefficient equation: each damped row is
-    multiplied back by d(k).
+    The candidate is the right singular vector of the smallest singular
+    value of the dense section of I + B on the window, taken over the
+    section's parts by :func:`~torusdet._dense._section_min_singular`
+    (robust under the +-k degeneracies of even problems).  It lives on one
+    connected component: on a tie, as between the +-k modes of a constant
+    potential, the one holding the lexicographically first window point.
+    For an even potential (g_-l = g_l) on one component it is a pure
+    cos-type (b_-k = b_k) or sin-type (b_-k = -b_k) combination, cos-type
+    on a tie.  The residual reports the undamped coefficient equation: each
+    damped row is multiplied back by d(k).
     """
     if w.dimension != p.dimension:
         raise ValueError(f"dimension {p.dimension} vs window {w.dimension}")

@@ -206,6 +206,8 @@ def parse_hill_document(doc):
         problem = HillProblem(n, float(nu), potential)
     except InfeasibleOrderError as err:
         raise ValidationError("hill.nu", f"nu must exceed dimension ({err})")
+    except ValueError as err:
+        raise ValidationError("hill.potential", str(err))
 
     scan = doc.get("scan")
     if scan is not None:

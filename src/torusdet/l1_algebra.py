@@ -151,7 +151,8 @@ class SparseL1Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "vals", vals)
-        norm = float(np.sum(np.abs(vals))) if norm is None else float(norm)
+        with np.errstate(over="ignore"):  # a norm past the float range is kept as inf
+            norm = float(np.sum(np.abs(vals))) if norm is None else float(norm)
         object.__setattr__(self, "l1_norm", norm)
         return self
 
@@ -502,7 +503,7 @@ def finite_determinant(f: FiniteSection):
     A one-component section of bounded first-coordinate reach is swept slab
     by slab instead, as a ladder rung on the same window is.
     """
-    m = np.eye(f.matrix.shape[0]) + f.matrix
+    m = _add_identity(f.matrix.copy())
     return _section_det(m, _section_blocks(m, window=f.window))
 
 
@@ -665,7 +666,7 @@ class _LadderTails:
     ``Tr(G T^2)``.  Both are gathered by the first rung that needs them.
 
     This is the tail provider :func:`_determinant_ladder` reads, rung ``i``
-    by rung: ``radii``, ``dimension``, ``floor``, the near entries ``rows``,
+    by rung: ``radii``, ``floor``, the near entries ``rows`` (n columns wide),
     ``cols``, ``vals`` and ``abs_vals`` with their ``bucket``, and the
     methods ``l1_tail``, ``moments`` and ``straddle``.  Everything the stored
     entries do not hold is the tail model's bound at the coverage radius
@@ -675,7 +676,6 @@ class _LadderTails:
 
     def __init__(self, a: SparseL1Matrix, tail: TailModel, max_radius):
         self.a = a
-        self.dimension = a.dimension
         coverage = a.support_radius
         self.unstored = tail.bound_at(coverage)  # all mass beyond the stored entries
         self.norm_upper = a.l1_norm + self.unstored
@@ -762,8 +762,11 @@ def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64)
     window has rung C's section and tail bound (see :class:`TailModel`).
     A ladder that stops short of ``tol`` raises :class:`NonConvergenceError`
     carrying the ladder and the best rung's value and bound; if it ended at
-    C, the message names C and the tail model's bound there.
+    C, the message names C and the tail model's bound there.  A matrix whose
+    l1 norm is not finite raises it before any rung.
     """
+    if not math.isfinite(a.l1_norm):
+        raise NonConvergenceError(f"l1 norm of the matrix is not finite: {a.l1_norm}")
     return _converged(_LadderTails(a, tail, max_radius), tol)
 
 
@@ -798,10 +801,10 @@ def _determinant_ladder(tails, tol):
     best = None
     stop = tails.floor or f"within radius {tails.radii[-1]}"
     for i, n in enumerate(tails.radii):
-        window = TruncationWindow(n, tails.dimension)
-        if window.size > _SECTION_SIZE_LIMIT:
-            if not ladder:  # no rung to fall back on: refuse as truncate does
-                _check_section_size(window)
+        window = TruncationWindow(n, tails.rows.shape[1])
+        if not ladder:  # no rung to fall back on: refuse as truncate does
+            _check_section_size(window)
+        elif window.size > _SECTION_SIZE_LIMIT:
             stop = (
                 f"before the window of radius {n} ({window.size} points) "
                 f"passed the dense section limit {_SECTION_SIZE_LIMIT}"

@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import torusdet
-from torusdet import cli, toroidal
+from torusdet import cli, l1_algebra, toroidal
 from torusdet.cli import main
 
 FOUR_PI_SQ = (2.0 * math.pi) ** 2
@@ -310,16 +311,70 @@ def test_malformed_numbers_are_input_errors(tmp_path, capsys, command, doc, fiel
     assert err.count("\n") == 1
 
 
+BIG_DIAGONAL = with_items(
+    MATRIX, "entries", {**ENTRY, "re": 1e308}, {**ENTRY, "row": [1], "col": [1], "re": 1e308})
+
+
+def run_cli_without_warnings(capsys, *argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
 def test_an_overflowed_trace_is_a_computation_error(tmp_path, capsys):
-    path = write(tmp_path, "big.json", with_items(
-        MATRIX, "entries", {**ENTRY, "re": 1e308}, {**ENTRY, "row": [1], "col": [1], "re": 1e308}))
-    # reading the document sums the l1 norm, which overflows with numpy's warning
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        status, out, err = run_cli(capsys, "trace", path)
+    # the l1 norm of the document's entries overflows too, without a warning
+    status, out, err = run_cli_without_warnings(
+        capsys, "trace", write(tmp_path, "big.json", BIG_DIAGONAL))
     assert status == 1
     assert out == ""
     assert err.startswith("computation error: ") and "overflow" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (["det"], BIG_DIAGONAL,
+         "computation error: l1 norm of the matrix is not finite: inf"),
+        # a finite norm, but section determinants of 1e100^9 and 1e100^10
+        (["det"], with_items(MATRIX, "entries", *(
+            {**ENTRY, "row": [i], "col": [i], "re": 1e100} for i in range(10))),
+         "computation error: determinant bound did not reach tol=1e-08"),
+        (["hill", "check"], {**HILL, "potential": [
+            {"index": [l], "re": 1e308} for l in (-1, 0, 1)]},
+         "input error: hill.potential: the l1 mass of the potential is not finite"),
+        (["hill", "scan"], {**HILL, "scan": SCAN, "potential": [
+            {"index": [l], "re": 1e308} for l in (-1, 0, 1)]},
+         "input error: hill.potential: the l1 mass of the potential is not finite"),
+    ],
+    ids=["det-1e308", "det-1e100", "hill-check", "hill-scan"],
+)
+def test_overflowing_documents_give_one_error_line_and_no_warning(
+    tmp_path, capsys, command, doc, message
+):
+    status, out, err = run_cli_without_warnings(
+        capsys, *command, write(tmp_path, "big.json", doc))
+    assert status == 1
+    assert out == ""
+    assert err.startswith(message)
+    assert err.count("\n") == 1
+
+
+def test_hill_check_skips_the_kernel_check_past_the_section_limit(tmp_path, capsys, monkeypatch):
+    # the ladder stops after its rung of radius 8 (289 points), short of the
+    # window of radius 16 (1089 points) the kernel check would fill
+    monkeypatch.setattr(l1_algebra, "_SECTION_SIZE_LIMIT", 1000)
+    near_root = -((2.0 * math.pi) ** 3) + 0.5
+    potential = {(0, 0): near_root, (1, 0): 0.4, (-1, 0): 0.4, (0, 1): 0.3, (0, -1): 0.3}
+    path = write(tmp_path, "near.json", {"dimension": 2, "nu": 3.0, "potential": [
+        {"index": list(k), "re": v} for k, v in potential.items()]})
+    status, out, _ = run_cli(capsys, "--max-radius", "16", "hill", "check", path)
+    assert status == 2
+    doc = json.loads(out)
+    assert doc["decision"] == "undecided" and doc["kernel_certified"] is False
+    assert [step["radius"] for step in doc["determinant"]["ladder"]] == [8]
 
 
 @pytest.mark.parametrize(

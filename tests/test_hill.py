@@ -66,6 +66,9 @@ def test_problem_validation():
     p = HillProblem(1, 2.0, {(0,): 0.0, (1,): 2.0})
     assert p.potential == {(1,): 2.0}  # zeros dropped
     assert p.potential_l1() == 2.0
+    # finite coefficients whose l1 mass overflows
+    with pytest.raises(ValueError, match="l1 mass of the potential is not finite"):
+        HillProblem(1, 2.0, {(l,): 1e308 for l in (-1, 0, 1)})
 
 
 def test_problems_compare_by_their_equation_data():

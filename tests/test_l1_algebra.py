@@ -442,13 +442,24 @@ def test_poincare_trace_separable_2d_family():
 
 
 def test_poincare_trace_refuses_an_overflowed_sum():
-    # the l1 norm of the stored entries overflows too, with numpy's warning
+    # the l1 norm of the stored entries overflows too, to inf and without a warning
     pts = np.array([[0], [1]])
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         a = SparseL1Matrix.from_canonical_arrays(1, pts, pts, np.array([1e308, 1e308]))
+    assert caught == [] and a.l1_norm == math.inf
     with pytest.raises(NonConvergenceError, match="overflow") as err:
         poincare_trace(a, TailModel.exact_finite(), 1e-8)
     assert err.value.ladder
+
+
+def test_poincare_determinant_refuses_an_overflowed_norm(monkeypatch):
+    pts = np.array([[0], [1]])
+    a = SparseL1Matrix.from_canonical_arrays(1, pts, pts, np.array([1e308, 1e308]))
+    # refused before any rung: no section is filled
+    monkeypatch.setattr(l1_algebra, "_section_matrix", None)
+    with pytest.raises(NonConvergenceError, match="l1 norm of the matrix is not finite"):
+        poincare_determinant(a, TailModel.exact_finite(), 1e-8)
 
 
 def test_poincare_trace_nonconvergence_has_diagnostics():
