@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import l1_algebra
 from ._dense import _section_min_singular
 from .lattice import (
     TruncationWindow,
@@ -54,9 +53,9 @@ from .l1_algebra import (
     _check_section_size,
     _converged,
     _determinant_ladder,
-    _ladder_radii,
     _rung_buckets,
     _section_matrix,
+    _section_rungs,
     determinant_decision,
 )
 
@@ -283,12 +282,13 @@ def _beyond(shells):
 class _HillTails:
     """Tail provider of :func:`l1_algebra._determinant_ladder` for I + B.
 
-    Entries of B are materialized only on the last rung widened by the reach
-    of g ("near"), each with the rung bucket of max(row radius, col radius):
-    they give each rung's section, the boundary rows (inside the window,
-    with columns outside it) and the tail entries the ladder meets with G in
-    ``Tr(G T^2)``, which all lie there.  The rest of the tail T of the window
-    of radius R comes from the potential, with
+    The rungs and ``floor`` are the :func:`~torusdet.l1_algebra._section_rungs`
+    of ``max_radius``.  Entries of B are materialized only on the last rung
+    widened by the reach of g ("near"), each with the rung bucket of
+    max(row radius, col radius): they give each rung's section, the boundary
+    rows (inside the window, with columns outside it) and the tail entries
+    the ladder meets with G in ``Tr(G T^2)``, which all lie there.  The rest
+    of the tail T of the window of radius R comes from the potential, with
     S_R = sum_{|k|_inf > R} 1/d(k):
 
         ||T||_1 <= ||g - delta||_1 S_R + (boundary rows),
@@ -301,12 +301,10 @@ class _HillTails:
     width as their error.  These sums cover all of T, so no mass is unstored.
     """
 
-    floor = None  # the potential gives every entry: no coverage radius ends the ladder
-
     def __init__(self, p: HillProblem, tol, max_radius, head_radius=None):
         self.problem = p
         # B = 0 when g = delta: its first rung, radius 0, is already exact
-        self.radii = _ladder_radii(max_radius if len(p.offsets) else 0)
+        self.radii, self.floor = _section_rungs(max_radius if len(p.offsets) else 0, p.dimension)
         window = TruncationWindow(self.radii[-1] + p.reach(), p.dimension)
         near, _ = build_hill_matrix(p, window)
         self.rows, self.cols, self.vals = near.rows, near.cols, near.vals
@@ -403,20 +401,20 @@ def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None
     exists.  The determinant is the ladder of :func:`hill_determinant`, with
     the same default head radius ``coverage_radius`` of its lattice sums; a
     ladder that stops short of ``tol`` still decides with its best value and
-    bound.  When the determinant alone stays undecided and the ``max_radius``
-    window is within the dense section limit, a candidate null vector from
-    its SVD is checked against every row of the infinite matrix it touches
-    (exact, as g has finite support); a vanishing residual certifies
-    singularity.
+    bound.  When the determinant alone stays undecided and the dense section
+    limit left the ladder's rungs uncut up to ``max_radius``, a candidate
+    null vector from the SVD of that window is checked against every row of
+    the infinite matrix it touches (exact, as g has finite support); a
+    vanishing residual certifies singularity.
     """
-    det, _ = _determinant_ladder(_HillTails(p, tol, max_radius, coverage_radius), tol)
+    tails = _HillTails(p, tol, max_radius, coverage_radius)
+    det, _ = _determinant_ladder(tails, tol)
     decision = determinant_decision(det, tol)
     if decision == "invertible":
         return ExistenceResult("only-trivial", det)
     if decision == "singular":
         return ExistenceResult("nontrivial-solution", det)
-    fits = TruncationWindow(max_radius, p.dimension).size <= l1_algebra._SECTION_SIZE_LIMIT
-    if fits and _kernel_certified(p, max_radius):
+    if tails.radii[-1] == max_radius and _kernel_certified(p, max_radius):
         return ExistenceResult("nontrivial-solution", det, kernel_certified=True)
     return ExistenceResult("undecided", det)
 
@@ -430,6 +428,7 @@ def _dense_section(p: HillProblem, radius):
     return w, _add_identity(section), links, p.weights(w.coords_array())
 
 
+@np.errstate(over="ignore")  # a residual past the float range is inf
 def _full_residual(p: HillProblem, w: TruncationWindow, dense, b_vec):
     """(I + B) b over every row the window-supported b touches, undamped-free.
 
@@ -437,6 +436,7 @@ def _full_residual(p: HillProblem, w: TruncationWindow, dense, b_vec):
     outside receive only the g-convolution term, computed exactly from the
     finite potential: the terms of all offsets are summed per row through
     the rows' lattice keys, offset by offset in the problem's offset order.
+    An overflowed residual is inf, which no threshold accepts.
     """
     shifted = w.coords_array()[None, :, :] + p.offsets[:, None, :]
     out = np.max(np.abs(shifted), axis=2) > w.radius
@@ -567,11 +567,13 @@ def spectral_shift_scan(p: HillProblem, lambdas, tol, radius=32):
     _, dense, _, weights = _dense_section(p, radius)
     mu = np.linalg.eigvals(weights[:, None] * dense)
     # ascending eigenvalues against ascending weights keep every factor
-    # (mu_i + lambda) / d_i of moderate size, so the product cannot overflow
+    # (mu_i + lambda) / d_i of moderate size; a product that still overflows
+    # (coefficients of 1e200, say) is inf
     mu = mu[np.argsort(mu.real)]
     scale, rows = np.sort(weights), max(1, _HEAD_BLOCK // len(mu))
-    values = np.concatenate([np.prod((mu + grid[i:i + rows, None]) / scale, axis=1)
-                             for i in range(0, len(grid), rows)])
+    with np.errstate(over="ignore"):
+        values = np.concatenate([np.prod((mu + grid[i:i + rows, None]) / scale, axis=1)
+                                 for i in range(0, len(grid), rows)])
     if np.isrealobj(dense):
         values = values.real  # conjugate eigenvalue pairs leave roundoff
 

@@ -524,6 +524,21 @@ def _ladder_radii(top):
     return radii
 
 
+def _section_rungs(top, dimension):
+    """The :func:`_ladder_radii` of ``top`` whose windows fit the dense section
+    limit, and the phrase saying where the limit cut them (None: uncut); a
+    first rung over the limit raises :func:`_check_section_size`'s error.
+    """
+    radii = _ladder_radii(top)
+    _check_section_size(TruncationWindow(radii[0], dimension))  # no rung to fall back on
+    for i, n in enumerate(radii):
+        size = TruncationWindow(n, dimension).size
+        if size > _SECTION_SIZE_LIMIT:
+            return radii[:i], (f"before the window of radius {n} ({size} points) "
+                               f"passed the dense section limit {_SECTION_SIZE_LIMIT}")
+    return radii, None
+
+
 def _row_span(a, radius):
     """Positions [lo, hi) of the entries whose first row coordinate is in [-radius, radius].
 
@@ -671,17 +686,21 @@ class _LadderTails:
     methods ``l1_tail``, ``moments`` and ``straddle``.  Everything the stored
     entries do not hold is the tail model's bound at the coverage radius
     (``unstored``), an error term of every tail quantity; ``floor`` says so
-    if the rungs end there.
+    if the rungs end there.  The rungs are the :func:`_section_rungs` of
+    min(C, ``max_radius``), where near and far are split even when the
+    section limit cuts them.  A non-finite l1 norm raises NonConvergenceError.
     """
 
     def __init__(self, a: SparseL1Matrix, tail: TailModel, max_radius):
+        if not math.isfinite(a.l1_norm):
+            raise NonConvergenceError(f"l1 norm of the matrix is not finite: {a.l1_norm}")
         self.a = a
         coverage = a.support_radius
         self.unstored = tail.bound_at(coverage)  # all mass beyond the stored entries
         self.norm_upper = a.l1_norm + self.unstored
-        self.radii = _ladder_radii(min(coverage, max_radius))
-        self.last = self.radii[-1]
-        self.floor = _coverage_floor(coverage, self.unstored, max_radius)
+        self.last = min(coverage, max_radius)
+        self.radii, cut = _section_rungs(self.last, a.dimension)
+        self.floor = cut or _coverage_floor(coverage, self.unstored, max_radius)
         lo, hi = _row_span(a, self.last)
         span_radii = _entry_radii(a, slice(lo, hi))
         near = span_radii <= self.last
@@ -765,8 +784,6 @@ def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64)
     C, the message names C and the tail model's bound there.  A matrix whose
     l1 norm is not finite raises it before any rung.
     """
-    if not math.isfinite(a.l1_norm):
-        raise NonConvergenceError(f"l1 norm of the matrix is not finite: {a.l1_norm}")
     return _converged(_LadderTails(a, tail, max_radius), tol)
 
 
@@ -792,24 +809,15 @@ def _determinant_ladder(tails, tol):
     rung ``i``'s section holds the entries of bucket ``<= i``.  Returns
     ``(result, stop)``: a converged result and None, or the best rung's
     value and bound with ``converged=False`` and the phrase saying where the
-    ladder ended.  A first rung over the dense section limit raises
-    :func:`truncate`'s ``ValueError``.
+    ladder ended.  The rungs fit the dense section limit: they are the
+    provider's :func:`_section_rungs`.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     ladder = []
     best = None
-    stop = tails.floor or f"within radius {tails.radii[-1]}"
     for i, n in enumerate(tails.radii):
         window = TruncationWindow(n, tails.rows.shape[1])
-        if not ladder:  # no rung to fall back on: refuse as truncate does
-            _check_section_size(window)
-        elif window.size > _SECTION_SIZE_LIMIT:
-            stop = (
-                f"before the window of radius {n} ({window.size} points) "
-                f"passed the dense section limit {_SECTION_SIZE_LIMIT}"
-            )
-            break
         inside = tails.bucket <= i
         f_norm = float(np.sum(tails.abs_vals[inside]))
         section, links = _section_matrix(
@@ -840,7 +848,7 @@ def _determinant_ladder(tails, tol):
             return DeterminantResult(value, ladder, bound, converged=True), None
         if best is None or bound < best.certified_error:
             best = DeterminantResult(value, ladder, bound, converged=False)
-    return best, stop
+    return best, tails.floor or f"within radius {tails.radii[-1]}"
 
 
 def _corrected_step(tails, rung, section, blocks, det_n, stored, unstored):
@@ -903,6 +911,7 @@ def invertibility_test(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64):
     ends short of ``tol`` it still yields its best value and bound (with
     ``converged=False``), which decide the question whenever they can (a
     numerical zero test is one-sided; near-roots legitimately end undecided).
+    A matrix whose l1 norm is not finite raises :class:`NonConvergenceError`.
     """
     result, _ = _determinant_ladder(_LadderTails(a, tail, max_radius), tol)
     return determinant_decision(result, tol), result

@@ -377,6 +377,55 @@ def test_hill_check_skips_the_kernel_check_past_the_section_limit(tmp_path, caps
     assert [step["radius"] for step in doc["determinant"]["ladder"]] == [8]
 
 
+# a finite l1 mass, but sections and residuals past the float range
+HUGE_COSINE = {**HILL, "potential": [
+    {"index": [0], "re": 1.0}, {"index": [1], "re": 1e200}, {"index": [-1], "re": 1e200}]}
+
+
+@pytest.mark.parametrize("command", ["check", "scan"])
+def test_an_overflowing_hill_section_is_vacuous_without_a_warning(tmp_path, capsys, command):
+    doc = HUGE_COSINE if command == "check" else {**HUGE_COSINE, "scan": SCAN}
+    status, out, err = run_cli_without_warnings(
+        capsys, "hill", command, write(tmp_path, "huge.json", doc))
+    assert err.startswith("elapsed_seconds") and err.count("\n") == 1
+    doc = json.loads(out)
+    if command == "check":
+        assert status == 2 and doc["decision"] == "undecided"
+        assert doc["kernel_certified"] is False  # the inf residual is no kernel
+        det = doc["determinant"]
+        assert det["value"]["re"] == det["certified_error"] == math.inf
+    else:
+        assert status == 0 and doc["roots"] == [] and doc["failures"] == []
+        assert {(row["det"]["re"], row["certified_error"]) for row in doc["table"]} == {
+            (-math.inf, math.inf)}
+
+
+def test_hill_check_refuses_a_first_rung_over_the_section_limit(tmp_path, capsys, monkeypatch):
+    import tracemalloc
+
+    from torusdet import hill
+
+    def refuse(p, w):
+        raise AssertionError(f"built the window of radius {w.radius}")
+
+    # the rung of radius 8 has 17^4 points: nothing is built for it
+    monkeypatch.setattr(hill, "build_hill_matrix", refuse)
+    path = write(tmp_path, "four.json", {"dimension": 4, "nu": 5.0, "potential": [
+        {"index": [0, 0, 0, 0], "re": 2.0}, {"index": [1, 0, 0, 0], "re": 0.3},
+        {"index": [-1, 0, 0, 0], "re": 0.3}]})
+    tracemalloc.start()
+    try:
+        status, out, err = run_cli(capsys, "hill", "check", path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert status == 1
+    assert out == ""
+    assert err == ("computation error: window of radius 8 has 83521 points; "
+                   "dense section refused (limit 20000)\n")
+
+
 @pytest.mark.parametrize(
     "steps, message",
     [(True, "expected an integer"), (2**63 - 1, "need 2 to 1000000 steps, got 9223372036854775807")],

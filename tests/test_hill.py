@@ -1028,24 +1028,46 @@ def test_hill_ladder_bound_is_no_worse_than_the_materialized_window(problem, hea
         assert abs(new.last_value - old.last_value) <= new.last_bound + old.last_bound
 
 
-def test_hill_ladders_materialize_only_the_last_rung_and_the_reach(monkeypatch):
-    import torusdet.hill as hill
-
-    windows = []
-    original = hill.build_hill_matrix
-    monkeypatch.setattr(
-        hill, "build_hill_matrix", lambda p, w: windows.append(w.radius) or original(p, w)
-    )
-    p = HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.8, (-2,): 0.8})
-    with pytest.raises(NonConvergenceError):
-        hill_determinant(p, 1e-12, max_radius=32)
-    existence_test(p, tol=1e-8, max_radius=16)
-    assert windows == [34, 18]
-
-
 TRIG_1D = HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.8, (-2,): 0.8})
 TRIG_2D = HillProblem(2, 3.0, {(0, 0): 2 + 1j, (1, 0): 0.5, (-1, 0): 0.4, (-1, 1): 0.3j,
                                (1, -1): 0.2, (0, -2): 0.2 - 0.1j})
+
+
+def cosine_problem(dimension):
+    """g0 = 2 and 0.3 at +-e1 in the given dimension, nu = 5."""
+    e1 = (1,) + (0,) * (dimension - 1)
+    return HillProblem(dimension, 5.0, {(0,) * dimension: 2.0, e1: 0.3,
+                                        tuple(-c for c in e1): 0.3})
+
+
+def test_hill_ladders_materialize_only_the_last_rung_and_the_reach(monkeypatch):
+    import torusdet.hill as hill
+    from torusdet import l1_algebra
+
+    built = []
+    original = hill.build_hill_matrix
+
+    def spy(p, w):
+        # refuse before allocating: a window past the section limit is never built
+        assert w.size <= l1_algebra._SECTION_SIZE_LIMIT, f"built the window of radius {w.radius}"
+        built.append(w.radius)
+        return original(p, w)
+
+    monkeypatch.setattr(hill, "build_hill_matrix", spy)
+    with pytest.raises(NonConvergenceError):
+        hill_determinant(TRIG_1D, 1e-12, max_radius=32)
+    existence_test(TRIG_1D, tol=1e-8, max_radius=16)
+    assert built == [34, 18]
+    # 17^3 points fit the section limit and 33^3 do not: rung 8 and the reach
+    built.clear()
+    result = existence_test(cosine_problem(3), tol=1e-8)
+    assert [s.radius for s in result.determinant.ladder] == [8]
+    assert built == [9]
+    # 17^4 points do not fit: refused before anything is built
+    built.clear()
+    with pytest.raises(ValueError, match="window of radius 8 has 83521 points"):
+        existence_test(cosine_problem(4), tol=1e-8)
+    assert built == []
 
 
 @pytest.mark.parametrize(

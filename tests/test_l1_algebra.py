@@ -456,10 +456,12 @@ def test_poincare_trace_refuses_an_overflowed_sum():
 def test_poincare_determinant_refuses_an_overflowed_norm(monkeypatch):
     pts = np.array([[0], [1]])
     a = SparseL1Matrix.from_canonical_arrays(1, pts, pts, np.array([1e308, 1e308]))
-    # refused before any rung: no section is filled
+    # refused before any rung: no section is filled; invertibility_test
+    # refuses from the same site instead of overflowing in the ladder
     monkeypatch.setattr(l1_algebra, "_section_matrix", None)
-    with pytest.raises(NonConvergenceError, match="l1 norm of the matrix is not finite"):
-        poincare_determinant(a, TailModel.exact_finite(), 1e-8)
+    for entry in (poincare_determinant, invertibility_test):
+        with pytest.raises(NonConvergenceError, match="l1 norm of the matrix is not finite: inf"):
+            entry(a, TailModel.exact_finite(), 1e-8)
 
 
 def test_poincare_trace_nonconvergence_has_diagnostics():
@@ -1012,7 +1014,10 @@ def test_ladder_section_guard_stops_before_the_refused_rung(monkeypatch):
         tracemalloc.stop()
     assert peak < 6 * 289**2 * 8  # a few 289-point arrays, not a 1089-point section
     assert [s.radius for s in err.value.ladder] == [8]
-    assert str(l1_algebra._SECTION_SIZE_LIMIT) in str(err.value)
+    assert str(err.value).startswith(
+        "determinant bound did not reach tol=1e-12 before the window of radius 16 "
+        "(1089 points) passed the dense section limit 1000 (best certified bound "
+    )
     assert err.value.last_bound == min(s.bound for s in err.value.ladder)
     assert err.value.last_value is not None
 
