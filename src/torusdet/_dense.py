@@ -4,34 +4,33 @@ A section is the direct sum of the connected components of its nonzero
 pattern, so det, inverse and SVD are computed per component, with one LAPACK
 call per component size on the stacked blocks.
 
-A section that is one component splits further when it is centrosymmetric,
-``m == m[::-1, ::-1]``, and of odd order N = 2h + 1, as every window is.
-Window positions are lexicographic, so the reflection k -> -k reverses them,
-and the section of an operator that commutes with it is centrosymmetric: a
-Hill section I + B is whenever the potential is even, g_-l = g_l (every
-cosine potential, real or complex).  The orthogonal Q whose columns are
+A one-component section in dimension n >= 2 is factored slab by slab when
+the caller passes its window.  A section whose entries move k_1 by at most
+w is block tridiagonal over slabs of w consecutive k_1 values,
+b = w (2R + 1)^(n-1) consecutive positions each, as every Hill section of a
+trigonometric potential is.  With at least 3 slabs of order b >= 16 (see
+:func:`_slab_order`), one forward block-LU sweep (Demmel, Higham &
+Schreiber, Numer. Linear Algebra Appl. 2, 1995) forms the Schur complements
+S_i of the slabs: det m is the product of the det S_i, and the dense
+inverse follows from the same sweep in O(N^2 b) against LAPACK's O(N^3)
+(see :meth:`_Slabs.inverse`).  The sweep stops when an intermediate S_i is
+singular or ill conditioned on the scale of the terms it is formed from
+(see :func:`_slab_sweep`).  A singular last S_i gives det 0 exactly, as a
+singular component does.  Any other one-component section, and one whose
+sweep stopped, goes to LAPACK as it is.
+
+Singular values never use slabs, which give none.  A one-component section
+that is centrosymmetric, ``m == m[::-1, ::-1]``, and of odd order
+N = 2h + 1, as every window is, splits for its SVD instead.  Window
+positions are lexicographic, so the reflection k -> -k reverses them, and
+the section of an operator that commutes with it is centrosymmetric: a Hill
+section I + B is whenever the potential is even, g_-l = g_l (every cosine
+potential, real or complex).  The orthogonal Q whose columns are
 (e_i + e_{N-1-i}) / sqrt 2 for i < h, e_h, and (e_i - e_{N-1-i}) / sqrt 2
 for i < h gives ``Q^T m Q = diag(E, O)`` (Cantoni & Butler, Linear Algebra
 Appl. 13, 1976), with the even block E of order h + 1 and the odd block O
-of order h (see :func:`_parity_blocks`).  Factoring the two blocks takes
-about a quarter of the flops of the LU or SVD of m.  Any other section goes
-to LAPACK as it is, after its first row is compared with its reversed last
-row, in O(N), and, only if they agree, its top half with its bottom half.
-
-A one-component section in dimension n >= 2 is factored slab by slab
-instead, ahead of the parity split, when the caller passes its window.  A
-section whose entries move k_1 by at most w is block tridiagonal over slabs
-of w consecutive k_1 values, b = w (2R + 1)^(n-1) consecutive positions
-each, as every Hill section of a trigonometric potential is.  With at least
-3 slabs of order b >= 16 (see :func:`_slab_order`), one forward block-LU
-sweep (Demmel, Higham & Schreiber, Numer. Linear Algebra Appl. 2, 1995)
-forms the Schur complements S_i of the slabs: det m is the product of the
-det S_i, and the dense inverse follows from the same sweep in O(N^2 b)
-against LAPACK's O(N^3) (see :meth:`_Slabs.inverse`).  The sweep stops, and
-the section takes the path above unchanged, when an intermediate S_i is
-singular or ill conditioned on the scale of the terms it is formed from
-(see :func:`_slab_sweep`).  A singular last S_i gives det 0 exactly, as a
-singular block does.  Singular values never use slabs, which give none:
+of order h (see :func:`_parity_blocks`), whose SVDs take about a quarter of
+the flops of the SVD of m and give a vector of one parity.
 :func:`_section_min_singular` takes one values-only SVD per stack of its
 parts (the component stacks, the parity blocks or the section itself),
 then one vector SVD of the matrix with the smallest sigma_min.
@@ -79,7 +78,7 @@ def _component_labels(size, i, j):
 
 
 def _section_blocks(m, links=None, window=None):
-    """The parts of m the kernels factor: components, slabs or parity blocks.
+    """The parts of m the det and inverse kernels factor: components or slabs.
 
     Components are those of m's nonzero pattern; ``links`` may give the
     positions (i, j) of m's off-diagonal nonzeros instead of a scan of m.
@@ -88,8 +87,7 @@ def _section_blocks(m, links=None, window=None):
     order, and rows are ordered by their first position.  When m is one
     component, the :class:`_Slabs` sweep of m if ``window`` (the window m
     is the section on) makes it a slab section and the sweep passes its
-    guard; else its :func:`_parity_blocks` ``(E, O)`` as a tuple, or an
-    empty list if it does not split.
+    guard; else an empty list, and LAPACK takes m as it is.
     """
     i, j = np.nonzero(m) if links is None else links
     labels = _component_labels(m.shape[0], i, j)
@@ -97,7 +95,7 @@ def _section_blocks(m, links=None, window=None):
     starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
     if len(starts) == 1:
         slab = 0 if window is None else _slab_order(i, j, window)
-        return (slab and _slab_sweep(m, slab)) or _parity_blocks(m) or []
+        return (slab and _slab_sweep(m, slab)) or []
     sizes = np.diff(starts, append=len(labels))
     return [
         order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)
@@ -224,28 +222,6 @@ def _parity_blocks(m):
     return even, a - c
 
 
-def _parity_inverse(even_inv, odd_inv):
-    """m^{-1} of a centrosymmetric m, from the inverses of its parity blocks.
-
-    ``m^{-1} = Q diag(E^{-1}, O^{-1}) Q^T``: with P the leading h x h block
-    of E^{-1} and R = O^{-1}, its corner blocks are (P + R) / 2 and
-    (P - R) / 2 with columns reversed, and its middle row and column are
-    those of E^{-1} scaled by 1/sqrt 2.  The inverse is centrosymmetric, so
-    its last h rows are the first h reversed.
-    """
-    h = odd_inv.shape[0]
-    p = even_inv[:h, :h]
-    inv = np.empty((2 * h + 1, 2 * h + 1), dtype=even_inv.dtype)
-    inv[:h, :h] = 0.5 * (p + odd_inv)
-    inv[:h, h + 1 :] = (0.5 * (p - odd_inv))[:, ::-1]
-    inv[:h, h] = even_inv[:h, h] / _SQRT2
-    inv[h, :h] = even_inv[h, :h] / _SQRT2
-    inv[h, h + 1 :] = inv[h, h - 1 :: -1]
-    inv[h, h] = even_inv[h, h]
-    inv[h + 1 :] = inv[h - 1 :: -1, ::-1]
-    return inv
-
-
 def _parity_vector(u, odd):
     """Q applied to a vector u of the even block, or of the odd block if ``odd``.
 
@@ -290,16 +266,15 @@ def _ldexp(x, e):
 
 @np.errstate(over="ignore")  # a determinant past the float range is inf
 def _section_det(m, blocks=None):
-    """det(m), the product of its component (or parity block) determinants.
+    """det(m), the product of its component (or slab Schur complement) dets.
 
-    An exactly singular component or block gives exactly 0.  ``blocks`` may
-    pass the :func:`_section_blocks` of m when the caller already has them.
+    An exactly singular component or Schur complement gives exactly 0.
+    ``blocks`` may pass the :func:`_section_blocks` of m when the caller
+    already has them.
     """
     blocks = _section_blocks(m) if blocks is None else blocks
     if isinstance(blocks, _Slabs):
         dets = blocks.dets()
-    elif isinstance(blocks, tuple):
-        dets = np.array([np.linalg.det(b) for b in blocks])
     elif blocks:
         dets = np.concatenate([np.linalg.det(m[_block_index(idx)]) for idx in blocks])
     else:
@@ -310,16 +285,14 @@ def _section_det(m, blocks=None):
 
 
 def _section_inv(m, blocks=None):
-    """m^{-1}, assembled from the component (or parity block) inverses.
+    """m^{-1}, assembled from the component inverses (or the slab sweep).
 
-    Raises LinAlgError if a component or block is singular.  ``blocks`` as
-    for :func:`_section_det`.
+    Raises LinAlgError if a component or the last Schur complement is
+    singular.  ``blocks`` as for :func:`_section_det`.
     """
     blocks = _section_blocks(m) if blocks is None else blocks
     if isinstance(blocks, _Slabs):
         return blocks.inverse(m)
-    if isinstance(blocks, tuple):
-        return _parity_inverse(*(np.linalg.inv(b) for b in blocks))
     if not blocks:
         return np.linalg.inv(m)
     inv = np.zeros_like(m)
@@ -352,7 +325,7 @@ def _section_min_singular(m, links=None, wanted=None):
     value returned, and the largest too when m is the only part.  ``links``
     are as for :func:`_section_blocks`.
     """
-    blocks = _section_blocks(m, links)
+    blocks = _section_blocks(m, links) or _parity_blocks(m) or []
     if isinstance(blocks, tuple):
         parts = [(b[None], [odd], lambda _, u, odd=odd: _parity_vector(u, odd))
                  for odd, b in enumerate(blocks)]

@@ -25,6 +25,7 @@ from .hill import (
 )
 from .l1_algebra import (
     NonConvergenceError,
+    _mass,
     poincare_determinant,
     poincare_trace,
 )
@@ -147,8 +148,7 @@ def _cmd_symbol2matrix(args):
     if not radii or radii[-1] != args.radius:
         radii.append(args.radius)
     for r in radii:
-        inside = matrix.entry_radii <= r
-        norms.append({"radius": r, "l1_norm": float(np.sum(np.abs(matrix.vals[inside])))})
+        norms.append({"radius": r, "l1_norm": _mass(matrix.vals[matrix.entry_radii <= r])})
     return EXIT_OK, {
         "command": "symbol2matrix",
         "dimension": matrix.dimension,

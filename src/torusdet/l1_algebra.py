@@ -84,6 +84,12 @@ def _as_coord_array(coords, count, dimension):
     return coords
 
 
+def _mass(vals, keep=slice(None)):
+    """Sum of ``|vals|[keep]``: an l1 mass, inf when it passes the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(vals)[keep]))
+
+
 def _run_sums(keys, vals):
     """First position and value sum of each run of equal sorted ``keys``.
 
@@ -151,9 +157,7 @@ class SparseL1Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "vals", vals)
-        with np.errstate(over="ignore"):  # a norm past the float range is kept as inf
-            norm = float(np.sum(np.abs(vals))) if norm is None else float(norm)
-        object.__setattr__(self, "l1_norm", norm)
+        object.__setattr__(self, "l1_norm", _mass(vals) if norm is None else float(norm))
         return self
 
     def __setattr__(self, name, value):
@@ -307,8 +311,8 @@ class SparseL1Matrix:
 
 
 def l1_norm(a: SparseL1Matrix):
-    """Entrywise l1 norm, summed in canonical entry order."""
-    return float(np.sum(np.abs(a.vals)))
+    """Entrywise l1 norm, summed in canonical entry order; inf past the float range."""
+    return _mass(a.vals)
 
 
 def transpose(a: SparseL1Matrix):
@@ -488,7 +492,7 @@ def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
     inside = lo + np.flatnonzero(_entry_radii(a, slice(lo, hi)) <= w.radius)
     vals = a.vals[inside]
     dense, _ = _section_matrix(a.rows[inside], a.cols[inside], vals, w)
-    stored_tail = _discarded_mass(a, float(np.sum(np.abs(vals))), w.radius)
+    stored_tail = _discarded_mass(a, _mass(vals), w.radius)
     return FiniteSection(w, dense), stored_tail + tail.bound_at(a.support_radius)
 
 
@@ -560,10 +564,13 @@ def _entry_radii(a, part):
 def _discarded_mass(a, inside_mass, radius):
     """Stored l1 mass outside the window of radius ``radius``, given the mass inside.
 
-    ``||A||_1`` minus the inside mass, never negative, and exactly 0 when
-    the window holds every stored entry.
+    ``||A||_1`` minus the inside mass, never negative, exactly 0 when the
+    window holds every stored entry, and inf when ``||A||_1`` is inf and
+    the window does not.
     """
-    return 0.0 if radius >= a.support_radius else max(a.l1_norm - inside_mass, 0.0)
+    if radius >= a.support_radius:
+        return 0.0
+    return math.inf if math.isinf(a.l1_norm) else max(a.l1_norm - inside_mass, 0.0)
 
 
 def _rung_buckets(entry_radii, radii):
@@ -609,9 +616,7 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
         lo, hi = _row_span(a, n)
         r = _entry_radii(a, slice(lo, hi))
         # from C on nothing stored is discarded, whatever the mass inside
-        inside_mass = (
-            float(np.sum(np.abs(a.vals[lo:hi])[r <= n])) if n < coverage else 0.0
-        )
+        inside_mass = _mass(a.vals[lo:hi], r <= n) if n < coverage else 0.0
         t_n = _discarded_mass(a, inside_mass, n) + unstored
         attempts.append((int(n), t_n))
         if t_n <= tol:

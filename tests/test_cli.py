@@ -333,6 +333,37 @@ def test_an_overflowed_trace_is_a_computation_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("col", [[0], [1]], ids=["diagonal", "crossed"])
+def test_a_trace_past_the_float_range_inside_the_first_rung_gives_no_warning(
+    tmp_path, capsys, col
+):
+    # 1e308 on (0, col) and (1, 1 - col) inside the first rung, and 1e-300 at 100
+    doc = with_items(
+        MATRIX, "entries", {**ENTRY, "col": col, "re": 1e308},
+        {**ENTRY, "row": [1], "col": [1 - col[0]], "re": 1e308},
+        {**ENTRY, "row": [100], "col": [100], "re": 1e-300})
+    status, out, err = run_cli_without_warnings(
+        capsys, "trace", write(tmp_path, "big.json", doc))
+    if col == [0]:
+        assert (status, out) == (1, "")
+        assert err.startswith("computation error: ") and "overflow" in err
+        assert err.count("\n") == 1
+    else:
+        doc = json.loads(out)
+        assert status == 0
+        assert doc["value"] == {"re": 1e-300, "im": 0} and doc["certified_error"] == 0
+
+
+def test_a_norm_ladder_past_the_float_range_gives_no_warning(tmp_path, capsys):
+    doc = {"dimension": 1, "kind": "multiplication", "coefficients": [
+        {"index": [l], "re": 1e308} for l in (-1, 1)]}
+    status, out, _ = run_cli_without_warnings(
+        capsys, "symbol2matrix", write(tmp_path, "big.json", doc), "--radius", "2")
+    doc = json.loads(out)
+    assert status == 0 and doc["l1_norm"] == math.inf
+    assert [step["l1_norm"] for step in doc["norm_ladder"]] == [math.inf, math.inf]
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [

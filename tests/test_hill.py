@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from torusdet import _dense
+from torusdet import _dense, l1_algebra
 from torusdet._dense import (
     _Slabs,
     _parity_blocks,
@@ -693,9 +693,7 @@ def test_parity_kernels_match_unsplit_linalg_on_even_hill_sections(n, pot, radiu
     _, m, links, _ = _dense_section(HillProblem(n, n + 1.0, pot), radius)
     real = all(complex(v).imag == 0 for v in pot.values())
     assert m.dtype == (np.float64 if real else np.complex128)
-    blocks = _section_blocks(m, links)
-    assert isinstance(blocks, tuple)
-    assert all(np.array_equal(b, ref) for b, ref in zip(blocks, _parity_blocks(m)))
+    assert _parity_blocks(m) is not None
     assert abs(_section_det(m) - np.linalg.det(m)) <= 1e-12 * abs(np.linalg.det(m))
     inv = np.linalg.inv(m)
     assert np.linalg.norm(_section_inv(m) - inv) <= 1e-12 * np.linalg.norm(inv)
@@ -739,22 +737,24 @@ def test_even_potential_ladder_rungs_match_dense_slogdet(n, pot, radii):
 
 
 def test_a_ladder_rung_splits_its_section_once(monkeypatch):
-    # det and inverse of a corrected rung reuse the blocks the rung found
-    calls = {"split": 0, "inverse": 0}
-    split, inverse = _dense._parity_blocks, _dense._parity_inverse
+    # det and inverse of a corrected rung reuse the blocks the rung found,
+    # and neither splits the centrosymmetric section by parity
+    calls = {"split": 0, "parity": 0}
 
     def count(name, f):
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return f(*args)
+            return f(*args, **kwargs)
 
         return counted
 
-    monkeypatch.setattr(_dense, "_parity_blocks", count("split", split))
-    monkeypatch.setattr(_dense, "_parity_inverse", count("inverse", inverse))
+    split = count("split", _dense._section_blocks)
+    monkeypatch.setattr(_dense, "_section_blocks", split)
+    monkeypatch.setattr(l1_algebra, "_section_blocks", split)
+    monkeypatch.setattr(_dense, "_parity_blocks", count("parity", _dense._parity_blocks))
     p = HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0})
     result = hill_determinant(p, 1e-6)
-    assert calls["inverse"] == calls["split"] == len(result.ladder) > 1
+    assert calls["split"] == len(result.ladder) > 1 and calls["parity"] == 0
 
 
 @pytest.mark.parametrize(

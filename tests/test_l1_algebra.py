@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torusdet import l1_algebra
+from torusdet.hill import HillProblem, _dense_section
 from torusdet.lattice import TruncationWindow
 from torusdet.l1_algebra import (
     DimensionMismatchError,
@@ -464,6 +465,24 @@ def test_poincare_determinant_refuses_an_overflowed_norm(monkeypatch):
             entry(a, TailModel.exact_finite(), 1e-8)
 
 
+def test_magnitude_sums_past_the_float_range_are_inf_without_a_warning():
+    # two 1e308 entries inside the first rung (radius 8) and 1e-300 beyond it:
+    # every mass that holds both is inf, and so is the mass outside a window
+    # that holds them but not the last entry
+    pts, far = np.array([[0], [1], [100]]), np.array([[1], [0], [100]])
+    vals = np.array([1e308, 1e308, 1e-300])
+    diagonal = SparseL1Matrix.from_canonical_arrays(1, pts, pts, vals)
+    crossed = SparseL1Matrix.from_arrays(1, pts, far, vals)
+    exact = TailModel.exact_finite()
+    assert l1_norm(diagonal) == l1_norm(crossed) == math.inf
+    _, tail_mass = truncate(diagonal, exact, TruncationWindow(8, 1))
+    assert tail_mass == math.inf
+    with pytest.raises(NonConvergenceError, match="overflow"):
+        poincare_trace(diagonal, exact, 1e-8)
+    res = poincare_trace(crossed, exact, 1e-8)
+    assert (res.value, res.certified_error) == (1e-300, 0.0)
+
+
 def test_poincare_trace_nonconvergence_has_diagnostics():
     matrix, _ = diagonal_family(3.0, 64)
     slow = TailModel.user_bound(lambda r: 0.5)  # never reaches tol
@@ -824,17 +843,23 @@ def test_a_singular_parity_block_gives_an_exact_zero():
 
 def test_sections_that_are_not_centrosymmetric_pass_the_matrix_through():
     # one entry off the reflection, deep inside (first and last rows agree),
-    # and an even order: LAPACK on m, bit for bit
+    # and an even order: LAPACK on m, bit for bit.  Det and inverse take
+    # that path for centrosymmetric sections too, a 1-D even Hill section
+    # among them: only singular values split by parity
     rng = np.random.default_rng(15)
     half = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     m = np.eye(9) + 0.2 * (half + half[::-1, ::-1])
-    assert _parity_blocks(m) is not None
+    even_hill = {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.8, (-2,): 0.8}
+    _, hill, _, _ = _dense_section(HillProblem(1, 2.0, even_hill), 40)
+    centrosymmetric = [m.copy(), hill]
+    assert all(_parity_blocks(section) is not None for section in centrosymmetric)
     m[4, 6] += 0.5
     even_order = np.eye(8) + 0.2 * (half[:8, :8] + half[:8, :8][::-1, ::-1])
-    for section in (m, m.real.copy(), even_order):
-        assert _parity_blocks(section) is None
+    for section in centrosymmetric + [m, m.real.copy(), even_order]:
         assert _section_det(section) == complex(np.linalg.det(section))
         assert np.array_equal(_section_inv(section), np.linalg.inv(section))
+    for section in (m, m.real.copy(), even_order):
+        assert _parity_blocks(section) is None
         _, svals, vh = np.linalg.svd(section)
         smallest, largest, v = _section_min_singular(section)
         assert (smallest, largest) == (svals[-1], svals[0]) and np.array_equal(v, vh[-1])
