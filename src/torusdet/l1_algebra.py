@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -108,6 +109,14 @@ class SparseL1Matrix:
     Entries are stored columnar (index arrays plus a value array) in
     canonical lexicographic (row, col) order; duplicate indices are summed
     and exact zeros dropped at construction.  Instances are immutable.
+
+    Data derived from the entries alone is computed on first use and kept
+    in ``_cache``: the E-long entry radii and diagonal mask, the support
+    radius, and the ladder statistics of :func:`poincare_trace` (one float
+    per rung radius, one complex per stopping ladder) and
+    :class:`_LadderTails` (per last rung, four scalars and the straddling
+    far entries).  So repeated ladders on one matrix read its stored
+    entries once.
     """
 
     __slots__ = ("dimension", "rows", "cols", "vals", "l1_norm", "_cache")
@@ -230,36 +239,37 @@ class SparseL1Matrix:
     def nnz(self):
         return len(self.vals)
 
+    def _memo(self, key, compute):
+        """``compute()``, run on the first call for ``key`` only and kept in ``_cache``.
+
+        An array result is made read-only.
+        """
+        if key not in self._cache:
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
+
     @property
     def entry_radii(self):
         """Per-entry window radius max(|row|_inf, |col|_inf), cached."""
-        if "radii" not in self._cache:
-            r = _entry_radii(self, slice(None))
-            r.setflags(write=False)
-            self._cache["radii"] = r
-        return self._cache["radii"]
+        return self._memo("radii", lambda: _entry_radii(self, slice(None)))
 
     @property
     def diag_mask(self):
         """Boolean mask of stored entries on the main diagonal, cached."""
-        if "diag" not in self._cache:
-            if self.cols is self.rows:
-                m = np.ones(self.nnz, dtype=bool)
-            elif self.nnz:
-                m = np.all(self.rows == self.cols, axis=1)
-            else:
-                m = np.zeros(0, dtype=bool)
-            m.setflags(write=False)
-            self._cache["diag"] = m
-        return self._cache["diag"]
+        return self._memo("diag", lambda: (
+            np.ones(self.nnz, dtype=bool) if self.cols is self.rows
+            else np.all(self.rows == self.cols, axis=1)
+        ))
 
     @property
     def support_radius(self):
         """Largest sup norm over all stored row/col indices (0 if empty), cached."""
-        if "support" not in self._cache:
-            ends = [f(c, initial=0) for c in (self.rows, self.cols) for f in (np.min, np.max)]
-            self._cache["support"] = max(abs(int(e)) for e in ends)
-        return self._cache["support"]
+        return self._memo("support", lambda: max(
+            abs(int(f(c, initial=0))) for c in (self.rows, self.cols) for f in (np.min, np.max)
+        ))
 
     def items(self):
         for r, c, v in zip(self.rows, self.cols, self.vals):
@@ -593,6 +603,18 @@ def _coverage_floor(coverage, unstored, max_radius):
     )
 
 
+def _bucketed_diagonal_sum(a, span, buckets, rung):
+    """Sum of the diagonal entries of ``a.vals[span]`` in rung buckets ``<= rung``.
+
+    Each bucket is summed in canonical order, then the buckets in turn.
+    """
+    b, d = buckets, a.vals[span]
+    if a.cols is not a.rows:
+        b, d = b[a.diag_mask[span]], d[a.diag_mask[span]]
+    total = lambda w: np.cumsum(np.bincount(b, weights=w, minlength=rung + 1))[rung]
+    return complex(total(d.real) + 1j * (total(d.imag) if np.iscomplexobj(d) else 0.0))
+
+
 def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
     """Extended trace: diagonal sums over growing windows, with certification.
 
@@ -603,8 +625,11 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
     if it ends at C short of ``tol``, the error names C and the bound there.
     Rung i reads its whole :func:`_row_span`, so the ladder reads at most
     twice the stopping span; the stopping rung sums its diagonal rung bucket
-    by rung bucket, each bucket in canonical order.  A sum that overflows
-    the float range raises ``NonConvergenceError``: no bound covers it.
+    by rung bucket, each bucket in canonical order.  The matrix's cache
+    keeps each rung radius's inside mass and each stopping sum, keyed by the
+    rungs up to the stop, so a repeat call reads no stored entry.  A sum
+    that overflows the float range raises ``NonConvergenceError``: no bound
+    covers it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -613,18 +638,20 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
     radii = _ladder_radii(min(coverage, max_radius))
     attempts = []
     for i, n in enumerate(radii):
-        lo, hi = _row_span(a, n)
-        r = _entry_radii(a, slice(lo, hi))
+        span = slice(*_row_span(a, n))
+        span_radii = functools.cache(lambda: _entry_radii(a, span))  # once per rung at most
         # from C on nothing stored is discarded, whatever the mass inside
-        inside_mass = _mass(a.vals[lo:hi], r <= n) if n < coverage else 0.0
+        inside_mass = (
+            a._memo(("trace mass", n), lambda: _mass(a.vals[span], span_radii() <= n))
+            if n < coverage else 0.0
+        )
         t_n = _discarded_mass(a, inside_mass, n) + unstored
         attempts.append((int(n), t_n))
         if t_n <= tol:
-            b, d = _rung_buckets(r, radii), a.vals[lo:hi]
-            if a.cols is not a.rows:
-                b, d = b[a.diag_mask[lo:hi]], d[a.diag_mask[lo:hi]]
-            total = lambda w: np.cumsum(np.bincount(b, weights=w, minlength=i + 1))[i]
-            value = complex(total(d.real) + 1j * (total(d.imag) if np.iscomplexobj(d) else 0.0))
+            value = a._memo(
+                ("trace value", tuple(radii[: i + 1])),
+                lambda: _bucketed_diagonal_sum(a, span, _rung_buckets(span_radii(), radii), i),
+            )
             if not cmath.isfinite(value):
                 message = f"trace sum overflowed the float range within radius {n}: {value}"
                 raise NonConvergenceError(message, ladder=attempts, last_bound=t_n)
@@ -671,19 +698,39 @@ def _tail_cross_term(g_dense, radius, rows, cols, vals):
 _CROSS_TERM_ENTRY_CAP = 500_000
 
 
+def _far_totals(a, lo, hi, near, near_diag):
+    """Diagonal sum, diagonal square sum and off-diagonal count of the far entries.
+
+    Far entries lie beyond a ladder's last rung: the entries before and
+    after its row span [lo, hi) and the span's entries off ``near``; each
+    sum runs over those three pieces in turn.  ``near_diag`` marks the
+    diagonal ones among the near entries.
+    """
+    diagonal = a.cols is a.rows
+    off_count = 0 if diagonal else a.nnz - int(np.count_nonzero(a.diag_mask))
+    trace = trace_sq = 0j
+    for part in (slice(0, lo), lo + np.flatnonzero(~near), slice(hi, a.nnz)):
+        d = a.vals[part] if diagonal else a.vals[part][a.diag_mask[part]]
+        trace += complex(np.sum(d))
+        trace_sq += complex(np.dot(d, d))
+    return trace, trace_sq, off_count - int(np.count_nonzero(~near_diag))
+
+
 class _LadderTails:
     """The stored entries of a determinant ladder, split at the last rung.
 
     Entries inside the last rung ("near") are kept with their rung bucket, so
     each rung works only on them and on its dense section; they are read
     from the last rung's :func:`_row_span`.  Entries beyond the last rung
-    ("far") lie in every rung's tail and are reduced once to the totals the
-    tail statistics need: the diagonal sum and square sum, piece by piece
-    over the runs before and after the span and the span's far entries,
-    and the off-diagonal count.  Transpose partners share an entry radius, so
-    the far part of ``Tr T^2`` is a separate pair sum; and only far entries
-    with one index inside the last rung ("straddling") can meet a section in
-    ``Tr(G T^2)``.  Both are gathered by the first rung that needs them.
+    ("far") lie in every rung's tail and are reduced to the totals the
+    tail statistics need by :func:`_far_totals`.  Transpose partners share
+    an entry radius, so the far part of ``Tr T^2`` is a separate pair sum;
+    and only far entries with one index inside the last rung ("straddling")
+    can meet a section in ``Tr(G T^2)``.  Both are gathered by the first
+    rung that needs them.  The matrix's cache keeps the totals (three
+    scalars), the pair sum and the straddling entries under the last rung's
+    radius, so only the first ladder to that radius passes over the far
+    entries.
 
     This is the tail provider :func:`_determinant_ladder` reads, rung ``i``
     by rung: ``radii``, ``floor``, the near entries ``rows`` (n columns wide),
@@ -714,16 +761,11 @@ class _LadderTails:
         self.rows, self.cols = a.rows[self._near], a.cols[self._near]
         self.vals = a.vals[self._near]
         self.abs_vals = np.abs(self.vals)
-        diagonal = a.cols is a.rows  # then the E-long a.diag_mask is never built
-        self.diag = np.ones(len(self.vals), bool) if diagonal else a.diag_mask[self._near]
-        off_count = 0 if diagonal else a.nnz - int(np.count_nonzero(a.diag_mask))
-        self.far_off_count = off_count - int(np.count_nonzero(~self.diag))
-        self.far_trace = self.far_trace_sq = 0j
-        for part in (slice(0, lo), lo + np.flatnonzero(~near), slice(hi, a.nnz)):
-            d = a.vals[part] if diagonal else a.vals[part][a.diag_mask[part]]
-            self.far_trace += complex(np.sum(d))
-            self.far_trace_sq += complex(np.dot(d, d))
-        self._far_pairs = None
+        # a diagonal never builds the E-long a.diag_mask
+        self.diag = np.ones(len(self.vals), bool) if a.cols is a.rows else a.diag_mask[self._near]
+        self.far_trace, self.far_trace_sq, self.far_off_count = a._memo(
+            ("far totals", self.last), lambda: _far_totals(a, lo, hi, near, self.diag)
+        )
 
     def l1_tail(self, rung, f_norm):
         """Discarded stored mass, unstored mass and an upper bound on ||A||_1."""
@@ -755,19 +797,18 @@ class _LadderTails:
         return self._far_pair_statistics()[1]
 
     def _far_pair_statistics(self):
-        """Far transpose-pair sum and the straddling entries, gathered once."""
-        if self._far_pairs is None:
-            pairs, straddle = 0.0j, None
-            if self.far_off_count:
-                far_off = ~self.a.diag_mask
-                far_off[self._near] = False
-                idx = np.flatnonzero(far_off)
-                rows, cols, vals = self.a.rows[idx], self.a.cols[idx], self.a.vals[idx]
-                pairs = _transpose_pair_sum(rows, cols, vals)
-                keep = np.minimum(sup_norm_array(rows), sup_norm_array(cols)) <= self.last
-                straddle = rows[keep], cols[keep], vals[keep]
-            self._far_pairs = pairs, straddle
-        return self._far_pairs
+        """Far transpose-pair sum and the straddling entries, gathered once per last rung."""
+        return self.a._memo(("far pairs", self.last), self._gather_far_pairs)
+
+    def _gather_far_pairs(self):
+        if not self.far_off_count:
+            return 0.0j, None
+        far_off = ~self.a.diag_mask
+        far_off[self._near] = False
+        idx = np.flatnonzero(far_off)
+        rows, cols, vals = self.a.rows[idx], self.a.cols[idx], self.a.vals[idx]
+        keep = np.minimum(sup_norm_array(rows), sup_norm_array(cols)) <= self.last
+        return _transpose_pair_sum(rows, cols, vals), (rows[keep], cols[keep], vals[keep])
 
 
 def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64):
@@ -779,9 +820,12 @@ def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64)
     bound are computed; the computation stops as soon as either certified
     bound reaches ``tol``.  ``certified_error`` bounds ``|value - Det(I+A)|``
     for the returned value, which is the corrected one whenever its bound is
-    the sharper of the two.  Each call passes over the stored entries once
-    and copies only those inside the last rung; a rung's work is its dense
-    section and the entries near the windows.
+    the sharper of the two.  The first call to a last rung passes over the
+    stored entries once, and the matrix's cache keeps what it takes from
+    the far ones (see :class:`_LadderTails`); a later call to that rung
+    reads only the rung's row span.  Each call copies only the entries
+    inside the last rung; a rung's work is its dense section and the
+    entries near the windows.
     The ladder ends at min(C, ``max_radius``), C the support radius: a wider
     window has rung C's section and tail bound (see :class:`TailModel`).
     A ladder that stops short of ``tol`` raises :class:`NonConvergenceError`

@@ -13,6 +13,7 @@ from torusdet.l1_algebra import (
     NonConvergenceError,
     SparseL1Matrix,
     TailModel,
+    TraceResult,
     apply,
     compose,
     determinant_decision,
@@ -711,6 +712,90 @@ def test_ladder_over_the_cross_term_cap_corrects_to_first_order(monkeypatch, n, 
     dense = section_of(a, support).matrix
     sign, logabs = np.linalg.slogdet(np.eye(len(dense)) + dense)
     assert abs(first.value - sign * np.exp(logabs)) <= first.certified_error
+
+
+def decaying_diagonal():
+    ks = np.arange(-300, 301)[:, None]
+    vals = 0.05 * np.exp(-0.1 * np.abs(ks[:, 0]))
+    return SparseL1Matrix.from_canonical_arrays(1, ks, ks, vals), TailModel.exact_finite()
+
+
+# (builder, max_radius values): diagonal, banded 1-D and 2-D stored matrices;
+# the last max_radius passes the coverage radius C except on the first
+STORED_LADDER_CASES = {
+    "diagonal, user tail": (lambda: diagonal_family(1.0, 100_000), (64, 256)),
+    "diagonal, exact": (decaying_diagonal, (64, 256, 10**6)),
+    "banded 1-D": (
+        lambda: (banded_matrix(np.random.default_rng(3), 1, 150, 2, 0.1, 0.1), TailModel.exact_finite()),
+        (64, 256),
+    ),
+    "2-D": (
+        lambda: (banded_matrix(np.random.default_rng(3), 2, 12, 1, 0.3, 0.8), TailModel.exact_finite()),
+        (4, 64),
+    ),
+}
+
+
+def ladder_outcome(f, a, tail, tol, max_radius):
+    """``f``'s return, or its NonConvergenceError's message, ladder and bounds."""
+    try:
+        return f(a, tail, tol, max_radius=max_radius)
+    except NonConvergenceError as err:
+        return "error", str(err), err.ladder, err.last_bound, err.last_value
+
+
+def test_repeat_and_fresh_ladders_on_stored_matrices_match_the_first_exactly():
+    # each matrix's cache fills over the sweep; a fresh matrix from the same
+    # arrays starts empty; every value, bound, ladder and error must agree
+    outcomes = {}
+    for label, (build, max_radii) in STORED_LADDER_CASES.items():
+        a, tail = build()
+        for max_radius in max_radii:
+            for tol in (3e-6, 1e-6, 1e-7):
+                for f in (poincare_determinant, poincare_trace, invertibility_test):
+                    first = ladder_outcome(f, a, tail, tol, max_radius)
+                    assert ladder_outcome(f, a, tail, tol, max_radius) == first
+                    assert ladder_outcome(f, build()[0], tail, tol, max_radius) == first
+                    outcomes[label, max_radius, tol, f.__name__] = first
+    is_error = lambda out: isinstance(out, tuple) and out[0] == "error"
+    errors = {key[3] for key, out in outcomes.items() if is_error(out)}
+    assert errors == {"poincare_determinant", "poincare_trace"}
+    results = [out for out in outcomes.values() if not is_error(out)]
+    assert any(isinstance(out, TraceResult) for out in results)
+    assert any(getattr(out, "converged", False) for out in results)
+    # a trace that stops at C = 150: no stored mass is discarded there
+    assert outcomes["banded 1-D", 256, 1e-7, "poincare_trace"].certified_error == 0.0
+
+
+def test_repeat_ladders_make_no_pass_over_the_stored_entries(monkeypatch):
+    counts = {}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(l1_algebra, "_mass", counted("mass", l1_algebra._mass))
+    monkeypatch.setattr(l1_algebra, "_far_totals", counted("far totals", l1_algebra._far_totals))
+    monkeypatch.setattr(
+        _LadderTails, "_gather_far_pairs", counted("far pairs", _LadderTails._gather_far_pairs)
+    )
+    for label in ("diagonal, user tail", "diagonal, exact", "banded 1-D"):
+        a, tail = STORED_LADDER_CASES[label][0]()
+        calls = [(f, tol) for f in (poincare_determinant, invertibility_test, poincare_trace)
+                 for tol in (3e-6, 1e-7)]
+        counts.clear()
+        first = [ladder_outcome(f, a, tail, tol, 128) for f, tol in calls]
+        assert counts["mass"] and counts["far totals"] == counts["far pairs"] == 1
+        counts.clear()
+        assert [ladder_outcome(f, a, tail, tol, 128) for f, tol in calls] == first
+        assert counts == {}
+        # the cache holds scalars per rung and the straddling entries, no
+        # new array as long as the stored entries
+        leaves = lambda v: [y for x in v for y in leaves(x)] if isinstance(v, tuple) else [v]
+        held = [x for key, v in a._cache.items() if key not in ("radii", "diag") for x in leaves(v)]
+        assert all(len(x) < a.nnz for x in held if isinstance(x, np.ndarray))
 
 
 # --- dense section kernels
