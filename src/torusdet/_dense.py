@@ -308,7 +308,24 @@ def _scatter(size, where, u):
     return v
 
 
-def _section_min_singular(m, links=None, wanted=None):
+def _singular_parts(m, links):
+    """The parts of m for its SVD, as (stack, keys, back) triples.
+
+    See :func:`_section_min_singular`: the component stacks, the parity
+    blocks or m itself; ``back(row, u)`` maps a vector u of the stack's
+    matrix ``row`` back to m.
+    """
+    blocks = _section_blocks(m, links) or _parity_blocks(m) or []
+    if isinstance(blocks, tuple):
+        return [(b[None], [odd], lambda _, u, odd=odd: _parity_vector(u, odd))
+                for odd, b in enumerate(blocks)]
+    if blocks:
+        return [(m[_block_index(idx)], idx[:, 0],
+                 lambda row, u, idx=idx: _scatter(m.shape[0], idx[row], u)) for idx in blocks]
+    return [(m[None], [0], lambda _, u: u)]
+
+
+def _section_min_singular(m, links=None, wanted=None, memo=None):
     """Smallest and largest singular value of m and a vector v for the smallest.
 
     m's parts are one list of stacks, each matrix with a key and each stack
@@ -324,25 +341,42 @@ def _section_min_singular(m, links=None, wanted=None):
     row of V^H) of the winning matrix, whose vector SVD gives the smallest
     value returned, and the largest too when m is the only part.  ``links``
     are as for :func:`_section_blocks`.
+
+    ``memo(key, compute)``, when given, is the caller's store for this m: it
+    returns ``compute()`` as kept from the first call for ``key``.  It keeps
+    the values-only summary (each part's sigma_min, the pick, the smallest
+    and largest values) and, once wanted, the vector with its SVD's values,
+    so a repeat runs no SVD.  m may then be a function giving
+    ``(m, links)``, called at most once and only for what is not kept yet.
     """
-    blocks = _section_blocks(m, links) or _parity_blocks(m) or []
-    if isinstance(blocks, tuple):
-        parts = [(b[None], [odd], lambda _, u, odd=odd: _parity_vector(u, odd))
-                 for odd, b in enumerate(blocks)]
-    elif blocks:
-        parts = [(m[_block_index(idx)], idx[:, 0],
-                  lambda row, u, idx=idx: _scatter(m.shape[0], idx[row], u)) for idx in blocks]
-    else:
-        parts = [(m[None], [0], lambda _, u: u)]
-    values = [np.linalg.svd(stack, compute_uv=False) for stack, _, _ in parts]
-    minima = np.concatenate([s[:, -1] for s in values])
-    pick = np.lexsort((np.concatenate([keys for _, keys, _ in parts]), minima))[0]
-    smallest, largest = float(minima[pick]), float(max(np.max(s[:, 0]) for s in values))
+    if memo is None:
+        def memo(_, compute):
+            return compute()
+    section = m if callable(m) else lambda: (m, links)
+    found = []
+
+    def parts():
+        if not found:
+            found.append(_singular_parts(*section()))
+        return found[0]
+
+    def summary():
+        values = [np.linalg.svd(stack, compute_uv=False) for stack, _, _ in parts()]
+        minima = np.concatenate([s[:, -1] for s in values])
+        pick = np.lexsort((np.concatenate([keys for _, keys, _ in parts()]), minima))[0]
+        return minima, int(pick), float(minima[pick]), float(max(np.max(s[:, 0]) for s in values))
+
+    minima, pick, smallest, largest = memo("singular values", summary)
     if wanted is not None and not wanted(smallest, largest):
         return smallest, largest, None
-    for stack, _, back in parts:
-        if pick < len(stack):
-            break
-        pick -= len(stack)
-    _, svals, vh = np.linalg.svd(stack[pick])
-    return float(svals[-1]), (float(svals[0]) if len(minima) == 1 else largest), back(pick, vh[-1])
+
+    def vector():
+        row = pick
+        for stack, _, back in parts():
+            if row < len(stack):
+                break
+            row -= len(stack)
+        _, svals, vh = np.linalg.svd(stack[row])
+        return float(svals[-1]), (float(svals[0]) if len(minima) == 1 else largest), back(row, vh[-1])
+
+    return memo("singular vector", vector)

@@ -44,6 +44,7 @@ from .lattice import (
     index_keys,
     shell_tail,
     sup_norm_array,
+    window_positions,
 )
 from .l1_algebra import (
     DeterminantResult,
@@ -84,6 +85,18 @@ class HillProblem:
     ``values``, l1 ``mass``, ``g0``), ``off_mass`` = ||g||_1 - |g_0|, the
     reach and the ``pair_*`` arrays of :func:`_square_pairs`; :meth:`weights`
     is the one evaluation of the damping d(k).
+
+    What Hill's method computes from the problem alone is kept on first use
+    (:meth:`_memo`): the head sums of :func:`_head_sums` per head radius, the
+    near entries of :class:`_HillTails` per list of rung radii, and per
+    window radius the singular values of the dense section of I + B (each
+    part's sigma_min, the pick, sigma_max) and, once a caller has wanted it,
+    the vector for the smallest.  For a window of N points each is O(N)
+    times the number of offsets of g at most: no N x N array is kept, so
+    dense sections, their factorizations and inverses are built anew by
+    every call that needs them (a null vector's residual does).  The store
+    is a plain attribute, not a field, so equality and repr see only
+    (n, nu, g).
     """
 
     dimension: int
@@ -119,7 +132,21 @@ class HillProblem:
             pair_offsets=pair_offsets,
             pair_weights=pair_weights,
             pair_reach=pair_reach,
+            _cache={},
         )
+
+    def _memo(self, key, compute):
+        """``compute()``, run on the first call for ``key`` only and kept in ``_cache``.
+
+        Arrays in the result, or in a tuple result, are made read-only.
+        """
+        if key not in self._cache:
+            value = compute()
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    item.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
 
     def potential_l1(self):
         return float(sum(abs(v) for v in self.potential.values()))
@@ -168,7 +195,7 @@ def _damping_tail(p: HillProblem, radius, power=1):
     return tail + 1.0 if radius < 0 else tail
 
 
-def build_hill_matrix(p: HillProblem, w: TruncationWindow):
+def build_hill_matrix(p: HillProblem, w: TruncationWindow, weights=None):
     """Damped coefficient matrix B[k, m] = (g_{k-m} - delta_{km}) / d(k).
 
     Entries are stored for k, m in the window; the tail model bounds the
@@ -177,12 +204,14 @@ def build_hill_matrix(p: HillProblem, w: TruncationWindow):
     window order and the offsets l in descending lexicographic order the
     columns k - l ascend within each row, so the triples are emitted in
     canonical order and adopted without a sort; entries whose value
-    underflows to zero are dropped.
+    underflows to zero are dropped.  ``weights`` may pass d(k) on the
+    window's points, as :meth:`HillProblem.weights` gives them, when the
+    caller has them.
     """
     if w.dimension != p.dimension:
         raise ValueError(f"dimension {p.dimension} vs window {w.dimension}")
     ks = w.coords_array()
-    vals = p.values / p.weights(ks)[:, None]
+    vals = p.values / (p.weights(ks) if weights is None else weights)[:, None]
     if not len(p.offsets):
         matrix = SparseL1Matrix.zero(p.dimension)
     elif not p.offsets.any():
@@ -251,24 +280,35 @@ def _head_sums(p: HillProblem, radius):
     ``shell[j]`` is sum_{|k|_inf = j} 1/d(k), and ``pair[i, j]`` the sum of
     1/(d(k) d(k - l)) over the k with max(|k|_inf, |k - l|_inf) = j, for
     the i-th square pair offset l; j runs to the radius.  The window is
-    visited in blocks of ``_HEAD_BLOCK`` points.
+    visited in blocks of ``_HEAD_BLOCK`` points.  d(k) and |k|_inf are
+    evaluated once per point of the block's span in the window widened by
+    the pair reach, where k - l lies at k's position less a fixed shift, so
+    every pair term is gathered from them.
     """
     w = TruncationWindow(radius, p.dimension)
+    padded = TruncationWindow(radius + int(np.max(p.pair_reach, initial=0)), p.dimension)
+    strides = (2 * padded.radius + 1) ** np.arange(p.dimension - 1, -1, -1, dtype=np.int64)
+    shifts = p.pair_offsets @ strides
+    span = int(np.max(np.abs(shifts), initial=0))
     shell = np.zeros(radius + 1)
     pair = np.zeros((len(p.pair_offsets), radius + 1))
     for start in range(0, w.size, _HEAD_BLOCK):
-        ks = w.coords_array(start, start + _HEAD_BLOCK)
-        inv_d = 1.0 / p.weights(ks)
-        r = sup_norm_array(ks)
+        pos = window_positions(w.coords_array(start, start + _HEAD_BLOCK), padded.radius)
+        lo = int(pos[0]) - span
+        pts = padded.coords_array(lo, int(pos[-1]) + span + 1)
+        d, sup = p.weights(pts), sup_norm_array(pts)
+        pos -= lo
+        inv_d = 1.0 / d[pos]
+        r = sup[pos]
         shell += np.bincount(r, inv_d, radius + 1)
-        for i, l in enumerate(p.pair_offsets):
+        for i, (l, shift) in enumerate(zip(p.pair_offsets, shifts)):
             if not l.any():
                 pair[i] += np.bincount(r, inv_d * inv_d, radius + 1)
                 continue
-            km = ks - l
-            key = np.maximum(r, sup_norm_array(km))
+            at = pos - shift
+            key = np.maximum(r, sup[at])
             keep = key <= radius
-            h = inv_d[keep] / p.weights(km[keep])
+            h = inv_d[keep] / d[at[keep]]
             pair[i] += np.bincount(key[keep], h, radius + 1)
     return shell, pair
 
@@ -299,23 +339,29 @@ class _HillTails:
     sum is an exact head to the head radius K plus a two-sided bracket
     beyond it; the moments are the bracket midpoints and carry half its
     width as their error.  These sums cover all of T, so no mass is unstored.
+    The problem keeps the near entries per rung list and the sums beyond
+    each shell per head radius (see :class:`HillProblem`).
     """
 
     def __init__(self, p: HillProblem, tol, max_radius, head_radius=None):
         self.problem = p
         # B = 0 when g = delta: its first rung, radius 0, is already exact
         self.radii, self.floor = _section_rungs(max_radius if len(p.offsets) else 0, p.dimension)
-        window = TruncationWindow(self.radii[-1] + p.reach(), p.dimension)
-        near, _ = build_hill_matrix(p, window)
-        self.rows, self.cols, self.vals = near.rows, near.cols, near.vals
-        self.abs_vals = np.abs(near.vals)
-        self.row_r = sup_norm_array(near.rows)
-        self.bucket = _rung_buckets(
-            np.maximum(self.row_r, sup_norm_array(near.cols)), self.radii
+        self.rows, self.cols, self.vals, self.abs_vals, self.row_r, self.bucket = p._memo(
+            ("near", tuple(self.radii)), self._near_entries
         )
         self.head = int(self._default_head(tol, max_radius) if head_radius is None else head_radius)
-        shell, pair = _head_sums(p, self.head)
-        self.shell_beyond, self.pair_beyond = _beyond(shell), _beyond(pair)
+        self.shell_beyond, self.pair_beyond = p._memo(
+            ("head", self.head), lambda: tuple(_beyond(sums) for sums in _head_sums(p, self.head))
+        )
+
+    def _near_entries(self):
+        """rows, cols, vals, abs_vals, row_r and bucket of the near entries."""
+        p = self.problem
+        near, _ = build_hill_matrix(p, TruncationWindow(self.radii[-1] + p.reach(), p.dimension))
+        row_r = sup_norm_array(near.rows)
+        bucket = _rung_buckets(np.maximum(row_r, sup_norm_array(near.cols)), self.radii)
+        return near.rows, near.cols, near.vals, np.abs(near.vals), row_r, bucket
 
     def _default_head(self, tol, max_radius):
         """Default head radius K, doubled from max(4 max_radius, 1024) until the
@@ -423,9 +469,32 @@ def _dense_section(p: HillProblem, radius):
     """Window, dense I + B on it, positions of the entries of B, and d(k) on it."""
     w = TruncationWindow(radius, p.dimension)
     _check_section_size(w)
-    matrix, _ = build_hill_matrix(p, w)
+    weights = p.weights(w.coords_array())
+    matrix, _ = build_hill_matrix(p, w, weights)
     section, links = _section_matrix(matrix.rows, matrix.cols, matrix.vals, w)
-    return w, _add_identity(section), links, p.weights(w.coords_array())
+    return w, _add_identity(section), links, weights
+
+
+def _window_min_singular(p: HillProblem, radius, wanted):
+    """:func:`~torusdet._dense._section_min_singular` of I + B on the window.
+
+    The problem keeps the singular values per window radius, and the vector
+    once wanted, so the window's :func:`_dense_section` is built only for
+    what is not kept yet, or for a caller that gets a vector.  Returns
+    ``(smallest, largest, v, section)``, with ``section`` None when v is.
+    """
+    built = []
+
+    def section():
+        built.append(_dense_section(p, radius))
+        return built[0][1:3]
+
+    smallest, largest, v = _section_min_singular(
+        section, wanted=wanted, memo=lambda key, compute: p._memo((key, radius), compute)
+    )
+    if v is None:
+        return smallest, largest, None, None
+    return smallest, largest, v, built[0] if built else _dense_section(p, radius)
 
 
 @np.errstate(over="ignore")  # a residual past the float range is inf
@@ -450,12 +519,12 @@ def _full_residual(p: HillProblem, w: TruncationWindow, dense, b_vec):
 
 def _kernel_certified(p: HillProblem, radius):
     """Whether a window null vector annihilates the infinite matrix."""
-    w, dense, links, _ = _dense_section(p, radius)
-    _, _, v = _section_min_singular(
-        dense, links, lambda smallest, largest: smallest <= 1e-10 * max(largest, 1.0)
+    _, _, v, section = _window_min_singular(
+        p, radius, lambda smallest, largest: smallest <= 1e-10 * max(largest, 1.0)
     )
     if v is None:
         return False
+    w, dense, _, _ = section
     return _full_residual(p, w, dense, np.conj(v)) <= 1e-13 * (1.0 + p.potential_l1() + 1.0)
 
 
@@ -487,17 +556,16 @@ def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
     """
     if w.dimension != p.dimension:
         raise ValueError(f"dimension {p.dimension} vs window {w.dimension}")
-    _, dense, links, weights = _dense_section(p, w.radius)
-    smallest, _, v = _section_min_singular(
-        dense, links, lambda smallest, _: smallest <= threshold
+    smallest, _, v, section = _window_min_singular(
+        p, w.radius, lambda smallest, _: smallest <= threshold
     )
     if v is None:
-        del dense, links  # a caught error keeps this frame alive
         raise NoNullSolutionError(
             f"smallest singular value {smallest:.3e} exceeds threshold "
             f"{threshold:.3e}; no null solution on this window",
             singular_value=smallest,
         )
+    _, dense, _, weights = section
     b_vec = np.conj(v)
     b_vec = b_vec / np.linalg.norm(b_vec)
     pts = w.coords_array()

@@ -46,32 +46,43 @@ def bracket(k):
     return math.sqrt(1.0 + sum(c * c for c in k))
 
 
-def bracket_array(coords):
-    """Vectorized bracket for an (m, n) integer coordinate array."""
-    coords = np.asarray(coords, dtype=np.float64)
+def squared_norm_array(coords, dtype=np.float64):
+    """|k|^2 for each row of an (m, n) coordinate array, in ``dtype``.
+
+    Summed column by column, which for integer coordinates (exact squares
+    and sums below 2^53 in float64) equals the row sums of ``coords**2``.
+    """
+    coords = np.asarray(coords, dtype=dtype)
     if coords.ndim == 1:
         coords = coords[:, None]
-    return np.sqrt(1.0 + np.sum(coords * coords, axis=1))
+    out = np.zeros(coords.shape[0], dtype=dtype)
+    for i in range(coords.shape[1]):
+        column = coords[:, i]
+        out += column * column
+    return out
+
+
+def bracket_array(coords):
+    """Vectorized bracket for an (m, n) integer coordinate array."""
+    return np.sqrt(1.0 + squared_norm_array(coords))
 
 
 def euclid_norm_array(coords):
     """Vectorized Euclidean norm |k| for an (m, n) coordinate array."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim == 1:
-        coords = coords[:, None]
-    return np.sqrt(np.sum(coords * coords, axis=1))
+    return np.sqrt(squared_norm_array(coords))
 
 
 def sup_norm_array(coords):
-    """Vectorized sup norm for an (m, n) coordinate array."""
+    """Vectorized sup norm for an (m, n) coordinate array, column by column."""
     coords = np.asarray(coords)
     if coords.ndim == 1:
         coords = coords[:, None]
     if coords.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    if coords.shape[1] == 1:
-        return np.abs(coords[:, 0])
-    return np.max(np.abs(coords), axis=1)
+    out = np.abs(coords[:, 0])
+    for i in range(1, coords.shape[1]):
+        np.maximum(out, np.abs(coords[:, i]), out=out)
+    return out
 
 
 @dataclass(frozen=True, order=True)

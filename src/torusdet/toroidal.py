@@ -35,9 +35,11 @@ from .lattice import (
     box_coords,
     box_size,
     bracket_array,
+    euclid_norm_array,
     index_keys,
     matching_pairs,
     shell_tail,
+    squared_norm_array,
     sup_norm_array,
 )
 from .l1_algebra import (
@@ -267,7 +269,7 @@ def fractional_laplacian_symbol(nu, dimension):
         raise ValueError(f"nu must be positive, got {nu}")
 
     def values(k_coords):
-        norm = np.sqrt(np.sum(np.asarray(k_coords, dtype=float) ** 2, axis=1))
+        norm = euclid_norm_array(k_coords)
         with np.errstate(over="ignore"):
             return ((2.0 * np.pi) * norm) ** nu + 0.0j
 
@@ -471,7 +473,7 @@ def sobolev_norm(coeffs, s):
         return 0.0
     idx = np.array([as_index(k) for k in coeffs], dtype=np.int64)
     vals = np.fromiter(coeffs.values(), dtype=np.complex128, count=len(coeffs))
-    weights = (1.0 + np.sum(idx.astype(float) ** 2, axis=1)) ** s
+    weights = (1.0 + squared_norm_array(idx)) ** s
     return float(np.sqrt(np.sum(weights * np.abs(vals) ** 2)))
 
 
@@ -526,7 +528,7 @@ def strong_ellipticity_check(sigma: ToroidalSymbol, m, w: TruncationWindow, x_gr
     """
     xs = _x_grid_points(sigma.dimension, x_grid)
     coords = w.coords_array()
-    norms2 = np.sum(coords.astype(np.int64) ** 2, axis=1)
+    norms2 = squared_norm_array(coords, np.int64)
     brackets = bracket_array(coords)
 
     zero, offsets, table = sigma.coefficient_table(coords)

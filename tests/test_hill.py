@@ -1033,6 +1033,11 @@ TRIG_2D = HillProblem(2, 3.0, {(0, 0): 2 + 1j, (1, 0): 0.5, (-1, 0): 0.4, (-1, 1
                                (1, -1): 0.2, (0, -2): 0.2 - 0.1j})
 
 
+def fresh(p):
+    """A new problem equal to p, holding none of the sums p has kept."""
+    return HillProblem(p.dimension, p.nu, p.potential)
+
+
 def cosine_problem(dimension):
     """g0 = 2 and 0.3 at +-e1 in the given dimension, nu = 5."""
     e1 = (1,) + (0,) * (dimension - 1)
@@ -1054,9 +1059,10 @@ def test_hill_ladders_materialize_only_the_last_rung_and_the_reach(monkeypatch):
         return original(p, w)
 
     monkeypatch.setattr(hill, "build_hill_matrix", spy)
+    trig = fresh(TRIG_1D)
     with pytest.raises(NonConvergenceError):
-        hill_determinant(TRIG_1D, 1e-12, max_radius=32)
-    existence_test(TRIG_1D, tol=1e-8, max_radius=16)
+        hill_determinant(trig, 1e-12, max_radius=32)
+    existence_test(trig, tol=1e-8, max_radius=16)
     assert built == [34, 18]
     # 17^3 points fit the section limit and 33^3 do not: rung 8 and the reach
     built.clear()
@@ -1094,10 +1100,111 @@ def test_default_head_radius(monkeypatch, problem, tol, max_radius, head):
         raise Stop  # the head sums themselves are not needed here
 
     monkeypatch.setattr(hill, "_head_sums", spy)
+    problem = fresh(problem)
     for entry in (hill_determinant, existence_test):
         with pytest.raises(Stop):
             entry(problem, tol, max_radius=max_radius)
     assert radii == [head, head]
+
+
+# --- what a problem keeps between calls
+
+# (dimension, nu, potential, coverage radius): refusals and null vectors,
+# converged and unconverged ladders, kernel checks that certify and refuse
+HILL_REPEAT_CASES = {
+    "1-D trig": (1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.8, (-2,): 0.8}, None),
+    "1-D singular": (1, 2.0, {(0,): -FOUR_PI_SQ}, None),
+    "1-D near root": (1, 2.0, {(0,): -40.475 + 0.5, (2,): 1.0, (-2,): 1.0}, None),
+    "2-D trig": (2, 3.0, {(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.3, (0, -1): 0.3,
+                          (1, 1): 0.2, (-1, -1): 0.2}, 64),
+    "2-D singular": (2, 3.0, {(0, 0): -((2.0 * math.pi) ** 3)}, 64),
+}
+
+
+def hill_calls(n, coverage):
+    """(f, args, kwargs): ladders at two tols and two last rungs, extractions
+    refused and not; the last window is a ladder's last rung, as in ``hill check``."""
+    max_radius = 64 if n == 1 else 16
+    for tol in (1e-3, 1e-9):
+        for last in (8, max_radius):
+            for f in (hill_determinant, existence_test):
+                yield f, (tol,), {"max_radius": last, "coverage_radius": coverage}
+    for radius in (6, max_radius):
+        for threshold in (1e-6, 10.0):
+            yield extract_null_solution, (TruncationWindow(radius, n),), {"threshold": threshold}
+
+
+def hill_outcome(f, p, *args, **kwargs):
+    """``f``'s return, or its error's message and the values it carries."""
+    try:
+        return f(p, *args, **kwargs)
+    except NonConvergenceError as err:
+        return "error", str(err), err.ladder, err.last_bound, err.last_value
+    except NoNullSolutionError as err:
+        return "refused", str(err), err.singular_value
+
+
+def test_repeat_and_fresh_hill_calls_match_the_first_exactly():
+    # each problem keeps its sums over the sweep; a fresh problem from the
+    # same data starts empty; every value, bound, vector and error must agree
+    outcomes = []
+    for label, (n, nu, pot, coverage) in HILL_REPEAT_CASES.items():
+        p = HillProblem(n, nu, pot)
+        for f, args, kwargs in hill_calls(n, coverage):
+            first = hill_outcome(f, p, *args, **kwargs)
+            assert hill_outcome(f, p, *args, **kwargs) == first, label
+            assert hill_outcome(f, HillProblem(n, nu, pot), *args, **kwargs) == first, label
+            outcomes.append(first)
+        # the kept sums are no field: equality and repr see (n, nu, g) only
+        assert p == HillProblem(n, nu, pot) and repr(p) == repr(HillProblem(n, nu, pot))
+    kinds = {out[0] if isinstance(out, tuple) else type(out).__name__ for out in outcomes}
+    assert kinds == {"error", "refused", "DeterminantResult", "ExistenceResult", "SolutionCandidate"}
+    decisions = {(out.decision, out.kernel_certified) for out in outcomes
+                 if type(out).__name__ == "ExistenceResult"}
+    assert {("nontrivial-solution", True), ("undecided", False)} <= decisions
+
+
+def test_repeat_hill_calls_make_no_head_sums_build_or_svd(monkeypatch):
+    import torusdet.hill as hill
+
+    counts = {}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hill, "_head_sums", counted("head sums", hill._head_sums))
+    monkeypatch.setattr(hill, "build_hill_matrix", counted("build", hill.build_hill_matrix))
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: counted(
+        "values svd" if kwargs.get("compute_uv", True) is False else "vector svd", svd
+    )(a, *args, **kwargs))
+    for label, (n, nu, pot, coverage) in HILL_REPEAT_CASES.items():
+        p = HillProblem(n, nu, pot)
+        calls = list(hill_calls(n, coverage))
+        counts.clear()
+        first = [hill_outcome(f, p, *args, **kwargs) for f, args, kwargs in calls]
+        assert counts["head sums"] and counts["build"] and counts["values svd"], label
+        counts.clear()
+        assert [hill_outcome(f, p, *args, **kwargs) for f, args, kwargs in calls] == first
+        # a returned null vector's residual reads the window's dense section,
+        # which every call fills anew from one build; nothing else is redone
+        vectors = sum(type(out).__name__ == "SolutionCandidate" or getattr(out, "kernel_certified", False)
+                      for out in first)
+        assert counts == ({"build": vectors} if vectors else {}), label
+        # the problem keeps no N x N array: per window, arrays of at most
+        # offsets x N rows (near entries) or head radius + 1 columns (head sums)
+        near = TruncationWindow(64 + p.reach(), n).size
+        for key, value in p._cache.items():
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, np.ndarray):
+                    assert not x.flags.writeable, (label, key)
+                    if key[0] == "head":
+                        assert x.shape[-1] == key[1] + 1 and x.size <= len(p.pair_offsets) * x.shape[-1]
+                    else:
+                        assert x.shape[0] <= len(p.offsets) * near and x.size <= n * x.shape[0], (label, key)
 
 
 def test_null_solution_vectors_only_for_the_component_that_holds_sigma_min(monkeypatch):

@@ -10,10 +10,14 @@ from torusdet.lattice import (
     box_coords,
     box_size,
     bracket,
+    bracket_array,
     enumerate_window,
+    euclid_norm_array,
     forward_difference,
     index_keys,
     matching_pairs,
+    squared_norm_array,
+    sup_norm_array,
     window_position,
     window_positions,
 )
@@ -247,3 +251,20 @@ def test_box_coords_enumerates_boxes_lexicographically_and_by_slice():
     for lo, hi in (([0], [-1]), ([0, 3], [4, 2]), ([2, 0, 0], [1, 5, 5])):
         assert box_size(lo, hi) == 0
         assert box_coords(lo, hi).shape == (0, len(lo))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_norm_arrays_match_the_row_reductions(n):
+    # column-by-column sums of integer squares are exact, so they equal the
+    # axis=1 reductions bit for bit; the empty array keeps the dtypes
+    rng = np.random.default_rng(n)
+    for coords in (rng.integers(-10**6, 10**6, size=(500, n)), np.zeros((0, n), dtype=np.int64)):
+        floats = coords.astype(np.float64)
+        pairs = [
+            (sup_norm_array(coords), np.max(np.abs(coords), axis=1)),
+            (squared_norm_array(coords, np.int64), np.sum(coords**2, axis=1)),
+            (euclid_norm_array(coords), np.sqrt(np.sum(floats * floats, axis=1))),
+            (bracket_array(coords), np.sqrt(1.0 + np.sum(floats * floats, axis=1))),
+        ]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
