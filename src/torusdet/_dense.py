@@ -2,7 +2,9 @@
 
 A section is the direct sum of the connected components of its nonzero
 pattern, so det, inverse and SVD are computed per component, with one LAPACK
-call per component size on the stacked blocks.
+call per component size on the stacked blocks (:class:`_Stacks`).  A ladder
+rung labels its components from its entries' positions and fills the stacks
+straight from the entries, so a split rung never holds an N x N array.
 
 A one-component section in dimension n >= 2 is factored slab by slab when
 the caller passes its window.  A section whose entries move k_1 by at most
@@ -77,29 +79,45 @@ def _component_labels(size, i, j):
         np.minimum.at(labels, np.maximum(li, lj), np.minimum(li, lj))
 
 
+def _component_blocks(size, i, j):
+    """Components of the graph on 0..size-1 with the links (i[e], j[e]), [] if one.
+
+    One (count, s) index array per component size s, ascending; each row is
+    a component's positions, ascending, and rows go by their first position.
+    """
+    labels = _component_labels(size, i, j)
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    if len(starts) == 1:
+        return []
+    sizes = np.diff(starts, append=size)
+    present = np.flatnonzero(np.bincount(sizes))  # np.unique's first call imports numpy.ma
+    return [order[starts[sizes == s][:, None] + np.arange(s)] for s in present]
+
+
 def _section_blocks(m, links=None, window=None):
     """The parts of m the det and inverse kernels factor: components or slabs.
 
     Components are those of m's nonzero pattern; ``links`` may give the
     positions (i, j) of m's off-diagonal nonzeros instead of a scan of m.
-    When m has several components, a list of (count, s) index arrays, one
-    per size s; each row holds one component's positions in ascending
-    order, and rows are ordered by their first position.  When m is one
-    component, the :class:`_Slabs` sweep of m if ``window`` (the window m
-    is the section on) makes it a slab section and the sweep passes its
-    guard; else an empty list, and LAPACK takes m as it is.
+    When m has several components, the :class:`_Stacks` of m on its
+    :func:`_component_blocks`.  When m is one component, the
+    :class:`_Slabs` sweep of m if ``window`` (the window m is the section
+    on) makes it a slab section and the sweep passes its guard; else an
+    empty list, and LAPACK takes m as it is.
     """
     i, j = np.nonzero(m) if links is None else links
-    labels = _component_labels(m.shape[0], i, j)
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
-    if len(starts) == 1:
-        slab = 0 if window is None else _slab_order(i, j, window)
-        return (slab and _slab_sweep(m, slab)) or []
-    sizes = np.diff(starts, append=len(labels))
-    return [
-        order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)
-    ]
+    blocks = _component_blocks(m.shape[0], i, j)
+    if blocks:
+        stacks = [m[idx[:, :, None], idx[:, None, :]].ravel() for idx in blocks]
+        return _Stacks(blocks, np.concatenate(stacks))
+    return _slab_blocks(m, i, j, window)
+
+
+def _slab_blocks(m, i, j, window):
+    """The :class:`_Slabs` sweep of a one-component m with links (i, j) on ``window``, or []."""
+    slab = 0 if window is None else _slab_order(i, j, window)
+    return (slab and _slab_sweep(m, slab)) or []
 
 
 def _slab_order(i, j, window):
@@ -193,9 +211,55 @@ class _Slabs:
         return z
 
 
-def _block_index(idx):
-    """Index of the stacked (count, s, s) blocks on the (count, s) positions."""
-    return idx[:, :, None], idx[:, None, :]
+class _Stacks:
+    """A section split into components, those of each size s in a (count, s, s) stack.
+
+    ``stacks[k][q]`` is the section on the positions ``blocks[k][q]`` of its
+    :func:`_component_blocks`.  The stacks are views of one buffer,
+    ``values``, so the section is never held N x N; ``G[a, b]`` reads the
+    entries at the positions (a, b), 0 across components.
+    """
+
+    def __init__(self, blocks, values):
+        self.blocks, self.values, self.stacks = blocks, values, []
+        # each position's component (as its offset in values), place in it and size
+        self.start, self.place, self.side = np.empty((3, sum(idx.size for idx in blocks)), np.intp)
+        end = 0
+        for idx in blocks:
+            count, s = idx.shape
+            self.stacks.append(values[end : end + count * s * s].reshape(count, s, s))
+            self.start[idx] = end + s * s * np.arange(count)[:, None]
+            self.place[idx], self.side[idx] = np.arange(s), s
+            end += count * s * s
+        every = np.arange(len(self.start))
+        self.diagonal = self._at(every, every)
+
+    def _at(self, i, j):
+        """Offsets in ``values`` of the entries (i, j), each pair in one component."""
+        return self.start[i] + self.place[i] * self.side[i] + self.place[j]
+
+    @classmethod
+    def identity_plus(cls, blocks, r, c, vals):
+        """I + F on ``blocks``, F's values ``vals`` at the positions (r, c) within them."""
+        split = cls(blocks, np.zeros(sum(idx.size * idx.shape[1] for idx in blocks), vals.dtype))
+        split.values[split._at(r, c)] = vals
+        split.values[split.diagonal] += 1.0
+        return split
+
+    def dets(self):
+        return np.concatenate([np.linalg.det(stack) for stack in self.stacks])
+
+    def inverse(self, m=None):
+        """The component inverses (m, as :meth:`_Slabs.inverse` takes it, is not
+        read); LinAlgError if a component is singular."""
+        return _Stacks(self.blocks, np.concatenate([np.linalg.inv(t).ravel() for t in self.stacks]))
+
+    def __getitem__(self, where):
+        a, b = where
+        out = np.zeros(len(a), self.values.dtype)
+        within = self.start[a] == self.start[b]
+        out[within] = self.values[self._at(a[within], b[within])]
+        return out
 
 
 def _parity_blocks(m):
@@ -270,35 +334,25 @@ def _section_det(m, blocks=None):
 
     An exactly singular component or Schur complement gives exactly 0.
     ``blocks`` may pass the :func:`_section_blocks` of m when the caller
-    already has them.
+    already has them; m is not read when they are :class:`_Stacks`.
     """
     blocks = _section_blocks(m) if blocks is None else blocks
-    if isinstance(blocks, _Slabs):
-        dets = blocks.dets()
-    elif blocks:
-        dets = np.concatenate([np.linalg.det(m[_block_index(idx)]) for idx in blocks])
-    else:
+    if not blocks:
         return complex(np.linalg.det(m))
+    dets = blocks.dets()
     if not np.all(dets):
         return 0j  # not the signed zero a product of mantissas may give
     return _scaled_product(dets)
 
 
 def _section_inv(m, blocks=None):
-    """m^{-1}, assembled from the component inverses (or the slab sweep).
+    """m^{-1} by the slab sweep or LAPACK, or the :class:`_Stacks` of its component inverses.
 
-    Raises LinAlgError if a component or the last Schur complement is
-    singular.  ``blocks`` as for :func:`_section_det`.
+    Raises LinAlgError if m, a component or the last Schur complement is
+    singular.  ``blocks`` are m's :func:`_section_blocks`; without them
+    (None or []) LAPACK inverts m as it is.
     """
-    blocks = _section_blocks(m) if blocks is None else blocks
-    if isinstance(blocks, _Slabs):
-        return blocks.inverse(m)
-    if not blocks:
-        return np.linalg.inv(m)
-    inv = np.zeros_like(m)
-    for idx in blocks:
-        inv[_block_index(idx)] = np.linalg.inv(m[_block_index(idx)])
-    return inv
+    return blocks.inverse(m) if blocks else np.linalg.inv(m)
 
 
 def _scatter(size, where, u):
@@ -320,8 +374,8 @@ def _singular_parts(m, links):
         return [(b[None], [odd], lambda _, u, odd=odd: _parity_vector(u, odd))
                 for odd, b in enumerate(blocks)]
     if blocks:
-        return [(m[_block_index(idx)], idx[:, 0],
-                 lambda row, u, idx=idx: _scatter(m.shape[0], idx[row], u)) for idx in blocks]
+        return [(stack, idx[:, 0], lambda row, u, idx=idx: _scatter(m.shape[0], idx[row], u))
+                for idx, stack in zip(blocks.blocks, blocks.stacks)]
     return [(m[None], [0], lambda _, u: u)]
 
 

@@ -8,8 +8,12 @@ identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
+
+import numpy as np
 
 from .hill import HillProblem, InfeasibleOrderError
 from .l1_algebra import SparseL1Matrix, TailModel
@@ -92,31 +96,72 @@ def _require_number(doc, field, where):
     return value
 
 
-def _indexed_items(doc, field, where, dimension, names=("index",)):
-    """``[*indices, value]`` for each item of the list ``doc[field]``.
+def _known(doc, where, *fields):
+    """Refuse the first key of the object ``doc`` that is not one of ``fields``."""
+    for key in doc:
+        if key not in fields:
+            raise ValidationError(f"{where}.{key}", "unknown field")
 
-    Each item is an object holding one index (a list of ``dimension``
-    integers) per name in ``names`` and a complex value in ``re``/``im``.
+
+def _indexed_columns(doc, field, where, dimension, names=("index",)):
+    """(count, dimension) int64 index arrays, one per name in ``names``, and the
+    complex128 values of the list ``doc[field]``, each of whose items holds one
+    index (``dimension`` integers) per name, a value in ``re``/``im`` (0 where
+    absent) and no other key.  Each field is checked as a column, once per
+    type in it; only a failed check walks the items, to name the first bad one.
     """
-    for i, item in enumerate(_require(doc, field, list, where)):
-        at = f"{where}.{field}[{i}]"
-        parsed = []
-        for name in names:
-            index = _require(item, name, list, at)
-            if len(index) != dimension:
-                raise ValidationError(f"{at}.{name}", f"expected a list of {dimension} integers")
-            for j, c in enumerate(index):
-                error = _not_a_number(c, integer=True)
-                if error:
-                    raise ValidationError(f"{at}.{name}[{j}]", error)
-            parsed.append(tuple(index))
-        re, im = item.get("re", 0.0), item.get("im", 0.0)
-        for name, value in (("re", re), ("im", im)):
-            error = _not_a_number(value)
+    items = _require(doc, field, list, where)
+    try:
+        if not _all_of(items, dict) or set().union(*items).difference(names, ("re", "im")):
+            raise ValueError
+        indices, vals = [], np.empty(len(items), dtype=np.complex128)
+        for column in [list(map(operator.itemgetter(name), items)) for name in names]:
+            flat = list(itertools.chain.from_iterable(column))
+            if not _all_of(column, list) or set(map(len, column)) - {dimension} or not _all_of(flat, int):
+                raise ValueError
+            indices.append(np.array(flat, dtype=np.int64).reshape(len(items), dimension))
+        for part, name in ((vals.real, "re"), (vals.imag, "im")):
+            column = [item.get(name, 0.0) for item in items]
+            if not _all_of(column, (int, float)):
+                raise ValueError
+            part[:] = column
+        if not np.all(np.isfinite(vals)):
+            raise ValueError
+        return indices, vals
+    except (KeyError, TypeError, ValueError, OverflowError):
+        for i, item in enumerate(items):
+            _check_item(item, f"{where}.{field}[{i}]", dimension, names)
+        raise
+
+
+def _all_of(column, types):
+    """Whether every value in ``column`` is one of ``types``, and none a bool."""
+    return all(issubclass(t, types) and t is not bool for t in set(map(type, column)))
+
+
+def _check_item(item, at, dimension, names):
+    """Raise the ValidationError of the first bad field of one item, if any."""
+    if not isinstance(item, dict):
+        raise ValidationError(at, "expected an object")
+    _known(item, at, *names, "re", "im")
+    for name in names:
+        index = _require(item, name, list, at)
+        if len(index) != dimension:
+            raise ValidationError(f"{at}.{name}", f"expected a list of {dimension} integers")
+        for j, c in enumerate(index):
+            error = _not_a_number(c, integer=True)
             if error:
-                raise ValidationError(f"{at}.{name}", error)
-        parsed.append(complex(re, im))
-        yield parsed
+                raise ValidationError(f"{at}.{name}[{j}]", error)
+    for name in ("re", "im"):
+        error = _not_a_number(item.get(name, 0.0))
+        if error:
+            raise ValidationError(f"{at}.{name}", error)
+
+
+def _indexed_dict(doc, field, where, dimension):
+    """{index tuple: complex value} of the list ``doc[field]``; a repeated index keeps its last."""
+    (index,), vals = _indexed_columns(doc, field, where, dimension)
+    return dict(zip(map(tuple, index.tolist()), vals.tolist()))
 
 
 def _parse_dimension(doc, where):
@@ -130,12 +175,15 @@ def parse_tail_bound(doc, where):
     if doc is None:
         return TailModel.exact_finite()
     kind = _require(doc, "kind", str, where)
+    _known(doc, where, "kind", "parameters", "c", "p")
     if kind in ("exact", "exact-finite"):
         return TailModel.exact_finite()
     if kind == "power":
         params = doc.get("parameters", doc)
         c = _require_number(params, "c", where)
         p = _require_number(params, "p", where)
+        if params is not doc:
+            _known(params, f"{where}.parameters", "c", "p")
         if c < 0 or p <= 0:
             raise ValidationError(where, f"power bound needs c >= 0, p > 0, got c={c}, p={p}")
         return TailModel.user_bound(lambda radius: c * float(max(radius, 1)) ** (-p))
@@ -145,11 +193,11 @@ def parse_tail_bound(doc, where):
 def parse_matrix_document(doc):
     """Matrix document -> (SparseL1Matrix, TailModel)."""
     n = _parse_dimension(doc, "matrix")
-    entries = {}
-    for row, col, value in _indexed_items(doc, "entries", "matrix", n, ("row", "col")):
-        entries[(row, col)] = entries.get((row, col), 0.0) + value
+    _known(doc, "matrix", "dimension", "entries", "tail_bound")
+    (rows, cols), vals = _indexed_columns(doc, "entries", "matrix", n, ("row", "col"))
     tail = parse_tail_bound(doc.get("tail_bound"), "matrix.tail_bound")
-    return SparseL1Matrix(n, entries), tail
+    # duplicates are summed in document order, each sum from +0.0
+    return SparseL1Matrix.from_arrays(n, rows, cols, vals + 0.0), tail
 
 
 def parse_symbol_document(doc):
@@ -160,6 +208,9 @@ def parse_symbol_document(doc):
     error = order_m is not None and _not_a_number(order_m)
     if error:
         raise ValidationError("symbol.order_m", error)
+    if kind not in _SYMBOL_FIELDS:
+        raise ValidationError("symbol.kind", f"unknown symbol kind {kind!r}")
+    _known(doc, "symbol", "dimension", "kind", "order_m", _SYMBOL_FIELDS[kind])
 
     if kind == "fractional_laplacian":
         nu = _require_number(doc, "nu", "symbol")
@@ -168,40 +219,44 @@ def parse_symbol_document(doc):
         return fractional_laplacian_symbol(float(nu), n)
 
     if kind == "multiplier":
-        values = dict(_indexed_items(doc, "values", "symbol", n))
+        values = _indexed_dict(doc, "values", "symbol", n)
         return MultiplierSymbol(n, _tabulated_rule(values, n), order_m=order_m)
 
     if kind == "multiplication":
-        return MultiplicationSymbol(n, dict(_indexed_items(doc, "coefficients", "symbol", n)))
+        return MultiplicationSymbol(n, _indexed_dict(doc, "coefficients", "symbol", n))
 
     if kind == "table":
         table = {}
-        for off, k, v in _indexed_items(doc, "entries", "symbol", n, ("offset", "index")):
+        (offsets, index), vals = _indexed_columns(doc, "entries", "symbol", n, ("offset", "index"))
+        for off, k, v in zip(map(tuple, offsets.tolist()), map(tuple, index.tolist()), vals.tolist()):
             table.setdefault(off, {})[k] = v
         rules = {off: _tabulated_rule(vals, n) for off, vals in table.items()}
         return CoefficientTableSymbol(n, rules, order_m=order_m)
 
-    if kind == "sum":
-        parts_doc = _require(doc, "parts", list, "symbol")
-        if not parts_doc:
-            raise ValidationError("symbol.parts", "sum needs at least one part")
-        parts = []
-        for i, sub in enumerate(parts_doc):
-            if not isinstance(sub, dict):
-                raise ValidationError(f"symbol.parts[{i}]", "expected an object")
-            sub = dict(sub)
-            sub.setdefault("dimension", n)
-            parts.append(parse_symbol_document(sub))
-        return SymbolSum(parts)
+    parts_doc = _require(doc, "parts", list, "symbol")
+    if not parts_doc:
+        raise ValidationError("symbol.parts", "sum needs at least one part")
+    parts = []
+    for i, sub in enumerate(parts_doc):
+        if not isinstance(sub, dict):
+            raise ValidationError(f"symbol.parts[{i}]", "expected an object")
+        sub = dict(sub)
+        sub.setdefault("dimension", n)
+        parts.append(parse_symbol_document(sub))
+    return SymbolSum(parts)
 
-    raise ValidationError("symbol.kind", f"unknown symbol kind {kind!r}")
+
+# the one field each symbol kind reads besides dimension, kind and order_m
+_SYMBOL_FIELDS = {"fractional_laplacian": "nu", "multiplier": "values",
+                  "multiplication": "coefficients", "table": "entries", "sum": "parts"}
 
 
 def parse_hill_document(doc):
     """Problem document -> (HillProblem, scan parameters or None)."""
     n = _parse_dimension(doc, "hill")
     nu = _require_number(doc, "nu", "hill")
-    potential = dict(_indexed_items(doc, "potential", "hill", n))
+    _known(doc, "hill", "dimension", "nu", "potential", "scan")
+    potential = _indexed_dict(doc, "potential", "hill", n)
     try:
         problem = HillProblem(n, float(nu), potential)
     except InfeasibleOrderError as err:
@@ -214,6 +269,7 @@ def parse_hill_document(doc):
         lo = _require_number(scan, "lambda_min", "hill.scan")
         hi = _require_number(scan, "lambda_max", "hill.scan")
         steps = _require(scan, "steps", int, "hill.scan")
+        _known(scan, "hill.scan", "lambda_min", "lambda_max", "steps")
         if not hi > lo:
             raise ValidationError("hill.scan", f"lambda_max must exceed lambda_min")
         error = _not_a_number(steps, integer=True)

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dense import _section_blocks, _section_det, _section_inv
+from ._dense import _component_blocks, _section_blocks, _section_det, _section_inv, _slab_blocks
+from ._dense import _Stacks
 from .lattice import (
     TruncationWindow,
     as_index,
@@ -266,10 +267,18 @@ class SparseL1Matrix:
 
     @property
     def support_radius(self):
-        """Largest sup norm over all stored row/col indices (0 if empty), cached."""
-        return self._memo("support", lambda: max(
-            abs(int(f(c, initial=0))) for c in (self.rows, self.cols) for f in (np.min, np.max)
-        ))
+        """Largest sup norm over all stored row/col indices (0 if empty), cached.
+
+        Canonical order sorts the entries by the first row coordinate: its
+        extremes are at the two ends, and only the other coordinates are reduced.
+        """
+        def radius():
+            rest = [self.rows[:, 1:]] + ([] if self.cols is self.rows else [self.cols])
+            ends = [f(c, initial=0) for c in rest for f in (np.min, np.max)]
+            ends += [self.rows[0, 0], self.rows[-1, 0]] if self.nnz else []
+            return max(abs(int(x)) for x in ends)
+
+        return self._memo("support", radius)
 
     def items(self):
         for r, c, v in zip(self.rows, self.cols, self.vals):
@@ -481,6 +490,25 @@ def _section_matrix(rows, cols, vals, window):
     return dense, (r, c)
 
 
+def _rung_section(rows, cols, vals, window):
+    """I + F on the window from F's entries, all inside it, and its blocks.
+
+    Components are labelled from the entries' window positions before
+    anything is filled.  A split F gives no dense section (None) and the
+    :class:`~torusdet._dense._Stacks` of I + F; one component gives the
+    dense I + F, filled as :func:`_section_matrix` fills F, with its slab
+    sweep or [] for LAPACK.
+    """
+    r, c = window_positions(rows, window.radius), window_positions(cols, window.radius)
+    values = vals if np.any(vals.imag) else vals.real
+    blocks = _component_blocks(window.size, r, c)
+    if blocks:
+        return None, _Stacks.identity_plus(blocks, r, c, values)
+    section = np.zeros((window.size, window.size), values.dtype)
+    section[r, c] = values
+    return _add_identity(section), _slab_blocks(section, r, c, window)
+
+
 def _add_identity(dense):
     """I + dense, in place."""
     dense.flat[:: dense.shape[0] + 1] += 1.0
@@ -675,13 +703,14 @@ def _transpose_pair_sum(rows, cols, vals):
     return complex(np.sum(vals[i] * vals[j]))
 
 
-def _tail_cross_term(g_dense, radius, rows, cols, vals):
-    """Tr(G T^2) with G dense on the window and T supported off the window.
+def _tail_cross_term(g, radius, rows, cols, vals):
+    """Tr(G T^2) with G on the window and T supported off the window.
 
     Only T[b, c] with b inside and c outside meets T[c, a] with c outside and
     a inside, so ``Tr(G T^2) = sum G[a, b] T[b, c] T[c, a]`` over those
     pairs, the :func:`~torusdet.lattice.matching_pairs` of their outside
-    indices.
+    indices.  G is read only at those pairs' window positions ``g[a, b]``:
+    a dense array, or component stacks that read 0 across components.
     """
     row_in = sup_norm_array(rows) <= radius
     col_in = sup_norm_array(cols) <= radius
@@ -690,7 +719,7 @@ def _tail_cross_term(g_dense, radius, rows, cols, vals):
     i, j = matching_pairs(*index_keys(cols[wo], rows[ow]))
     b_pos = window_positions(rows[wo], radius)
     a_pos = window_positions(cols[ow], radius)
-    return complex(np.sum(g_dense[a_pos[j], b_pos[i]] * vals[wo][i] * vals[ow][j]))
+    return complex(np.sum(g[a_pos[j], b_pos[i]] * vals[wo][i] * vals[ow][j]))
 
 
 # off-diagonal tail entries past which a rung corrects to first order only:
@@ -869,11 +898,9 @@ def _determinant_ladder(tails, tol):
         window = TruncationWindow(n, tails.rows.shape[1])
         inside = tails.bucket <= i
         f_norm = float(np.sum(tails.abs_vals[inside]))
-        section, links = _section_matrix(
+        section, blocks = _rung_section(
             tails.rows[inside], tails.cols[inside], tails.vals[inside], window
         )
-        section = _add_identity(section)
-        blocks = _section_blocks(section, links, window)
         det_n = _section_det(section, blocks)
         stored, unstored, norm_upper = tails.l1_tail(i, f_norm)
         t_total = stored + unstored
@@ -886,7 +913,7 @@ def _determinant_ladder(tails, tol):
         raw_value_bound = b_raw
         # with no tail there is nothing to correct
         if t_total:
-            corrected = _corrected_step(tails, i, section, blocks, det_n, stored, unstored)
+            corrected = _corrected_step(tails, i, section, blocks, det_n, window.size, stored, unstored)
             if corrected is not None:
                 value_corr, b_corr = corrected
                 raw_value_bound = min(b_raw, b_corr + abs(value_corr - det_n))
@@ -900,26 +927,30 @@ def _determinant_ladder(tails, tol):
     return best, tails.floor or f"within radius {tails.radii[-1]}"
 
 
-def _corrected_step(tails, rung, section, blocks, det_n, stored, unstored):
+def _corrected_step(tails, rung, section, blocks, det_n, size, stored, unstored):
     """Tail-corrected determinant value and its certified bound, or None.
 
-    ``section`` is I + F on the rung's window and ``blocks`` its
-    :func:`_section_blocks`; ``stored`` bounds the tail mass the moments of
-    ``tails`` sum over and ``unstored`` the rest.  ``G`` is formed here and
-    ``Tr X^2 = Tr T^2 + 2 Tr(G T^2)``: the unstored mass u moves it by at
-    most ``(1 + ||G||_1)^2 (2 t u + u^2)``, t the stored mass.
+    ``section`` and ``blocks`` are the rung's :func:`_rung_section` on its
+    window of ``size`` points; ``stored`` bounds the tail mass the moments
+    of ``tails`` sum over and ``unstored`` the rest.  ``G`` is formed here,
+    dense or as component stacks, and ``Tr X^2 = Tr T^2 + 2 Tr(G T^2)``:
+    the unstored mass u moves it by at most ``(1 + ||G||_1)^2 (2 t u +
+    u^2)``, t the stored mass.
     """
     t_total = stored + unstored
     # s = (1 + ||G||_1) t_total >= t_total: no inverse can bring s under 0.9
     if det_n == 0 or t_total >= 0.9:
         return None
-    size = section.shape[0]
     try:
-        g_dense = _section_inv(section, blocks)
+        g = _section_inv(section, blocks)
     except np.linalg.LinAlgError:
         return None
-    g_dense.flat[:: size + 1] -= 1.0  # G = (I + F)^{-1} - I
-    g1 = float(np.sum(np.abs(g_dense)))
+    if isinstance(g, _Stacks):  # G = (I + F)^{-1} - I
+        g.values[g.diagonal] -= 1.0
+        g1 = float(np.sum(np.abs(g.values)))
+    else:
+        g.flat[:: size + 1] -= 1.0
+        g1 = float(np.sum(np.abs(g)))
     s = (1.0 + g1) * t_total
     if s >= 0.9:
         return None
@@ -938,7 +969,7 @@ def _corrected_step(tails, rung, section, blocks, det_n, stored, unstored):
         straddle = tails.straddle()
         if straddle is not None:
             crossing = [np.concatenate(pair) for pair in zip(crossing, straddle)]
-        c2 = tr_t2 + 2.0 * _tail_cross_term(g_dense, tails.radii[rung], *crossing)
+        c2 = tr_t2 + 2.0 * _tail_cross_term(g, tails.radii[rung], *crossing)
         u_eff = unstored * (1.0 + g1)
         s_stored = (1.0 + g1) * stored
         e2 += 2.0 * s_stored * u_eff + u_eff * u_eff

@@ -241,6 +241,35 @@ def test_non_object_containers_are_input_errors(tmp_path, capsys, command, doc, 
     assert err == f"input error: {where}: expected an object\n"
 
 
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        # a misspelt "re" once read as 0: det(I + 0) = 1, "certified"
+        (["det"], {"dimension": 1, "entries": [{"row": [0], "col": [0], "value": 5.0}]},
+         "matrix.entries[0].value"),
+        # a potential read as Q = 0 gave "nontrivial-solution"
+        (["hill", "check"], {"dimension": 1, "nu": 2.0, "potential": [{"index": [0], "value": 3.0}]},
+         "hill.potential[0].value"),
+        (["det"], {"dimension": 1, "entries": [], "tail": {"kind": "exact"}}, "matrix.tail"),
+        (["det"], {"dimension": 1, "entries": [], "tail_bound": {"kind": "power", "parameters": {
+            "c": 1.0, "p": 2.0, "q": 1.0}}}, "matrix.tail_bound.parameters.q"),
+        (["diagnose"], {"dimension": 1, "kind": "fractional_laplacian", "nu": 2.0, "values": []},
+         "symbol.values"),
+        (["diagnose"], {"dimension": 1, "kind": "sum", "parts": [
+            {"kind": "fractional_laplacian", "nu": 2.0, "order": 2.0}]}, "symbol.order"),
+        (["symbol2matrix"], {"dimension": 1, "kind": "table", "entries": [
+            {"offset": [0], "index": [0], "re": 1.0}, {"offset": [0], "index": [1], "imag": 1.0}]},
+         "symbol.entries[1].imag"),
+        (["hill", "scan"], {"dimension": 1, "nu": 2.0, "potential": [], "scan": {
+            "lambda_min": -1.0, "lambda_max": 1.0, "steps": 3, "step": 1}}, "hill.scan.step"),
+    ],
+)
+def test_keys_a_document_does_not_define_are_input_errors(tmp_path, capsys, command, doc, field):
+    status, out, err = run_cli(capsys, *command, write(tmp_path, "extra.json", doc))
+    assert (status, out) == (1, "")
+    assert err == f"input error: {field}: unknown field\n"
+
+
 def with_items(base, field, *items):
     return {**base, field: list(items)}
 

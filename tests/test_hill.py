@@ -616,6 +616,23 @@ def test_constant_potential_within_the_bracketed_product(n, nu, c, max_radius, c
     assert abs(det.value - head) <= det.certified_error + oracle_error
 
 
+def test_a_split_three_dimensional_ladder_holds_no_dense_section():
+    # every rung of a constant potential is 17^3 = 4913 isolated points: a
+    # dense section and G would take 193 MB each
+    p = HillProblem(3, 5.0, {(0, 0, 0): 2.0})
+    tracemalloc.start()
+    try:
+        result = existence_test(p, tol=1e-8, max_radius=8, coverage_radius=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    head, log_remainder = constant_potential_bracket(2.0, 3, 5.0, 60)
+    det = result.determinant
+    assert result.decision == "only-trivial" and det.certified_error < 1e-3
+    assert abs(det.value - head) <= det.certified_error + abs(head) * (math.expm1(log_remainder) + 1e-12)
+
+
 def test_constant_potential_certified_in_three_dimensions():
     p = HillProblem(3, 6.0, {(0, 0, 0): 0.5})
     res = hill_determinant(p, 1e-8, max_radius=4, coverage_radius=32)
@@ -737,8 +754,9 @@ def test_even_potential_ladder_rungs_match_dense_slogdet(n, pot, radii):
 
 
 def test_a_ladder_rung_splits_its_section_once(monkeypatch):
-    # det and inverse of a corrected rung reuse the blocks the rung found,
-    # and neither splits the centrosymmetric section by parity
+    # a rung labels its components once; det and inverse of a corrected
+    # rung reuse what it found, and neither splits the centrosymmetric
+    # section by parity
     calls = {"split": 0, "parity": 0}
 
     def count(name, f):
@@ -748,9 +766,9 @@ def test_a_ladder_rung_splits_its_section_once(monkeypatch):
 
         return counted
 
-    split = count("split", _dense._section_blocks)
-    monkeypatch.setattr(_dense, "_section_blocks", split)
-    monkeypatch.setattr(l1_algebra, "_section_blocks", split)
+    split = count("split", _dense._component_blocks)
+    monkeypatch.setattr(_dense, "_component_blocks", split)
+    monkeypatch.setattr(l1_algebra, "_component_blocks", split)
     monkeypatch.setattr(_dense, "_parity_blocks", count("parity", _dense._parity_blocks))
     p = HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0})
     result = hill_determinant(p, 1e-6)

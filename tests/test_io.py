@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torusdet import cli, io
+from torusdet.l1_algebra import SparseL1Matrix
 from torusdet.io import (
     ParseError,
     ValidationError,
@@ -108,6 +109,78 @@ def test_indexed_list_errors_name_the_field(path, value, message):
     with pytest.raises(ValidationError) as err:
         parse(doc)
     assert str(err.value) == message
+
+
+def item_by_item(items, names):
+    """``[*index tuples, complex(re, im)]`` per item: the reading the columns must match."""
+    return [[*(tuple(item[name]) for name in names), complex(item.get("re", 0.0), item.get("im", 0.0))]
+            for item in items]
+
+
+def seeded_items(rng, count, dimension, names, span=2):
+    """Items on a small index box, so indices repeat, with every value form a
+    document may hold: floats, ints past 2^53, -0.0, absent re or im, zeros."""
+    forms = [lambda: float(rng.normal()), lambda: int(rng.integers(-5, 6)),
+             lambda: 2**53 + int(rng.integers(1, 99)), lambda: -0.0, lambda: 0, None]
+    items = []
+    for _ in range(count):
+        item = {name: [int(c) for c in rng.integers(-span, span + 1, dimension)] for name in names}
+        for part in ("re", "im"):
+            form = forms[int(rng.integers(len(forms)))]
+            if form is not None:
+                item[part] = form()
+        items.append(item)
+    return items
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_columns_match_the_item_by_item_reading(dimension):
+    rng = np.random.default_rng(40 + dimension)
+    for count in (0, 1, 7, 300):
+        items = seeded_items(rng, count, dimension, ("row", "col"))
+        # the same entries once each and in canonical order, as a sorted document has them
+        once = {(tuple(i["row"]), tuple(i["col"])): i for i in items if i.get("re") or i.get("im")}
+        for entries in (items, [once[key] for key in sorted(once)]):
+            matrix, _ = parse_matrix_document({"dimension": dimension, "entries": entries})
+            # the item-by-item reading: a dict summing repeats in document order, from 0.0
+            summed = {}
+            for row, col, value in item_by_item(entries, ("row", "col")):
+                summed[(row, col)] = summed.get((row, col), 0.0) + value
+            expected = SparseL1Matrix(dimension, summed)
+            for got, want in zip((matrix.rows, matrix.cols, matrix.vals),
+                                 (expected.rows, expected.cols, expected.vals)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()  # -0.0 and +0.0 differ here
+            assert matrix.l1_norm == expected.l1_norm
+            assert 0 not in matrix.vals.tolist() and len(summed) >= matrix.nnz
+
+        # the dict lists: a repeated index keeps its last value and first place
+        potential = {"dimension": dimension, "nu": dimension + 1.0,
+                     "potential": seeded_items(rng, count, dimension, ("index",))}
+        want = dict(item_by_item(potential["potential"], ("index",)))
+        got = io._indexed_dict(potential, "potential", "hill", dimension)
+        assert list(got) == list(want) and all(type(k[0]) is int for k in got)
+        assert [(v.real, v.imag) for v in got.values()] == [(v.real, v.imag) for v in want.values()]
+        assert all(math.copysign(1, a.imag) == math.copysign(1, b.imag)
+                   for a, b in zip(got.values(), want.values()))
+
+
+def test_columns_hold_the_int64_range_and_refuse_past_it():
+    edge = [-(2**63), 2**63 - 1]
+    items = [{"offset": [edge[0]], "index": [edge[1]], "re": 10**300, "im": -(2**62)}]
+    (offsets, index), vals = io._indexed_columns({"e": items}, "e", "symbol", 1, ("offset", "index"))
+    assert offsets.dtype == index.dtype == np.int64
+    assert offsets.tolist() == [[edge[0]]] and index.tolist() == [[edge[1]]]
+    assert vals.tolist() == [complex(10**300, -(2**62))]
+    for name, value, message in [("index", [2**63], "integer outside the int64 range"),
+                                 ("offset", [-(2**63) - 1], "integer outside the int64 range"),
+                                 ("re", 10**400, "number outside the float range"),
+                                 ("im", math.nan, "expected a finite number, got nan")]:
+        bad = [*items, {**items[0], name: value}]
+        with pytest.raises(ValidationError) as err:
+            io._indexed_columns({"e": bad}, "e", "symbol", 1, ("offset", "index"))
+        suffix = "[0]" if name in ("index", "offset") else ""
+        assert str(err.value) == f"symbol.e[1].{name}{suffix}: {message}"
 
 
 def test_parse_tail_bounds():

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -39,6 +42,7 @@ from torusdet.l1_algebra import (
 from torusdet._dense import (
     _SLAB_CONDITION_LIMIT,
     _Slabs,
+    _Stacks,
     _parity_blocks,
     _section_blocks,
     _section_det,
@@ -691,6 +695,124 @@ def test_ladder_far_and_straddling_tails_match_dense(monkeypatch, n, support, ma
     assert len(crossed) == len(seen)
     sign, logabs = np.linalg.slogdet(np.eye(full.size) + dense_a)
     assert abs(res.value - sign * np.exp(logabs)) <= res.certified_error
+
+
+def split_matrix(rng, n, support, complex_values, singular=False):
+    """Entries within runs of 1 to 4 consecutive window positions, so every
+    rung's section splits into components, isolated points among them.
+
+    Values decay with the entry radius, so the rungs inside the support are
+    corrected; runs crossing a rung give it straddling tail entries.  With
+    ``singular`` the points 0 and e_n form a run of their own with
+    I + F = [[1, 1], [1, 1]], a singular component of every rung.
+    """
+    pts = TruncationWindow(support, n).coords_array()
+    run = np.repeat(np.arange(len(pts)), rng.integers(1, 5, len(pts)))[: len(pts)]
+    centre = len(pts) // 2
+    if singular:
+        run[centre : centre + 2] = -1
+    rows, cols = [], []
+    for r in np.unique(run[run >= 0]):
+        members = np.flatnonzero(run == r)
+        pairs = [(i, j) for i in members for j in members if rng.random() < 0.6]
+        rows += [i for i, _ in pairs]
+        cols += [j for _, j in pairs]
+    rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+    vals = rng.standard_normal(len(rows)) + (1j * rng.standard_normal(len(rows)) if complex_values else 0)
+    radius = np.maximum(np.max(np.abs(pts[rows]), axis=1), np.max(np.abs(pts[cols]), axis=1))
+    vals = 0.3 * vals * np.exp(-1.2 * radius)
+    if singular:
+        rows = np.append(rows, [centre, centre + 1])
+        cols = np.append(cols, [centre + 1, centre])
+        vals = np.append(vals, [1.0, 1.0])
+    return SparseL1Matrix.from_arrays(n, pts[rows], pts[cols], vals)
+
+
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n, support, max_radius", [(1, 30, 16), (2, 7, 4)])
+def test_split_rungs_match_a_dense_reference(monkeypatch, n, support, max_radius, complex_values):
+    a = split_matrix(np.random.default_rng(50 + n), n, support, complex_values)
+    full = section_of(a, support).matrix
+    pos = lambda c: np.ravel_multi_index((c + support).T, (2 * support + 1,) * n)
+    crossed = []
+    cross_term = l1_algebra._tail_cross_term
+
+    def cross_spy(g, radius, rows, cols, vals):
+        # G = (I + F)^{-1} - I as component stacks, checked against LAPACK on I + F
+        assert isinstance(g, _Stacks)
+        w = TruncationWindow(radius, n)
+        g_ref = np.linalg.inv(np.eye(w.size) + section_of(a, radius).matrix) - np.eye(w.size)
+        a_pos, b_pos = np.divmod(np.arange(w.size * w.size), w.size)
+        assert np.max(np.abs(g[a_pos, b_pos].reshape(w.size, w.size) - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+        g1 = sum(np.sum(np.abs(stack)) for stack in g.stacks)
+        assert abs(g1 - np.sum(np.abs(g_ref))) <= 1e-12 * g1
+        inner = pos(w.coords_array())
+        t_dense = full.copy()
+        t_dense[np.ix_(inner, inner)] = 0.0
+        g_big = np.zeros_like(full, dtype=g_ref.dtype)
+        g_big[np.ix_(inner, inner)] = g_ref
+        got = cross_term(g, radius, rows, cols, vals)
+        assert abs(got - np.trace(g_big @ t_dense @ t_dense)) <= 1e-12 * g1 * np.sum(np.abs(t_dense)) ** 2
+        crossed.append(radius)
+        return got
+
+    monkeypatch.setattr(l1_algebra, "_tail_cross_term", cross_spy)
+    result, _ = _determinant_ladder(_LadderTails(a, TailModel.exact_finite(), max_radius), 1e-300)
+    assert [step.radius for step in result.ladder] == crossed == _ladder_radii(max_radius)
+    for step in result.ladder:
+        f = section_of(a, step.radius)
+        blocks = _section_blocks(np.eye(f.window.size) + f.matrix)
+        assert isinstance(blocks, _Stacks) and 1 in [idx.shape[1] for idx in blocks.blocks]
+        assert step.value == finite_determinant(f)  # the stacks gathered from the dense section
+        det = np.linalg.det(np.eye(f.window.size) + f.matrix)
+        assert abs(step.value - det) <= 1e-12 * abs(det)
+
+
+@pytest.mark.parametrize("n, support, max_radius", [(1, 30, 16), (2, 7, 4)])
+def test_a_singular_component_gives_an_exact_zero_and_no_corrected_step(monkeypatch, n, support, max_radius):
+    a = split_matrix(np.random.default_rng(60 + n), n, support, True, singular=True)
+
+    def refused(*args):
+        raise AssertionError("a rung with det 0 inverted its section")
+
+    monkeypatch.setattr(l1_algebra, "_section_inv", refused)
+    result, _ = _determinant_ladder(_LadderTails(a, TailModel.exact_finite(), max_radius), 1e-300)
+    assert [repr(step.value) for step in result.ladder] == ["0j"] * len(_ladder_radii(max_radius))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_support_radius_matches_the_four_reductions(n):
+    rng = np.random.default_rng(70 + n)
+    four = lambda a: max(abs(int(f(c, initial=0))) for c in (a.rows, a.cols) for f in (np.min, np.max))
+    for count in (0, 1, 2, 40):
+        pts = rng.integers(-9, 10, size=(count, n)) * rng.integers(1, 4, size=(1, n))
+        pts = np.unique(pts, axis=0).reshape(-1, n)  # canonical order
+        diagonal = SparseL1Matrix.from_canonical_arrays(n, pts, pts, np.ones(len(pts)))
+        crossed = SparseL1Matrix.from_arrays(n, pts, rng.permutation(pts) - 11, np.ones(len(pts)))
+        assert diagonal.cols is diagonal.rows
+        for a in (diagonal, crossed, crossed.transpose()):
+            assert a.support_radius == four(a)
+    assert SparseL1Matrix.zero(n).support_radius == 0
+
+
+def test_split_ladders_and_kernel_checks_never_import_numpy_ma():
+    # np.unique's first call in a process imports numpy.ma (13-16 ms)
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from torusdet.hill import HillProblem, _kernel_certified\n"
+        "from torusdet.l1_algebra import SparseL1Matrix, TailModel, poincare_determinant\n"
+        "k = np.arange(-40, 41)[:, None]\n"
+        "a = SparseL1Matrix.from_arrays(1, k, k, 1.0 / (1.0 + k[:, 0] ** 2))\n"
+        "poincare_determinant(a, TailModel.exact_finite(), 1e-10)\n"
+        "assert _kernel_certified(HillProblem(2, 3.0, {(0, 0): -(2 * np.pi) ** 3}), 6)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(l1_algebra.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize(
