@@ -32,7 +32,9 @@ of the undamped section, so the scan solves one eigenproblem per section
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -84,7 +86,8 @@ class HillProblem:
     numerators g - delta (``offsets`` in descending lexicographic order,
     ``values``, l1 ``mass``, ``g0``), ``off_mass`` = ||g||_1 - |g_0|, the
     reach and the ``pair_*`` arrays of :func:`_square_pairs`; :meth:`weights`
-    is the one evaluation of the damping d(k).
+    is the one evaluation of the damping d(k).  ``potential`` is kept as a
+    read-only mapping, so none of this can go stale.
 
     What Hill's method computes from the problem alone is kept on first use
     (:meth:`_memo`): the head sums of :func:`_head_sums` per head radius, the
@@ -101,7 +104,7 @@ class HillProblem:
 
     dimension: int
     nu: float
-    potential: dict
+    potential: Mapping
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -115,7 +118,7 @@ class HillProblem:
             v = complex(v)
             if v != 0:
                 clean[as_index(k, self.dimension)] = v
-        object.__setattr__(self, "potential", clean)
+        object.__setattr__(self, "potential", MappingProxyType(clean))
         if not math.isfinite(self.potential_l1()):
             raise ValueError("the l1 mass of the potential is not finite")
         coeffs = self.damped_coeffs()
@@ -135,18 +138,7 @@ class HillProblem:
             _cache={},
         )
 
-    def _memo(self, key, compute):
-        """``compute()``, run on the first call for ``key`` only and kept in ``_cache``.
-
-        Arrays in the result, or in a tuple result, are made read-only.
-        """
-        if key not in self._cache:
-            value = compute()
-            for item in value if isinstance(value, tuple) else (value,):
-                if isinstance(item, np.ndarray):
-                    item.setflags(write=False)
-            self._cache[key] = value
-        return self._cache[key]
+    _memo = SparseL1Matrix._memo
 
     def potential_l1(self):
         return float(sum(abs(v) for v in self.potential.values()))
@@ -381,10 +373,6 @@ class _HillTails:
         while bracket_error(k) > tol / 16.0 and 2 * k <= largest:
             k *= 2
         return k
-
-    def straddle(self):
-        """None: every tail entry that meets a section is near."""
-        return None
 
     def inverse_damping_sum(self, rung):
         """(lo, hi) around S_R for the rung of radius R."""

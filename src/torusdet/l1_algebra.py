@@ -115,8 +115,8 @@ class SparseL1Matrix:
     in ``_cache``: the E-long entry radii and diagonal mask, the support
     radius, and the ladder statistics of :func:`poincare_trace` (one float
     per rung radius, one complex per stopping ladder) and
-    :class:`_LadderTails` (per last rung, four scalars and the straddling
-    far entries).  So repeated ladders on one matrix read its stored
+    :class:`_LadderTails` (per last rung, three scalars, a pair sum and the
+    straddling far entries).  So repeated ladders on one matrix read its stored
     entries once.
     """
 
@@ -243,12 +243,13 @@ class SparseL1Matrix:
     def _memo(self, key, compute):
         """``compute()``, run on the first call for ``key`` only and kept in ``_cache``.
 
-        An array result is made read-only.
+        Arrays in the result, or in a tuple result, are made read-only.
         """
         if key not in self._cache:
             value = compute()
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    item.setflags(write=False)
             self._cache[key] = value
         return self._cache[key]
 
@@ -722,11 +723,6 @@ def _tail_cross_term(g, radius, rows, cols, vals):
     return complex(np.sum(g[a_pos[j], b_pos[i]] * vals[wo][i] * vals[ow][j]))
 
 
-# off-diagonal tail entries past which a rung corrects to first order only:
-# the Tr T^2 and Tr(G T^2) joins would sort them all
-_CROSS_TERM_ENTRY_CAP = 500_000
-
-
 def _far_totals(a, lo, hi, near, near_diag):
     """Diagonal sum, diagonal square sum and off-diagonal count of the far entries.
 
@@ -751,21 +747,22 @@ class _LadderTails:
     Entries inside the last rung ("near") are kept with their rung bucket, so
     each rung works only on them and on its dense section; they are read
     from the last rung's :func:`_row_span`.  Entries beyond the last rung
-    ("far") lie in every rung's tail and are reduced to the totals the
-    tail statistics need by :func:`_far_totals`.  Transpose partners share
-    an entry radius, so the far part of ``Tr T^2`` is a separate pair sum;
-    and only far entries with one index inside the last rung ("straddling")
-    can meet a section in ``Tr(G T^2)``.  Both are gathered by the first
-    rung that needs them.  The matrix's cache keeps the totals (three
+    ("far") lie in every rung's tail.  Those with one index inside the last
+    rung ("straddling") can meet a section in ``Tr(G T^2)``: they are handed
+    over with the near entries, in the bucket ``len(radii)`` past every
+    rung.  The others are reduced to the totals the tail statistics need by
+    :func:`_far_totals` and to their transpose-pair sum, the far part of
+    ``Tr T^2``: transpose partners share an entry radius, and a straddler's
+    partner straddles too.  The matrix's cache keeps the totals (three
     scalars), the pair sum and the straddling entries under the last rung's
     radius, so only the first ladder to that radius passes over the far
-    entries.
+    entries, and only if some far entry is off the diagonal.
 
     This is the tail provider :func:`_determinant_ladder` reads, rung ``i``
     by rung: ``radii``, ``floor``, the near entries ``rows`` (n columns wide),
     ``cols``, ``vals`` and ``abs_vals`` with their ``bucket``, and the
-    methods ``l1_tail``, ``moments`` and ``straddle``.  Everything the stored
-    entries do not hold is the tail model's bound at the coverage radius
+    methods ``l1_tail`` and ``moments``.  Everything the stored entries do
+    not hold is the tail model's bound at the coverage radius
     (``unstored``), an error term of every tail quantity; ``floor`` says so
     if the rungs end there.  The rungs are the :func:`_section_rungs` of
     min(C, ``max_radius``), where near and far are split even when the
@@ -789,55 +786,52 @@ class _LadderTails:
         self.bucket = _rung_buckets(span_radii[near], self.radii)
         self.rows, self.cols = a.rows[self._near], a.cols[self._near]
         self.vals = a.vals[self._near]
-        self.abs_vals = np.abs(self.vals)
         # a diagonal never builds the E-long a.diag_mask
         self.diag = np.ones(len(self.vals), bool) if a.cols is a.rows else a.diag_mask[self._near]
-        self.far_trace, self.far_trace_sq, self.far_off_count = a._memo(
+        self.far_trace, self.far_trace_sq, far_off_count = a._memo(
             ("far totals", self.last), lambda: _far_totals(a, lo, hi, near, self.diag)
         )
+        self.far_pairs = 0j
+        if far_off_count:
+            self.far_pairs, *straddle = a._memo(("far pairs", self.last), self._gather_far_pairs)
+            self.rows, self.cols, self.vals = (
+                np.concatenate(pair) for pair in zip((self.rows, self.cols, self.vals), straddle)
+            )
+            self.bucket = np.append(self.bucket, np.full(len(straddle[2]), len(self.radii)))
+            self.diag = np.append(self.diag, np.zeros(len(straddle[2]), bool))
+        self.abs_vals = np.abs(self.vals)
 
     def l1_tail(self, rung, f_norm):
         """Discarded stored mass, unstored mass and an upper bound on ||A||_1."""
         return _discarded_mass(self.a, f_norm, self.radii[rung]), self.unstored, self.norm_upper
 
     def moments(self, rung):
-        """``(Tr T, error)`` and ``(Tr T^2, 0)``, or None over the cross-term cap.
+        """``(Tr T, error)`` and ``(Tr T^2, 0)``.
 
         Both are sums over the stored tail; the unstored mass is the error
         of ``Tr T``.
         """
         outside = self.bucket > rung
         d = self.vals[outside & self.diag]
-        c1 = self.far_trace + complex(np.sum(d))
         off = outside & ~self.diag
-        if self.far_off_count + int(np.count_nonzero(off)) > _CROSS_TERM_ENTRY_CAP:
-            return (c1, self.unstored), None
-        pairs, _ = self._far_pair_statistics()
         tr_t2 = (
             self.far_trace_sq
             + complex(np.dot(d, d))
-            + pairs
+            + self.far_pairs
             + _transpose_pair_sum(self.rows[off], self.cols[off], self.vals[off])
         )
-        return (c1, self.unstored), (tr_t2, 0.0)
-
-    def straddle(self):
-        """Rows, columns and values of the straddling far entries, or None."""
-        return self._far_pair_statistics()[1]
-
-    def _far_pair_statistics(self):
-        """Far transpose-pair sum and the straddling entries, gathered once per last rung."""
-        return self.a._memo(("far pairs", self.last), self._gather_far_pairs)
+        return (self.far_trace + complex(np.sum(d)), self.unstored), (tr_t2, 0.0)
 
     def _gather_far_pairs(self):
-        if not self.far_off_count:
-            return 0.0j, None
+        """Pair sum of the far off-diagonal entries that do not straddle, and the straddlers."""
         far_off = ~self.a.diag_mask
         far_off[self._near] = False
         idx = np.flatnonzero(far_off)
         rows, cols, vals = self.a.rows[idx], self.a.cols[idx], self.a.vals[idx]
-        keep = np.minimum(sup_norm_array(rows), sup_norm_array(cols)) <= self.last
-        return _transpose_pair_sum(rows, cols, vals), (rows[keep], cols[keep], vals[keep])
+        straddles = np.minimum(sup_norm_array(rows), sup_norm_array(cols)) <= self.last
+        far = ~straddles
+        pairs = _transpose_pair_sum(rows[far], cols[far], vals[far])
+        return pairs, rows[straddles], cols[straddles], vals[straddles]
 
 
 def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64):
@@ -933,9 +927,10 @@ def _corrected_step(tails, rung, section, blocks, det_n, size, stored, unstored)
     ``section`` and ``blocks`` are the rung's :func:`_rung_section` on its
     window of ``size`` points; ``stored`` bounds the tail mass the moments
     of ``tails`` sum over and ``unstored`` the rest.  ``G`` is formed here,
-    dense or as component stacks, and ``Tr X^2 = Tr T^2 + 2 Tr(G T^2)``:
-    the unstored mass u moves it by at most ``(1 + ||G||_1)^2 (2 t u +
-    u^2)``, t the stored mass.
+    dense or as component stacks, and ``log Det(I+X) = Tr X - Tr X^2 / 2``
+    up to ``s^3 / (3(1 - s))``, with ``Tr X^2 = Tr T^2 + 2 Tr(G T^2)``: the
+    unstored mass u moves it by at most ``(1 + ||G||_1)^2 (2 t u + u^2)``,
+    t the stored mass.
     """
     t_total = stored + unstored
     # s = (1 + ||G||_1) t_total >= t_total: no inverse can bring s under 0.9
@@ -955,28 +950,16 @@ def _corrected_step(tails, rung, section, blocks, det_n, size, stored, unstored)
     if s >= 0.9:
         return None
 
-    (c1, e1), second = tails.moments(rung)
-    if second is None:
-        # first order only: |log Det(I+X) - Tr T| <= e1 + s^2/(2(1-s))
-        c2 = 0.0
-        omega = c1
-        log_err = e1 + s**2 / (2.0 * (1.0 - s))
-    else:
-        # second order: log Det(I+X) = Tr X - Tr X^2 / 2 + O(s^3)
-        tr_t2, e2 = second
-        outside = tails.bucket > rung
-        crossing = [tails.rows[outside], tails.cols[outside], tails.vals[outside]]
-        straddle = tails.straddle()
-        if straddle is not None:
-            crossing = [np.concatenate(pair) for pair in zip(crossing, straddle)]
-        c2 = tr_t2 + 2.0 * _tail_cross_term(g, tails.radii[rung], *crossing)
-        u_eff = unstored * (1.0 + g1)
-        s_stored = (1.0 + g1) * stored
-        e2 += 2.0 * s_stored * u_eff + u_eff * u_eff
-        omega = c1 - 0.5 * c2
-        log_err = e1 + 0.5 * e2 + s**3 / (3.0 * (1.0 - s))
+    (c1, e1), (tr_t2, e2) = tails.moments(rung)
+    outside = tails.bucket > rung
+    c2 = tr_t2 + 2.0 * _tail_cross_term(
+        g, tails.radii[rung], tails.rows[outside], tails.cols[outside], tails.vals[outside]
+    )
+    u_eff = unstored * (1.0 + g1)
+    e2 += 2.0 * (1.0 + g1) * stored * u_eff + u_eff * u_eff
+    log_err = e1 + 0.5 * e2 + s**3 / (3.0 * (1.0 - s))
     log_err += 1e-14 * (1.0 + abs(c1) + abs(c2))  # accumulation roundoff slack
-    value = det_n * np.exp(omega)
+    value = det_n * np.exp(c1 - 0.5 * c2)
     bound = abs(value) * math.expm1(min(log_err, _EXP_CAP)) + _det_slack(det_n, size)
     return complex(value), float(bound)
 

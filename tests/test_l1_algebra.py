@@ -30,7 +30,6 @@ from torusdet.l1_algebra import (
     truncate,
 )
 from torusdet.l1_algebra import (
-    _CROSS_TERM_ENTRY_CAP,
     _SECTION_SIZE_LIMIT,
     _LadderTails,
     _coverage_floor,
@@ -674,8 +673,8 @@ def test_ladder_far_and_straddling_tails_match_dense(monkeypatch, n, support, ma
         first, (tr_t2, err) = moments(self, rung)
         _, t_dense, scale = tail_of(self.radii[rung])
         assert abs(tr_t2 - np.trace(t_dense @ t_dense)) <= 1e-13 * scale
-        straddle = self.straddle()
-        seen.append((self.far_off_count, 0 if straddle is None else len(straddle[2])))
+        far = np.count_nonzero(self.a.entry_radii > self.last)
+        seen.append((far, np.count_nonzero(self.bucket == len(self.radii))))
         return first, (tr_t2, err)
 
     def cross_spy(g_dense, radius, rows, cols, vals):
@@ -695,6 +694,62 @@ def test_ladder_far_and_straddling_tails_match_dense(monkeypatch, n, support, ma
     assert len(crossed) == len(seen)
     sign, logabs = np.linalg.slogdet(np.eye(full.size) + dense_a)
     assert abs(res.value - sign * np.exp(logabs)) <= res.certified_error
+
+
+def quadratic_tridiagonal(support):
+    """1-D tridiagonal matrix on the support, entries c / (1 + r^2), r the
+    entry radius, with c = 0.5 on the diagonal, 0.4 above and -0.3 below it."""
+    k = np.arange(-support, support + 1)
+    rows = np.repeat(k, 3)
+    cols = rows + np.tile([-1, 0, 1], len(k))
+    keep = np.abs(cols) <= support
+    rows, cols = rows[keep], cols[keep]
+    r = np.maximum(np.abs(rows), np.abs(cols)).astype(float)
+    vals = np.select([cols < rows, cols == rows], [-0.3, 0.5], 0.4) / (1.0 + r * r)
+    return SparseL1Matrix.from_canonical_arrays(1, rows[:, None], cols[:, None], vals)
+
+
+def continuant(a):
+    """det(I + A) of a 1-D tridiagonal matrix by the three-term recurrence."""
+    rows, cols, vals = a.rows[:, 0], a.cols[:, 0], a.vals
+    lo = int(rows[0])
+    d, prod = np.ones(int(rows[-1]) - lo + 1), np.zeros(int(rows[-1]) - lo + 1)
+    on = rows == cols
+    d[rows[on] - lo] += vals[on]
+    prod[rows[cols == rows + 1] - lo] = vals[cols == rows + 1]  # A[j, j + 1]
+    prod[cols[cols == rows - 1] - lo] *= vals[cols == rows - 1]  # times A[j + 1, j]
+    f0, f1 = 1.0, d[0]
+    for dj, pj in zip(d[1:].tolist(), prod[:-1].tolist()):
+        f0, f1 = f1, dj * f1 - pj * f0
+    return f1
+
+
+def test_a_ladder_past_half_a_million_off_diagonal_tail_entries_corrects_to_second_order(monkeypatch):
+    # 800k off-diagonal entries lie beyond the last rung, and four straddle
+    # it; the second-order certificate is under 1e-2, which the first-order
+    # remainder s^2 / (2(1 - s)) alone passes (4.0e-2 on this matrix)
+    small = quadratic_tridiagonal(1000)
+    sign, logabs = np.linalg.slogdet(np.eye(2001) + section_of(small, 1000).matrix)
+    assert abs(continuant(small) - sign * np.exp(logabs)) <= 1e-12
+
+    a = quadratic_tridiagonal(200_000)
+    tails = _LadderTails(a, TailModel.exact_finite(), 64)
+    straddling = {(-65, -64), (-64, -65), (64, 65), (65, 64)}
+    handed = tails.bucket == len(tails.radii)
+    assert set(zip(tails.rows[handed, 0].tolist(), tails.cols[handed, 0].tolist())) == straddling
+    crossed = []
+    cross_term = l1_algebra._tail_cross_term
+
+    def cross_spy(g, radius, rows, cols, vals):
+        crossed.append(straddling <= set(zip(rows[:, 0].tolist(), cols[:, 0].tolist())))
+        return cross_term(g, radius, rows, cols, vals)
+
+    monkeypatch.setattr(l1_algebra, "_tail_cross_term", cross_spy)
+    _, result = invertibility_test(a, TailModel.exact_finite(), 1e-10, max_radius=64)
+    assert crossed and all(crossed)
+    assert result.value not in [step.value for step in result.ladder]  # corrected
+    assert result.certified_error < 1e-2
+    assert abs(result.value - continuant(a)) <= result.certified_error
 
 
 def split_matrix(rng, n, support, complex_values, singular=False):
@@ -815,27 +870,6 @@ def test_split_ladders_and_kernel_checks_never_import_numpy_ma():
     assert proc.stdout == "False\n"
 
 
-@pytest.mark.parametrize(
-    "n, support, max_radius, decay", [(1, 40, 16, 0.5), (2, 10, 4, 2.0)]
-)
-def test_ladder_over_the_cross_term_cap_corrects_to_first_order(monkeypatch, n, support, max_radius, decay):
-    # with the cap at 0 every rung's tail is over it: Tr T with the remainder
-    # s^2 / (2(1 - s)) replaces the second-order step and still certifies
-    a = banded_matrix(np.random.default_rng(11), n, support, 1, 0.3, decay)
-    tail = TailModel.exact_finite()
-    _, second = invertibility_test(a, tail, 1e-4, max_radius=max_radius)
-    monkeypatch.setattr(l1_algebra, "_CROSS_TERM_ENTRY_CAP", 0)
-    tails = _LadderTails(a, tail, max_radius)
-    assert all(tails.moments(i)[1] is None for i in range(len(tails.radii)))
-    _, first = invertibility_test(a, tail, 1e-4, max_radius=max_radius)
-    assert first.value not in [s.value for s in first.ladder]  # corrected
-    assert first.value != second.value
-    assert first.certified_error > second.certified_error
-    dense = section_of(a, support).matrix
-    sign, logabs = np.linalg.slogdet(np.eye(len(dense)) + dense)
-    assert abs(first.value - sign * np.exp(logabs)) <= first.certified_error
-
-
 def decaying_diagonal():
     ks = np.arange(-300, 301)[:, None]
     vals = 0.05 * np.exp(-0.1 * np.abs(ks[:, 0]))
@@ -909,7 +943,9 @@ def test_repeat_ladders_make_no_pass_over_the_stored_entries(monkeypatch):
                  for tol in (3e-6, 1e-7)]
         counts.clear()
         first = [ladder_outcome(f, a, tail, tol, 128) for f, tol in calls]
-        assert counts["mass"] and counts["far totals"] == counts["far pairs"] == 1
+        # only the banded matrix has far entries off the diagonal
+        assert counts["mass"] and counts["far totals"] == 1
+        assert counts.get("far pairs", 0) == (label == "banded 1-D")
         counts.clear()
         assert [ladder_outcome(f, a, tail, tol, 128) for f, tol in calls] == first
         assert counts == {}
@@ -1338,9 +1374,6 @@ class MaskTails:
     def outside(self, rung):
         return self.a.entry_radii > self.radii[rung]
 
-    def straddle(self):
-        return None  # every entry is handed over
-
     def l1_tail(self, rung, f_norm):
         stored = max(self.a.l1_norm - f_norm, 0.0) if np.any(self.outside(rung)) else 0.0
         return stored, self.unstored, self.a.l1_norm + self.unstored
@@ -1349,11 +1382,8 @@ class MaskTails:
         a, out = self.a, self.outside(rung)
         d = a.vals[out & self.diag]
         off = out & ~self.diag
-        c1 = complex(np.sum(d))
-        if np.count_nonzero(off) > _CROSS_TERM_ENTRY_CAP:
-            return (c1, self.unstored), None
         tr_t2 = complex(np.dot(d, d)) + _transpose_pair_sum(a.rows[off], a.cols[off], a.vals[off])
-        return (c1, self.unstored), (tr_t2, 0.0)
+        return (complex(np.sum(d)), self.unstored), (tr_t2, 0.0)
 
 
 def reference_trace(a, tail, tol, max_radius):
