@@ -115,9 +115,9 @@ class SparseL1Matrix:
     in ``_cache``: the E-long entry radii and diagonal mask, the support
     radius, and the ladder statistics of :func:`poincare_trace` (one float
     per rung radius, one complex per stopping ladder) and
-    :class:`_LadderTails` (per last rung, three scalars, a pair sum and the
-    straddling far entries).  So repeated ladders on one matrix read its stored
-    entries once.
+    :class:`_LadderTails` (per last rung, three scalars and the straddlers'
+    positions).  So repeated ladders on one matrix read its stored entries
+    once.
     """
 
     __slots__ = ("dimension", "rows", "cols", "vals", "l1_norm", "_cache")
@@ -723,22 +723,37 @@ def _tail_cross_term(g, radius, rows, cols, vals):
     return complex(np.sum(g[a_pos[j], b_pos[i]] * vals[wo][i] * vals[ow][j]))
 
 
-def _far_totals(a, lo, hi, near, near_diag):
-    """Diagonal sum, diagonal square sum and off-diagonal count of the far entries.
+def _far_totals(a, lo, hi, near, last):
+    """Diagonal sum and square sum, off-diagonal square sum and straddlers of the far entries.
 
-    Far entries lie beyond a ladder's last rung: the entries before and
-    after its row span [lo, hi) and the span's entries off ``near``; each
-    sum runs over those three pieces in turn.  ``near_diag`` marks the
-    diagonal ones among the near entries.
+    Far entries lie beyond the last rung, of radius ``last``: the entries
+    before and after its row span [lo, hi) and the span's entries off
+    ``near``; each sum runs over those three pieces in turn.  A far entry
+    with one index inside the last rung straddles it, and the straddlers'
+    positions are returned in canonical order; ``sum |T_ij|^2`` runs over
+    the other far off-diagonal entries.  Outside the span every row lies
+    outside the rung, so there only the column is tested.  A diagonal has
+    neither off-diagonal entries nor straddlers.
     """
     diagonal = a.cols is a.rows
-    off_count = 0 if diagonal else a.nnz - int(np.count_nonzero(a.diag_mask))
     trace = trace_sq = 0j
+    off_sq, straddlers = 0.0, [np.zeros(0, np.intp)]
     for part in (slice(0, lo), lo + np.flatnonzero(~near), slice(hi, a.nnz)):
-        d = a.vals[part] if diagonal else a.vals[part][a.diag_mask[part]]
+        vals = a.vals[part]
+        d = vals if diagonal else vals[a.diag_mask[part]]
         trace += complex(np.sum(d))
         trace_sq += complex(np.dot(d, d))
-    return trace, trace_sq, off_count - int(np.count_nonzero(~near_diag))
+        if diagonal:
+            continue
+        straddles = sup_norm_array(a.cols[part]) <= last
+        if isinstance(part, slice):
+            straddlers.append(part.start + np.flatnonzero(straddles))
+        else:
+            straddles |= sup_norm_array(a.rows[part]) <= last
+            straddlers.append(part[straddles])
+        off = vals[~(a.diag_mask[part] | straddles)]
+        off_sq += float(np.vdot(off, off).real)
+    return trace, trace_sq, off_sq, np.concatenate(straddlers)
 
 
 class _LadderTails:
@@ -750,13 +765,14 @@ class _LadderTails:
     ("far") lie in every rung's tail.  Those with one index inside the last
     rung ("straddling") can meet a section in ``Tr(G T^2)``: they are handed
     over with the near entries, in the bucket ``len(radii)`` past every
-    rung.  The others are reduced to the totals the tail statistics need by
-    :func:`_far_totals` and to their transpose-pair sum, the far part of
-    ``Tr T^2``: transpose partners share an entry radius, and a straddler's
-    partner straddles too.  The matrix's cache keeps the totals (three
-    scalars), the pair sum and the straddling entries under the last rung's
+    rung.  The others are reduced by one pass, :func:`_far_totals`, to the
+    totals the tail statistics need.  Their transpose pairs, the far part of
+    ``Tr T^2``, are not joined but bounded: ``|sum T_ij T_ji| <= sum
+    |T_ij|^2`` by AM-GM, and transpose partners share an entry radius, so a
+    straddler's partner straddles too.  The matrix's cache keeps the totals
+    (three scalars) and the straddlers' positions under the last rung's
     radius, so only the first ladder to that radius passes over the far
-    entries, and only if some far entry is off the diagonal.
+    entries.
 
     This is the tail provider :func:`_determinant_ladder` reads, rung ``i``
     by rung: ``radii``, ``floor``, the near entries ``rows`` (n columns wide),
@@ -780,25 +796,15 @@ class _LadderTails:
         self.radii, cut = _section_rungs(self.last, a.dimension)
         self.floor = cut or _coverage_floor(coverage, self.unstored, max_radius)
         lo, hi = _row_span(a, self.last)
-        span_radii = _entry_radii(a, slice(lo, hi))
-        near = span_radii <= self.last
-        self._near = lo + np.flatnonzero(near)
-        self.bucket = _rung_buckets(span_radii[near], self.radii)
-        self.rows, self.cols = a.rows[self._near], a.cols[self._near]
-        self.vals = a.vals[self._near]
-        # a diagonal never builds the E-long a.diag_mask
-        self.diag = np.ones(len(self.vals), bool) if a.cols is a.rows else a.diag_mask[self._near]
-        self.far_trace, self.far_trace_sq, far_off_count = a._memo(
-            ("far totals", self.last), lambda: _far_totals(a, lo, hi, near, self.diag)
+        near = _entry_radii(a, slice(lo, hi)) <= self.last
+        self.far_trace, self.far_trace_sq, self.far_off_sq, straddlers = a._memo(
+            ("far totals", self.last), lambda: _far_totals(a, lo, hi, near, self.last)
         )
-        self.far_pairs = 0j
-        if far_off_count:
-            self.far_pairs, *straddle = a._memo(("far pairs", self.last), self._gather_far_pairs)
-            self.rows, self.cols, self.vals = (
-                np.concatenate(pair) for pair in zip((self.rows, self.cols, self.vals), straddle)
-            )
-            self.bucket = np.append(self.bucket, np.full(len(straddle[2]), len(self.radii)))
-            self.diag = np.append(self.diag, np.zeros(len(straddle[2]), bool))
+        handed = np.concatenate([lo + np.flatnonzero(near), straddlers])
+        self.rows, self.cols, self.vals = a.rows[handed], a.cols[handed], a.vals[handed]
+        # a straddler's radius is past every rung; a diagonal never builds a.diag_mask
+        self.bucket = _rung_buckets(_entry_radii(a, handed), self.radii)
+        self.diag = np.ones(len(handed), bool) if a.cols is a.rows else a.diag_mask[handed]
         self.abs_vals = np.abs(self.vals)
 
     def l1_tail(self, rung, f_norm):
@@ -806,10 +812,11 @@ class _LadderTails:
         return _discarded_mass(self.a, f_norm, self.radii[rung]), self.unstored, self.norm_upper
 
     def moments(self, rung):
-        """``(Tr T, error)`` and ``(Tr T^2, 0)``.
+        """``(Tr T, error)`` and ``(Tr T^2, error)``, as ``hill._HillTails`` gives them.
 
-        Both are sums over the stored tail; the unstored mass is the error
-        of ``Tr T``.
+        Both values are sums over the stored tail.  The unstored mass is the
+        error of ``Tr T``; ``Tr T^2`` leaves out the far transpose pairs, and
+        their bound ``sum |T_ij|^2`` is its error.
         """
         outside = self.bucket > rung
         d = self.vals[outside & self.diag]
@@ -817,21 +824,9 @@ class _LadderTails:
         tr_t2 = (
             self.far_trace_sq
             + complex(np.dot(d, d))
-            + self.far_pairs
             + _transpose_pair_sum(self.rows[off], self.cols[off], self.vals[off])
         )
-        return (self.far_trace + complex(np.sum(d)), self.unstored), (tr_t2, 0.0)
-
-    def _gather_far_pairs(self):
-        """Pair sum of the far off-diagonal entries that do not straddle, and the straddlers."""
-        far_off = ~self.a.diag_mask
-        far_off[self._near] = False
-        idx = np.flatnonzero(far_off)
-        rows, cols, vals = self.a.rows[idx], self.a.cols[idx], self.a.vals[idx]
-        straddles = np.minimum(sup_norm_array(rows), sup_norm_array(cols)) <= self.last
-        far = ~straddles
-        pairs = _transpose_pair_sum(rows[far], cols[far], vals[far])
-        return pairs, rows[straddles], cols[straddles], vals[straddles]
+        return (self.far_trace + complex(np.sum(d)), self.unstored), (tr_t2, self.far_off_sq)
 
 
 def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64):
@@ -845,10 +840,11 @@ def poincare_determinant(a: SparseL1Matrix, tail: TailModel, tol, max_radius=64)
     for the returned value, which is the corrected one whenever its bound is
     the sharper of the two.  The first call to a last rung passes over the
     stored entries once, and the matrix's cache keeps what it takes from
-    the far ones (see :class:`_LadderTails`); a later call to that rung
-    reads only the rung's row span.  Each call copies only the entries
-    inside the last rung; a rung's work is its dense section and the
-    entries near the windows.
+    the far ones (see :class:`_LadderTails`): their transpose pairs enter
+    ``Tr T^2`` by a bound, as its error.  A later call to that rung reads
+    only the rung's row span.  Each call copies only the entries
+    inside the last rung or straddling it; a rung's work is its dense
+    section and the entries near the windows.
     The ladder ends at min(C, ``max_radius``), C the support radius: a wider
     window has rung C's section and tail bound (see :class:`TailModel`).
     A ladder that stops short of ``tol`` raises :class:`NonConvergenceError`
@@ -878,7 +874,9 @@ def _determinant_ladder(tails, tol):
 
     ``tails`` provides the rungs, the entries with their rung buckets and
     every tail quantity, as :class:`_LadderTails` does for stored entries;
-    rung ``i``'s section holds the entries of bucket ``<= i``.  Returns
+    rung ``i``'s section holds the entries of bucket ``<= i``.  Its tail
+    moments are ``(value, error)`` pairs, and ``Tr(G T^2)`` is formed from
+    the entries it hands over outside the rung.  Returns
     ``(result, stop)``: a converged result and None, or the best rung's
     value and bound with ``converged=False`` and the phrase saying where the
     ladder ended.  The rungs fit the dense section limit: they are the

@@ -649,15 +649,24 @@ def banded_matrix(rng, n, support, band, scale, decay):
 
 
 @pytest.mark.parametrize(
-    "n, support, max_radius, decay", [(1, 40, 16, 0.5), (2, 10, 4, 2.0)]
+    "n, support, max_radius, decay", [(1, 40, 16, 0.5), (1, 40, 16, 0.4), (2, 10, 4, 2.0)]
 )
 def test_ladder_far_and_straddling_tails_match_dense(monkeypatch, n, support, max_radius, decay):
     # rungs stop inside the support, so their tails hold entries beyond the
-    # last rung (far) and entries with one index inside it (straddling)
+    # last rung (far) and entries with one index inside it (straddling); Tr T^2
+    # leaves out the far transpose pairs and carries their bound as its error
     a = banded_matrix(np.random.default_rng(11), n, support, 1, 0.3, decay)
     full = TruncationWindow(support, n)
     dense_a = section_of(a, support).matrix
     pos = lambda c: np.ravel_multi_index((c + support).T, (2 * support + 1,) * n)
+    pts = full.coords_array()
+
+    def far_off_square_sum(last):
+        """sum |T_ij|^2 over the off-diagonal entries with both indices past ``last``."""
+        outer = pos(pts[np.max(np.abs(pts), axis=1) > last])
+        block = dense_a[np.ix_(outer, outer)]
+        np.fill_diagonal(block, 0.0)
+        return np.sum(np.abs(block) ** 2)
 
     def tail_of(radius):
         inner = pos(TruncationWindow(radius, n).coords_array())
@@ -672,9 +681,10 @@ def test_ladder_far_and_straddling_tails_match_dense(monkeypatch, n, support, ma
     def moments_spy(self, rung):
         first, (tr_t2, err) = moments(self, rung)
         _, t_dense, scale = tail_of(self.radii[rung])
-        assert abs(tr_t2 - np.trace(t_dense @ t_dense)) <= 1e-13 * scale
+        assert abs(tr_t2 - np.trace(t_dense @ t_dense)) <= err + 1e-13 * scale
+        assert err == pytest.approx(far_off_square_sum(self.last), rel=1e-12)
         far = np.count_nonzero(self.a.entry_radii > self.last)
-        seen.append((far, np.count_nonzero(self.bucket == len(self.radii))))
+        seen.append((far, np.count_nonzero(self.bucket == len(self.radii)), err))
         return first, (tr_t2, err)
 
     def cross_spy(g_dense, radius, rows, cols, vals):
@@ -690,7 +700,9 @@ def test_ladder_far_and_straddling_tails_match_dense(monkeypatch, n, support, ma
     monkeypatch.setattr(_LadderTails, "moments", moments_spy)
     monkeypatch.setattr(l1_algebra, "_tail_cross_term", cross_spy)
     res = poincare_determinant(a, TailModel.exact_finite(), 1e-4, max_radius=max_radius)
-    assert seen and all(far > 0 and straddling > 0 for far, straddling in seen)
+    assert seen and all(far > 0 and straddling > 0 for far, straddling, _ in seen)
+    # half the error enters the log error: at least 0.1 % of the certificate
+    assert 0.5 * seen[-1][2] * abs(res.value) >= 1e-3 * res.certified_error
     assert len(crossed) == len(seen)
     sign, logabs = np.linalg.slogdet(np.eye(full.size) + dense_a)
     assert abs(res.value - sign * np.exp(logabs)) <= res.certified_error
@@ -750,6 +762,33 @@ def test_a_ladder_past_half_a_million_off_diagonal_tail_entries_corrects_to_seco
     assert result.value not in [step.value for step in result.ladder]  # corrected
     assert result.certified_error < 1e-2
     assert abs(result.value - continuant(a)) <= result.certified_error
+
+
+def test_a_first_ladder_stays_under_the_stored_bytes_and_joins_only_the_handed_entries(monkeypatch):
+    # the 800k far off-diagonal entries are reduced in one pass, with no sort
+    # and no join: only the near and straddling entries meet index_keys
+    import tracemalloc
+
+    a = quadratic_tridiagonal(200_000)
+    stored = a.rows.nbytes + a.cols.nbytes + a.vals.nbytes  # 27.5 MiB
+    joined = []
+    keys = l1_algebra.index_keys
+
+    def keys_spy(*coord_arrays):
+        joined.append(max(len(c) for c in coord_arrays))
+        return keys(*coord_arrays)
+
+    monkeypatch.setattr(l1_algebra, "index_keys", keys_spy)
+    tracemalloc.start()
+    try:
+        _, result = invertibility_test(a, TailModel.exact_finite(), 1e-10, max_radius=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.certified_error < 1e-2
+    assert peak < stored
+    handed = len(_LadderTails(a, TailModel.exact_finite(), 64).vals)
+    assert joined and max(joined) <= handed
 
 
 def split_matrix(rng, n, support, complex_values, singular=False):
@@ -934,22 +973,18 @@ def test_repeat_ladders_make_no_pass_over_the_stored_entries(monkeypatch):
 
     monkeypatch.setattr(l1_algebra, "_mass", counted("mass", l1_algebra._mass))
     monkeypatch.setattr(l1_algebra, "_far_totals", counted("far totals", l1_algebra._far_totals))
-    monkeypatch.setattr(
-        _LadderTails, "_gather_far_pairs", counted("far pairs", _LadderTails._gather_far_pairs)
-    )
     for label in ("diagonal, user tail", "diagonal, exact", "banded 1-D"):
         a, tail = STORED_LADDER_CASES[label][0]()
         calls = [(f, tol) for f in (poincare_determinant, invertibility_test, poincare_trace)
                  for tol in (3e-6, 1e-7)]
         counts.clear()
         first = [ladder_outcome(f, a, tail, tol, 128) for f, tol in calls]
-        # only the banded matrix has far entries off the diagonal
+        # one pass over the far entries, whether or not some are off the diagonal
         assert counts["mass"] and counts["far totals"] == 1
-        assert counts.get("far pairs", 0) == (label == "banded 1-D")
         counts.clear()
         assert [ladder_outcome(f, a, tail, tol, 128) for f, tol in calls] == first
         assert counts == {}
-        # the cache holds scalars per rung and the straddling entries, no
+        # the cache holds scalars per rung and the straddlers' positions, no
         # new array as long as the stored entries
         leaves = lambda v: [y for x in v for y in leaves(x)] if isinstance(v, tuple) else [v]
         held = [x for key, v in a._cache.items() if key not in ("radii", "diag") for x in leaves(v)]
@@ -1359,6 +1394,9 @@ class MaskTails:
     outside the rung, so it shares no span, bucket search or near/far split
     with :class:`_LadderTails`.  The stored tail mass is ``||A||_1 - ||F||_1``
     (never negative, 0 when nothing is outside), as the ladder takes it.
+    ``Tr T^2`` leaves out the transpose pairs of the far off-diagonal entries
+    that do not straddle, min(|row|_inf, |col|_inf) > ``radii[-1]``, and
+    carries their ``sum |T_ij|^2`` as its error.
     """
 
     def __init__(self, a, tail, max_radius):
@@ -1381,9 +1419,12 @@ class MaskTails:
     def moments(self, rung):
         a, out = self.a, self.outside(rung)
         d = a.vals[out & self.diag]
-        off = out & ~self.diag
+        sup = lambda c: np.max(np.abs(c), axis=1, initial=0)
+        far = ~self.diag & (np.minimum(sup(a.rows), sup(a.cols)) > self.radii[-1])
+        off = out & ~self.diag & ~far
         tr_t2 = complex(np.dot(d, d)) + _transpose_pair_sum(a.rows[off], a.cols[off], a.vals[off])
-        return (complex(np.sum(d)), self.unstored), (tr_t2, 0.0)
+        far_sq = float(np.sum(np.abs(a.vals[far]) ** 2))
+        return (complex(np.sum(d)), self.unstored), (tr_t2, far_sq)
 
 
 def reference_trace(a, tail, tol, max_radius):
