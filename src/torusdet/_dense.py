@@ -13,13 +13,14 @@ b = w (2R + 1)^(n-1) consecutive positions each, as every Hill section of a
 trigonometric potential is.  With at least 3 slabs of order b >= 16 (see
 :func:`_slab_order`), one forward block-LU sweep (Demmel, Higham &
 Schreiber, Numer. Linear Algebra Appl. 2, 1995) forms the Schur complements
-S_i of the slabs: det m is the product of the det S_i, and the dense
-inverse follows from the same sweep in O(N^2 b) against LAPACK's O(N^3)
-(see :meth:`_Slabs.inverse`).  The sweep stops when an intermediate S_i is
-singular or ill conditioned on the scale of the terms it is formed from
-(see :func:`_slab_sweep`).  A singular last S_i gives det 0 exactly, as a
-singular component does.  Any other one-component section, and one whose
-sweep stopped, goes to LAPACK as it is.
+S_i of the slabs: det m is the product of the det S_i, and the inverse
+follows from the same sweep on a band c slabs wide in O(N b^2 c) against
+LAPACK's O(N^3), 0 off the band up to a bound (see :meth:`_Slabs.inverse`).
+The sweep stops when an intermediate S_i is singular or ill conditioned on
+the scale of the terms it is formed from (see :func:`_slab_sweep`).  A
+singular last S_i gives det 0 exactly, as a singular component does.  Any
+other one-component section, and one whose sweep stopped, goes to LAPACK as
+it is.
 
 Singular values never use slabs, which give none.  A one-component section
 that is centrosymmetric, ``m == m[::-1, ::-1]``, and of odd order
@@ -53,6 +54,9 @@ _SQRT2 = math.sqrt(2.0)
 # whole section (2.3 to 1.2e5), the growth pivoted LU is exposed to as well
 _SLAB_MIN_ORDER = 16
 _SLAB_CONDITION_LIMIT = 1e6
+# the slab inverse leaves a block of G at 0 when its bound, with every
+# block beyond it, is at most this fraction of its diagonal block's mass
+_SLAB_NEGLIGIBLE = 2.0**-70
 
 
 def _component_labels(size, i, j):
@@ -168,6 +172,12 @@ def _slab_sweep(m, order):
     return _Slabs(bounds, schur, inverses, solved)
 
 
+def _max_abs_sums(blocks, axis):
+    """The 1-norm (axis 0) or inf-norm (axis 1) of each block; only the last may differ in shape."""
+    head = np.abs(np.stack(blocks[:-1])).sum(axis=axis + 1).max(axis=1)
+    return head.tolist() + [float(np.abs(blocks[-1]).sum(axis=axis).max())]
+
+
 @dataclass
 class _Slabs:
     """The forward sweep of :func:`_slab_sweep` on a block-tridiagonal m.
@@ -190,25 +200,46 @@ class _Slabs:
         return np.append(dets, np.linalg.det(self.schur[-1])) if ragged else dets
 
     def inverse(self, m):
-        """m^{-1}, block by block from the last slab up.
+        """``(Z, dropped)``: m^{-1} on a band of slabs, 0 off it, and a bound on what is left out.
 
-        Raises LinAlgError if the last S is singular.  With
-        K_{i+1} = L_{i+1} S_i^{-1} and V_i = S_i^{-1} U_i,
-        ``Z_ij = -V_i Z_{i+1,j}`` above the diagonal, ``Z_ji = -Z_{j,i+1}
-        K_{i+1}`` below it and ``Z_ii = S_i^{-1} - Z_{i,i+1} K_{i+1}``
-        (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992): two GEMMs per slab,
-        O(N^2 b) in all for slabs of order b.
+        Raises LinAlgError if the last S is singular.  With K_i = L_{i+1}
+        S_i^{-1} and V_i = S_i^{-1} U_i, ``Z_ij = -V_i Z_{i+1,j}`` above the
+        diagonal, ``Z_ji = -Z_{j,i+1} K_i`` below it and ``Z_ii = S_i^{-1} -
+        Z_{i,i+1} K_i`` (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992), from
+        the last slab up, so ``sum |Z_ij| <= ||V_i||_1 ... ||V_{j-1}||_1 sum
+        |Z_jj|``, and below the diagonal the same with ``||K||_inf``.  Before
+        slab i's two GEMMs, the trailing blocks of its row (column) are left
+        at 0 while their bound, times ``1 + sum_{i' < i} ||V_i'||_1 ...
+        ||V_{i-1}||_1`` (or K's) for the blocks above (left of) them, is at
+        most :data:`_SLAB_NEGLIGIBLE` of their diagonal block's mass; blocks
+        (i, i+1) and (i+1, i) stay, so the band is contiguous.  ``dropped``,
+        twice the summed bounds to cover their rounding, bounds the mass of
+        the blocks left at 0.  O(N b^2 c) for a band c slabs wide.
         """
         b = self.bounds
-        z = np.empty_like(m)
+        ks = [m[hi:top, lo:hi] @ inv for lo, hi, top, inv in zip(b, b[1:], b[2:], self.inverses)]
+        norms = (_max_abs_sums(self.solved, 0), _max_abs_sums(ks, 1))
+        covers = ([1.0], [1.0])  # the factor above, of slab 0, 1, ...
+        for norm, cover in zip(norms, covers):
+            for x in norm[:-1]:
+                cover.append(1.0 + x * cover[-1])
+        z = np.zeros(m.shape, m.dtype)  # pages off the band are never written
         z[b[-2] :, b[-2] :] = np.linalg.inv(self.schur[-1])
-        for i in range(len(self.schur) - 2, -1, -1):
+        # bands[0][d] bounds block (i, i+1+d) and bands[1][d] block (i+1+d, i),
+        # and weights[j] what is dropped, as multiples of the mass of Z_jj
+        bands, weights = ([], []), [0.0] * len(self.schur)
+        for i in range(len(ks) - 1, -1, -1):
             lo, hi, top = b[i], b[i + 1], b[i + 2]
-            np.matmul(-self.solved[i], z[hi:top, hi:], out=z[lo:hi, hi:])
-            k = m[hi:top, lo:hi] @ self.inverses[i]
-            np.matmul(z[lo:, hi:top], -k, out=z[lo:, lo:hi])
+            for band, norm, cover in zip(bands, norms, covers):
+                band[:] = [norm[i] * x for x in [1.0] + band]
+                while len(band) > 1 and band[-1] * cover[i] <= _SLAB_NEGLIGIBLE:
+                    weights[i + len(band)] += band.pop() * cover[i]
+            right, below = b[i + 1 + len(bands[0])], b[i + 1 + len(bands[1])]
+            np.matmul(-self.solved[i], z[hi:top, hi:right], out=z[lo:hi, hi:right])
+            np.matmul(z[lo:below, hi:top], -ks[i], out=z[lo:below, lo:hi])
             z[lo:hi, lo:hi] += self.inverses[i]
-        return z
+        dropped = sum(x * float(np.sum(np.abs(z[lo:hi, lo:hi]))) for x, lo, hi in zip(weights, b, b[1:]) if x)
+        return z, 2.0 * dropped
 
 
 class _Stacks:
@@ -250,9 +281,9 @@ class _Stacks:
         return np.concatenate([np.linalg.det(stack) for stack in self.stacks])
 
     def inverse(self, m=None):
-        """The component inverses (m, as :meth:`_Slabs.inverse` takes it, is not
-        read); LinAlgError if a component is singular."""
-        return _Stacks(self.blocks, np.concatenate([np.linalg.inv(t).ravel() for t in self.stacks]))
+        """``(the component inverses, 0.0)`` (m, as :meth:`_Slabs.inverse` takes
+        it, is not read); LinAlgError if a component is singular."""
+        return _Stacks(self.blocks, np.concatenate([np.linalg.inv(t).ravel() for t in self.stacks])), 0.0
 
     def __getitem__(self, where):
         a, b = where
@@ -346,13 +377,15 @@ def _section_det(m, blocks=None):
 
 
 def _section_inv(m, blocks=None):
-    """m^{-1} by the slab sweep or LAPACK, or the :class:`_Stacks` of its component inverses.
+    """``(G, dropped)``: m^{-1} by the slab sweep or LAPACK, or the :class:`_Stacks` of its component inverses.
 
+    ``dropped`` bounds the mass of the entries the slab sweep leaves at 0
+    off its band (see :meth:`_Slabs.inverse`), 0 on the other paths.
     Raises LinAlgError if m, a component or the last Schur complement is
     singular.  ``blocks`` are m's :func:`_section_blocks`; without them
     (None or []) LAPACK inverts m as it is.
     """
-    return blocks.inverse(m) if blocks else np.linalg.inv(m)
+    return blocks.inverse(m) if blocks else (np.linalg.inv(m), 0.0)
 
 
 def _scatter(size, where, u):

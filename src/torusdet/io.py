@@ -361,10 +361,11 @@ def _key(key, keys):
 def _record_table(records, pad, keys):
     """The items of a list of flat records indented by ``pad``, or None.
 
-    A flat record is a dict with str keys whose values are floats, ints or
-    lists of ints, each of exactly that type (not bool, not a numpy scalar).
-    When every record has the first one's keys, value types and list
-    lengths, and every float is finite, one ``%`` template for that shape
+    A flat record is a dict with str keys whose values are floats, ints,
+    lists of ints or dicts of floats with str keys (a ``{re, im}`` pair),
+    each of exactly that type (not bool, not a numpy scalar).  When every
+    record has the first one's keys, value types, list lengths and inner
+    keys, and every float is finite, one ``%`` template for that shape
     writes them all, byte for byte as the item-by-item path would.  Floats
     must be finite because ``%.17g`` writes nan and inf, not NaN and
     Infinity.  Otherwise the result is None and the caller writes the list
@@ -372,7 +373,7 @@ def _record_table(records, pad, keys):
     """
     first = records[0]
     if type(first) is not dict or not first or not all(
-            type(v) in (float, int, list) for v in first.values()):
+            type(v) in (float, int, list, dict) for v in first.values()):
         return None
     names = tuple(first)
     if set(map(type, records)) != {dict} or set(map(tuple, records)) != {names}:
@@ -396,13 +397,24 @@ def _record_table(records, pad, keys):
             slots.extend(parts)
             form = ("[\n" + ",\n".join([inner + "  %d"] * len(parts)) + "\n" + inner + "]"
                     if parts else "[]")
+        elif kinds == {dict} and len(set(map(tuple, column))) == 1:
+            parts = list(zip(*map(dict.values, column)))  # one tuple per inner key
+            if any(set(map(type, part)) != {float} or not all(map(math.isfinite, part)) for part in parts):
+                return None
+            slots.extend(parts)
+            form = ("{\n" + ",\n".join([inner + "  " + _escaped(k, keys) + ": %.17g" for k in column[0]])
+                    + "\n" + inner + "}" if parts else "{}")
         else:
             return None
-        text = keys.get(name) or _key(name, keys)
-        fields.append(inner + text.replace("%", "%%") + ": " + form)
+        fields.append(inner + _escaped(name, keys) + ": " + form)
     template = pad + "{\n" + ",\n".join(fields) + "\n" + pad + "}"
     rows = zip(*slots) if slots else [()] * len(records)
     return ",\n".join(map(template.__mod__, rows))
+
+
+def _escaped(key, keys):
+    """The encoded form of a str key, its ``%`` doubled for a ``%`` template."""
+    return (keys.get(key) or _key(key, keys)).replace("%", "%%")
 
 
 # exact types dumps_fixed writes, by the kind it writes them as

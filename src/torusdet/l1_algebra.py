@@ -928,14 +928,17 @@ def _corrected_step(tails, rung, section, blocks, det_n, size, stored, unstored)
     dense or as component stacks, and ``log Det(I+X) = Tr X - Tr X^2 / 2``
     up to ``s^3 / (3(1 - s))``, with ``Tr X^2 = Tr T^2 + 2 Tr(G T^2)``: the
     unstored mass u moves it by at most ``(1 + ||G||_1)^2 (2 t u + u^2)``,
-    t the stored mass.
+    t the stored mass.  A slab section's ``G`` is 0 off a band, and
+    ``||G||_1`` carries the bound ``dropped`` on the mass left out there
+    (see :func:`~torusdet._dense._section_inv`); ``Tr(G T^2)`` misses at
+    most ``dropped (t + u)^2`` of it, twice that in ``Tr X^2``'s error.
     """
     t_total = stored + unstored
     # s = (1 + ||G||_1) t_total >= t_total: no inverse can bring s under 0.9
     if det_n == 0 or t_total >= 0.9:
         return None
     try:
-        g = _section_inv(section, blocks)
+        g, dropped = _section_inv(section, blocks)
     except np.linalg.LinAlgError:
         return None
     if isinstance(g, _Stacks):  # G = (I + F)^{-1} - I
@@ -943,7 +946,7 @@ def _corrected_step(tails, rung, section, blocks, det_n, size, stored, unstored)
         g1 = float(np.sum(np.abs(g.values)))
     else:
         g.flat[:: size + 1] -= 1.0
-        g1 = float(np.sum(np.abs(g)))
+        g1 = float(np.sum(np.abs(g))) + dropped
     s = (1.0 + g1) * t_total
     if s >= 0.9:
         return None
@@ -954,7 +957,7 @@ def _corrected_step(tails, rung, section, blocks, det_n, size, stored, unstored)
         g, tails.radii[rung], tails.rows[outside], tails.cols[outside], tails.vals[outside]
     )
     u_eff = unstored * (1.0 + g1)
-    e2 += 2.0 * (1.0 + g1) * stored * u_eff + u_eff * u_eff
+    e2 += 2.0 * (1.0 + g1) * stored * u_eff + u_eff * u_eff + 2.0 * dropped * t_total * t_total
     log_err = e1 + 0.5 * e2 + s**3 / (3.0 * (1.0 - s))
     log_err += 1e-14 * (1.0 + abs(c1) + abs(c2))  # accumulation roundoff slack
     value = det_n * np.exp(c1 - 0.5 * c2)

@@ -339,7 +339,7 @@ def test_dumps_fixed_matches_the_recursive_writer():
     # JSON keys are strings; 1 and None used to be written as bare 1 and null
     non_string_keys = [{1: "int key"}, {2.5: "float key"}, {None: "none key"},
                        {True: "bool key"}, {"a": 1, (1, 2): "tuple key"},
-                       [{"row": [1], 3: 2.0}] * 60]
+                       [{"row": [1], 3: 2.0}] * 60, [{"det": {"re": 1.0, 2: 0.5}}] * 60]
     for bad in (object(), {"k": {1, 2}}, [b"bytes"], {"c": 1j}, *non_string_keys):
         with pytest.raises(TypeError, match="cannot serialize"):
             dumps_fixed(bad)
@@ -352,6 +352,16 @@ def record_rows(count, seed=5):
         {"row": [int(a), int(b)], "col": [int(b), -int(a)], "re": float(x), "im": float(y)}
         for a, b, x, y in zip(rng.integers(-40, 40, count), rng.integers(-40, 40, count),
                               rng.standard_normal(count), rng.standard_normal(count) * 1e-300)
+    ]
+
+
+def scan_rows(count, seed=6):
+    """``count`` records of the hill scan table shape: a nested ``det: {re, im}``."""
+    rng = np.random.default_rng(seed)
+    return [
+        {"lambda": float(lam), "det": {"re": float(x), "im": float(y)}, "certified_error": float(e)}
+        for lam, x, y, e in zip(np.linspace(-50.0, 5.0, count), rng.standard_normal(count),
+                                rng.standard_normal(count) * 1e-300, rng.random(count) * 1e-9)
     ]
 
 
@@ -390,6 +400,22 @@ def broken_at(records, position, **changes):
         [{"s": "text", "r": 1.0} for _ in range(50)],
         [{"d": {"re": 1.0}} for _ in range(50)],
         [collections.OrderedDict(r) for r in record_rows(50)],
+        # one nested level: a flat dict of finite floats with the same keys
+        scan_rows(60),
+        [{"radius": 2 * k, "value": {"re": 1.0 / (k + 1), "im": -0.0}, "bound": 5e-324} for k in range(50)],
+        [{"d": {}, "%x": {"%re": 0.5, "im%": 2.0}} for _ in range(50)],
+        broken_at(scan_rows(60), 37, det={"re": math.nan, "im": 0.0}),
+        broken_at(scan_rows(60), 59, det={"re": 1.0, "im": -math.inf}),
+        broken_at(scan_rows(60), 20, det={"im": 0.0, "re": 1.0}),
+        broken_at(scan_rows(60), 20, det={"re": 1.0}),
+        broken_at(scan_rows(60), 20, det={"re": 1.0, "im": 0.0, "abs": 1.0}),
+        broken_at(scan_rows(60), 44, det={"re": 1, "im": 0.0}),
+        broken_at(scan_rows(60), 44, det={"re": True, "im": 0.0}),
+        broken_at(scan_rows(60), 12, det={"re": np.float64(0.25), "im": 0.0}),
+        broken_at(scan_rows(60), 12, det=collections.OrderedDict(re=0.25, im=0.0)),
+        broken_at(scan_rows(60), 5, det=[1, 2]),
+        [{"d": {"re": {"x": 1.0}}} for _ in range(50)],
+        [{"d": {"v": [1, 2]}} for _ in range(50)],
     ],
 )
 def test_record_tables_match_the_recursive_writer(table):
@@ -403,9 +429,10 @@ def test_a_record_table_is_not_written_record_by_record(monkeypatch):
     calls = []
     general = io._fixed
     monkeypatch.setattr(io, "_fixed", lambda *args: calls.append(args) or general(*args))
-    doc = {"entries": record_rows(2000), "norm_ladder": [{"radius": 1, "l1_norm": 2.0}]}
+    doc = {"entries": record_rows(2000), "norm_ladder": [{"radius": 1, "l1_norm": 2.0}],
+           "table": scan_rows(2000)}
     assert dumps_fixed(doc) == recursive_dumps_fixed(doc)
-    assert len(calls) == 3  # the document and its two lists
+    assert len(calls) == 4  # the document and its three lists
 
 
 CLI_DOCUMENTS = {

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from torusdet import l1_algebra
-from torusdet.hill import HillProblem, _dense_section
+from torusdet.hill import HillProblem, _dense_section, hill_determinant
 from torusdet.lattice import TruncationWindow
 from torusdet.l1_algebra import (
     DimensionMismatchError,
@@ -49,6 +49,8 @@ from torusdet._dense import (
     _section_min_singular,
     _slab_sweep,
 )
+
+from test_hill import EVEN_2D, EVEN_3D, SKEW_2D, SKEW_2D_COMPLEX
 
 
 def random_sparse(rng, n=1, max_entries=30, radius=6, scale=2.0):
@@ -1029,7 +1031,7 @@ def test_section_kernels_match_dense_linalg_on_hidden_blocks(complex_values):
     rng = np.random.default_rng(11)
     m = hidden_block_diagonal(rng, BLOCK_SIZES, complex_values)
     assert rel_err(_section_det(m), np.linalg.det(m)) <= 1e-12
-    assert rel_err(_section_inv(m), np.linalg.inv(m)) <= 1e-12
+    assert rel_err(_section_inv(m)[0], np.linalg.inv(m)) <= 1e-12
 
     _, svals, vh = np.linalg.svd(m)
     smallest, largest, v = _section_min_singular(m)
@@ -1063,7 +1065,7 @@ def test_section_kernels_on_one_component_pass_the_matrix_through():
     rng = np.random.default_rng(13)
     m = np.eye(12) + 0.3 * (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
     assert _section_det(m) == complex(np.linalg.det(m))
-    assert np.array_equal(_section_inv(m), np.linalg.inv(m))
+    assert np.array_equal(_section_inv(m)[0], np.linalg.inv(m))
     _, svals, vh = np.linalg.svd(m)
     smallest, largest, v = _section_min_singular(m)
     assert (smallest, largest) == (svals[-1], svals[0]) and np.array_equal(v, vh[-1])
@@ -1135,7 +1137,7 @@ def test_sections_that_are_not_centrosymmetric_pass_the_matrix_through():
     even_order = np.eye(8) + 0.2 * (half[:8, :8] + half[:8, :8][::-1, ::-1])
     for section in centrosymmetric + [m, m.real.copy(), even_order]:
         assert _section_det(section) == complex(np.linalg.det(section))
-        assert np.array_equal(_section_inv(section), np.linalg.inv(section))
+        assert np.array_equal(_section_inv(section)[0], np.linalg.inv(section))
     for section in (m, m.real.copy(), even_order):
         assert _parity_blocks(section) is None
         _, svals, vh = np.linalg.svd(section)
@@ -1161,7 +1163,7 @@ def slab_banded(rng, size, width, reach, complex_values):
 def assert_matches_linalg(m, blocks):
     det, inv = np.linalg.det(m), np.linalg.inv(m)
     assert abs(_section_det(m, blocks) - det) <= 1e-12 * abs(det)
-    assert rel_err(_section_inv(m, blocks), inv) <= 1e-12
+    assert rel_err(_section_inv(m, blocks)[0], inv) <= 1e-12
 
 
 @pytest.mark.parametrize("complex_values", [False, True])
@@ -1212,7 +1214,7 @@ def test_a_slab_sweep_that_fails_its_guard_takes_the_lapack_path(complex_values)
         blocks = _section_blocks(m, window=w)
         assert blocks == [] and _parity_blocks(m) is None
         assert _section_det(m, blocks) == complex(np.linalg.det(m))
-        assert np.array_equal(_section_inv(m, blocks), np.linalg.inv(m))
+        assert np.array_equal(_section_inv(m, blocks)[0], np.linalg.inv(m))
     # the cancellation leaves S_1 of modest condition; only its scale
     # against A_1 and L_1 S_0^{-1} U_0 gives it away
     cancel = sections[2]
@@ -1235,6 +1237,161 @@ def test_a_singular_last_schur_complement_gives_an_exact_zero(complex_values):
         assert repr(_section_det(m, slabs)) == "0j"
     with pytest.raises(np.linalg.LinAlgError):
         _section_inv(m, slabs)
+
+
+def full_slab_inverse(slabs, m):
+    """m^{-1} by the full slab recursion, every block computed: the reference of the banded one.
+
+    The recursion of :meth:`_Slabs.inverse` with each slab's two GEMMs over
+    all block columns right of the slab and all block rows below it.
+    """
+    b = slabs.bounds
+    z = np.empty_like(m)
+    z[b[-2] :, b[-2] :] = np.linalg.inv(slabs.schur[-1])
+    for i in range(len(slabs.schur) - 2, -1, -1):
+        lo, hi, top = b[i], b[i + 1], b[i + 2]
+        np.matmul(-slabs.solved[i], z[hi:top, hi:], out=z[lo:hi, hi:])
+        k = m[hi:top, lo:hi] @ slabs.inverses[i]
+        np.matmul(z[lo:, hi:top], -k, out=z[lo:, lo:hi])
+        z[lo:hi, lo:hi] += slabs.inverses[i]
+    return z
+
+
+def matmul_madds(monkeypatch):
+    """The multiply-adds of every later np.matmul call, one list item per call."""
+    madds, matmul = [], np.matmul
+
+    def spy(a, b, **kwargs):
+        madds.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return madds
+
+
+# reach 2 in k_1: slabs of two k_1 values, the last of one
+REACH_2_2D = {(0, 0): 2.0, (1, 0): 0.3, (-1, 0): 0.3, (2, 0): 0.2, (-2, 0): 0.2, (0, 1): 0.3, (0, -1): 0.3}
+
+
+@pytest.mark.parametrize(
+    "n, pot, radius, madd_share",
+    [
+        (2, EVEN_2D, 10, 1.0),
+        (2, EVEN_2D, 16, 0.4),
+        (2, SKEW_2D, 10, 1.0),
+        (2, SKEW_2D, 16, 0.4),
+        (2, SKEW_2D_COMPLEX, 10, 1.0),
+        (2, SKEW_2D_COMPLEX, 16, 0.4),
+        (2, REACH_2_2D, 16, 1.0),
+        (3, EVEN_3D, 4, 1.0),
+    ],
+)
+def test_the_banded_slab_inverse_is_the_full_recursion_on_its_band(monkeypatch, n, pot, radius, madd_share):
+    w, m, links, _ = _dense_section(HillProblem(n, n + 1.0, pot), radius)
+    slabs = _section_blocks(m, links, w)
+    assert isinstance(slabs, _Slabs)
+    madds = matmul_madds(monkeypatch)
+    full = full_slab_inverse(slabs, m)
+    full_madds = sum(madds)
+    madds.clear()
+    z, dropped = _section_inv(m, slabs)
+    b = slabs.bounds
+    zeroed = 0.0
+    for r0, r1 in zip(b, b[1:]):
+        for c0, c1 in zip(b, b[1:]):
+            got, want = z[r0:r1, c0:c1], full[r0:r1, c0:c1]
+            if np.any(got):
+                # the same sums by a narrower GEMM, whose rounding BLAS may
+                # pick by the operands' widths
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            else:
+                zeroed += float(np.sum(np.abs(want)))
+    assert 0 < zeroed <= dropped <= 2.0**-60 * float(np.sum(np.abs(full)))
+    assert sum(madds) <= madd_share * full_madds
+
+
+def test_the_dropped_bound_is_sharp_on_slabs_of_one_position():
+    # on a tridiagonal, slabs of order 1 make every norm product the
+    # magnitude of the entries it bounds, so half of dropped is the mass
+    # left at 0; the coupling m[60, 61] = 30 makes the blocks above row 60
+    # of the columns past it the larger part of that mass
+    rng = np.random.default_rng(27)
+    m = np.diag(rng.uniform(1.0, 4.0, 120))
+    m += np.diag(rng.uniform(-0.3, 0.3, 119), 1) + np.diag(rng.uniform(-0.3, 0.3, 119), -1)
+    m[60, 61] = m[61, 60] = 30.0
+    m[61, 61] = 1000.0
+    slabs = _slab_sweep(m, 1)
+    full = full_slab_inverse(slabs, m)
+    z, dropped = _section_inv(m, slabs)
+    zeroed = float(np.sum(np.abs(full[z == 0])))
+    assert np.count_nonzero(z) < 0.3 * z.size and np.array_equal(z[z != 0], full[z != 0])
+    assert abs(dropped / 2 - zeroed) <= 1e-12 * zeroed
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("size, width", [(361, 19), (100, 7)])
+def test_a_slab_inverse_with_order_one_couplings_drops_nothing(complex_values, size, width):
+    m = slab_banded(np.random.default_rng(26), size, width, 1, complex_values)
+    slabs = _slab_sweep(m, width)
+    assert min(np.linalg.norm(v, 1) for v in slabs.solved) > 0.1
+    z, dropped = _section_inv(m, slabs)
+    assert dropped == 0.0 and np.array_equal(z, full_slab_inverse(slabs, m))
+
+
+@pytest.mark.parametrize("pot", [EVEN_2D, SKEW_2D_COMPLEX])
+@pytest.mark.parametrize("radius", [16, 24])
+def test_two_dimensional_ladders_match_the_full_slab_inverse_bit_for_bit(monkeypatch, pot, radius):
+    def ladder():
+        with pytest.raises(NonConvergenceError) as err:
+            hill_determinant(HillProblem(2, 3.0, pot), 1e-300, max_radius=radius, coverage_radius=4 * radius)
+        return repr((err.value.ladder, err.value.last_value, err.value.last_bound))
+
+    banded = ladder()
+    orders = []
+
+    def full(slabs, m):
+        orders.append(m.shape[0])
+        return full_slab_inverse(slabs, m), 0.0
+
+    monkeypatch.setattr(_Slabs, "inverse", full)
+    assert ladder() == banded
+    assert orders[-1] == (2 * radius + 1) ** 2
+
+
+def test_the_corrected_step_charges_what_the_slab_inverse_drops(monkeypatch):
+    # dropped = d joins ||G||_1 and adds 2 d t^2 to the error of Tr X^2, t
+    # the tail mass: a corrected rung keeps its value while its log error
+    # grows by at least d t^2, and d = 1 / t brings s = (1 + ||G||_1) t past
+    # 0.9, where the step is refused
+    section_inv, corrected_step = l1_algebra._section_inv, l1_algebra._corrected_step
+    steps, extra = [], {}
+
+    def step(*args):
+        extra["t"] = args[6] + args[7]
+        steps.append((extra["t"], *args[4:6], corrected_step(*args)))
+        return steps[-1][-1]
+
+    def inverse(m, blocks=None):
+        g, dropped = section_inv(m, blocks)
+        return g, dropped + extra["d"](extra["t"])
+
+    def ladder(d):
+        extra["d"] = d
+        steps.clear()
+        with pytest.raises(NonConvergenceError):
+            hill_determinant(HillProblem(2, 3.0, EVEN_2D), 1e-300, max_radius=16, coverage_radius=64)
+        return list(steps)
+
+    monkeypatch.setattr(l1_algebra, "_corrected_step", step)
+    monkeypatch.setattr(l1_algebra, "_section_inv", inverse)
+    exact, charged = ladder(lambda t: 0.0), ladder(lambda t: 1e-6)
+    assert len(exact) == 2
+    for (t, det_n, size, (v0, b0)), (_, _, _, (v1, b1)) in zip(exact, charged):
+        slack = l1_algebra._det_slack(det_n, size)
+        log_err = [math.log1p((b - slack) / abs(v0)) for b in (b0, b1)]
+        assert v1 == v0 and log_err[1] - log_err[0] >= 1e-6 * t * t
+    assert [result for *_, result in ladder(lambda t: 1.0 / t)] == [None, None]
+
 
 
 def test_sections_are_real_exactly_when_the_values_are():
