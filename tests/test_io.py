@@ -425,6 +425,15 @@ def test_record_tables_match_the_recursive_writer(table):
         assert dumps_fixed(nested, indent) == recursive_dumps_fixed(nested, indent)
 
 
+
+def test_nested_record_tables_match_the_item_by_item_path(monkeypatch):
+    ladder = [{"radius": 8 * k, "value": {"re": 2.0 / k, "im": -1e-300 * k}, "bound": 0.5**k} for k in range(1, 50)]
+    docs = [{"table": scan_rows(80)}, {"ladder": ladder},
+            {"table": broken_at(scan_rows(80), 41, det={"re": math.nan, "im": 0.0})}]
+    templated = [dumps_fixed(doc, 1) for doc in docs]
+    monkeypatch.setattr(io, "_record_table", lambda *args: None)
+    assert templated == [dumps_fixed(doc, 1) for doc in docs]
+
 def test_a_record_table_is_not_written_record_by_record(monkeypatch):
     calls = []
     general = io._fixed
