@@ -11,11 +11,12 @@ the caller passes its window.  A section whose entries move k_1 by at most
 w is block tridiagonal over slabs of w consecutive k_1 values,
 b = w (2R + 1)^(n-1) consecutive positions each, as every Hill section of a
 trigonometric potential is.  With at least 3 slabs of order b >= 16 (see
-:func:`_slab_order`), one forward block-LU sweep (Demmel, Higham &
-Schreiber, Numer. Linear Algebra Appl. 2, 1995) forms the Schur complements
-S_i of the slabs: det m is the product of the det S_i, and the inverse
-follows from the same sweep on a band c slabs wide in O(N b^2 c) against
-LAPACK's O(N^3), 0 off the band up to a bound (see :meth:`_Slabs.inverse`).
+:func:`_slab_order`), it exists only as stacks of its diagonal, super-
+and subdiagonal blocks, filled from its entries (:func:`_slab_blocks`).
+One forward block-LU sweep (Demmel, Higham & Schreiber, Numer. Linear
+Algebra Appl. 2, 1995) forms their Schur complements S_i: det m is the
+product of the det S_i, and the inverse, stored as a band c slabs wide
+and 0 off it up to a bound, takes O(N b^2 c) against LAPACK's O(N^3).
 The sweep stops when an intermediate S_i is singular or ill conditioned on
 the scale of the terms it is formed from (see :func:`_slab_sweep`).  A
 singular last S_i gives det 0 exactly, as a singular component does.  Any
@@ -115,13 +116,22 @@ def _section_blocks(m, links=None, window=None):
     if blocks:
         stacks = [m[idx[:, :, None], idx[:, None, :]].ravel() for idx in blocks]
         return _Stacks(blocks, np.concatenate(stacks))
-    return _slab_blocks(m, i, j, window)
+    off = i != j
+    return _slab_blocks(window, i[off], j[off], m[i[off], j[off]], m.diagonal())
 
 
-def _slab_blocks(m, i, j, window):
-    """The :class:`_Slabs` sweep of a one-component m with links (i, j) on ``window``, or []."""
-    slab = 0 if window is None else _slab_order(i, j, window)
-    return (slab and _slab_sweep(m, slab)) or []
+def _slab_blocks(window, r, c, values, diagonal):
+    """The :class:`_Slabs` sweep of the one-component section on ``window``, or [].
+
+    The section, ``values`` at (r, c) plus ``diagonal``, fills the stacks (A,
+    U, L) of each slab i's blocks in block columns i, i+1 and i-1, never N x N."""
+    order = _slab_order(r, c, window)
+    if not order:
+        return []
+    stacks = np.zeros((3, -(-window.size // order), order, order), values.dtype)
+    stacks[c // order - r // order, r // order, r % order, c % order] = values  # block column i - 1 is L
+    stacks[0].reshape(len(stacks[0]), -1)[:, :: order + 1].flat[: window.size] += diagonal  # A's diagonals
+    return _slab_sweep(*stacks, window.size) or []
 
 
 def _slab_order(i, j, window):
@@ -129,117 +139,137 @@ def _slab_order(i, j, window):
 
     w is the largest first-coordinate distance of the links (i, j).  0 when
     the slabs would be fewer than 3 or of order under 16, where a sweep
-    saves no time over one LAPACK call, and in dimension 1, whose sections
-    keep their LAPACK path bit for bit.
+    saves no time over one LAPACK call, in dimension 1, whose sections keep
+    their LAPACK path bit for bit, and with no window.
     """
-    if window.dimension == 1:
+    if window is None or window.dimension == 1:
         return 0
-    side = 2 * window.radius + 1
-    stride = window.size // side
-    reach = int(np.max(np.abs(i // stride - j // stride), initial=0))
-    slab = reach * stride
-    if slab < _SLAB_MIN_ORDER or -(-window.size // slab) < 3:
-        return 0
-    return slab
+    stride = window.size // (2 * window.radius + 1)
+    slab = stride * int(np.max(np.abs(i // stride - j // stride), initial=0))
+    return 0 if slab < _SLAB_MIN_ORDER or -(-window.size // slab) < 3 else slab
 
 
-def _slab_sweep(m, order):
-    """Forward block-LU sweep of m over slabs of ``order`` positions, or None.
+@np.errstate(over="ignore", invalid="ignore")  # the sweep runs on past a slab that fails its guard
+def _slab_sweep(a, u, l, size):
+    """Forward block-LU sweep of a section of ``size`` positions from its :func:`_slab_blocks` stacks, or None.
 
-    m must be block tridiagonal over the slabs.  None when an intermediate
-    Schur complement S = A - P (P = L S_prev^{-1} U, 0 for the first slab)
-    is exactly singular or ``(||A||_1 + ||P||_1) ||S^{-1}||_1`` exceeds
-    :data:`_SLAB_CONDITION_LIMIT`.  That factor is at least S's condition
-    number ``||S||_1 ||S^{-1}||_1`` and also catches an S that A - P forms
-    by cancellation.
-    """
-    size = m.shape[0]
-    bounds = list(range(0, size, order)) + [size]
-    schur, inverses, solved = [m[: bounds[1], : bounds[1]]], [], []
-    scale = np.linalg.norm(schur[0], 1)
-    for lo, hi, top in zip(bounds, bounds[1:], bounds[2:]):
+    None when an intermediate Schur complement S = A - P (P = L S_prev^{-1} U, 0 for the
+    first slab) is exactly singular or, checked for all slabs in one pass, ``(||A||_1 +
+    ||P||_1) ||S^{-1}||_1`` exceeds :data:`_SLAB_CONDITION_LIMIT`, a bound on S's
+    condition number that also catches an S that A - P forms by cancellation."""
+    bounds = list(range(0, size, a.shape[1])) + [size]
+    inverses, solved = np.empty((2, len(a) - 1) + a.shape[1:], a.dtype)
+    solved[-1] = 0.0  # a ragged last slab's U fills the left columns only
+    schur, fills = [a[0]], []
+    for i, step in enumerate(np.diff(bounds[1:])):
         try:
-            inv = np.linalg.inv(schur[-1])
+            inverses[i] = np.linalg.inv(schur[-1])
         except np.linalg.LinAlgError:
             return None
-        if not scale * np.linalg.norm(inv, 1) <= _SLAB_CONDITION_LIMIT:
-            return None
-        inverses.append(inv)
-        solved.append(inv @ m[lo:hi, hi:top])
-        diag, fill = m[hi:top, hi:top], m[hi:top, lo:hi] @ solved[-1]
-        schur.append(diag - fill)
-        scale = np.linalg.norm(diag, 1) + np.linalg.norm(fill, 1)
-    return _Slabs(bounds, schur, inverses, solved)
+        np.matmul(inverses[i], u[i, :, :step], out=solved[i, :, :step])
+        fills.append(l[i + 1, :step] @ solved[i, :, :step])
+        schur.append(a[i + 1, :step, :step] - fills[-1])
+    scale = _max_abs_sums(a[:-1], 0) + np.append(0.0, _max_abs_sums(fills[:-1], 0))
+    if np.all(scale * _max_abs_sums(inverses, 0) <= _SLAB_CONDITION_LIMIT):
+        return _Slabs(bounds, schur, inverses, solved, l)
 
 
 def _max_abs_sums(blocks, axis):
-    """The 1-norm (axis 0) or inf-norm (axis 1) of each block; only the last may differ in shape."""
-    head = np.abs(np.stack(blocks[:-1])).sum(axis=axis + 1).max(axis=1)
-    return head.tolist() + [float(np.abs(blocks[-1]).sum(axis=axis).max())]
+    """The 1-norm (axis 0) or inf-norm (axis 1) of each matrix of a stack."""
+    return np.abs(blocks).sum(axis=axis + 1).max(axis=1)
 
 
 @dataclass
 class _Slabs:
-    """The forward sweep of :func:`_slab_sweep` on a block-tridiagonal m.
+    """The forward sweep of :func:`_slab_sweep` on a block-tridiagonal section.
 
-    Slab i holds positions ``bounds[i]:bounds[i+1]``; with A_i, L_i and U_i
-    the diagonal, sub- and superdiagonal blocks of m, ``schur`` holds
-    S_0 = A_0 and S_i = A_i - L_i S_{i-1}^{-1} U_{i-1}, ``inverses`` every
-    S_i^{-1} but the last, and ``solved`` every S_i^{-1} U_i.
-    """
+    Slab i holds positions ``bounds[i]:bounds[i+1]``; with A_i, L_i and U_i the diagonal,
+    sub- and superdiagonal blocks, ``schur`` holds S_0 = A_0 and S_i = A_i - L_i S_{i-1}^{-1}
+    U_{i-1}, ``inverses`` stacks every S_i^{-1} but the last, ``solved`` every S_i^{-1} U_i,
+    and ``lower`` the L_i."""
 
     bounds: list
     schur: list
-    inverses: list
-    solved: list
+    inverses: np.ndarray
+    solved: np.ndarray
+    lower: np.ndarray
 
     def dets(self):
-        """det S_i of every slab, one LAPACK call per slab order."""
-        ragged = self.schur[-1].shape != self.schur[0].shape
-        dets = np.linalg.det(np.stack(self.schur[:-1] if ragged else self.schur))
-        return np.append(dets, np.linalg.det(self.schur[-1])) if ragged else dets
+        """det S_i of every slab: one LAPACK call on all but the last, one on the last."""
+        return np.append(np.linalg.det(np.stack(self.schur[:-1])), np.linalg.det(self.schur[-1]))
 
-    def inverse(self, m):
-        """``(Z, dropped)``: m^{-1} on a band of slabs, 0 off it, and a bound on what is left out.
+    def inverse(self):
+        """``(G, dropped)``: the inverse on a band of slabs, a :class:`_Band`, and a bound on the mass off it.
 
         Raises LinAlgError if the last S is singular.  With K_i = L_{i+1}
         S_i^{-1} and V_i = S_i^{-1} U_i, ``Z_ij = -V_i Z_{i+1,j}`` above the
         diagonal, ``Z_ji = -Z_{j,i+1} K_i`` below it and ``Z_ii = S_i^{-1} -
         Z_{i,i+1} K_i`` (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992), from
         the last slab up, so ``sum |Z_ij| <= ||V_i||_1 ... ||V_{j-1}||_1 sum
-        |Z_jj|``, and below the diagonal the same with ``||K||_inf``.  Before
-        slab i's two GEMMs, the trailing blocks of its row (column) are left
-        at 0 while their bound, times ``1 + sum_{i' < i} ||V_i'||_1 ...
-        ||V_{i-1}||_1`` (or K's) for the blocks above (left of) them, is at
-        most :data:`_SLAB_NEGLIGIBLE` of their diagonal block's mass; blocks
-        (i, i+1) and (i+1, i) stay, so the band is contiguous.  ``dropped``,
-        twice the summed bounds to cover their rounding, bounds the mass of
-        the blocks left at 0.  O(N b^2 c) for a band c slabs wide.
-        """
-        b = self.bounds
-        ks = [m[hi:top, lo:hi] @ inv for lo, hi, top, inv in zip(b, b[1:], b[2:], self.inverses)]
-        norms = (_max_abs_sums(self.solved, 0), _max_abs_sums(ks, 1))
+        |Z_jj|``, below the diagonal with ``||K||_inf``.  Slab i's row
+        (column) strip leaves out its trailing blocks while their bound,
+        times ``1 + sum_{i' < i} ||V_i'||_1 ... ||V_{i-1}||_1`` (or K's) for
+        the blocks above (left of) them, is at most :data:`_SLAB_NEGLIGIBLE` of their
+        diagonal block's mass, but keeps (i, i+1) and (i+1, i); ``dropped`` is twice
+        the summed bounds.  O(N b^2 c) for c kept slabs."""
+        b, n, count = self.bounds, self.bounds[1], len(self.schur)
+        neg_v, neg_k = -self.solved, -(self.lower[1:] @ self.inverses)
+        norms = (_max_abs_sums(neg_v, 0).tolist(), _max_abs_sums(neg_k, 1).tolist())
         covers = ([1.0], [1.0])  # the factor above, of slab 0, 1, ...
         for norm, cover in zip(norms, covers):
             for x in norm[:-1]:
                 cover.append(1.0 + x * cover[-1])
-        z = np.zeros(m.shape, m.dtype)  # pages off the band are never written
-        z[b[-2] :, b[-2] :] = np.linalg.inv(self.schur[-1])
-        # bands[0][d] bounds block (i, i+1+d) and bands[1][d] block (i+1+d, i),
-        # and weights[j] what is dropped, as multiples of the mass of Z_jj
-        bands, weights = ([], []), [0.0] * len(self.schur)
-        for i in range(len(ks) - 1, -1, -1):
-            lo, hi, top = b[i], b[i + 1], b[i + 2]
-            for band, norm, cover in zip(bands, norms, covers):
+        # bands[0][d] bounds block (i, i+1+d), bands[1][d] block (i+1+d, i), weights[j] what
+        # is dropped in multiples of Z_jj's mass; slab i's row (column) strip ends at ends[0 (1)][i]
+        bands, weights, ends = ([], []), [0.0] * count, np.full((2, count), b[-1])
+        for i in range(count - 2, -1, -1):
+            for band, norm, cover, end in zip(bands, norms, covers, ends):
                 band[:] = [norm[i] * x for x in [1.0] + band]
                 while len(band) > 1 and band[-1] * cover[i] <= _SLAB_NEGLIGIBLE:
                     weights[i + len(band)] += band.pop() * cover[i]
-            right, below = b[i + 1 + len(bands[0])], b[i + 1 + len(bands[1])]
-            np.matmul(-self.solved[i], z[hi:top, hi:right], out=z[lo:hi, hi:right])
-            np.matmul(z[lo:below, hi:top], -ks[i], out=z[lo:below, lo:hi])
-            z[lo:hi, lo:hi] += self.inverses[i]
-        dropped = sum(x * float(np.sum(np.abs(z[lo:hi, lo:hi]))) for x, lo, hi in zip(weights, b, b[1:]) if x)
-        return z, 2.0 * dropped
+                end[i] = b[i + 1 + len(band)]
+        rows, cols = (g := _Band(b, ends, self.inverses.dtype)).rows, g.cols
+        rows[-1][...] = cols[-1][n:] = np.linalg.inv(self.schur[-1])
+        for i, right, below in reversed(list(zip(range(count - 1), *ends.tolist()))):
+            lo, hi, top, head = b[i], b[i + 1], b[i + 2], n if i else 0
+            np.matmul(neg_v[i, :, : top - hi], rows[i + 1][:, : right - hi], out=rows[i][:, n:])
+            cols[i + 1][:n] = rows[i][:, n : top - lo]
+            np.matmul(cols[i + 1][: below - lo], neg_k[i, : top - hi], out=cols[i][head:])
+            cols[i][head : head + n] += self.inverses[i]
+            rows[i][:, :n] = cols[i][head : head + n]
+            cols[i + 1][: top - lo] = 0.0
+        cols[0][:n] = 0.0
+        dropped = sum(x * float(np.abs(z[:, : len(z)]).sum()) for x, z in zip(weights, rows) if x)
+        return g, 2.0 * dropped
+
+
+class _Band:
+    """A slab section's G on a band of slabs (see :meth:`_Slabs.inverse`), in one flat ``values``.
+
+    Slab s's row strip ``rows[s]`` holds blocks (s, s), (s, s+1), ... up to position
+    ``ends[0, s]``, its column strip ``cols[s]`` (s-1, s), (s, s), (s+1, s), ... up to
+    ``ends[1, s]``, the first two zeroed copies.  ``diagonal`` are G's diagonal offsets;
+    ``G[a, c]`` reads (a, c) in a's row strip or, left of it, c's column strip, and off
+    the band ``values[-1]``, a zeroed copy."""
+
+    def __init__(self, bounds, ends, dtype):
+        lo, sides, heads = np.array(bounds[:-1]), np.diff(bounds), np.array([0] + bounds[:-2])
+        widths = ends[0] - lo
+        starts = np.append(0, np.cumsum(sides * (widths + ends[1] - heads)))
+        self.values, mids = np.empty(starts[-1], dtype), starts[:-1] + sides * widths
+        self.rows = [self.values[s:e].reshape(h, -1) for s, e, h in zip(starts, mids, sides)]
+        self.cols = [self.values[s:e].reshape(-1, h) for s, e, h in zip(mids, starts[1:], sides)]
+        self.bases = np.stack([starts[:-1] - lo * (widths + 1), mids - heads * sides - lo])
+        self.order, self.strides, self.ends = bounds[1], np.stack([widths, sides]), ends
+        every = np.arange(bounds[-1])
+        self.diagonal = self.bases[0, every // self.order] + every * (widths[every // self.order] + 1)
+
+    def __getitem__(self, where):
+        a, c = where
+        k = (c // self.order < a // self.order).astype(np.intp)
+        s = np.where(k, c, a) // self.order
+        inside = np.where(k, a, c) < self.ends[k, s]
+        return self.values[np.where(inside, self.bases[k, s] + a * self.strides[k, s] + c, -1)]
 
 
 class _Stacks:
@@ -280,9 +310,8 @@ class _Stacks:
     def dets(self):
         return np.concatenate([np.linalg.det(stack) for stack in self.stacks])
 
-    def inverse(self, m=None):
-        """``(the component inverses, 0.0)`` (m, as :meth:`_Slabs.inverse` takes
-        it, is not read); LinAlgError if a component is singular."""
+    def inverse(self):
+        """``(the component inverses, 0.0)``; LinAlgError if a component is singular."""
         return _Stacks(self.blocks, np.concatenate([np.linalg.inv(t).ravel() for t in self.stacks])), 0.0
 
     def __getitem__(self, where):
@@ -365,7 +394,7 @@ def _section_det(m, blocks=None):
 
     An exactly singular component or Schur complement gives exactly 0.
     ``blocks`` may pass the :func:`_section_blocks` of m when the caller
-    already has them; m is not read when they are :class:`_Stacks`.
+    already has them; m is not read when there are any.
     """
     blocks = _section_blocks(m) if blocks is None else blocks
     if not blocks:
@@ -377,15 +406,14 @@ def _section_det(m, blocks=None):
 
 
 def _section_inv(m, blocks=None):
-    """``(G, dropped)``: m^{-1} by the slab sweep or LAPACK, or the :class:`_Stacks` of its component inverses.
+    """``(G, dropped)``: m^{-1} as the :class:`_Band` of its slab sweep, or per component or by LAPACK.
 
-    ``dropped`` bounds the mass of the entries the slab sweep leaves at 0
-    off its band (see :meth:`_Slabs.inverse`), 0 on the other paths.
-    Raises LinAlgError if m, a component or the last Schur complement is
-    singular.  ``blocks`` are m's :func:`_section_blocks`; without them
-    (None or []) LAPACK inverts m as it is.
+    The last two are :class:`_Stacks` (LAPACK's of one component); each G has
+    a flat ``values``, its ``diagonal`` offsets and reads ``G[a, b]``.  ``dropped``
+    bounds the mass off the band, else 0.  LinAlgError if m, a component or the
+    last S is singular.  Without m's :func:`_section_blocks` LAPACK inverts m.
     """
-    return blocks.inverse(m) if blocks else (np.linalg.inv(m), 0.0)
+    return blocks.inverse() if blocks else (_Stacks([np.arange(len(m))[None]], np.linalg.inv(m).ravel()), 0.0)
 
 
 def _scatter(size, where, u):

@@ -494,20 +494,16 @@ def _section_matrix(rows, cols, vals, window):
 def _rung_section(rows, cols, vals, window):
     """I + F on the window from F's entries, all inside it, and its blocks.
 
-    Components are labelled from the entries' window positions before
-    anything is filled.  A split F gives no dense section (None) and the
-    :class:`~torusdet._dense._Stacks` of I + F; one component gives the
-    dense I + F, filled as :func:`_section_matrix` fills F, with its slab
-    sweep or [] for LAPACK.
+    Components are labelled from the entries' positions before any fill.
+    A split F gives None and the :class:`~torusdet._dense._Stacks` of I + F,
+    a slab section None and its sweep; any other F, or one whose sweep
+    stopped, gives the dense :func:`_section_matrix` I + F and [].
     """
     r, c = window_positions(rows, window.radius), window_positions(cols, window.radius)
     values = vals if np.any(vals.imag) else vals.real
     blocks = _component_blocks(window.size, r, c)
-    if blocks:
-        return None, _Stacks.identity_plus(blocks, r, c, values)
-    section = np.zeros((window.size, window.size), values.dtype)
-    section[r, c] = values
-    return _add_identity(section), _slab_blocks(section, r, c, window)
+    blocks = _Stacks.identity_plus(blocks, r, c, values) if blocks else _slab_blocks(window, r, c, values, 1.0)
+    return (None, blocks) if blocks else (_add_identity(_section_matrix(rows, cols, vals, window)[0]), [])
 
 
 def _add_identity(dense):
@@ -710,8 +706,8 @@ def _tail_cross_term(g, radius, rows, cols, vals):
     Only T[b, c] with b inside and c outside meets T[c, a] with c outside and
     a inside, so ``Tr(G T^2) = sum G[a, b] T[b, c] T[c, a]`` over those
     pairs, the :func:`~torusdet.lattice.matching_pairs` of their outside
-    indices.  G is read only at those pairs' window positions ``g[a, b]``:
-    a dense array, or component stacks that read 0 across components.
+    indices.  G is read only at those pairs' window positions ``g[a, b]``,
+    which read 0 across components and off a slab section's band.
     """
     row_in = sup_norm_array(rows) <= radius
     col_in = sup_norm_array(cols) <= radius
@@ -925,7 +921,7 @@ def _corrected_step(tails, rung, section, blocks, det_n, size, stored, unstored)
     ``section`` and ``blocks`` are the rung's :func:`_rung_section` on its
     window of ``size`` points; ``stored`` bounds the tail mass the moments
     of ``tails`` sum over and ``unstored`` the rest.  ``G`` is formed here,
-    dense or as component stacks, and ``log Det(I+X) = Tr X - Tr X^2 / 2``
+    with a flat buffer of its values, and ``log Det(I+X) = Tr X - Tr X^2 / 2``
     up to ``s^3 / (3(1 - s))``, with ``Tr X^2 = Tr T^2 + 2 Tr(G T^2)``: the
     unstored mass u moves it by at most ``(1 + ||G||_1)^2 (2 t u + u^2)``,
     t the stored mass.  A slab section's ``G`` is 0 off a band, and
@@ -941,12 +937,8 @@ def _corrected_step(tails, rung, section, blocks, det_n, size, stored, unstored)
         g, dropped = _section_inv(section, blocks)
     except np.linalg.LinAlgError:
         return None
-    if isinstance(g, _Stacks):  # G = (I + F)^{-1} - I
-        g.values[g.diagonal] -= 1.0
-        g1 = float(np.sum(np.abs(g.values)))
-    else:
-        g.flat[:: size + 1] -= 1.0
-        g1 = float(np.sum(np.abs(g))) + dropped
+    g.values[g.diagonal] -= 1.0  # G = (I + F)^{-1} - I
+    g1 = float(np.sum(np.abs(g.values))) + dropped
     s = (1.0 + g1) * t_total
     if s >= 0.9:
         return None

@@ -43,6 +43,12 @@ from torusdet.hill import (
 FOUR_PI_SQ = (2.0 * math.pi) ** 2
 
 
+def dense_of(g, size):
+    """An inverse of :func:`_section_inv` as a size x size array, read through its [a, b] reader."""
+    a, b = np.divmod(np.arange(size * size), size)
+    return g[a, b].reshape(size, size)
+
+
 def diagonal_oracle(g0):
     """Infinite product of (4 pi^2 k^2 + g0) / (4 pi^2 k^2 + 1) over Z.
 
@@ -728,7 +734,7 @@ def test_parity_kernels_match_unsplit_linalg_on_even_hill_sections(n, pot, radiu
     assert _parity_blocks(m) is not None
     assert abs(_section_det(m) - np.linalg.det(m)) <= 1e-12 * abs(np.linalg.det(m))
     inv = np.linalg.inv(m)
-    assert np.linalg.norm(_section_inv(m)[0] - inv) <= 1e-12 * np.linalg.norm(inv)
+    assert np.linalg.norm(dense_of(_section_inv(m)[0], len(m)) - inv) <= 1e-12 * np.linalg.norm(inv)
     svals = np.linalg.svd(m, compute_uv=False)
     smallest, largest, v = _section_min_singular(m, links)
     assert abs(smallest - svals[-1]) <= 1e-12 * svals[-1]
@@ -801,7 +807,7 @@ def test_slab_kernels_match_unsplit_linalg_on_hill_sections(n, pot, radius):
     assert set(np.diff(slabs.bounds).tolist()) == {(2 * radius + 1) ** (n - 1)}
     det, inv = np.linalg.det(m), np.linalg.inv(m)
     assert abs(_section_det(m, slabs) - det) <= 1e-12 * abs(det)
-    assert np.linalg.norm(_section_inv(m, slabs)[0] - inv) <= 1e-12 * np.linalg.norm(inv)
+    assert np.linalg.norm(dense_of(_section_inv(m, slabs)[0], len(m)) - inv) <= 1e-12 * np.linalg.norm(inv)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -842,9 +848,54 @@ def test_a_ladder_rung_sweeps_its_slabs_once(monkeypatch):
         hill_determinant(HillProblem(2, 3.0, SKEW_2D), 1e-300, max_radius=16, coverage_radius=64)
     radii = [step.radius for step in err.value.ladder]
     assert radii == [8, 16] and len(sweeps) == len(inverses) == 2
-    assert [args[1] for args in sweeps] == [2 * r + 1 for r in radii]
+    assert [args[0].shape[1] for args in sweeps] == [2 * r + 1 for r in radii]
     assert max(args[0].shape[0] for args in shapes) == 33
 
+
+def test_a_warm_existence_test_at_radius_32_holds_no_section_sized_array():
+    # at N = 4225 one N x N array takes 143 MB: the section, G and |G| took
+    # 415 MB when the slab rung held them dense
+    p = HillProblem(2, 3.0, EVEN_2D)
+    existence_test(p, tol=1e-8, max_radius=32)
+    tracemalloc.start()
+    try:
+        result = existence_test(p, tol=1e-8, max_radius=32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.decision == "only-trivial" and peak < 100e6
+
+
+def test_a_slab_rung_allocates_no_array_of_its_section_size(monkeypatch):
+    # every np.zeros and np.empty call of a rung (its fill, sweep, inverse
+    # and corrected step) stays below N^2 entries on all three slab rungs
+    p = HillProblem(2, 3.0, EVEN_2D)
+    existence_test(p, tol=1e-8, max_radius=32)
+    sizes, rungs = [], []
+
+    def spy(allocate):
+        def counted(shape, *args, **kwargs):
+            if sizes:
+                sizes[-1].append(int(np.prod(shape)))
+            return allocate(shape, *args, **kwargs)
+
+        return counted
+
+    rung_section = l1_algebra._rung_section
+
+    def rung(rows, cols, vals, window):
+        sizes.append([])
+        rungs.append(window.size)
+        section, blocks = rung_section(rows, cols, vals, window)
+        assert section is None and isinstance(blocks, _Slabs)
+        return section, blocks
+
+    monkeypatch.setattr(l1_algebra, "_rung_section", rung)
+    monkeypatch.setattr(np, "zeros", spy(np.zeros))
+    monkeypatch.setattr(np, "empty", spy(np.empty))
+    existence_test(p, tol=1e-8, max_radius=32)
+    assert rungs == [289, 1089, 4225]
+    assert all(max(found) < size**2 for found, size in zip(sizes, rungs))
 
 def test_extract_null_solution_degenerate_constant_in_two_dimensions():
     # Q = -(2 pi)^3 annihilates the four modes |k| = 1, each its own

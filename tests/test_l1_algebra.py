@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from torusdet import l1_algebra
-from torusdet.hill import HillProblem, _dense_section, hill_determinant
+from torusdet import _dense, l1_algebra
+from torusdet.hill import HillProblem, _dense_section, build_hill_matrix, hill_determinant
 from torusdet.lattice import TruncationWindow
 from torusdet.l1_algebra import (
     DimensionMismatchError,
@@ -50,7 +50,7 @@ from torusdet._dense import (
     _slab_sweep,
 )
 
-from test_hill import EVEN_2D, EVEN_3D, SKEW_2D, SKEW_2D_COMPLEX
+from test_hill import EVEN_2D, EVEN_2D_COMPLEX, EVEN_3D, EVEN_3D_COMPLEX, SKEW_2D, SKEW_2D_COMPLEX, dense_of
 
 
 def random_sparse(rng, n=1, max_entries=30, radius=6, scale=2.0):
@@ -689,9 +689,10 @@ def test_ladder_far_and_straddling_tails_match_dense(monkeypatch, n, support, ma
         seen.append((far, np.count_nonzero(self.bucket == len(self.radii)), err))
         return first, (tr_t2, err)
 
-    def cross_spy(g_dense, radius, rows, cols, vals):
-        cross = cross_term(g_dense, radius, rows, cols, vals)
+    def cross_spy(g, radius, rows, cols, vals):
+        cross = cross_term(g, radius, rows, cols, vals)
         inner, t_dense, scale = tail_of(radius)
+        g_dense = dense_of(g, len(inner))
         g_big = np.zeros_like(dense_a)
         g_big[np.ix_(inner, inner)] = g_dense
         want = np.trace(g_big @ t_dense @ t_dense)
@@ -1031,7 +1032,7 @@ def test_section_kernels_match_dense_linalg_on_hidden_blocks(complex_values):
     rng = np.random.default_rng(11)
     m = hidden_block_diagonal(rng, BLOCK_SIZES, complex_values)
     assert rel_err(_section_det(m), np.linalg.det(m)) <= 1e-12
-    assert rel_err(_section_inv(m)[0], np.linalg.inv(m)) <= 1e-12
+    assert rel_err(dense_of(_section_inv(m)[0], len(m)), np.linalg.inv(m)) <= 1e-12
 
     _, svals, vh = np.linalg.svd(m)
     smallest, largest, v = _section_min_singular(m)
@@ -1065,7 +1066,7 @@ def test_section_kernels_on_one_component_pass_the_matrix_through():
     rng = np.random.default_rng(13)
     m = np.eye(12) + 0.3 * (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
     assert _section_det(m) == complex(np.linalg.det(m))
-    assert np.array_equal(_section_inv(m)[0], np.linalg.inv(m))
+    assert np.array_equal(dense_of(_section_inv(m)[0], len(m)), np.linalg.inv(m))
     _, svals, vh = np.linalg.svd(m)
     smallest, largest, v = _section_min_singular(m)
     assert (smallest, largest) == (svals[-1], svals[0]) and np.array_equal(v, vh[-1])
@@ -1137,7 +1138,7 @@ def test_sections_that_are_not_centrosymmetric_pass_the_matrix_through():
     even_order = np.eye(8) + 0.2 * (half[:8, :8] + half[:8, :8][::-1, ::-1])
     for section in centrosymmetric + [m, m.real.copy(), even_order]:
         assert _section_det(section) == complex(np.linalg.det(section))
-        assert np.array_equal(_section_inv(section)[0], np.linalg.inv(section))
+        assert np.array_equal(dense_of(_section_inv(section)[0], len(section)), np.linalg.inv(section))
     for section in (m, m.real.copy(), even_order):
         assert _parity_blocks(section) is None
         _, svals, vh = np.linalg.svd(section)
@@ -1160,10 +1161,25 @@ def slab_banded(rng, size, width, reach, complex_values):
     return np.eye(size) + np.where(near, 0.2 / math.sqrt((2 * reach + 1) * width), 0.0) * f
 
 
+def slab_slices(m, order):
+    """The stacks (A, U, L) of m's blocks in block columns i, i+1 and i-1 of each slab i, sliced from m."""
+    b = list(range(0, len(m), order)) + [len(m)]
+    stacks = np.zeros((3, len(b) - 1, order, order), m.dtype)
+    for i, (lo, hi) in enumerate(zip(b, b[1:])):
+        for k, (c0, c1) in enumerate([(lo, hi), (hi, b[min(i + 2, len(b) - 1)]), (b[max(i - 1, 0)], lo)]):
+            stacks[k, i, : hi - lo, : c1 - c0] = m[lo:hi, c0:c1]
+    return stacks
+
+
+def sweep(m, order):
+    """The :func:`_slab_sweep` of a dense section m over slabs of ``order`` positions."""
+    return _slab_sweep(*slab_slices(m, order), len(m))
+
+
 def assert_matches_linalg(m, blocks):
     det, inv = np.linalg.det(m), np.linalg.inv(m)
     assert abs(_section_det(m, blocks) - det) <= 1e-12 * abs(det)
-    assert rel_err(_section_inv(m, blocks)[0], inv) <= 1e-12
+    assert rel_err(dense_of(_section_inv(m, blocks)[0], len(m)), inv) <= 1e-12
 
 
 @pytest.mark.parametrize("complex_values", [False, True])
@@ -1183,7 +1199,7 @@ def test_slab_kernels_match_unsplit_linalg_on_window_sections(complex_values, re
 @pytest.mark.parametrize("complex_values", [False, True])
 def test_slab_kernels_on_a_ragged_last_slab(complex_values):
     m = slab_banded(np.random.default_rng(23), 100, 7, 1, complex_values)
-    slabs = _slab_sweep(m, 7)
+    slabs = sweep(m, 7)
     assert np.diff(slabs.bounds).tolist() == [7] * 14 + [2]
     assert_matches_linalg(m, slabs)
 
@@ -1210,11 +1226,11 @@ def fallback_sections(rng, complex_values):
 def test_a_slab_sweep_that_fails_its_guard_takes_the_lapack_path(complex_values):
     w, sections = fallback_sections(np.random.default_rng(24), complex_values)
     for m in sections:
-        assert _slab_sweep(m, 19) is None
+        assert sweep(m, 19) is None
         blocks = _section_blocks(m, window=w)
         assert blocks == [] and _parity_blocks(m) is None
         assert _section_det(m, blocks) == complex(np.linalg.det(m))
-        assert np.array_equal(_section_inv(m, blocks)[0], np.linalg.inv(m))
+        assert np.array_equal(dense_of(_section_inv(m, blocks)[0], len(m)), np.linalg.inv(m))
     # the cancellation leaves S_1 of modest condition; only its scale
     # against A_1 and L_1 S_0^{-1} U_0 gives it away
     cancel = sections[2]
@@ -1239,19 +1255,20 @@ def test_a_singular_last_schur_complement_gives_an_exact_zero(complex_values):
         _section_inv(m, slabs)
 
 
-def full_slab_inverse(slabs, m):
-    """m^{-1} by the full slab recursion, every block computed: the reference of the banded one.
+def full_slab_inverse(slabs):
+    """The section's inverse by the full slab recursion, every block computed: the reference of the banded one.
 
     The recursion of :meth:`_Slabs.inverse` with each slab's two GEMMs over
-    all block columns right of the slab and all block rows below it.
+    all block columns right of the slab and all block rows below it, into
+    one N x N array.
     """
     b = slabs.bounds
-    z = np.empty_like(m)
+    z = np.empty((b[-1], b[-1]), slabs.inverses.dtype)
     z[b[-2] :, b[-2] :] = np.linalg.inv(slabs.schur[-1])
     for i in range(len(slabs.schur) - 2, -1, -1):
         lo, hi, top = b[i], b[i + 1], b[i + 2]
-        np.matmul(-slabs.solved[i], z[hi:top, hi:], out=z[lo:hi, hi:])
-        k = m[hi:top, lo:hi] @ slabs.inverses[i]
+        np.matmul(-slabs.solved[i][:, : top - hi], z[hi:top, hi:], out=z[lo:hi, hi:])
+        k = slabs.lower[i + 1][: top - hi] @ slabs.inverses[i]
         np.matmul(z[lo:, hi:top], -k, out=z[lo:, lo:hi])
         z[lo:hi, lo:hi] += slabs.inverses[i]
     return z
@@ -1291,10 +1308,11 @@ def test_the_banded_slab_inverse_is_the_full_recursion_on_its_band(monkeypatch, 
     slabs = _section_blocks(m, links, w)
     assert isinstance(slabs, _Slabs)
     madds = matmul_madds(monkeypatch)
-    full = full_slab_inverse(slabs, m)
+    full = full_slab_inverse(slabs)
     full_madds = sum(madds)
     madds.clear()
-    z, dropped = _section_inv(m, slabs)
+    g, dropped = _section_inv(None, slabs)
+    z = dense_of(g, len(m))
     b = slabs.bounds
     zeroed = 0.0
     for r0, r1 in zip(b, b[1:]):
@@ -1320,9 +1338,10 @@ def test_the_dropped_bound_is_sharp_on_slabs_of_one_position():
     m += np.diag(rng.uniform(-0.3, 0.3, 119), 1) + np.diag(rng.uniform(-0.3, 0.3, 119), -1)
     m[60, 61] = m[61, 60] = 30.0
     m[61, 61] = 1000.0
-    slabs = _slab_sweep(m, 1)
-    full = full_slab_inverse(slabs, m)
-    z, dropped = _section_inv(m, slabs)
+    slabs = sweep(m, 1)
+    full = full_slab_inverse(slabs)
+    g, dropped = _section_inv(None, slabs)
+    z = dense_of(g, len(m))
     zeroed = float(np.sum(np.abs(full[z == 0])))
     assert np.count_nonzero(z) < 0.3 * z.size and np.array_equal(z[z != 0], full[z != 0])
     assert abs(dropped / 2 - zeroed) <= 1e-12 * zeroed
@@ -1332,10 +1351,10 @@ def test_the_dropped_bound_is_sharp_on_slabs_of_one_position():
 @pytest.mark.parametrize("size, width", [(361, 19), (100, 7)])
 def test_a_slab_inverse_with_order_one_couplings_drops_nothing(complex_values, size, width):
     m = slab_banded(np.random.default_rng(26), size, width, 1, complex_values)
-    slabs = _slab_sweep(m, width)
+    slabs = sweep(m, width)
     assert min(np.linalg.norm(v, 1) for v in slabs.solved) > 0.1
-    z, dropped = _section_inv(m, slabs)
-    assert dropped == 0.0 and np.array_equal(z, full_slab_inverse(slabs, m))
+    g, dropped = _section_inv(None, slabs)
+    assert dropped == 0.0 and np.array_equal(dense_of(g, size), full_slab_inverse(slabs))
 
 
 @pytest.mark.parametrize("pot", [EVEN_2D, SKEW_2D_COMPLEX])
@@ -1349,9 +1368,10 @@ def test_two_dimensional_ladders_match_the_full_slab_inverse_bit_for_bit(monkeyp
     banded = ladder()
     orders = []
 
-    def full(slabs, m):
-        orders.append(m.shape[0])
-        return full_slab_inverse(slabs, m), 0.0
+    def full(slabs):
+        z = full_slab_inverse(slabs)
+        orders.append(len(z))
+        return _Stacks([np.arange(len(z))[None]], z.ravel()), 0.0
 
     monkeypatch.setattr(_Slabs, "inverse", full)
     assert ladder() == banded
@@ -1393,6 +1413,138 @@ def test_the_corrected_step_charges_what_the_slab_inverse_drops(monkeypatch):
     assert [result for *_, result in ladder(lambda t: 1.0 / t)] == [None, None]
 
 
+
+SLAB_SECTIONS = [
+    (2, EVEN_2D, 10),
+    (2, EVEN_2D_COMPLEX, 8),
+    (2, SKEW_2D, 10),
+    (2, SKEW_2D_COMPLEX, 16),
+    (2, REACH_2_2D, 16),
+    (3, EVEN_3D, 3),
+    (3, EVEN_3D_COMPLEX, 4),
+]
+
+
+def hill_entries(n, pot, radius):
+    """The problem, window, dense I + B, its links and B as a stored matrix on the window."""
+    p = HillProblem(n, n + 1.0, pot)
+    w, m, links, weights = _dense_section(p, radius)
+    return p, w, m, links, build_hill_matrix(p, w, weights)[0]
+
+
+@pytest.mark.parametrize("n, pot, radius", SLAB_SECTIONS)
+def test_slab_stacks_filled_from_the_entries_are_the_dense_slices(monkeypatch, n, pot, radius):
+    # the rung fills A, U and L straight from B's entries, a ragged last
+    # slab (REACH_2_2D: 16 slabs of two k_1 values and one of one) in the top
+    # left, and sweeps them as the dense section's own slices are swept
+    _, w, m, links, b = hill_entries(n, pot, radius)
+    sweeps, sweep = [], _dense._slab_sweep
+    monkeypatch.setattr(_dense, "_slab_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    section, slabs = l1_algebra._rung_section(b.rows, b.cols, b.vals, w)
+    assert section is None and isinstance(slabs, _Slabs)
+    (a, u, l, size), dense_slabs = sweeps[0], _section_blocks(m, links, w)
+    assert size == w.size and a.dtype == m.dtype
+    assert np.array_equal(np.stack([a, u, l]), slab_slices(m, slabs.bounds[1]))
+    assert all(np.array_equal(x, y) for x, y in zip(slabs.schur, dense_slabs.schur))
+    assert (w.size % slabs.bounds[1] != 0) == (pot is REACH_2_2D)
+
+
+@pytest.mark.parametrize("n, pot, radius", SLAB_SECTIONS)
+def test_a_truncated_slab_section_and_its_ladder_rung_give_one_determinant(n, pot, radius):
+    # finite_determinant slices its dense section into the stacks the rung
+    # fills from its entries, so the two paths run one sweep
+    _, w, _, _, b = hill_entries(n, pot, radius)
+    result, _ = _determinant_ladder(_LadderTails(b, TailModel.exact_finite(), radius), 1e-300)
+    f, _ = truncate(b, TailModel.exact_finite(), w)
+    assert isinstance(_section_blocks(np.eye(w.size) + f.matrix, window=w), _Slabs)
+    assert result.ladder[-1].radius == radius and result.ladder[-1].value == finite_determinant(f)
+
+
+@pytest.mark.parametrize("n, pot, radius", SLAB_SECTIONS)
+def test_the_band_norm_is_the_dense_norm_of_the_band(n, pot, radius):
+    # each entry of the band is held once in values: the scratch copies of
+    # the column strips are zeros
+    _, w, m, links, _ = hill_entries(n, pot, radius)
+    g, _ = _section_inv(None, _section_blocks(m, links, w))
+    g.values[g.diagonal] -= 1.0
+    band = float(np.sum(np.abs(g.values)))
+    assert abs(band - np.sum(np.abs(dense_of(g, w.size)))) <= 1e-15 * band
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_fallback_sections_built_from_entries_take_the_lapack_path(complex_values):
+    # as ladder rungs, the three sections whose sweep stops are filled dense
+    # from their entries and give LAPACK's det and inverse bit for bit
+    w, sections = fallback_sections(np.random.default_rng(24), complex_values)
+    pts = w.coords_array()
+    for m in sections:
+        r, c = np.nonzero(m - np.eye(w.size))
+        f = (m - np.eye(w.size))[r, c].astype(np.complex128)
+        reference = np.eye(w.size) + (m - np.eye(w.size))
+        assert sweep(reference, 19) is None
+        section, blocks = l1_algebra._rung_section(pts[r], pts[c], f, w)
+        assert blocks == [] and np.array_equal(section, reference)
+        assert _section_det(section, blocks) == complex(np.linalg.det(reference))
+        g, dropped = _section_inv(section, blocks)
+        assert dropped == 0.0 and np.array_equal(dense_of(g, w.size), np.linalg.inv(reference))
+
+
+class DenseG:
+    """G as one dense array, read as the corrected step read LAPACK's G before it had one G type."""
+
+    def __init__(self, g):
+        self.values, self.diagonal = g, (np.arange(len(g)),) * 2
+
+    def __getitem__(self, where):
+        return self.values[where]
+
+
+def stopped_sweep_matrix():
+    """The cancelling fallback section on the radius-9 window as a stored I + F - I, plus a tail.
+
+    The tail couples 8 window points with points at radius 10, so the
+    radius-9 rung of its ladder is corrected with a cross term; it is small
+    enough for ``(1 + ||G||_1) t`` to stay under 0.9 with ``||G||_1`` = 1.2e6.
+    """
+    w, sections = fallback_sections(np.random.default_rng(24), False)
+    pts, f = w.coords_array(), sections[2] - np.eye(w.size)
+    r, c = np.nonzero(f)
+    rows, cols, vals = list(pts[r]), list(pts[c]), list(f[r, c])
+    for k in range(8):
+        inside, outside = pts[40 * k + 1], np.array([10, 2 * k - 8])
+        rows += [inside, outside, outside]
+        cols += [outside, inside, outside]
+        vals += [1e-9, 2e-9, 1e-9]
+    return SparseL1Matrix.from_arrays(2, np.array(rows), np.array(cols), np.array(vals))
+
+
+@pytest.mark.parametrize("case", ["1-D Hill", "2-D stopped sweep"])
+def test_a_lapack_rung_corrects_as_the_dense_branch_did(monkeypatch, case):
+    # G of a rung that LAPACK inverts is a one-component _Stacks now; its
+    # flat sum, diagonal and reader give the value and certificate of the
+    # dense array the corrected step read before, bit for bit
+    def ladder():
+        if case == "1-D Hill":
+            p = HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.4 + 0.2j})
+            with pytest.raises(NonConvergenceError) as err:
+                hill_determinant(p, 1e-300, max_radius=64)
+            return repr((err.value.ladder, err.value.last_value, err.value.last_bound))
+        result, _ = _determinant_ladder(_LadderTails(stopped_sweep_matrix(), TailModel.exact_finite(), 9), 1e-300)
+        assert result.value != result.ladder[-1].value  # the radius-9 rung is corrected
+        return repr((result.ladder, result.value, result.certified_error))
+
+    section_inv, lapack = l1_algebra._section_inv, []
+
+    def dense(section, blocks):
+        if blocks:
+            return section_inv(section, blocks)
+        lapack.append(len(section))
+        return DenseG(np.linalg.inv(section)), 0.0
+
+    one_path = ladder()
+    monkeypatch.setattr(l1_algebra, "_section_inv", dense)
+    assert ladder() == one_path
+    assert lapack and (case == "1-D Hill" or lapack[-1] == 361)
 
 def test_sections_are_real_exactly_when_the_values_are():
     w = TruncationWindow(2, 1)
