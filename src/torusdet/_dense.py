@@ -278,11 +278,16 @@ class _Stacks:
     ``stacks[k][q]`` is the section on the positions ``blocks[k][q]`` of its
     :func:`_component_blocks`.  The stacks are views of one buffer,
     ``values``, so the section is never held N x N; ``G[a, b]`` reads the
-    entries at the positions (a, b), 0 across components.
-    """
+    entries at the positions (a, b), 0 across components.  One component
+    holds every position in order (LAPACK's inverse of a whole section),
+    its (a, b) at ``values[a N + b]``: it builds no position tables."""
 
     def __init__(self, blocks, values):
-        self.blocks, self.values, self.stacks = blocks, values, []
+        self.blocks, self.values, self.stacks, self.start = blocks, values, [], None
+        if len(blocks) == 1 and len(blocks[0]) == 1:
+            n = blocks[0].shape[1]
+            self.stacks, self.diagonal = [values.reshape(1, n, n)], np.arange(0, n * n, n + 1)
+            return
         # each position's component (as its offset in values), place in it and size
         self.start, self.place, self.side = np.empty((3, sum(idx.size for idx in blocks)), np.intp)
         end = 0
@@ -316,6 +321,8 @@ class _Stacks:
 
     def __getitem__(self, where):
         a, b = where
+        if self.start is None:
+            return self.values[a * len(self.diagonal) + b]
         out = np.zeros(len(a), self.values.dtype)
         within = self.start[a] == self.start[b]
         out[within] = self.values[self._at(a[within], b[within])]

@@ -131,24 +131,11 @@ def _cmd_symbol2matrix(args):
     symbol = docio.parse_input(args.file, "symbol")
     window = TruncationWindow(args.radius, symbol.dimension)
     matrix, _ = symbol_to_matrix(symbol, window)
-    entries = [
-        {"row": row, "col": col, "re": re, "im": im}
-        for row, col, re, im in zip(
-            matrix.rows.tolist(),
-            matrix.cols.tolist(),
-            matrix.vals.real.tolist(),
-            matrix.vals.imag.tolist(),
-        )
-    ]
-    radius, norms = 1, []
-    radii = []
-    while radius <= args.radius:
-        radii.append(radius)
-        radius *= 2
-    if not radii or radii[-1] != args.radius:
-        radii.append(args.radius)
-    for r in radii:
-        norms.append({"radius": r, "l1_norm": _mass(matrix.vals[matrix.entry_radii <= r])})
+    entries = docio.Table({"row": matrix.rows, "col": matrix.cols,
+                           "re": matrix.vals.real, "im": matrix.vals.imag})
+    # the l1 norm inside each power-of-two radius and the radius itself
+    radii = sorted({1 << k for k in range(args.radius.bit_length())} | {args.radius})
+    norms = [{"radius": r, "l1_norm": _mass(matrix.vals[matrix.entry_radii <= r])} for r in radii]
     return EXIT_OK, {
         "command": "symbol2matrix",
         "dimension": matrix.dimension,
@@ -243,37 +230,20 @@ def _cmd_hill_scan(args):
         scan_params["lambda_min"], scan_params["lambda_max"], scan_params["steps"]
     )
     scan = spectral_shift_scan(
-        problem, [float(x) for x in lambdas], args.tol,
+        problem, lambdas.tolist(), args.tol,
         radius=min(args.max_radius, 32),
     )
+    table = docio.Table({"lambda": scan.lambdas, "det": np.asarray(scan.values, np.complex128),
+                         "certified_error": scan.certified})
     if args.format == "csv":
-        lines = ["lambda,det_re,det_im,certified_error"]
-        for lam, val, cert in zip(scan.lambdas, scan.values, scan.certified):
-            lines.append(
-                ",".join(
-                    docio.format_float(x)
-                    for x in (lam, complex(val).real, complex(val).imag, cert)
-                )
-            )
-        return EXIT_OK, "\n".join(lines) + "\n"
+        return EXIT_OK, docio.dumps_csv(table)
     return EXIT_OK, {
         "command": "hill scan",
-        "roots": [
-            {"lambda": lam, "abs_det": mag, "multiplicity": count}
-            for (lam, mag), count in zip(scan.roots, scan.multiplicities)
-        ],
+        "roots": [{"lambda": lam, "abs_det": mag, "multiplicity": count}
+                  for (lam, mag), count in zip(scan.roots, scan.multiplicities)],
         "brackets": [{"lo": lo, "hi": hi} for lo, hi in scan.brackets],
-        "failures": [
-            {"lo": f.lo, "hi": f.hi, "reason": f.reason} for f in scan.failures
-        ],
-        "table": [
-            {
-                "lambda": lam,
-                "det": docio.complex_doc(val),
-                "certified_error": cert,
-            }
-            for lam, val, cert in zip(scan.lambdas, scan.values, scan.certified)
-        ],
+        "failures": [{"lo": f.lo, "hi": f.hi, "reason": f.reason} for f in scan.failures],
+        "table": table,
     }
 
 

@@ -301,14 +301,11 @@ def parse_input(path, expected_kind):
 
 def format_float(x):
     """Fixed 17-significant-digit decimal form (json-style Infinity/NaN)."""
-    x = float(x)
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return format(x, ".17g")
+    text = format(float(x), ".17g")
+    return _NON_FINITE.get(text, text)
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def dumps_fixed(doc, indent=0):
@@ -316,11 +313,67 @@ def dumps_fixed(doc, indent=0):
 
     Each container is joined from its items' strings as soon as they are
     written, so only one container's parts per level are alive at a time;
-    each distinct key is encoded once per call.  A list of same-shape flat
-    records is written by one template (:func:`_record_table`).  Keys must
-    be strings: JSON has no other kind.
+    each distinct key is encoded once per call.  A :class:`Table`, and a
+    list of same-shape flat records (:func:`_record_table`), is written by
+    one ``%`` template.  Keys must be strings: JSON has no other kind.
     """
     return _fixed(doc, "  " * indent, {})
+
+
+def dumps_csv(table):
+    """CSV of a :class:`Table`: a header line, then one line per record by one ``%`` template.
+
+    A scalar column is headed by its name, the parts of a complex or list
+    column by ``name_re``, ``name_im`` or ``name_0``, ``name_1``, ...; the
+    cells are those of :func:`dumps_fixed`.
+    """
+    parts = [(f"{name}_{label}" if brackets else name, form, values)
+             for name, brackets, column in table.columns for label, form, values in column]
+    template = ",".join([form for _, form, _ in parts]) + "\n"
+    rows = zip(*[values for _, _, values in parts]) if parts else [()] * table.count
+    return ",".join([head for head, _, _ in parts]) + "\n" + "".join(map(template.__mod__, rows))
+
+
+class Table:
+    """A list of records given as columns (a mapping of names to arrays or lists of one length).
+
+    A column's kind decides its slot in the one ``%`` template of a record
+    (:func:`_rows`): float ``%.17g``, complex the ``{"re", "im"}`` record of
+    :func:`complex_doc`, 1-D int ``%d`` and (N, n) int a list of n ``%d``.
+    A float part holding NaN or an infinity, checked once per part, is
+    written as its :func:`format_float` strings, so :func:`dumps_fixed` and
+    :func:`dumps_csv` write the bytes of the equivalent list of dicts.
+    """
+
+    def __init__(self, columns):
+        self.columns, counts = [], set()
+        for name, column in columns.items():
+            values = np.asarray(column)
+            kind = values.dtype.kind + str(values.ndim)
+            if kind == "f1":
+                self.columns.append((name, "", [_float_array(None, values)]))
+            elif kind == "c1":
+                self.columns.append((name, "{}", [_float_array("re", values.real), _float_array("im", values.imag)]))
+            elif kind == "i1":
+                self.columns.append((name, "", [(None, "%d", values.tolist())]))
+            elif kind == "i2":
+                self.columns.append((name, "[]", [(i, "%d", part) for i, part in enumerate(values.T.tolist())]))
+            else:
+                raise TypeError(f"cannot serialize a column of {values.dtype} with shape {values.shape}")
+            counts.add(len(values))
+        if len(counts) > 1:
+            raise ValueError(f"columns of unequal lengths {sorted(counts)}")
+        self.count = counts.pop() if counts else 0
+
+
+def _float_array(label, values):
+    """The part ``label`` of a float array, its finiteness checked once."""
+    return _float_part(label, values.tolist(), np.isfinite(values).all())
+
+
+def _float_part(label, values, finite):
+    """The part ``label`` of floats: ``%.17g``, or ``%s`` of their :func:`format_float` strings."""
+    return (label, "%.17g", values) if finite else (label, "%s", list(map(format_float, values)))
 
 
 def _fixed(value, pad, keys):
@@ -336,7 +389,7 @@ def _fixed(value, pad, keys):
         for key, item in value.items():
             text = keys.get(key) or _key(key, keys)
             items.append(inner + text + ": " + _fixed(item, inner, keys))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return "{\n%s\n%s}" % (",\n".join(items), pad)
     if kind is list:
         if not value:
             return "[]"
@@ -344,7 +397,9 @@ def _fixed(value, pad, keys):
         body = _record_table(value, inner, keys)
         if body is None:
             body = ",\n".join([inner + _fixed(item, inner, keys) for item in value])
-        return "[\n" + body + "\n" + pad + "]"
+        return "[\n%s\n%s]" % (body, pad)
+    if kind is Table:
+        return "[\n%s\n%s]" % (_rows(value.columns, value.count, pad + "  ", keys), pad) if value.count else "[]"
     if kind is int:
         return str(value)
     return json.dumps(value)  # str, bool and None
@@ -365,51 +420,61 @@ def _record_table(records, pad, keys):
     lists of ints or dicts of floats with str keys (a ``{re, im}`` pair),
     each of exactly that type (not bool, not a numpy scalar).  When every
     record has the first one's keys, value types, list lengths and inner
-    keys, and every float is finite, one ``%`` template for that shape
-    writes them all, byte for byte as the item-by-item path would.  Floats
-    must be finite because ``%.17g`` writes nan and inf, not NaN and
-    Infinity.  Otherwise the result is None and the caller writes the list
-    item by item.
+    keys, its columns go to :func:`_rows`; else the caller writes the list.
     """
     first = records[0]
-    if type(first) is not dict or not first or not all(
-            type(v) in (float, int, list, dict) for v in first.values()):
+    if type(first) is not dict or not first or not {float, int, list, dict}.issuperset(map(type, first.values())):
         return None
     names = tuple(first)
     if set(map(type, records)) != {dict} or set(map(tuple, records)) != {names}:
         return None
-    inner = pad + "  "
-    fields, slots = [], []
+    columns = []
     for name, column in zip(names, zip(*map(dict.values, records))):
-        if type(name) is not str:
-            return None
         kinds = set(map(type, column))
-        if kinds == {float} and all(map(math.isfinite, column)):
-            slots.append(column)
-            form = "%.17g"
+        if kinds == {float}:
+            columns.append((name, "", [_float_part(None, column, all(map(math.isfinite, column)))]))
         elif kinds == {int}:
-            slots.append(column)
-            form = "%d"
+            columns.append((name, "", [(None, "%d", column)]))
         elif kinds == {list} and len(set(map(len, column))) == 1:
             parts = list(zip(*column))  # one tuple per list position
             if any(set(map(type, part)) != {int} for part in parts):
                 return None
-            slots.extend(parts)
-            form = ("[\n" + ",\n".join([inner + "  %d"] * len(parts)) + "\n" + inner + "]"
-                    if parts else "[]")
+            columns.append((name, "[]", [(None, "%d", part) for part in parts]))
         elif kinds == {dict} and len(set(map(tuple, column))) == 1:
             parts = list(zip(*map(dict.values, column)))  # one tuple per inner key
-            if any(set(map(type, part)) != {float} or not all(map(math.isfinite, part)) for part in parts):
+            if any(set(map(type, part)) != {float} for part in parts):
                 return None
-            slots.extend(parts)
-            form = ("{\n" + ",\n".join([inner + "  " + _escaped(k, keys) + ": %.17g" for k in column[0]])
-                    + "\n" + inner + "}" if parts else "{}")
+            columns.append((name, "{}", [_float_part(k, part, all(map(math.isfinite, part)))
+                                         for k, part in zip(column[0], parts)]))
         else:
             return None
+    return _rows(columns, len(records), pad, keys)
+
+
+def _rows(columns, count, pad, keys):
+    """The ``count`` records of ``columns`` indented by ``pad``, all by one ``%`` template.
+
+    A column is ``(name, brackets, parts)``: ``brackets`` is "" for a scalar,
+    "[]" for a list or "{}" for a dict, and each part one ``(label, form,
+    values)`` slot, ``label`` the key of a dict part (``%.17g`` is
+    :func:`format_float` on finite floats)."""
+    inner = pad + "  "
+    fields, slots = [], []
+    for name, brackets, parts in columns:
+        if not brackets:
+            (_, form, values), = parts
+            slots.append(values)
+        elif parts:
+            items = []
+            for label, item, values in parts:
+                slots.append(values)
+                items.append(inner + "  " + (_escaped(label, keys) + ": " + item if brackets == "{}" else item))
+            form = "%s\n%s\n%s%s" % (brackets[0], ",\n".join(items), inner, brackets[1])
+        else:
+            form = brackets
         fields.append(inner + _escaped(name, keys) + ": " + form)
-    template = pad + "{\n" + ",\n".join(fields) + "\n" + pad + "}"
-    rows = zip(*slots) if slots else [()] * len(records)
-    return ",\n".join(map(template.__mod__, rows))
+    template = "%s{\n%s\n%s}" % (pad, ",\n".join(fields), pad)
+    return ",\n".join(map(template.__mod__, zip(*slots) if slots else [()] * count))
 
 
 def _escaped(key, keys):
@@ -418,32 +483,15 @@ def _escaped(key, keys):
 
 
 # exact types dumps_fixed writes, by the kind it writes them as
-_JSON_KINDS = {
-    float: float,
-    dict: dict,
-    list: list,
-    tuple: list,
-    int: int,
-    str: str,
-    bool: bool,
-    type(None): bool,
-}
+_JSON_KINDS = {float: float, dict: dict, Table: Table, list: list, tuple: list,
+               int: int, str: str, bool: bool, type(None): bool}
 
 
 def _json_kind(value):
     """The kind of a value whose type is not in ``_JSON_KINDS`` (a subclass)."""
-    if isinstance(value, dict):
-        return dict
-    if isinstance(value, (list, tuple)):
-        return list
-    if isinstance(value, bool) or value is None:
-        return bool
-    if isinstance(value, int):
-        return int
-    if isinstance(value, float):
-        return float
-    if isinstance(value, str):
-        return str
+    for base, kind in _JSON_KINDS.items():
+        if isinstance(value, base):
+            return kind
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from torusdet import cli, io
+from torusdet.hill import spectral_shift_scan
 from torusdet.l1_algebra import SparseL1Matrix
+from torusdet.lattice import TruncationWindow
+from torusdet.toroidal import symbol_to_matrix
 from torusdet.io import (
     ParseError,
+    Table,
     ValidationError,
+    dumps_csv,
     dumps_fixed,
     format_float,
     load_document,
@@ -483,3 +488,160 @@ def test_cli_stdout_matches_the_recursive_writer(tmp_path, capsys, argv):
     assert status == 0
     # json.loads reads every .17g float back exactly, so this pins the bytes
     assert out == recursive_dumps_fixed(json.loads(out)) + "\n"
+
+
+def records_of(columns):
+    """The list of dicts a :class:`Table` of ``columns`` stands for, built item by item."""
+    cells = []
+    for column in columns.values():
+        array = np.asarray(column)
+        if array.dtype.kind == "c":
+            cells.append([io.complex_doc(z) for z in array])
+        elif array.dtype.kind == "f":
+            cells.append([float(x) for x in array])
+        else:
+            cells.append([[int(i) for i in row] if array.ndim == 2 else int(row) for row in array])
+    return [dict(zip(columns, row)) for row in zip(*cells)]
+
+
+def complex_column(re, im):
+    """The complex array with these parts, exact for infinite and NaN parts too."""
+    out = np.empty(len(re), np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def column_tables():
+    rng = np.random.default_rng(48)
+    special = [-0.0, math.inf, -math.inf, math.nan, 0.0, 5e-324, 1.7976931348623157e308]
+    x = rng.standard_normal(len(special))
+    return [
+        {"lambda": np.linspace(-50.0, 5.0, 41), "det": rng.standard_normal(41) + 1j * rng.standard_normal(41),
+         "certified_error": rng.random(41) * 1e-9},
+        {"radius": np.arange(-3, 9), "row": rng.integers(-40, 40, (12, 1)), "col": rng.integers(-40, 40, (12, 2)),
+         "at": rng.integers(-(2**62), 2**62, (12, 3))},
+        # Python lists, each of one kind
+        {"lambda": [0.5 * k for k in range(9)], "det": [complex(k, -k / 3.0) for k in range(9)],
+         "index": [[k, -k] for k in range(9)], "radius": list(range(9))},
+        # -0.0, infinities and NaN in one column, and in each part of a complex one
+        {"v": special, "z": complex_column(special, x), "y": complex_column(x, special)},
+        {"v": np.array(special[:-1], dtype=np.float32)},
+        {"%d%%": [1.0, 2.0], "re%s": np.array([[1], [2]]), "c": [1j, -0j]},
+        {"empty": np.zeros((4, 0), np.int64)},
+        {"lambda": np.zeros(0), "det": np.zeros(0, complex), "row": np.zeros((0, 2), np.int64)},
+        {},
+    ]
+
+
+@pytest.mark.parametrize("columns", column_tables())
+def test_a_column_table_matches_the_recursive_writer(columns):
+    records = records_of(columns)
+    for indent in (0, 1, 2):
+        assert dumps_fixed(Table(columns), indent) == recursive_dumps_fixed(records, indent)
+        nested = {"entries": Table(columns), "after": [records[:3]]}
+        assert dumps_fixed(nested, indent) == recursive_dumps_fixed({"entries": records, "after": [records[:3]]}, indent)
+
+
+@pytest.mark.parametrize("columns", column_tables())
+def test_a_column_table_in_csv_is_its_format_float_rows(columns):
+    heads, cells = [], []
+    for name, column in columns.items():
+        array = np.asarray(column)
+        if array.dtype.kind == "c":
+            heads += [f"{name}_re", f"{name}_im"]
+            cells += [list(map(format_float, array.real)), list(map(format_float, array.imag))]
+        elif array.dtype.kind == "f":
+            heads.append(name)
+            cells.append(list(map(format_float, array)))
+        elif array.ndim == 2:
+            heads += [f"{name}_{i}" for i in range(array.shape[1])]
+            cells += [list(map(str, part)) for part in array.T]
+        else:
+            heads.append(name)
+            cells.append(list(map(str, array)))
+    rows = [",".join(row) for row in zip(*cells)] if cells else [""] * len(records_of(columns))
+    assert dumps_csv(Table(columns)) == "".join(line + "\n" for line in [",".join(heads), *rows])
+
+
+def test_a_csv_table_writes_infinity_and_nan_as_format_float_does():
+    values = [1.5, math.inf, -math.inf, math.nan, -0.0]
+    det = complex_column(values[::-1], values)
+    table = Table({"lambda": np.arange(5.0), "det": det, "certified_error": values})
+    lines = dumps_csv(table).split("\n")
+    assert lines[0] == "lambda,det_re,det_im,certified_error" and lines[-1] == ""
+    assert lines[1:-1] == [",".join(format_float(x) for x in (k, complex(z).real, complex(z).imag, v))
+                           for k, z, v in zip(range(5), det, values)]
+    assert "Infinity" in lines[2] and "NaN" in lines[4]
+
+
+@pytest.mark.parametrize("columns, error", [
+    ({"a": [1.0, 2.0], "b": [1.0]}, ValueError),
+    ({"a": [True, False]}, TypeError),
+    ({"a": np.arange(2, dtype=np.uint8)}, TypeError),
+    ({"a": np.ones((2, 2))}, TypeError),
+    ({"a": ["x", "y"]}, TypeError),
+    ({"a": 1.0}, TypeError),
+    ({"a": [2**70]}, TypeError),
+])
+def test_a_table_refuses_columns_it_cannot_write(columns, error):
+    with pytest.raises(error):
+        Table(columns)
+
+
+def assert_same_text(out, expected):
+    """Fail at the first line that differs, without a diff of two long texts."""
+    if out != expected:
+        pairs = zip(out.split("\n"), expected.split("\n"))
+        at = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
+        pytest.fail(f"texts differ first at line {at} (lengths {len(out)}, {len(expected)})")
+
+
+def scan_by_items(path, max_radius=64, tol=1e-8):
+    """The scan table of the problem at ``path`` as records and CSV text, value by value."""
+    problem, params = parse_input(path, "hill")
+    grid = np.linspace(params["lambda_min"], params["lambda_max"], params["steps"]).tolist()
+    scan = spectral_shift_scan(problem, grid, tol, radius=min(max_radius, 32))
+    rows = list(zip(scan.lambdas, scan.values, scan.certified))
+    records = [{"lambda": lam, "det": io.complex_doc(val), "certified_error": cert} for lam, val, cert in rows]
+    lines = ["lambda,det_re,det_im,certified_error"] + [
+        ",".join(format_float(x) for x in (lam, complex(val).real, complex(val).imag, cert)) for lam, val, cert in rows]
+    return records, "\n".join(lines) + "\n"
+
+
+SCAN_TABLE_DOCUMENTS = {
+    "complex": {"dimension": 1, "nu": 2.0, "potential": [
+        {"index": [2], "re": 0.5, "im": 0.3}, {"index": [-2], "re": 0.5, "im": -0.1}],
+        "scan": {"lambda_min": -50.0, "lambda_max": 5.0, "steps": 201}},
+    # past |lambda| ~ 350 the certificate t exp(1 + 2 ||F||_1 + t) is inf
+    "overflowing": {"dimension": 1, "nu": 2.0, "potential": [
+        {"index": [1], "re": 0.7, "im": 0.2}, {"index": [-1], "re": 0.7}, {"index": [0], "re": 0.2}],
+        "scan": {"lambda_min": -2000.0, "lambda_max": 2000.0, "steps": 201}},
+}
+
+
+@pytest.mark.parametrize("name", SCAN_TABLE_DOCUMENTS)
+def test_hill_scan_tables_are_the_item_by_item_bytes(tmp_path, capsys, name):
+    path = write(tmp_path, "scan.json", SCAN_TABLE_DOCUMENTS[name])
+    records, csv = scan_by_items(path)
+    if name == "overflowing":
+        certified = [row["certified_error"] for row in records]
+        assert math.inf in certified and min(certified) < 10.0
+    assert cli.main(["--format", "csv", "hill", "scan", path]) == 0
+    assert_same_text(capsys.readouterr().out, csv)
+    assert cli.main(["hill", "scan", path]) == 0
+    out = capsys.readouterr().out
+    assert_same_text(out, recursive_dumps_fixed({**json.loads(out), "table": records}) + "\n")
+
+
+def test_symbol2matrix_entries_are_the_item_by_item_bytes(tmp_path, capsys):
+    doc = {"dimension": 3, "kind": "multiplication", "coefficients": [
+        {"index": [a, b, c], "re": 0.1 * a + 1.0 / 3.0, "im": -0.2 * b + c / 7.0}
+        for a, b, c in ((0, 0, 0), (1, -2, 1), (-2, 1, 0), (2, 2, -1), (0, 1, -1))]}
+    path = write(tmp_path, "symbol.json", doc)
+    matrix, _ = symbol_to_matrix(parse_input(path, "symbol"), TruncationWindow(3, 3))
+    entries = [{"row": row, "col": col, "re": z.real, "im": z.imag}
+               for row, col, z in zip(matrix.rows.tolist(), matrix.cols.tolist(), matrix.vals.tolist())]
+    assert np.any(matrix.vals.imag) and len(entries) > 1000
+    assert cli.main(["symbol2matrix", path, "--radius", "3"]) == 0
+    out = capsys.readouterr().out
+    assert_same_text(out, recursive_dumps_fixed({**json.loads(out), "entries": entries}) + "\n")
