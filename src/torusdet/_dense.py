@@ -1,10 +1,12 @@
 """Dense kernels on finite sections: determinant, inverse and singular values.
 
-A section is the direct sum of the connected components of its nonzero
-pattern, so det, inverse and SVD are computed per component, with one LAPACK
-call per component size on the stacked blocks (:class:`_Stacks`).  A ladder
-rung labels its components from its entries' positions and fills the stacks
-straight from the entries, so a split rung never holds an N x N array.
+:func:`_section_parts` factors a section from its entries, with no N x N
+array unless LAPACK takes the section whole.  A section is the direct sum of
+the connected components of its nonzero pattern, labelled from the entries'
+positions before any fill, so det and inverse are computed per component,
+with one LAPACK call per component size on the stacked blocks
+(:class:`_Stacks`).  Ladder rungs and :func:`l1_algebra.finite_determinant`
+build the same factors, which give ``dets()`` and ``inverse()``.
 
 A one-component section in dimension n >= 2 is factored slab by slab when
 the caller passes its window.  A section whose entries move k_1 by at most
@@ -18,10 +20,11 @@ Algebra Appl. 2, 1995) forms their Schur complements S_i: det m is the
 product of the det S_i, and the inverse, stored as a band c slabs wide
 and 0 off it up to a bound, takes O(N b^2 c) against LAPACK's O(N^3).
 The sweep stops when an intermediate S_i is singular or ill conditioned on
-the scale of the terms it is formed from (see :func:`_slab_sweep`).  A
-singular last S_i gives det 0 exactly, as a singular component does.  Any
-other one-component section, and one whose sweep stopped, goes to LAPACK as
-it is.
+the scale of the terms it is formed from (see :func:`_slab_sweep`).  Any
+other one-component section, and one whose sweep stopped, is a
+one-component :class:`_Stacks` filled straight from the entries, which
+LAPACK factors whole.  A singular component or last S_i gives det 0
+exactly.
 
 Singular values never use slabs, which give none.  A one-component section
 that is centrosymmetric, ``m == m[::-1, ::-1]``, and of odd order
@@ -100,24 +103,20 @@ def _component_blocks(size, i, j):
     return [order[starts[sizes == s][:, None] + np.arange(s)] for s in present]
 
 
-def _section_blocks(m, links=None, window=None):
-    """The parts of m the det and inverse kernels factor: components or slabs.
+def _section_parts(size, r, c, values, diagonal, window=None):
+    """The factors of the section of ``size`` positions: ``values`` at (r, c) plus ``diagonal``.
 
-    Components are those of m's nonzero pattern; ``links`` may give the
-    positions (i, j) of m's off-diagonal nonzeros instead of a scan of m.
-    When m has several components, the :class:`_Stacks` of m on its
-    :func:`_component_blocks`.  When m is one component, the
-    :class:`_Slabs` sweep of m if ``window`` (the window m is the section
-    on) makes it a slab section and the sweep passes its guard; else an
-    empty list, and LAPACK takes m as it is.
+    Components are labelled from the positions before any fill.  Several
+    give the :class:`_Stacks` of the section on its :func:`_component_blocks`;
+    one gives the :class:`_Slabs` sweep when ``window`` (the window the
+    section is on) makes it a slab section and the sweep passes its guard,
+    else the one-component :class:`_Stacks` that LAPACK factors, filled
+    straight from the entries at ``r N + c``.  Each has ``dets()`` and
+    ``inverse()``.
     """
-    i, j = np.nonzero(m) if links is None else links
-    blocks = _component_blocks(m.shape[0], i, j)
-    if blocks:
-        stacks = [m[idx[:, :, None], idx[:, None, :]].ravel() for idx in blocks]
-        return _Stacks(blocks, np.concatenate(stacks))
-    off = i != j
-    return _slab_blocks(window, i[off], j[off], m[i[off], j[off]], m.diagonal())
+    blocks = _component_blocks(size, r, c)
+    slabs = None if blocks else _slab_blocks(window, r, c, values, diagonal)
+    return slabs or _Stacks.identity_plus(blocks or [np.arange(size)[None]], r, c, values, diagonal)
 
 
 def _slab_blocks(window, r, c, values, diagonal):
@@ -279,14 +278,15 @@ class _Stacks:
     :func:`_component_blocks`.  The stacks are views of one buffer,
     ``values``, so the section is never held N x N; ``G[a, b]`` reads the
     entries at the positions (a, b), 0 across components.  One component
-    holds every position in order (LAPACK's inverse of a whole section),
-    its (a, b) at ``values[a N + b]``: it builds no position tables."""
+    holds every position in order (the section LAPACK factors whole), its
+    (a, b) at ``values[a N + b]`` and its ``diagonal`` the slice ``:: N + 1``
+    of ``values``: it builds no position tables."""
 
     def __init__(self, blocks, values):
         self.blocks, self.values, self.stacks, self.start = blocks, values, [], None
         if len(blocks) == 1 and len(blocks[0]) == 1:
-            n = blocks[0].shape[1]
-            self.stacks, self.diagonal = [values.reshape(1, n, n)], np.arange(0, n * n, n + 1)
+            self.order = n = blocks[0].shape[1]
+            self.stacks, self.diagonal = [values.reshape(1, n, n)], slice(None, None, n + 1)
             return
         # each position's component (as its offset in values), place in it and size
         self.start, self.place, self.side = np.empty((3, sum(idx.size for idx in blocks)), np.intp)
@@ -302,14 +302,16 @@ class _Stacks:
 
     def _at(self, i, j):
         """Offsets in ``values`` of the entries (i, j), each pair in one component."""
+        if self.start is None:
+            return i * self.order + j
         return self.start[i] + self.place[i] * self.side[i] + self.place[j]
 
     @classmethod
-    def identity_plus(cls, blocks, r, c, vals):
-        """I + F on ``blocks``, F's values ``vals`` at the positions (r, c) within them."""
-        split = cls(blocks, np.zeros(sum(idx.size * idx.shape[1] for idx in blocks), vals.dtype))
-        split.values[split._at(r, c)] = vals
-        split.values[split.diagonal] += 1.0
+    def identity_plus(cls, blocks, r, c, values, diagonal):
+        """The section on ``blocks``: ``values`` at the positions (r, c) within them, plus ``diagonal``."""
+        split = cls(blocks, np.zeros(sum(idx.size * idx.shape[1] for idx in blocks), values.dtype))
+        split.values[split._at(r, c)] = values
+        split.values[split.diagonal] += diagonal
         return split
 
     def dets(self):
@@ -317,12 +319,13 @@ class _Stacks:
 
     def inverse(self):
         """``(the component inverses, 0.0)``; LinAlgError if a component is singular."""
-        return _Stacks(self.blocks, np.concatenate([np.linalg.inv(t).ravel() for t in self.stacks])), 0.0
+        inverses = [np.linalg.inv(stack).ravel() for stack in self.stacks]
+        return _Stacks(self.blocks, inverses[0] if len(inverses) == 1 else np.concatenate(inverses)), 0.0
 
     def __getitem__(self, where):
         a, b = where
         if self.start is None:
-            return self.values[a * len(self.diagonal) + b]
+            return self.values[self._at(a, b)]
         out = np.zeros(len(a), self.values.dtype)
         within = self.start[a] == self.start[b]
         out[within] = self.values[self._at(a[within], b[within])]
@@ -396,31 +399,17 @@ def _ldexp(x, e):
 
 
 @np.errstate(over="ignore")  # a determinant past the float range is inf
-def _section_det(m, blocks=None):
-    """det(m), the product of its component (or slab Schur complement) dets.
+def _section_det(parts):
+    """det of the section factored as ``parts`` (see :func:`_section_parts`).
 
-    An exactly singular component or Schur complement gives exactly 0.
-    ``blocks`` may pass the :func:`_section_blocks` of m when the caller
-    already has them; m is not read when there are any.
+    The product of its component (or slab Schur complement) dets; one det
+    is its own product.  An exactly singular component or Schur complement
+    gives exactly 0.
     """
-    blocks = _section_blocks(m) if blocks is None else blocks
-    if not blocks:
-        return complex(np.linalg.det(m))
-    dets = blocks.dets()
+    dets = parts.dets()
     if not np.all(dets):
         return 0j  # not the signed zero a product of mantissas may give
-    return _scaled_product(dets)
-
-
-def _section_inv(m, blocks=None):
-    """``(G, dropped)``: m^{-1} as the :class:`_Band` of its slab sweep, or per component or by LAPACK.
-
-    The last two are :class:`_Stacks` (LAPACK's of one component); each G has
-    a flat ``values``, its ``diagonal`` offsets and reads ``G[a, b]``.  ``dropped``
-    bounds the mass off the band, else 0.  LinAlgError if m, a component or the
-    last S is singular.  Without m's :func:`_section_blocks` LAPACK inverts m.
-    """
-    return blocks.inverse() if blocks else (_Stacks([np.arange(len(m))[None]], np.linalg.inv(m).ravel()), 0.0)
+    return complex(dets[0]) if len(dets) == 1 else _scaled_product(dets)
 
 
 def _scatter(size, where, u):
@@ -433,17 +422,17 @@ def _scatter(size, where, u):
 def _singular_parts(m, links):
     """The parts of m for its SVD, as (stack, keys, back) triples.
 
-    See :func:`_section_min_singular`: the component stacks, the parity
-    blocks or m itself; ``back(row, u)`` maps a vector u of the stack's
-    matrix ``row`` back to m.
+    See :func:`_section_min_singular`: the component stacks, sliced from m
+    on its :func:`_component_blocks`, the parity blocks or m itself;
+    ``back(row, u)`` maps a vector u of the stack's matrix ``row`` back to m.
     """
-    blocks = _section_blocks(m, links) or _parity_blocks(m) or []
-    if isinstance(blocks, tuple):
-        return [(b[None], [odd], lambda _, u, odd=odd: _parity_vector(u, odd))
-                for odd, b in enumerate(blocks)]
+    blocks = _component_blocks(len(m), *(np.nonzero(m) if links is None else links))
     if blocks:
-        return [(stack, idx[:, 0], lambda row, u, idx=idx: _scatter(m.shape[0], idx[row], u))
-                for idx, stack in zip(blocks.blocks, blocks.stacks)]
+        return [(m[idx[:, :, None], idx[:, None, :]], idx[:, 0],
+                 lambda row, u, idx=idx: _scatter(len(m), idx[row], u)) for idx in blocks]
+    parity = _parity_blocks(m)
+    if parity:
+        return [(b[None], [odd], lambda _, u, odd=odd: _parity_vector(u, odd)) for odd, b in enumerate(parity)]
     return [(m[None], [0], lambda _, u: u)]
 
 
@@ -462,7 +451,8 @@ def _section_min_singular(m, links=None, wanted=None, memo=None):
     is None), and is None otherwise: LAPACK's last right singular vector (a
     row of V^H) of the winning matrix, whose vector SVD gives the smallest
     value returned, and the largest too when m is the only part.  ``links``
-    are as for :func:`_section_blocks`.
+    may give the positions (i, j) of m's off-diagonal nonzeros, which label
+    its components, instead of a scan of m.
 
     ``memo(key, compute)``, when given, is the caller's store for this m: it
     returns ``compute()`` as kept from the first call for ``key``.  It keeps

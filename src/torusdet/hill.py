@@ -613,12 +613,12 @@ def spectral_shift_scan(p: HillProblem, lambdas, tol, radius=32):
     A root lambda* certifies -lambda* as an approximate eigenvalue of the
     operator.
     """
-    lambdas = [float(x) for x in lambdas]
-    if not lambdas:
+    grid = np.asarray(lambdas, float)
+    if not grid.size:
         raise ValueError("scan grid is empty")
-    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
+    if not np.all(np.diff(grid) > 0):  # NaN fails too
         raise ValueError("scan grid must be strictly increasing")
-    grid = np.asarray(lambdas)
+    lambdas = grid.tolist()
 
     _, dense, _, weights = _dense_section(p, radius)
     mu = np.linalg.eigvals(weights[:, None] * dense)

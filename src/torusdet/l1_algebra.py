@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dense import _component_blocks, _section_blocks, _section_det, _section_inv, _slab_blocks
-from ._dense import _Stacks
+from ._dense import _section_det, _section_parts
 from .lattice import (
     TruncationWindow,
     as_index,
@@ -491,21 +490,6 @@ def _section_matrix(rows, cols, vals, window):
     return dense, (r, c)
 
 
-def _rung_section(rows, cols, vals, window):
-    """I + F on the window from F's entries, all inside it, and its blocks.
-
-    Components are labelled from the entries' positions before any fill.
-    A split F gives None and the :class:`~torusdet._dense._Stacks` of I + F,
-    a slab section None and its sweep; any other F, or one whose sweep
-    stopped, gives the dense :func:`_section_matrix` I + F and [].
-    """
-    r, c = window_positions(rows, window.radius), window_positions(cols, window.radius)
-    values = vals if np.any(vals.imag) else vals.real
-    blocks = _component_blocks(window.size, r, c)
-    blocks = _Stacks.identity_plus(blocks, r, c, values) if blocks else _slab_blocks(window, r, c, values, 1.0)
-    return (None, blocks) if blocks else (_add_identity(_section_matrix(rows, cols, vals, window)[0]), [])
-
-
 def _add_identity(dense):
     """I + dense, in place."""
     dense.flat[:: dense.shape[0] + 1] += 1.0
@@ -540,10 +524,12 @@ def finite_determinant(f: FiniteSection):
     """det(I + F) by pivoted LU of each connected component of I + F.
 
     A one-component section of bounded first-coordinate reach is swept slab
-    by slab instead, as a ladder rung on the same window is.
+    by slab instead.  The factors are built from F's nonzeros by
+    :func:`~torusdet._dense._section_parts`, as a ladder rung on the same
+    window builds them from its entries.
     """
-    m = _add_identity(f.matrix.copy())
-    return _section_det(m, _section_blocks(m, window=f.window))
+    r, c = np.nonzero(f.matrix)
+    return _section_det(_section_parts(f.window.size, r, c, f.matrix[r, c], 1.0, f.window))
 
 
 def _safe_exp(x):
@@ -886,10 +872,10 @@ def _determinant_ladder(tails, tol):
         window = TruncationWindow(n, tails.rows.shape[1])
         inside = tails.bucket <= i
         f_norm = float(np.sum(tails.abs_vals[inside]))
-        section, blocks = _rung_section(
-            tails.rows[inside], tails.cols[inside], tails.vals[inside], window
-        )
-        det_n = _section_det(section, blocks)
+        r, c = window_positions(tails.rows[inside], n), window_positions(tails.cols[inside], n)
+        vals = tails.vals[inside]
+        parts = _section_parts(window.size, r, c, vals if np.any(vals.imag) else vals.real, 1.0, window)
+        det_n = _section_det(parts)
         stored, unstored, norm_upper = tails.l1_tail(i, f_norm)
         t_total = stored + unstored
         if t_total:
@@ -901,7 +887,7 @@ def _determinant_ladder(tails, tol):
         raw_value_bound = b_raw
         # with no tail there is nothing to correct
         if t_total:
-            corrected = _corrected_step(tails, i, section, blocks, det_n, window.size, stored, unstored)
+            corrected = _corrected_step(tails, i, parts, det_n, window.size, stored, unstored)
             if corrected is not None:
                 value_corr, b_corr = corrected
                 raw_value_bound = min(b_raw, b_corr + abs(value_corr - det_n))
@@ -915,18 +901,19 @@ def _determinant_ladder(tails, tol):
     return best, tails.floor or f"within radius {tails.radii[-1]}"
 
 
-def _corrected_step(tails, rung, section, blocks, det_n, size, stored, unstored):
+def _corrected_step(tails, rung, parts, det_n, size, stored, unstored):
     """Tail-corrected determinant value and its certified bound, or None.
 
-    ``section`` and ``blocks`` are the rung's :func:`_rung_section` on its
+    ``parts`` are the rung's :func:`~torusdet._dense._section_parts` on its
     window of ``size`` points; ``stored`` bounds the tail mass the moments
-    of ``tails`` sum over and ``unstored`` the rest.  ``G`` is formed here,
-    with a flat buffer of its values, and ``log Det(I+X) = Tr X - Tr X^2 / 2``
+    of ``tails`` sum over and ``unstored`` the rest.  ``G`` is formed here
+    from ``parts.inverse()``, a flat buffer of values that its ``diagonal``
+    (offsets or a slice) indexes, and ``log Det(I+X) = Tr X - Tr X^2 / 2``
     up to ``s^3 / (3(1 - s))``, with ``Tr X^2 = Tr T^2 + 2 Tr(G T^2)``: the
     unstored mass u moves it by at most ``(1 + ||G||_1)^2 (2 t u + u^2)``,
     t the stored mass.  A slab section's ``G`` is 0 off a band, and
     ``||G||_1`` carries the bound ``dropped`` on the mass left out there
-    (see :func:`~torusdet._dense._section_inv`); ``Tr(G T^2)`` misses at
+    (see :meth:`~torusdet._dense._Slabs.inverse`); ``Tr(G T^2)`` misses at
     most ``dropped (t + u)^2`` of it, twice that in ``Tr X^2``'s error.
     """
     t_total = stored + unstored
@@ -934,7 +921,7 @@ def _corrected_step(tails, rung, section, blocks, det_n, size, stored, unstored)
     if det_n == 0 or t_total >= 0.9:
         return None
     try:
-        g, dropped = _section_inv(section, blocks)
+        g, dropped = parts.inverse()
     except np.linalg.LinAlgError:
         return None
     g.values[g.diagonal] -= 1.0  # G = (I + F)^{-1} - I

@@ -13,6 +13,8 @@ import torusdet
 from torusdet import cli, l1_algebra, toroidal
 from torusdet.cli import main
 
+from test_io import assert_same_text
+
 FOUR_PI_SQ = (2.0 * math.pi) ** 2
 
 
@@ -68,7 +70,7 @@ def test_output_is_byte_identical(tmp_path, capsys):
     status1, out1, _ = run_cli(capsys, "--tol", "1e-6", "hill", "check", path)
     status2, out2, _ = run_cli(capsys, "--tol", "1e-6", "hill", "check", path)
     assert status1 == status2 == 0
-    assert out1 == out2
+    assert_same_text(out1, out2)
 
 
 def test_hill_check_positive_shift(tmp_path, capsys):

@@ -9,10 +9,9 @@ from torusdet import _dense, l1_algebra
 from torusdet._dense import (
     _Slabs,
     _parity_blocks,
-    _section_blocks,
     _section_det,
-    _section_inv,
     _section_min_singular,
+    _section_parts,
 )
 from torusdet.lattice import TruncationWindow, shell_tail, sup_norm_array
 from torusdet.l1_algebra import (
@@ -44,9 +43,15 @@ FOUR_PI_SQ = (2.0 * math.pi) ** 2
 
 
 def dense_of(g, size):
-    """An inverse of :func:`_section_inv` as a size x size array, read through its [a, b] reader."""
+    """A factors' ``inverse()`` G as a size x size array, read through its [a, b] reader."""
     a, b = np.divmod(np.arange(size * size), size)
     return g[a, b].reshape(size, size)
+
+
+def dense_parts(m, window=None):
+    """The :func:`_section_parts` of a dense section m, from its nonzeros."""
+    r, c = np.nonzero(m)
+    return _section_parts(len(m), r, c, m[r, c], 0.0, window)
 
 
 def diagonal_oracle(g0):
@@ -502,11 +507,16 @@ def test_scan_certificate_keeps_the_undamped_off_diagonal_mass():
 
 
 def test_scan_rejects_bad_grids():
-    p = HillProblem(1, 2.0, {})
-    with pytest.raises(ValueError):
-        spectral_shift_scan(p, [], 1e-8)
-    with pytest.raises(ValueError):
-        spectral_shift_scan(p, [0.0, 0.0, 1.0], 1e-8)
+    # empty, repeating, falling, and holding a NaN, which fails every order
+    # comparison; a grid array comes back as a list of floats
+    p = HillProblem(1, 2.0, {(0,): 1.0, (1,): 0.3, (-1,): 0.3})
+    with pytest.raises(ValueError, match="scan grid is empty"):
+        spectral_shift_scan(p, [], 1e-8, radius=8)
+    for grid in ([0.0, 0.0, 1.0], [1.0, 0.0], [-50.0, math.nan, 1.0], np.array([-50.0, 1.0, math.nan])):
+        with pytest.raises(ValueError, match="scan grid must be strictly increasing"):
+            spectral_shift_scan(p, grid, 1e-8, radius=8)
+    lambdas = spectral_shift_scan(p, np.array([-50.0, 1.0]), 1e-8, radius=8).lambdas
+    assert type(lambdas) is list and [type(x) for x in lambdas] == [float, float]
 
 
 def test_invertibility_at_determinant_root():
@@ -732,9 +742,10 @@ def test_parity_kernels_match_unsplit_linalg_on_even_hill_sections(n, pot, radiu
     real = all(complex(v).imag == 0 for v in pot.values())
     assert m.dtype == (np.float64 if real else np.complex128)
     assert _parity_blocks(m) is not None
-    assert abs(_section_det(m) - np.linalg.det(m)) <= 1e-12 * abs(np.linalg.det(m))
+    parts = dense_parts(m)
+    assert abs(_section_det(parts) - np.linalg.det(m)) <= 1e-12 * abs(np.linalg.det(m))
     inv = np.linalg.inv(m)
-    assert np.linalg.norm(dense_of(_section_inv(m)[0], len(m)) - inv) <= 1e-12 * np.linalg.norm(inv)
+    assert np.linalg.norm(dense_of(parts.inverse()[0], len(m)) - inv) <= 1e-12 * np.linalg.norm(inv)
     svals = np.linalg.svd(m, compute_uv=False)
     smallest, largest, v = _section_min_singular(m, links)
     assert abs(smallest - svals[-1]) <= 1e-12 * svals[-1]
@@ -766,9 +777,9 @@ def test_even_potential_ladder_rungs_match_dense_slogdet(n, pot, radii):
     ladder = err.value.ladder
     assert [step.radius for step in ladder] == radii
     for step in ladder:
-        w, m, links, _ = _dense_section(p, step.radius)
+        w, m, _, _ = _dense_section(p, step.radius)
         assert (_parity_blocks(m) is not None) == even
-        assert isinstance(_section_blocks(m, links, w), _Slabs)
+        assert isinstance(dense_parts(m, w), _Slabs)
         sign, logabs = np.linalg.slogdet(damped_section(pot, step.radius, n, nu))
         reference = sign * math.exp(logabs)
         assert abs(step.value - reference) <= 1e-12 * abs(reference)
@@ -789,7 +800,6 @@ def test_a_ladder_rung_splits_its_section_once(monkeypatch):
 
     split = count("split", _dense._component_blocks)
     monkeypatch.setattr(_dense, "_component_blocks", split)
-    monkeypatch.setattr(l1_algebra, "_component_blocks", split)
     monkeypatch.setattr(_dense, "_parity_blocks", count("parity", _dense._parity_blocks))
     p = HillProblem(1, 2.0, {(0,): 3.0, (1,): 1.0, (-1,): 1.0})
     result = hill_determinant(p, 1e-6)
@@ -801,13 +811,13 @@ def test_a_ladder_rung_splits_its_section_once(monkeypatch):
     [(2, EVEN_2D, 10), (2, SKEW_2D, 10), (2, SKEW_2D_COMPLEX, 8), (3, EVEN_3D, 3), (3, EVEN_3D_COMPLEX, 3)],
 )
 def test_slab_kernels_match_unsplit_linalg_on_hill_sections(n, pot, radius):
-    w, m, links, _ = _dense_section(HillProblem(n, n + 1.0, pot), radius)
-    slabs = _section_blocks(m, links, w)
+    w, m, _, _ = _dense_section(HillProblem(n, n + 1.0, pot), radius)
+    slabs = dense_parts(m, w)
     assert isinstance(slabs, _Slabs)
     assert set(np.diff(slabs.bounds).tolist()) == {(2 * radius + 1) ** (n - 1)}
     det, inv = np.linalg.det(m), np.linalg.inv(m)
-    assert abs(_section_det(m, slabs) - det) <= 1e-12 * abs(det)
-    assert np.linalg.norm(dense_of(_section_inv(m, slabs)[0], len(m)) - inv) <= 1e-12 * np.linalg.norm(inv)
+    assert abs(_section_det(slabs) - det) <= 1e-12 * abs(det)
+    assert np.linalg.norm(dense_of(slabs.inverse()[0], len(m)) - inv) <= 1e-12 * np.linalg.norm(inv)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -881,16 +891,16 @@ def test_a_slab_rung_allocates_no_array_of_its_section_size(monkeypatch):
 
         return counted
 
-    rung_section = l1_algebra._rung_section
+    section_parts = l1_algebra._section_parts
 
-    def rung(rows, cols, vals, window):
+    def rung(size, *args):
         sizes.append([])
-        rungs.append(window.size)
-        section, blocks = rung_section(rows, cols, vals, window)
-        assert section is None and isinstance(blocks, _Slabs)
-        return section, blocks
+        rungs.append(size)
+        parts = section_parts(size, *args)
+        assert isinstance(parts, _Slabs)
+        return parts
 
-    monkeypatch.setattr(l1_algebra, "_rung_section", rung)
+    monkeypatch.setattr(l1_algebra, "_section_parts", rung)
     monkeypatch.setattr(np, "zeros", spy(np.zeros))
     monkeypatch.setattr(np, "empty", spy(np.empty))
     existence_test(p, tol=1e-8, max_radius=32)

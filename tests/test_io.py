@@ -487,7 +487,7 @@ def test_cli_stdout_matches_the_recursive_writer(tmp_path, capsys, argv):
     out = capsys.readouterr().out
     assert status == 0
     # json.loads reads every .17g float back exactly, so this pins the bytes
-    assert out == recursive_dumps_fixed(json.loads(out)) + "\n"
+    assert_same_text(out, recursive_dumps_fixed(json.loads(out)) + "\n")
 
 
 def records_of(columns):

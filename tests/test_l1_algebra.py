@@ -43,14 +43,13 @@ from torusdet._dense import (
     _Slabs,
     _Stacks,
     _parity_blocks,
-    _section_blocks,
     _section_det,
-    _section_inv,
     _section_min_singular,
+    _section_parts,
     _slab_sweep,
 )
 
-from test_hill import EVEN_2D, EVEN_2D_COMPLEX, EVEN_3D, EVEN_3D_COMPLEX, SKEW_2D, SKEW_2D_COMPLEX, dense_of
+from test_hill import EVEN_2D, EVEN_2D_COMPLEX, EVEN_3D, EVEN_3D_COMPLEX, SKEW_2D, SKEW_2D_COMPLEX, dense_of, dense_parts
 
 
 def random_sparse(rng, n=1, max_entries=30, radius=6, scale=2.0):
@@ -858,9 +857,9 @@ def test_split_rungs_match_a_dense_reference(monkeypatch, n, support, max_radius
     assert [step.radius for step in result.ladder] == crossed == _ladder_radii(max_radius)
     for step in result.ladder:
         f = section_of(a, step.radius)
-        blocks = _section_blocks(np.eye(f.window.size) + f.matrix)
+        blocks = dense_parts(np.eye(f.window.size) + f.matrix)
         assert isinstance(blocks, _Stacks) and 1 in [idx.shape[1] for idx in blocks.blocks]
-        assert step.value == finite_determinant(f)  # the stacks gathered from the dense section
+        assert step.value == finite_determinant(f)  # the stacks filled from the section's nonzeros
         det = np.linalg.det(np.eye(f.window.size) + f.matrix)
         assert abs(step.value - det) <= 1e-12 * abs(det)
 
@@ -872,7 +871,8 @@ def test_a_singular_component_gives_an_exact_zero_and_no_corrected_step(monkeypa
     def refused(*args):
         raise AssertionError("a rung with det 0 inverted its section")
 
-    monkeypatch.setattr(l1_algebra, "_section_inv", refused)
+    monkeypatch.setattr(_Stacks, "inverse", refused)
+    monkeypatch.setattr(_Slabs, "inverse", refused)
     result, _ = _determinant_ladder(_LadderTails(a, TailModel.exact_finite(), max_radius), 1e-300)
     assert [repr(step.value) for step in result.ladder] == ["0j"] * len(_ladder_radii(max_radius))
 
@@ -1023,6 +1023,11 @@ def rel_err(got, want):
     return np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want)
 
 
+def whole(parts):
+    """Whether ``parts`` is the one-component :class:`_Stacks` that LAPACK factors whole."""
+    return isinstance(parts, _Stacks) and len(parts.stacks) == len(parts.stacks[0]) == 1
+
+
 # isolated points are the 1 x 1 blocks; two sizes repeat
 BLOCK_SIZES = [1, 3, 1, 4, 2, 3, 1, 6, 2]
 
@@ -1031,8 +1036,9 @@ BLOCK_SIZES = [1, 3, 1, 4, 2, 3, 1, 6, 2]
 def test_section_kernels_match_dense_linalg_on_hidden_blocks(complex_values):
     rng = np.random.default_rng(11)
     m = hidden_block_diagonal(rng, BLOCK_SIZES, complex_values)
-    assert rel_err(_section_det(m), np.linalg.det(m)) <= 1e-12
-    assert rel_err(dense_of(_section_inv(m)[0], len(m)), np.linalg.inv(m)) <= 1e-12
+    parts = dense_parts(m)
+    assert rel_err(_section_det(parts), np.linalg.det(m)) <= 1e-12
+    assert rel_err(dense_of(parts.inverse()[0], len(m)), np.linalg.inv(m)) <= 1e-12
 
     _, svals, vh = np.linalg.svd(m)
     smallest, largest, v = _section_min_singular(m)
@@ -1050,12 +1056,14 @@ def test_section_kernels_on_an_exactly_singular_block(complex_values):
     m = hidden_block_diagonal(rng, BLOCK_SIZES, complex_values, singular=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _section_det(m) == 0
+        assert _section_det(dense_parts(m)) == 0
         smallest, largest, v = _section_min_singular(m)
     with pytest.raises(np.linalg.LinAlgError):
-        _section_inv(m)
-    # an unsigned zero, whatever the signs of the other blocks
-    assert repr(_section_det(np.diag([-2.0, 0.0, 3.0]))) == "0j"
+        dense_parts(m).inverse()
+    # an unsigned zero, whatever the signs of the other blocks, and for one
+    # component whose LAPACK det underflows to -0.0
+    assert repr(_section_det(dense_parts(np.diag([-2.0, 0.0, 3.0])))) == "0j"
+    assert repr(_section_det(dense_parts(np.array([[-1e-200, 1e-300], [1e-300, 1e-200]])))) == "0j"
     svals = np.linalg.svd(m, compute_uv=False)
     assert smallest <= 1e-12 * svals[0]
     assert abs(largest - svals[0]) <= 1e-12 * svals[0]
@@ -1065,8 +1073,9 @@ def test_section_kernels_on_an_exactly_singular_block(complex_values):
 def test_section_kernels_on_one_component_pass_the_matrix_through():
     rng = np.random.default_rng(13)
     m = np.eye(12) + 0.3 * (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
-    assert _section_det(m) == complex(np.linalg.det(m))
-    assert np.array_equal(dense_of(_section_inv(m)[0], len(m)), np.linalg.inv(m))
+    parts = dense_parts(m)
+    assert whole(parts) and _section_det(parts) == complex(np.linalg.det(m))
+    assert np.array_equal(dense_of(parts.inverse()[0], len(m)), np.linalg.inv(m))
     _, svals, vh = np.linalg.svd(m)
     smallest, largest, v = _section_min_singular(m)
     assert (smallest, largest) == (svals[-1], svals[0]) and np.array_equal(v, vh[-1])
@@ -1076,8 +1085,8 @@ def test_section_det_product_neither_overflows_nor_underflows():
     # 600 blocks of det 1e3 and 600 of det 1e-3: the product is 1, while a
     # running product in either order leaves the float range
     values = np.concatenate([np.full(600, 1e3), np.full(600, 1e-3)])
-    assert _section_det(np.diag(values)) == pytest.approx(1.0, rel=1e-12)
-    assert _section_det(np.diag(values[::-1] * 1j)) == pytest.approx(1.0, rel=1e-12)
+    assert _section_det(dense_parts(np.diag(values))) == pytest.approx(1.0, rel=1e-12)
+    assert _section_det(dense_parts(np.diag(values[::-1] * 1j))) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_section_min_singular_tie_goes_to_the_first_window_position():
@@ -1117,9 +1126,9 @@ def test_a_singular_parity_block_gives_an_exact_zero():
     even, odd = _parity_blocks(m)
     assert odd.tolist() == [[0.0]] and np.linalg.det(even) != 0
     for section in (m, m * (1 - 2j)):
-        assert repr(_section_det(section)) == "0j"
+        assert repr(_section_det(dense_parts(section))) == "0j"
         with pytest.raises(np.linalg.LinAlgError):
-            _section_inv(section)
+            dense_parts(section).inverse()
 
 
 def test_sections_that_are_not_centrosymmetric_pass_the_matrix_through():
@@ -1137,8 +1146,9 @@ def test_sections_that_are_not_centrosymmetric_pass_the_matrix_through():
     m[4, 6] += 0.5
     even_order = np.eye(8) + 0.2 * (half[:8, :8] + half[:8, :8][::-1, ::-1])
     for section in centrosymmetric + [m, m.real.copy(), even_order]:
-        assert _section_det(section) == complex(np.linalg.det(section))
-        assert np.array_equal(dense_of(_section_inv(section)[0], len(section)), np.linalg.inv(section))
+        parts = dense_parts(section)
+        assert _section_det(parts) == complex(np.linalg.det(section))
+        assert np.array_equal(dense_of(parts.inverse()[0], len(section)), np.linalg.inv(section))
     for section in (m, m.real.copy(), even_order):
         assert _parity_blocks(section) is None
         _, svals, vh = np.linalg.svd(section)
@@ -1178,8 +1188,8 @@ def sweep(m, order):
 
 def assert_matches_linalg(m, blocks):
     det, inv = np.linalg.det(m), np.linalg.inv(m)
-    assert abs(_section_det(m, blocks) - det) <= 1e-12 * abs(det)
-    assert rel_err(dense_of(_section_inv(m, blocks)[0], len(m)), inv) <= 1e-12
+    assert abs(_section_det(blocks) - det) <= 1e-12 * abs(det)
+    assert rel_err(dense_of(blocks.inverse()[0], len(m)), inv) <= 1e-12
 
 
 @pytest.mark.parametrize("complex_values", [False, True])
@@ -1189,11 +1199,11 @@ def test_slab_kernels_match_unsplit_linalg_on_window_sections(complex_values, re
     # window; for reach 2 the last slab holds one k_1 value only
     w = TruncationWindow(9, 2)
     m = slab_banded(np.random.default_rng(20 + reach), w.size, 19, reach, complex_values)
-    slabs = _section_blocks(m, window=w)
+    slabs = dense_parts(m, w)
     assert isinstance(slabs, _Slabs) and np.diff(slabs.bounds).tolist() == orders
     assert_matches_linalg(m, slabs)
     # no window, no slabs: the LAPACK path as before
-    assert _section_blocks(m) == []
+    assert whole(dense_parts(m))
 
 
 @pytest.mark.parametrize("complex_values", [False, True])
@@ -1227,10 +1237,10 @@ def test_a_slab_sweep_that_fails_its_guard_takes_the_lapack_path(complex_values)
     w, sections = fallback_sections(np.random.default_rng(24), complex_values)
     for m in sections:
         assert sweep(m, 19) is None
-        blocks = _section_blocks(m, window=w)
-        assert blocks == [] and _parity_blocks(m) is None
-        assert _section_det(m, blocks) == complex(np.linalg.det(m))
-        assert np.array_equal(dense_of(_section_inv(m, blocks)[0], len(m)), np.linalg.inv(m))
+        blocks = dense_parts(m, w)
+        assert whole(blocks) and _parity_blocks(m) is None
+        assert _section_det(blocks) == complex(np.linalg.det(m))
+        assert np.array_equal(dense_of(blocks.inverse()[0], len(m)), np.linalg.inv(m))
     # the cancellation leaves S_1 of modest condition; only its scale
     # against A_1 and L_1 S_0^{-1} U_0 gives it away
     cancel = sections[2]
@@ -1246,13 +1256,13 @@ def test_a_singular_last_schur_complement_gives_an_exact_zero(complex_values):
     m = slab_banded(np.random.default_rng(25), w.size, 19, 1, complex_values)
     m[323:342, 342:] = 0.0
     m[342:, -1] = 0.0
-    slabs = _section_blocks(m, window=w)
+    slabs = dense_parts(m, w)
     assert isinstance(slabs, _Slabs) and not np.any(slabs.schur[-1][:, -1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert repr(_section_det(m, slabs)) == "0j"
+        assert repr(_section_det(slabs)) == "0j"
     with pytest.raises(np.linalg.LinAlgError):
-        _section_inv(m, slabs)
+        slabs.inverse()
 
 
 def full_slab_inverse(slabs):
@@ -1304,14 +1314,14 @@ REACH_2_2D = {(0, 0): 2.0, (1, 0): 0.3, (-1, 0): 0.3, (2, 0): 0.2, (-2, 0): 0.2,
     ],
 )
 def test_the_banded_slab_inverse_is_the_full_recursion_on_its_band(monkeypatch, n, pot, radius, madd_share):
-    w, m, links, _ = _dense_section(HillProblem(n, n + 1.0, pot), radius)
-    slabs = _section_blocks(m, links, w)
+    w, m, _, _ = _dense_section(HillProblem(n, n + 1.0, pot), radius)
+    slabs = dense_parts(m, w)
     assert isinstance(slabs, _Slabs)
     madds = matmul_madds(monkeypatch)
     full = full_slab_inverse(slabs)
     full_madds = sum(madds)
     madds.clear()
-    g, dropped = _section_inv(None, slabs)
+    g, dropped = slabs.inverse()
     z = dense_of(g, len(m))
     b = slabs.bounds
     zeroed = 0.0
@@ -1340,7 +1350,7 @@ def test_the_dropped_bound_is_sharp_on_slabs_of_one_position():
     m[61, 61] = 1000.0
     slabs = sweep(m, 1)
     full = full_slab_inverse(slabs)
-    g, dropped = _section_inv(None, slabs)
+    g, dropped = slabs.inverse()
     z = dense_of(g, len(m))
     zeroed = float(np.sum(np.abs(full[z == 0])))
     assert np.count_nonzero(z) < 0.3 * z.size and np.array_equal(z[z != 0], full[z != 0])
@@ -1353,7 +1363,7 @@ def test_a_slab_inverse_with_order_one_couplings_drops_nothing(complex_values, s
     m = slab_banded(np.random.default_rng(26), size, width, 1, complex_values)
     slabs = sweep(m, width)
     assert min(np.linalg.norm(v, 1) for v in slabs.solved) > 0.1
-    g, dropped = _section_inv(None, slabs)
+    g, dropped = slabs.inverse()
     assert dropped == 0.0 and np.array_equal(dense_of(g, size), full_slab_inverse(slabs))
 
 
@@ -1383,16 +1393,16 @@ def test_the_corrected_step_charges_what_the_slab_inverse_drops(monkeypatch):
     # the tail mass: a corrected rung keeps its value while its log error
     # grows by at least d t^2, and d = 1 / t brings s = (1 + ||G||_1) t past
     # 0.9, where the step is refused
-    section_inv, corrected_step = l1_algebra._section_inv, l1_algebra._corrected_step
+    slab_inverse, corrected_step = _Slabs.inverse, l1_algebra._corrected_step
     steps, extra = [], {}
 
     def step(*args):
-        extra["t"] = args[6] + args[7]
-        steps.append((extra["t"], *args[4:6], corrected_step(*args)))
+        extra["t"] = args[5] + args[6]
+        steps.append((extra["t"], *args[3:5], corrected_step(*args)))
         return steps[-1][-1]
 
-    def inverse(m, blocks=None):
-        g, dropped = section_inv(m, blocks)
+    def inverse(slabs):
+        g, dropped = slab_inverse(slabs)
         return g, dropped + extra["d"](extra["t"])
 
     def ladder(d):
@@ -1403,7 +1413,7 @@ def test_the_corrected_step_charges_what_the_slab_inverse_drops(monkeypatch):
         return list(steps)
 
     monkeypatch.setattr(l1_algebra, "_corrected_step", step)
-    monkeypatch.setattr(l1_algebra, "_section_inv", inverse)
+    monkeypatch.setattr(_Slabs, "inverse", inverse)
     exact, charged = ladder(lambda t: 0.0), ladder(lambda t: 1e-6)
     assert len(exact) == 2
     for (t, det_n, size, (v0, b0)), (_, _, _, (v1, b1)) in zip(exact, charged):
@@ -1425,6 +1435,13 @@ SLAB_SECTIONS = [
 ]
 
 
+def section_parts_spy(monkeypatch):
+    """The list of every :func:`_section_parts` a ladder rung or :func:`finite_determinant` builds, in order."""
+    built, section_parts = [], _section_parts
+    monkeypatch.setattr(l1_algebra, "_section_parts", lambda *args: built.append(section_parts(*args)) or built[-1])
+    return built
+
+
 def hill_entries(n, pot, radius):
     """The problem, window, dense I + B, its links and B as a stored matrix on the window."""
     p = HillProblem(n, n + 1.0, pot)
@@ -1437,35 +1454,53 @@ def test_slab_stacks_filled_from_the_entries_are_the_dense_slices(monkeypatch, n
     # the rung fills A, U and L straight from B's entries, a ragged last
     # slab (REACH_2_2D: 16 slabs of two k_1 values and one of one) in the top
     # left, and sweeps them as the dense section's own slices are swept
-    _, w, m, links, b = hill_entries(n, pot, radius)
+    _, w, m, _, b = hill_entries(n, pot, radius)
     sweeps, sweep = [], _dense._slab_sweep
     monkeypatch.setattr(_dense, "_slab_sweep", lambda *args: sweeps.append(args) or sweep(*args))
-    section, slabs = l1_algebra._rung_section(b.rows, b.cols, b.vals, w)
-    assert section is None and isinstance(slabs, _Slabs)
-    (a, u, l, size), dense_slabs = sweeps[0], _section_blocks(m, links, w)
+    rungs = section_parts_spy(monkeypatch)
+    _determinant_ladder(_LadderTails(b, TailModel.exact_finite(), radius), 1e-300)
+    slabs = rungs[-1]
+    assert isinstance(slabs, _Slabs)
+    (a, u, l, size), dense_slabs = sweeps[-1], dense_parts(m, w)
     assert size == w.size and a.dtype == m.dtype
     assert np.array_equal(np.stack([a, u, l]), slab_slices(m, slabs.bounds[1]))
     assert all(np.array_equal(x, y) for x, y in zip(slabs.schur, dense_slabs.schur))
     assert (w.size % slabs.bounds[1] != 0) == (pot is REACH_2_2D)
 
 
-@pytest.mark.parametrize("n, pot, radius", SLAB_SECTIONS)
-def test_a_truncated_slab_section_and_its_ladder_rung_give_one_determinant(n, pot, radius):
-    # finite_determinant slices its dense section into the stacks the rung
-    # fills from its entries, so the two paths run one sweep
+@pytest.mark.parametrize(
+    "n, pot, radius",
+    SLAB_SECTIONS + [
+        pytest.param(1, {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.4 + 0.2j}, 32, id="1-D-Hill-lapack"),
+        pytest.param(3, {(0, 0, 0): 1.5 + 0.5j}, 3, id="3-D-constant-split"),
+    ],
+)
+def test_a_truncated_slab_section_and_its_ladder_rung_give_one_determinant(monkeypatch, n, pot, radius):
+    # finite_determinant builds from its section's nonzeros the factors the
+    # rung builds from its entries, for every kind of factor: the slab
+    # sweep, one component that LAPACK factors whole (1-D) and the
+    # component stacks of a split section (a constant)
     _, w, _, _, b = hill_entries(n, pot, radius)
+    parts = section_parts_spy(monkeypatch)
     result, _ = _determinant_ladder(_LadderTails(b, TailModel.exact_finite(), radius), 1e-300)
     f, _ = truncate(b, TailModel.exact_finite(), w)
-    assert isinstance(_section_blocks(np.eye(w.size) + f.matrix, window=w), _Slabs)
-    assert result.ladder[-1].radius == radius and result.ladder[-1].value == finite_determinant(f)
+    det = finite_determinant(f)
+    rung, finite = parts[-2:]
+    if n == 1:
+        assert whole(rung) and whole(finite)
+    elif len(pot) == 1:
+        assert not whole(rung) and isinstance(rung, _Stacks) and isinstance(finite, _Stacks) and not whole(finite)
+    else:
+        assert isinstance(rung, _Slabs) and isinstance(finite, _Slabs)
+    assert result.ladder[-1].radius == radius and repr(result.ladder[-1].value) == repr(det)
 
 
 @pytest.mark.parametrize("n, pot, radius", SLAB_SECTIONS)
 def test_the_band_norm_is_the_dense_norm_of_the_band(n, pot, radius):
     # each entry of the band is held once in values: the scratch copies of
     # the column strips are zeros
-    _, w, m, links, _ = hill_entries(n, pot, radius)
-    g, _ = _section_inv(None, _section_blocks(m, links, w))
+    _, w, m, _, _ = hill_entries(n, pot, radius)
+    g, _ = dense_parts(m, w).inverse()
     g.values[g.diagonal] -= 1.0
     band = float(np.sum(np.abs(g.values)))
     assert abs(band - np.sum(np.abs(dense_of(g, w.size)))) <= 1e-15 * band
@@ -1473,19 +1508,18 @@ def test_the_band_norm_is_the_dense_norm_of_the_band(n, pot, radius):
 
 @pytest.mark.parametrize("complex_values", [False, True])
 def test_fallback_sections_built_from_entries_take_the_lapack_path(complex_values):
-    # as ladder rungs, the three sections whose sweep stops are filled dense
-    # from their entries and give LAPACK's det and inverse bit for bit
+    # as ladder rungs, the three sections whose sweep stops are one
+    # component filled from their entries and give LAPACK's det and inverse
+    # bit for bit
     w, sections = fallback_sections(np.random.default_rng(24), complex_values)
-    pts = w.coords_array()
     for m in sections:
         r, c = np.nonzero(m - np.eye(w.size))
-        f = (m - np.eye(w.size))[r, c].astype(np.complex128)
         reference = np.eye(w.size) + (m - np.eye(w.size))
         assert sweep(reference, 19) is None
-        section, blocks = l1_algebra._rung_section(pts[r], pts[c], f, w)
-        assert blocks == [] and np.array_equal(section, reference)
-        assert _section_det(section, blocks) == complex(np.linalg.det(reference))
-        g, dropped = _section_inv(section, blocks)
+        blocks = _section_parts(w.size, r, c, (m - np.eye(w.size))[r, c], 1.0, w)
+        assert whole(blocks) and np.array_equal(blocks.stacks[0][0], reference)
+        assert _section_det(blocks) == complex(np.linalg.det(reference))
+        g, dropped = blocks.inverse()
         assert dropped == 0.0 and np.array_equal(dense_of(g, w.size), np.linalg.inv(reference))
 
 
@@ -1533,16 +1567,16 @@ def test_a_lapack_rung_corrects_as_the_dense_branch_did(monkeypatch, case):
         assert result.value != result.ladder[-1].value  # the radius-9 rung is corrected
         return repr((result.ladder, result.value, result.certified_error))
 
-    section_inv, lapack = l1_algebra._section_inv, []
+    stacks_inverse, lapack = _Stacks.inverse, []
 
-    def dense(section, blocks):
-        if blocks:
-            return section_inv(section, blocks)
-        lapack.append(len(section))
-        return DenseG(np.linalg.inv(section)), 0.0
+    def dense(parts):
+        if not whole(parts):
+            return stacks_inverse(parts)
+        lapack.append(len(parts.stacks[0][0]))
+        return DenseG(np.linalg.inv(parts.stacks[0][0])), 0.0
 
     one_path = ladder()
-    monkeypatch.setattr(l1_algebra, "_section_inv", dense)
+    monkeypatch.setattr(_Stacks, "inverse", dense)
     assert ladder() == one_path
     assert lapack and (case == "1-D Hill" or lapack[-1] == 361)
 
