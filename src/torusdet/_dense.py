@@ -6,7 +6,8 @@ the connected components of its nonzero pattern, labelled from the entries'
 positions before any fill, so det and inverse are computed per component,
 with one LAPACK call per component size on the stacked blocks
 (:class:`_Stacks`).  Ladder rungs and :func:`l1_algebra.finite_determinant`
-build the same factors, which give ``dets()`` and ``inverse()``.
+build the same factors, which give ``dets()``, ``inverse()`` and
+``parts @ b``, and so do the Hill windows whose SVD seeks a null vector.
 
 A one-component section in dimension n >= 2 is factored slab by slab when
 the caller passes its window.  A section whose entries move k_1 by at most
@@ -26,18 +27,20 @@ one-component :class:`_Stacks` filled straight from the entries, which
 LAPACK factors whole.  A singular component or last S_i gives det 0
 exactly.
 
-Singular values never use slabs, which give none.  A one-component section
-that is centrosymmetric, ``m == m[::-1, ::-1]``, and of odd order
-N = 2h + 1, as every window is, splits for its SVD instead.  Window
-positions are lexicographic, so the reflection k -> -k reverses them, and
-the section of an operator that commutes with it is centrosymmetric: a Hill
-section I + B is whenever the potential is even, g_-l = g_l (every cosine
-potential, real or complex).  The orthogonal Q whose columns are
-(e_i + e_{N-1-i}) / sqrt 2 for i < h, e_h, and (e_i - e_{N-1-i}) / sqrt 2
-for i < h gives ``Q^T m Q = diag(E, O)`` (Cantoni & Butler, Linear Algebra
-Appl. 13, 1976), with the even block E of order h + 1 and the odd block O
-of order h (see :func:`_parity_blocks`), whose SVDs take about a quarter of
-the flops of the SVD of m and give a vector of one parity.
+Singular values never use slabs, which give none: the SVD reads the
+component stacks of a :class:`_Stacks` as they are, so only a one-component
+section is held N x N for it.  One that is centrosymmetric,
+``m == m[::-1, ::-1]``, and of odd order N = 2h + 1, as every window is,
+splits for its SVD instead.  Window positions are lexicographic, so the
+reflection k -> -k reverses them, and the section of an operator that
+commutes with it is centrosymmetric: a Hill section I + B is whenever the
+potential is even, g_-l = g_l (every cosine potential, real or complex).
+The orthogonal Q whose columns are (e_i + e_{N-1-i}) / sqrt 2 for i < h,
+e_h, and (e_i - e_{N-1-i}) / sqrt 2 for i < h gives ``Q^T m Q = diag(E, O)``
+(Cantoni & Butler, Linear Algebra Appl. 13, 1976), with the even block E of
+order h + 1 and the odd block O of order h (see :func:`_parity_blocks`),
+whose SVDs take about a quarter of the flops of the SVD of m and give a
+vector of one parity.
 :func:`_section_min_singular` takes one values-only SVD per stack of its
 parts (the component stacks, the parity blocks or the section itself),
 then one vector SVD of the matrix with the smallest sigma_min.
@@ -280,7 +283,8 @@ class _Stacks:
     entries at the positions (a, b), 0 across components.  One component
     holds every position in order (the section LAPACK factors whole), its
     (a, b) at ``values[a N + b]`` and its ``diagonal`` the slice ``:: N + 1``
-    of ``values``: it builds no position tables."""
+    of ``values``: it builds no position tables.  ``parts @ b`` is the
+    section times a vector b."""
 
     def __init__(self, blocks, values):
         self.blocks, self.values, self.stacks, self.start = blocks, values, [], None
@@ -321,6 +325,15 @@ class _Stacks:
         """``(the component inverses, 0.0)``; LinAlgError if a component is singular."""
         inverses = [np.linalg.inv(stack).ravel() for stack in self.stacks]
         return _Stacks(self.blocks, inverses[0] if len(inverses) == 1 else np.concatenate(inverses)), 0.0
+
+    def __matmul__(self, b):
+        """The section times the vector b: one batched product per stack."""
+        if self.start is None:
+            return self.stacks[0][0] @ b
+        out = np.empty(len(self.start), np.result_type(self.values, b))
+        for idx, stack in zip(self.blocks, self.stacks):
+            out[idx] = (stack @ b[idx][:, :, None])[:, :, 0]
+        return out
 
     def __getitem__(self, where):
         a, b = where
@@ -419,63 +432,64 @@ def _scatter(size, where, u):
     return v
 
 
-def _singular_parts(m, links):
-    """The parts of m for its SVD, as (stack, keys, back) triples.
+def _singular_parts(parts):
+    """The parts of the section factored as ``parts`` for its SVD, as (stack, keys, back) triples.
 
-    See :func:`_section_min_singular`: the component stacks, sliced from m
-    on its :func:`_component_blocks`, the parity blocks or m itself;
-    ``back(row, u)`` maps a vector u of the stack's matrix ``row`` back to m.
+    See :func:`_section_min_singular`: the component stacks of a split
+    section as they are, the parity blocks of a one-component one or its
+    matrix itself; ``back(row, u)`` maps a vector u of the stack's matrix
+    ``row`` back to the section.
     """
-    blocks = _component_blocks(len(m), *(np.nonzero(m) if links is None else links))
-    if blocks:
-        return [(m[idx[:, :, None], idx[:, None, :]], idx[:, 0],
-                 lambda row, u, idx=idx: _scatter(len(m), idx[row], u)) for idx in blocks]
+    if parts.start is not None:  # several components
+        size = len(parts.start)
+        return [(stack, idx[:, 0], lambda row, u, idx=idx: _scatter(size, idx[row], u))
+                for idx, stack in zip(parts.blocks, parts.stacks)]
+    m = parts.stacks[0][0]
     parity = _parity_blocks(m)
     if parity:
         return [(b[None], [odd], lambda _, u, odd=odd: _parity_vector(u, odd)) for odd, b in enumerate(parity)]
     return [(m[None], [0], lambda _, u: u)]
 
 
-def _section_min_singular(m, links=None, wanted=None, memo=None):
-    """Smallest and largest singular value of m and a vector v for the smallest.
+def _section_min_singular(parts, wanted=None, memo=None):
+    """Smallest and largest singular value of a section and a vector v for the smallest.
 
-    m's parts are one list of stacks, each matrix with a key and each stack
-    with its rule mapping a vector of one of its matrices back to m: the
-    component stacks when m has several components (one per size, keys the
-    first positions, v zero off the component); the even and odd blocks,
-    keyed 0 and 1, when m is one component that splits (v mapped by
-    :func:`_parity_vector`: v[::-1] = v for the even block, -v for the odd);
-    else m itself.  One values-only SVD per stack gives the smallest
-    sigma_min, a tie going to the smaller key, and the largest sigma_max.
-    v is computed only if ``wanted(smallest, largest)`` holds (or ``wanted``
-    is None), and is None otherwise: LAPACK's last right singular vector (a
-    row of V^H) of the winning matrix, whose vector SVD gives the smallest
-    value returned, and the largest too when m is the only part.  ``links``
-    may give the positions (i, j) of m's off-diagonal nonzeros, which label
-    its components, instead of a scan of m.
+    ``parts`` is the section's :class:`_Stacks`.  Its SVD parts are one list
+    of stacks, each matrix with a key and each stack with its rule mapping a
+    vector of one of its matrices back to the section: the component stacks
+    as they are when it has several (keys the first positions, v zero off
+    the component); the even and odd blocks, keyed 0 and 1, when it is one
+    component that splits (v mapped by :func:`_parity_vector`: v[::-1] = v
+    for the even block, -v for the odd); else its one matrix.  One values-only SVD per stack gives the
+    smallest sigma_min, a tie going to the smaller key, and the largest
+    sigma_max.  v is computed only if ``wanted(smallest, largest)`` holds
+    (or ``wanted`` is None), and is None otherwise: LAPACK's last right
+    singular vector (a row of V^H) of the winning matrix, whose vector SVD
+    gives the smallest value returned, and the largest too when that matrix
+    is the only part.
 
-    ``memo(key, compute)``, when given, is the caller's store for this m: it
-    returns ``compute()`` as kept from the first call for ``key``.  It keeps
-    the values-only summary (each part's sigma_min, the pick, the smallest
-    and largest values) and, once wanted, the vector with its SVD's values,
-    so a repeat runs no SVD.  m may then be a function giving
-    ``(m, links)``, called at most once and only for what is not kept yet.
+    ``memo(key, compute)``, when given, is the caller's store for this
+    section: it returns ``compute()`` as kept from the first call for
+    ``key``.  It keeps the values-only summary (each part's sigma_min, the
+    pick, the smallest and largest values) and, once wanted, the vector with
+    its SVD's values, so a repeat runs no SVD.  ``parts`` may then be a
+    function giving them, called at most once and only for what is not kept.
     """
     if memo is None:
         def memo(_, compute):
             return compute()
-    section = m if callable(m) else lambda: (m, links)
+    section = parts if callable(parts) else lambda: parts
     found = []
 
-    def parts():
+    def pieces():
         if not found:
-            found.append(_singular_parts(*section()))
+            found.append(_singular_parts(section()))
         return found[0]
 
     def summary():
-        values = [np.linalg.svd(stack, compute_uv=False) for stack, _, _ in parts()]
+        values = [np.linalg.svd(stack, compute_uv=False) for stack, _, _ in pieces()]
         minima = np.concatenate([s[:, -1] for s in values])
-        pick = np.lexsort((np.concatenate([keys for _, keys, _ in parts()]), minima))[0]
+        pick = np.lexsort((np.concatenate([keys for _, keys, _ in pieces()]), minima))[0]
         return minima, int(pick), float(minima[pick]), float(max(np.max(s[:, 0]) for s in values))
 
     minima, pick, smallest, largest = memo("singular values", summary)
@@ -484,7 +498,7 @@ def _section_min_singular(m, links=None, wanted=None, memo=None):
 
     def vector():
         row = pick
-        for stack, _, back in parts():
+        for stack, _, back in pieces():
             if row < len(stack):
                 break
             row -= len(stack)

@@ -135,7 +135,7 @@ def _cmd_symbol2matrix(args):
                            "re": matrix.vals.real, "im": matrix.vals.imag})
     # the l1 norm inside each power-of-two radius and the radius itself
     radii = sorted({1 << k for k in range(args.radius.bit_length())} | {args.radius})
-    norms = [{"radius": r, "l1_norm": _mass(matrix.vals[matrix.entry_radii <= r])} for r in radii]
+    norms = docio.Table({"radius": radii, "l1_norm": [_mass(matrix.vals[matrix.entry_radii <= r]) for r in radii]})
     return EXIT_OK, {
         "command": "symbol2matrix",
         "dimension": matrix.dimension,
@@ -156,6 +156,7 @@ def _cmd_diagnose(args):
     # per-axis cap so the n-dimensional sample count stays bounded)
     x_grid = min(args.grid, 256 if n == 1 else 16)
     order = symbol_order_diagnostic(symbol, (2,) * n, window, x_grid=min(x_grid, 8))
+    fits = list(order.fits.values())
     m_for_ellipticity = symbol.order_m if symbol.order_m is not None else order.order_estimate
     ellipt = strong_ellipticity_check(symbol, m_for_ellipticity, window, x_grid=x_grid)
     radii = [r for r in (4, 8, 16, 32, 64, window_radius) if r <= window_radius]
@@ -168,14 +169,8 @@ def _cmd_diagnose(args):
     return EXIT_OK, {
         "command": "diagnose",
         "order_estimate": order.order_estimate,
-        "order_fits": [
-            {
-                "alpha": list(fit.alpha),
-                "exponent": fit.exponent,
-                "constant": fit.constant,
-            }
-            for fit in order.fits.values()
-        ],
+        "order_fits": docio.Table({"alpha": [fit.alpha for fit in fits], "exponent": [fit.exponent for fit in fits],
+                                   "constant": [fit.constant for fit in fits]}),
         "strong_ellipticity": {
             "order_m": float(m_for_ellipticity),
             "passed": ellipt.passed,
@@ -186,7 +181,8 @@ def _cmd_diagnose(args):
             "in_l1": membership.in_l1,
             "order_used": membership.order_used,
             "warning": warning,
-            "ladder": [{"radius": r, "l1_norm": v} for r, v in membership.ladder],
+            "ladder": docio.Table({"radius": [r for r, _ in membership.ladder],
+                                   "l1_norm": [v for _, v in membership.ladder]}),
         },
     }
 
@@ -204,17 +200,15 @@ def _cmd_hill_check(args):
         window = TruncationWindow(min(args.max_radius, 16), problem.dimension)
         try:
             sol = extract_null_solution(problem, window)
+            kept = [(k, v) for k, v in sorted(sol.coefficients.items()) if abs(v) > 1e-12]
             doc["solution"] = {
                 "window_radius": window.radius,
                 "residual": sol.residual,
                 "regularity_mass": sol.regularity_mass,
                 "regularity_bound": sol.regularity_bound,
                 "singular_value": sol.singular_value,
-                "coefficients": [
-                    {"index": list(k), "re": v.real, "im": v.imag}
-                    for k, v in sorted(sol.coefficients.items())
-                    if abs(v) > 1e-12
-                ],
+                "coefficients": docio.Table({"index": [k for k, _ in kept], "re": [v.real for _, v in kept],
+                                             "im": [v.imag for _, v in kept]}),
             }
         except NoNullSolutionError as err:
             doc["solution"] = {"error": str(err), "singular_value": err.singular_value}
@@ -239,9 +233,9 @@ def _cmd_hill_scan(args):
         return EXIT_OK, docio.dumps_csv(table)
     return EXIT_OK, {
         "command": "hill scan",
-        "roots": [{"lambda": lam, "abs_det": mag, "multiplicity": count}
-                  for (lam, mag), count in zip(scan.roots, scan.multiplicities)],
-        "brackets": [{"lo": lo, "hi": hi} for lo, hi in scan.brackets],
+        "roots": docio.Table({"lambda": [lam for lam, _ in scan.roots], "abs_det": [mag for _, mag in scan.roots],
+                              "multiplicity": scan.multiplicities}),
+        "brackets": docio.Table({"lo": [lo for lo, _ in scan.brackets], "hi": [hi for _, hi in scan.brackets]}),
         "failures": [{"lo": f.lo, "hi": f.hi, "reason": f.reason} for f in scan.failures],
         "table": table,
     }

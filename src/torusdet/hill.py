@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._dense import _section_min_singular
+from ._dense import _section_min_singular, _section_parts
 from .lattice import (
     TruncationWindow,
     as_index,
@@ -52,7 +52,6 @@ from .l1_algebra import (
     DeterminantResult,
     SparseL1Matrix,
     TailModel,
-    _add_identity,
     _check_section_size,
     _converged,
     _determinant_ladder,
@@ -92,14 +91,13 @@ class HillProblem:
     What Hill's method computes from the problem alone is kept on first use
     (:meth:`_memo`): the head sums of :func:`_head_sums` per head radius, the
     near entries of :class:`_HillTails` per list of rung radii, and per
-    window radius the singular values of the dense section of I + B (each
-    part's sigma_min, the pick, sigma_max) and, once a caller has wanted it,
-    the vector for the smallest.  For a window of N points each is O(N)
-    times the number of offsets of g at most: no N x N array is kept, so
-    dense sections, their factorizations and inverses are built anew by
-    every call that needs them (a null vector's residual does).  The store
-    is a plain attribute, not a field, so equality and repr see only
-    (n, nu, g).
+    window radius the singular values of the section of I + B (each part's
+    sigma_min, the pick, sigma_max) and, once a caller has wanted it, the
+    vector for the smallest.  For a window of N points each is O(N) times
+    the number of offsets of g at most: no section is kept, so its factors
+    are built anew by every call that needs them (a null vector's residual
+    does).  The store is a plain attribute, not a field, so equality and
+    repr see only (n, nu, g).
     """
 
     dimension: int
@@ -453,46 +451,53 @@ def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None
     return ExistenceResult("undecided", det)
 
 
-def _dense_section(p: HillProblem, radius):
-    """Window, dense I + B on it, positions of the entries of B, and d(k) on it."""
+def _window_matrix(p: HillProblem, radius):
+    """Window of the radius, B on it (a :class:`SparseL1Matrix`) and d(k) on it."""
     w = TruncationWindow(radius, p.dimension)
     _check_section_size(w)
     weights = p.weights(w.coords_array())
     matrix, _ = build_hill_matrix(p, w, weights)
-    section, links = _section_matrix(matrix.rows, matrix.cols, matrix.vals, w)
-    return w, _add_identity(section), links, weights
+    return w, matrix, weights
 
 
 def _window_min_singular(p: HillProblem, radius, wanted):
     """:func:`~torusdet._dense._section_min_singular` of I + B on the window.
 
-    The problem keeps the singular values per window radius, and the vector
-    once wanted, so the window's :func:`_dense_section` is built only for
-    what is not kept yet, or for a caller that gets a vector.  Returns
-    ``(smallest, largest, v, section)``, with ``section`` None when v is.
+    Its factors, :func:`~torusdet._dense._section_parts` of the entries of
+    :func:`_window_matrix`, are never N x N for a window that splits.  The
+    problem keeps the singular values per window radius, and the vector once
+    wanted, so they are built only for what is not kept yet, or for a caller
+    that gets a vector.  Returns ``(smallest, largest, v, (w, parts, d(k)))``,
+    the last None when v is.
     """
     built = []
 
     def section():
-        built.append(_dense_section(p, radius))
-        return built[0][1:3]
+        w, b, weights = _window_matrix(p, radius)
+        r, c = window_positions(b.rows, radius), window_positions(b.cols, radius)
+        vals = b.vals if np.any(b.vals.imag) else b.vals.real
+        built.append((w, _section_parts(w.size, r, c, vals, 1.0), weights))
+        return built[-1][1]
 
     smallest, largest, v = _section_min_singular(
         section, wanted=wanted, memo=lambda key, compute: p._memo((key, radius), compute)
     )
     if v is None:
         return smallest, largest, None, None
-    return smallest, largest, v, built[0] if built else _dense_section(p, radius)
+    if not built:
+        section()
+    return smallest, largest, v, built[0]
 
 
 @np.errstate(over="ignore")  # a residual past the float range is inf
-def _full_residual(p: HillProblem, w: TruncationWindow, dense, b_vec):
+def _full_residual(p: HillProblem, w: TruncationWindow, parts, b_vec):
     """(I + B) b over every row the window-supported b touches, undamped-free.
 
-    Rows inside the window use the dense section ``dense`` of I + B; rows
-    outside receive only the g-convolution term, computed exactly from the
-    finite potential: the terms of all offsets are summed per row through
-    the rows' lattice keys, offset by offset in the problem's offset order.
+    Rows inside the window use ``parts``, the factors of the section of
+    I + B; rows outside receive only the g-convolution term, computed
+    exactly from the finite potential: the terms of all offsets are summed
+    per row through the rows' lattice keys, offset by offset in the
+    problem's offset order.
     An overflowed residual is inf, which no threshold accepts.
     """
     shifted = w.coords_array()[None, :, :] + p.offsets[:, None, :]
@@ -501,7 +506,7 @@ def _full_residual(p: HillProblem, w: TruncationWindow, dense, b_vec):
     terms = (p.values[:, None] * b_vec)[out] / p.weights(rows)
     _, row = np.unique(index_keys(rows)[0], return_inverse=True)
     outside = np.bincount(row, terms.real) ** 2 + np.bincount(row, terms.imag) ** 2
-    inside = float(np.sum(np.abs(dense @ b_vec) ** 2))
+    inside = float(np.sum(np.abs(parts @ b_vec) ** 2))
     return math.sqrt(inside + float(np.sum(outside)))
 
 
@@ -512,8 +517,8 @@ def _kernel_certified(p: HillProblem, radius):
     )
     if v is None:
         return False
-    w, dense, _, _ = section
-    return _full_residual(p, w, dense, np.conj(v)) <= 1e-13 * (1.0 + p.potential_l1() + 1.0)
+    w, parts, _ = section
+    return _full_residual(p, w, parts, np.conj(v)) <= 1e-13 * (1.0 + p.potential_l1() + 1.0)
 
 
 @dataclass
@@ -532,8 +537,8 @@ def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
     """Reconstruct a null solution from the smallest singular vector.
 
     The candidate is the right singular vector of the smallest singular
-    value of the dense section of I + B on the window, taken over the
-    section's parts by :func:`~torusdet._dense._section_min_singular`
+    value of the section of I + B on the window, taken over the section's
+    factors by :func:`~torusdet._dense._section_min_singular`
     (robust under the +-k degeneracies of even problems).  It lives on one
     connected component: on a tie, as between the +-k modes of a constant
     potential, the one holding the lexicographically first window point.
@@ -553,11 +558,11 @@ def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
             f"{threshold:.3e}; no null solution on this window",
             singular_value=smallest,
         )
-    _, dense, _, weights = section
+    _, parts, weights = section
     b_vec = np.conj(v)
     b_vec = b_vec / np.linalg.norm(b_vec)
     pts = w.coords_array()
-    residual = float(np.linalg.norm((dense @ b_vec) * weights))
+    residual = float(np.linalg.norm((parts @ b_vec) * weights))
     norms = euclid_norm_array(pts)
     regularity_mass = float(np.sum(norms**p.nu * np.abs(b_vec)))
     bound = (2.0 * np.pi) ** (-p.nu) * float(np.sum(np.abs(b_vec))) * p.potential_l1()
@@ -618,9 +623,13 @@ def spectral_shift_scan(p: HillProblem, lambdas, tol, radius=32):
         raise ValueError("scan grid is empty")
     if not np.all(np.diff(grid) > 0):  # NaN fails too
         raise ValueError("scan grid must be strictly increasing")
+    if not np.all(np.isfinite(grid)):  # a lone NaN and the infinities pass the order check
+        raise ValueError("scan grid points must be finite")
     lambdas = grid.tolist()
 
-    _, dense, _, weights = _dense_section(p, radius)
+    w, b, weights = _window_matrix(p, radius)
+    dense = _section_matrix(b.rows, b.cols, b.vals, w)
+    dense.flat[:: w.size + 1] += 1.0  # I + B
     mu = np.linalg.eigvals(weights[:, None] * dense)
     # ascending eigenvalues against ascending weights keep every factor
     # (mu_i + lambda) / d_i of moderate size; a product that still overflows

@@ -272,6 +272,8 @@ def parse_hill_document(doc):
         _known(scan, "hill.scan", "lambda_min", "lambda_max", "steps")
         if not hi > lo:
             raise ValidationError("hill.scan", f"lambda_max must exceed lambda_min")
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ValidationError("hill.scan", "lambda_max - lambda_min is past the float range")
         error = _not_a_number(steps, integer=True)
         if not error and not 2 <= steps <= MAX_SCAN_STEPS:
             error = f"need 2 to {MAX_SCAN_STEPS} steps, got {steps}"
@@ -313,9 +315,8 @@ def dumps_fixed(doc, indent=0):
 
     Each container is joined from its items' strings as soon as they are
     written, so only one container's parts per level are alive at a time;
-    each distinct key is encoded once per call.  A :class:`Table`, and a
-    list of same-shape flat records (:func:`_record_table`), is written by
-    one ``%`` template.  Keys must be strings: JSON has no other kind.
+    each distinct key is encoded once per call.  A :class:`Table` is written
+    by one ``%`` template.  Keys must be strings: JSON has no other kind.
     """
     return _fixed(doc, "  " * indent, {})
 
@@ -367,13 +368,10 @@ class Table:
 
 
 def _float_array(label, values):
-    """The part ``label`` of a float array, its finiteness checked once."""
-    return _float_part(label, values.tolist(), np.isfinite(values).all())
-
-
-def _float_part(label, values, finite):
-    """The part ``label`` of floats: ``%.17g``, or ``%s`` of their :func:`format_float` strings."""
-    return (label, "%.17g", values) if finite else (label, "%s", list(map(format_float, values)))
+    """The part ``label`` of a float array: ``%.17g``, or ``%s`` of its :func:`format_float` strings."""
+    if np.isfinite(values).all():
+        return label, "%.17g", values.tolist()
+    return label, "%s", list(map(format_float, values.tolist()))
 
 
 def _fixed(value, pad, keys):
@@ -394,10 +392,7 @@ def _fixed(value, pad, keys):
         if not value:
             return "[]"
         inner = pad + "  "
-        body = _record_table(value, inner, keys)
-        if body is None:
-            body = ",\n".join([inner + _fixed(item, inner, keys) for item in value])
-        return "[\n%s\n%s]" % (body, pad)
+        return "[\n%s\n%s]" % (",\n".join([inner + _fixed(item, inner, keys) for item in value]), pad)
     if kind is Table:
         return "[\n%s\n%s]" % (_rows(value.columns, value.count, pad + "  ", keys), pad) if value.count else "[]"
     if kind is int:
@@ -411,44 +406,6 @@ def _key(key, keys):
         raise TypeError(f"cannot serialize {type(key).__name__} key {key!r}")
     text = keys[key] = json.dumps(key)
     return text
-
-
-def _record_table(records, pad, keys):
-    """The items of a list of flat records indented by ``pad``, or None.
-
-    A flat record is a dict with str keys whose values are floats, ints,
-    lists of ints or dicts of floats with str keys (a ``{re, im}`` pair),
-    each of exactly that type (not bool, not a numpy scalar).  When every
-    record has the first one's keys, value types, list lengths and inner
-    keys, its columns go to :func:`_rows`; else the caller writes the list.
-    """
-    first = records[0]
-    if type(first) is not dict or not first or not {float, int, list, dict}.issuperset(map(type, first.values())):
-        return None
-    names = tuple(first)
-    if set(map(type, records)) != {dict} or set(map(tuple, records)) != {names}:
-        return None
-    columns = []
-    for name, column in zip(names, zip(*map(dict.values, records))):
-        kinds = set(map(type, column))
-        if kinds == {float}:
-            columns.append((name, "", [_float_part(None, column, all(map(math.isfinite, column)))]))
-        elif kinds == {int}:
-            columns.append((name, "", [(None, "%d", column)]))
-        elif kinds == {list} and len(set(map(len, column))) == 1:
-            parts = list(zip(*column))  # one tuple per list position
-            if any(set(map(type, part)) != {int} for part in parts):
-                return None
-            columns.append((name, "[]", [(None, "%d", part) for part in parts]))
-        elif kinds == {dict} and len(set(map(tuple, column))) == 1:
-            parts = list(zip(*map(dict.values, column)))  # one tuple per inner key
-            if any(set(map(type, part)) != {float} for part in parts):
-                return None
-            columns.append((name, "{}", [_float_part(k, part, all(map(math.isfinite, part)))
-                                         for k, part in zip(column[0], parts)]))
-        else:
-            return None
-    return _rows(columns, len(records), pad, keys)
 
 
 def _rows(columns, count, pad, keys):
@@ -501,10 +458,8 @@ def complex_doc(z):
 
 
 def ladder_doc(ladder):
-    return [
-        {"radius": int(s.radius), "value": complex_doc(s.value), "bound": float(s.bound)}
-        for s in ladder
-    ]
+    return Table({"radius": [s.radius for s in ladder], "value": np.array([s.value for s in ladder], complex),
+                  "bound": [s.bound for s in ladder]})
 
 
 def determinant_doc(result):

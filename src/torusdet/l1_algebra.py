@@ -479,20 +479,11 @@ def _section_matrix(rows, cols, vals, window):
     """Dense section on the window of entries that all lie inside it.
 
     The section is float64 when every value is real and complex128
-    otherwise; every dense kernel downstream keeps that dtype.  Returns the
-    section and the window positions (r, c) of the entries.
+    otherwise; every dense kernel downstream keeps that dtype.
     """
     real = not np.any(vals.imag)
     dense = np.zeros((window.size, window.size), np.float64 if real else np.complex128)
-    r = window_positions(rows, window.radius)
-    c = window_positions(cols, window.radius)
-    dense[r, c] = vals.real if real else vals
-    return dense, (r, c)
-
-
-def _add_identity(dense):
-    """I + dense, in place."""
-    dense.flat[:: dense.shape[0] + 1] += 1.0
+    dense[window_positions(rows, window.radius), window_positions(cols, window.radius)] = vals.real if real else vals
     return dense
 
 
@@ -510,7 +501,7 @@ def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
     lo, hi = _row_span(a, w.radius)
     inside = lo + np.flatnonzero(_entry_radii(a, slice(lo, hi)) <= w.radius)
     vals = a.vals[inside]
-    dense, _ = _section_matrix(a.rows[inside], a.cols[inside], vals, w)
+    dense = _section_matrix(a.rows[inside], a.cols[inside], vals, w)
     stored_tail = _discarded_mass(a, _mass(vals), w.radius)
     return FiniteSection(w, dense), stored_tail + tail.bound_at(a.support_radius)
 

@@ -329,6 +329,9 @@ SCAN = {"lambda_min": -5.0, "lambda_max": 5.0, "steps": 11}
          "hill.scan.lambda_min"),
         (["hill", "scan"], {**HILL, "scan": {**SCAN, "lambda_max": 10**400}},
          "hill.scan.lambda_max"),
+        # each end is a float, their distance is not
+        (["hill", "scan"], {**HILL, "scan": {**SCAN, "lambda_min": -1.7e308, "lambda_max": 1.7e308}},
+         "hill.scan"),
     ],
 )
 def test_malformed_numbers_are_input_errors(tmp_path, capsys, command, doc, field):

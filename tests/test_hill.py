@@ -18,6 +18,7 @@ from torusdet.l1_algebra import (
     NonConvergenceError,
     SparseL1Matrix,
     TailModel,
+    _section_matrix,
     _tail_cross_term,
     poincare_determinant,
     truncate,
@@ -27,11 +28,11 @@ from torusdet.hill import (
     InfeasibleOrderError,
     NoNullSolutionError,
     _HillTails,
-    _dense_section,
     _full_residual,
     _inverse_damping_tail,
     _kernel_certified,
     _square_tail,
+    _window_matrix,
     build_hill_matrix,
     existence_test,
     extract_null_solution,
@@ -46,6 +47,14 @@ def dense_of(g, size):
     """A factors' ``inverse()`` G as a size x size array, read through its [a, b] reader."""
     a, b = np.divmod(np.arange(size * size), size)
     return g[a, b].reshape(size, size)
+
+
+def hill_section(p, radius):
+    """Window, dense I + B on it (float64 when B is real) and d(k) on it, as the scan fills them."""
+    w, b, weights = _window_matrix(p, radius)
+    m = _section_matrix(b.rows, b.cols, b.vals, w)
+    m.flat[:: w.size + 1] += 1.0
+    return w, m, weights
 
 
 def dense_parts(m, window=None):
@@ -507,13 +516,17 @@ def test_scan_certificate_keeps_the_undamped_off_diagonal_mass():
 
 
 def test_scan_rejects_bad_grids():
-    # empty, repeating, falling, and holding a NaN, which fails every order
-    # comparison; a grid array comes back as a list of floats
+    # empty, repeating, falling, holding a NaN, which fails every order
+    # comparison, or an infinity; a grid array comes back as a list of floats
     p = HillProblem(1, 2.0, {(0,): 1.0, (1,): 0.3, (-1,): 0.3})
     with pytest.raises(ValueError, match="scan grid is empty"):
         spectral_shift_scan(p, [], 1e-8, radius=8)
     for grid in ([0.0, 0.0, 1.0], [1.0, 0.0], [-50.0, math.nan, 1.0], np.array([-50.0, 1.0, math.nan])):
         with pytest.raises(ValueError, match="scan grid must be strictly increasing"):
+            spectral_shift_scan(p, grid, 1e-8, radius=8)
+    # a one-point NaN grid and infinite ends pass the order check
+    for grid in ([math.nan], [-math.inf, 0.0], [-10.0, math.inf], np.array([math.inf])):
+        with pytest.raises(ValueError, match="scan grid points must be finite"):
             spectral_shift_scan(p, grid, 1e-8, radius=8)
     lambdas = spectral_shift_scan(p, np.array([-50.0, 1.0]), 1e-8, radius=8).lambdas
     assert type(lambdas) is list and [type(x) for x in lambdas] == [float, float]
@@ -664,6 +677,23 @@ def test_a_split_three_dimensional_ladder_holds_no_dense_section():
     assert abs(det.value - head) <= det.certified_error + abs(head) * (math.expm1(log_remainder) + 1e-12)
 
 
+@pytest.mark.parametrize("n, max_radius, coverage", [(2, 32, None), (3, 8, 16)])
+def test_a_split_kernel_check_holds_no_dense_section(n, max_radius, coverage):
+    # the constant -(2 pi)^(n+1) is singular at |k| = 1 and leaves the
+    # determinant undecided; the kernel check's SVD and residual read the
+    # window's 1 x 1 components, where a dense section of its 65^2 (17^3)
+    # points would take 137 (185) MiB
+    p = HillProblem(n, n + 1.0, {(0,) * n: -((2.0 * math.pi) ** (n + 1))})
+    tracemalloc.start()
+    try:
+        result = existence_test(p, tol=1e-8, max_radius=max_radius, coverage_radius=coverage)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.decision == "nontrivial-solution" and result.kernel_certified
+    assert peak < 16 * 2**20
+
+
 def test_constant_potential_certified_in_three_dimensions():
     p = HillProblem(3, 6.0, {(0, 0, 0): 0.5})
     res = hill_determinant(p, 1e-8, max_radius=4, coverage_radius=32)
@@ -738,7 +768,7 @@ NEAR_ROOT_2D = -((2.0 * math.pi) ** 3) + 0.5
     ],
 )
 def test_parity_kernels_match_unsplit_linalg_on_even_hill_sections(n, pot, radius, parity):
-    _, m, links, _ = _dense_section(HillProblem(n, n + 1.0, pot), radius)
+    _, m, _ = hill_section(HillProblem(n, n + 1.0, pot), radius)
     real = all(complex(v).imag == 0 for v in pot.values())
     assert m.dtype == (np.float64 if real else np.complex128)
     assert _parity_blocks(m) is not None
@@ -747,7 +777,7 @@ def test_parity_kernels_match_unsplit_linalg_on_even_hill_sections(n, pot, radiu
     inv = np.linalg.inv(m)
     assert np.linalg.norm(dense_of(parts.inverse()[0], len(m)) - inv) <= 1e-12 * np.linalg.norm(inv)
     svals = np.linalg.svd(m, compute_uv=False)
-    smallest, largest, v = _section_min_singular(m, links)
+    smallest, largest, v = _section_min_singular(parts)
     assert abs(smallest - svals[-1]) <= 1e-12 * svals[-1]
     assert abs(largest - svals[0]) <= 1e-12 * svals[0]
     assert v.dtype == m.dtype and abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -777,7 +807,7 @@ def test_even_potential_ladder_rungs_match_dense_slogdet(n, pot, radii):
     ladder = err.value.ladder
     assert [step.radius for step in ladder] == radii
     for step in ladder:
-        w, m, _, _ = _dense_section(p, step.radius)
+        w, m, _ = hill_section(p, step.radius)
         assert (_parity_blocks(m) is not None) == even
         assert isinstance(dense_parts(m, w), _Slabs)
         sign, logabs = np.linalg.slogdet(damped_section(pot, step.radius, n, nu))
@@ -811,7 +841,7 @@ def test_a_ladder_rung_splits_its_section_once(monkeypatch):
     [(2, EVEN_2D, 10), (2, SKEW_2D, 10), (2, SKEW_2D_COMPLEX, 8), (3, EVEN_3D, 3), (3, EVEN_3D_COMPLEX, 3)],
 )
 def test_slab_kernels_match_unsplit_linalg_on_hill_sections(n, pot, radius):
-    w, m, _, _ = _dense_section(HillProblem(n, n + 1.0, pot), radius)
+    w, m, _ = hill_section(HillProblem(n, n + 1.0, pot), radius)
     slabs = dense_parts(m, w)
     assert isinstance(slabs, _Slabs)
     assert set(np.diff(slabs.bounds).tolist()) == {(2 * radius + 1) ** (n - 1)}
@@ -1282,8 +1312,8 @@ def test_repeat_hill_calls_make_no_head_sums_build_or_svd(monkeypatch):
         assert counts["head sums"] and counts["build"] and counts["values svd"], label
         counts.clear()
         assert [hill_outcome(f, p, *args, **kwargs) for f, args, kwargs in calls] == first
-        # a returned null vector's residual reads the window's dense section,
-        # which every call fills anew from one build; nothing else is redone
+        # a returned null vector's residual reads the window's factors, which
+        # every call builds anew from one build; nothing else is redone
         vectors = sum(type(out).__name__ == "SolutionCandidate" or getattr(out, "kernel_certified", False)
                       for out in first)
         assert counts == ({"build": vectors} if vectors else {}), label
@@ -1345,7 +1375,7 @@ def test_an_unwanted_vector_is_never_computed(monkeypatch):
             calls.clear()
             seen = []
             smallest, largest, v = _section_min_singular(
-                m, wanted=lambda s, l: seen.append((s, l)) or not refuse
+                dense_parts(m), wanted=lambda s, l: seen.append((s, l)) or not refuse
             )
             assert len(seen) == 1, name
             if refuse:
@@ -1356,7 +1386,7 @@ def test_an_unwanted_vector_is_never_computed(monkeypatch):
                 # the values of the vector SVD, within roundoff of those seen
                 assert seen[0] == pytest.approx((smallest, largest), rel=1e-14), name
                 assert calls.count(True) == 1, name
-                want = _section_min_singular(m)
+                want = _section_min_singular(dense_parts(m))
                 assert (smallest, largest) == want[:2] and np.array_equal(v, want[2]), name
     # the kernel check of an undecided problem refuses the same way
     calls.clear()
@@ -1393,7 +1423,7 @@ def dict_loop_residual(p, w, dense, b_vec):
 def test_full_residual_matches_a_per_row_dict_reference(n, pot, radius):
     # outside rows collect terms of several offsets, (1, 1) and (1, 0) among them
     p = HillProblem(n, n + 1.0, pot)
-    w, dense, _, _ = _dense_section(p, radius)
+    w, dense, _ = hill_section(p, radius)
     rng = np.random.default_rng(radius)
     for _ in range(3):
         b_vec = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
@@ -1402,4 +1432,4 @@ def test_full_residual_matches_a_per_row_dict_reference(n, pot, radius):
             for section in (dense, np.zeros_like(dense)):
                 want = dict_loop_residual(p, w, section, b)
                 assert want > 0
-                assert _full_residual(p, w, section, b) == pytest.approx(want, rel=1e-14, abs=0)
+                assert _full_residual(p, w, dense_parts(section), b) == pytest.approx(want, rel=1e-14, abs=0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from torusdet import _dense, l1_algebra
-from torusdet.hill import HillProblem, _dense_section, build_hill_matrix, hill_determinant
+from torusdet.hill import HillProblem, _window_min_singular, build_hill_matrix, hill_determinant
 from torusdet.lattice import TruncationWindow
 from torusdet.l1_algebra import (
     DimensionMismatchError,
@@ -49,7 +49,18 @@ from torusdet._dense import (
     _slab_sweep,
 )
 
-from test_hill import EVEN_2D, EVEN_2D_COMPLEX, EVEN_3D, EVEN_3D_COMPLEX, SKEW_2D, SKEW_2D_COMPLEX, dense_of, dense_parts
+from test_hill import (
+    EVEN_2D,
+    EVEN_2D_COMPLEX,
+    EVEN_3D,
+    EVEN_3D_COMPLEX,
+    NEAR_ROOT_1D,
+    SKEW_2D,
+    SKEW_2D_COMPLEX,
+    dense_of,
+    dense_parts,
+    hill_section,
+)
 
 
 def random_sparse(rng, n=1, max_entries=30, radius=6, scale=2.0):
@@ -1041,7 +1052,7 @@ def test_section_kernels_match_dense_linalg_on_hidden_blocks(complex_values):
     assert rel_err(dense_of(parts.inverse()[0], len(m)), np.linalg.inv(m)) <= 1e-12
 
     _, svals, vh = np.linalg.svd(m)
-    smallest, largest, v = _section_min_singular(m)
+    smallest, largest, v = _section_min_singular(dense_parts(m))
     assert abs(smallest - svals[-1]) <= 1e-12 * svals[-1]
     assert abs(largest - svals[0]) <= 1e-12 * svals[0]
     assert v.dtype == m.dtype and abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -1057,7 +1068,7 @@ def test_section_kernels_on_an_exactly_singular_block(complex_values):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _section_det(dense_parts(m)) == 0
-        smallest, largest, v = _section_min_singular(m)
+        smallest, largest, v = _section_min_singular(dense_parts(m))
     with pytest.raises(np.linalg.LinAlgError):
         dense_parts(m).inverse()
     # an unsigned zero, whatever the signs of the other blocks, and for one
@@ -1077,7 +1088,7 @@ def test_section_kernels_on_one_component_pass_the_matrix_through():
     assert whole(parts) and _section_det(parts) == complex(np.linalg.det(m))
     assert np.array_equal(dense_of(parts.inverse()[0], len(m)), np.linalg.inv(m))
     _, svals, vh = np.linalg.svd(m)
-    smallest, largest, v = _section_min_singular(m)
+    smallest, largest, v = _section_min_singular(dense_parts(m))
     assert (smallest, largest) == (svals[-1], svals[0]) and np.array_equal(v, vh[-1])
 
 
@@ -1095,15 +1106,94 @@ def test_section_min_singular_tie_goes_to_the_first_window_position():
     # 1 x 1 blocks are solved in an earlier stacked call
     m = np.diag([0.0, 3.0, -1.0, 0.0, 1.0, 2.0])
     m[0, 3] = m[3, 0] = 1.0
-    smallest, largest, v = _section_min_singular(m)
+    smallest, largest, v = _section_min_singular(dense_parts(m))
     assert (smallest, largest) == (1.0, 3.0)
     assert np.count_nonzero(v[[1, 2, 4, 5]]) == 0
     assert np.linalg.norm(m @ np.conj(v)) == pytest.approx(1.0, abs=1e-15)
 
     m = np.diag([4.0, 2.0, 3.0, -2.0, 2.0])
-    smallest, _, v = _section_min_singular(m)
+    smallest, _, v = _section_min_singular(dense_parts(m))
     assert smallest == 2.0
     assert np.flatnonzero(v).tolist() == [1] and abs(v[1]) == 1.0
+
+
+def sliced_min_singular(m):
+    """``(smallest, largest, v)`` of a split m from component stacks sliced out of the dense m.
+
+    The values-only SVD of each stack, the pick by sigma_min and then by
+    first position, and the vector SVD of the picked matrix, scattered back.
+    """
+    blocks = _dense._component_blocks(len(m), *np.nonzero(m))
+    assert blocks
+    stacks = [m[idx[:, :, None], idx[:, None, :]] for idx in blocks]
+    values = [np.linalg.svd(stack, compute_uv=False) for stack in stacks]
+    minima = np.concatenate([s[:, -1] for s in values])
+    pick = np.lexsort((np.concatenate([idx[:, 0] for idx in blocks]), minima))[0]
+    block, where = [(stack[q], idx[q]) for idx, stack in zip(blocks, stacks) for q in range(len(idx))][pick]
+    _, svals, vh = np.linalg.svd(block)
+    v = np.zeros(len(m), m.dtype)
+    v[where] = vh[-1]
+    return float(svals[-1]), float(max(np.max(s[:, 0]) for s in values)), v
+
+
+# 2-D sublattice potentials: 4 components of (R + 1)^2 / 4 or so points
+SUBLATTICE_2D = {(0, 0): 2.0, (2, 0): 0.4, (-2, 0): 0.4, (0, 2): 0.3, (0, -2): 0.3}
+SUBLATTICE_2D_COMPLEX = {(0, 0): 2.0 - 0.2j, (2, 0): 0.4 + 0.1j, (-2, 0): 0.3, (2, 2): 0.25j}
+SPLIT_HILL_SECTIONS = [
+    (1, {(0,): NEAR_ROOT_1D, (3,): 1.0, (-3,): 1.0}, 20),
+    (1, {(0,): 3.0, (2,): 0.5 - 0.5j, (-4,): 0.2}, 20),
+    (2, SUBLATTICE_2D, 8),
+    (2, SUBLATTICE_2D_COMPLEX, 8),
+    (3, {(0, 0, 0): 2.5, (2, 0, 0): 0.3, (0, -2, 2): 0.2j}, 3),
+    (3, {(0, 0, 0): -((2.0 * math.pi) ** 4)}, 3),
+]
+
+
+@pytest.mark.parametrize("n, pot, radius", SPLIT_HILL_SECTIONS)
+def test_split_window_singular_values_are_those_of_the_sliced_dense_section(n, pot, radius):
+    # the SVD reads the component stacks the window's factors hold: the
+    # same values and vector as stacks sliced from the dense section
+    p = HillProblem(n, n + 1.0, pot)
+    _, m, _ = hill_section(p, radius)
+    want = sliced_min_singular(m)
+    for got in (_section_min_singular(dense_parts(m)), _window_min_singular(p, radius, None)[:3]):
+        assert got[:2] == want[:2] and got[2].dtype == m.dtype and np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_split_singular_values_are_those_of_the_sliced_matrix(complex_values):
+    rng = np.random.default_rng(50)
+    for m in (hidden_block_diagonal(rng, BLOCK_SIZES, complex_values),
+              hidden_block_diagonal(rng, [2] * 7, complex_values), np.diag(rng.standard_normal(9) + 2.0)):
+        smallest, largest, v = _section_min_singular(dense_parts(m))
+        assert (smallest, largest) == sliced_min_singular(m)[:2]
+        assert np.array_equal(v, sliced_min_singular(m)[2])
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_a_section_times_a_vector_is_the_dense_product(complex_values):
+    # one component and 1 x 1 components give the dense product's bits;
+    # larger components sum each row in their own order
+    rng = np.random.default_rng(49)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_values else x
+
+    one = np.eye(12) + 0.3 * draw(12, 12)
+    diagonal = np.diag(draw(9))
+    split = hidden_block_diagonal(rng, BLOCK_SIZES, complex_values)
+    _, hill, _ = hill_section(HillProblem(2, 3.0, SUBLATTICE_2D_COMPLEX if complex_values else SUBLATTICE_2D), 6)
+    for m, exact in ((one, True), (diagonal, True), (split, False), (hill, False)):
+        parts = dense_parts(m)
+        assert whole(parts) == (m is one)
+        for b in (rng.standard_normal(len(m)), rng.standard_normal(len(m)) + 1j * rng.standard_normal(len(m))):
+            got, want = parts @ b, m @ b
+            assert got.dtype == want.dtype
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_parity_tie_goes_to_the_even_block():
@@ -1114,7 +1204,7 @@ def test_parity_tie_goes_to_the_even_block():
     even, odd = _parity_blocks(m)
     sigma = [np.linalg.svd(b, compute_uv=False)[-1] for b in (even, odd)]
     assert sigma == [r, r]
-    smallest, largest, v = _section_min_singular(m)
+    smallest, largest, v = _section_min_singular(dense_parts(m))
     assert smallest == largest == r
     assert v[1] != 0 and np.array_equal(v, v[::-1])  # even: v[::-1] = v, odd: = -v
     assert np.linalg.norm(m @ np.conj(v)) == pytest.approx(r, rel=1e-15)
@@ -1140,7 +1230,7 @@ def test_sections_that_are_not_centrosymmetric_pass_the_matrix_through():
     half = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     m = np.eye(9) + 0.2 * (half + half[::-1, ::-1])
     even_hill = {(0,): 3.0, (1,): 1.0, (-1,): 1.0, (2,): 0.8, (-2,): 0.8}
-    _, hill, _, _ = _dense_section(HillProblem(1, 2.0, even_hill), 40)
+    _, hill, _ = hill_section(HillProblem(1, 2.0, even_hill), 40)
     centrosymmetric = [m.copy(), hill]
     assert all(_parity_blocks(section) is not None for section in centrosymmetric)
     m[4, 6] += 0.5
@@ -1152,7 +1242,7 @@ def test_sections_that_are_not_centrosymmetric_pass_the_matrix_through():
     for section in (m, m.real.copy(), even_order):
         assert _parity_blocks(section) is None
         _, svals, vh = np.linalg.svd(section)
-        smallest, largest, v = _section_min_singular(section)
+        smallest, largest, v = _section_min_singular(dense_parts(section))
         assert (smallest, largest) == (svals[-1], svals[0]) and np.array_equal(v, vh[-1])
 
 
@@ -1314,7 +1404,7 @@ REACH_2_2D = {(0, 0): 2.0, (1, 0): 0.3, (-1, 0): 0.3, (2, 0): 0.2, (-2, 0): 0.2,
     ],
 )
 def test_the_banded_slab_inverse_is_the_full_recursion_on_its_band(monkeypatch, n, pot, radius, madd_share):
-    w, m, _, _ = _dense_section(HillProblem(n, n + 1.0, pot), radius)
+    w, m, _ = hill_section(HillProblem(n, n + 1.0, pot), radius)
     slabs = dense_parts(m, w)
     assert isinstance(slabs, _Slabs)
     madds = matmul_madds(monkeypatch)
@@ -1443,10 +1533,10 @@ def section_parts_spy(monkeypatch):
 
 
 def hill_entries(n, pot, radius):
-    """The problem, window, dense I + B, its links and B as a stored matrix on the window."""
+    """The problem, window, dense I + B and B as a stored matrix on the window."""
     p = HillProblem(n, n + 1.0, pot)
-    w, m, links, weights = _dense_section(p, radius)
-    return p, w, m, links, build_hill_matrix(p, w, weights)[0]
+    w, m, weights = hill_section(p, radius)
+    return p, w, m, build_hill_matrix(p, w, weights)[0]
 
 
 @pytest.mark.parametrize("n, pot, radius", SLAB_SECTIONS)
@@ -1454,7 +1544,7 @@ def test_slab_stacks_filled_from_the_entries_are_the_dense_slices(monkeypatch, n
     # the rung fills A, U and L straight from B's entries, a ragged last
     # slab (REACH_2_2D: 16 slabs of two k_1 values and one of one) in the top
     # left, and sweeps them as the dense section's own slices are swept
-    _, w, m, _, b = hill_entries(n, pot, radius)
+    _, w, m, b = hill_entries(n, pot, radius)
     sweeps, sweep = [], _dense._slab_sweep
     monkeypatch.setattr(_dense, "_slab_sweep", lambda *args: sweeps.append(args) or sweep(*args))
     rungs = section_parts_spy(monkeypatch)
@@ -1480,7 +1570,7 @@ def test_a_truncated_slab_section_and_its_ladder_rung_give_one_determinant(monke
     # rung builds from its entries, for every kind of factor: the slab
     # sweep, one component that LAPACK factors whole (1-D) and the
     # component stacks of a split section (a constant)
-    _, w, _, _, b = hill_entries(n, pot, radius)
+    _, w, _, b = hill_entries(n, pot, radius)
     parts = section_parts_spy(monkeypatch)
     result, _ = _determinant_ladder(_LadderTails(b, TailModel.exact_finite(), radius), 1e-300)
     f, _ = truncate(b, TailModel.exact_finite(), w)
@@ -1499,7 +1589,7 @@ def test_a_truncated_slab_section_and_its_ladder_rung_give_one_determinant(monke
 def test_the_band_norm_is_the_dense_norm_of_the_band(n, pot, radius):
     # each entry of the band is held once in values: the scratch copies of
     # the column strips are zeros
-    _, w, m, _, _ = hill_entries(n, pot, radius)
+    _, w, m, _ = hill_entries(n, pot, radius)
     g, _ = dense_parts(m, w).inverse()
     g.values[g.diagonal] -= 1.0
     band = float(np.sum(np.abs(g.values)))
