@@ -483,7 +483,9 @@ def _section_matrix(rows, cols, vals, window):
     """
     real = not np.any(vals.imag)
     dense = np.zeros((window.size, window.size), np.float64 if real else np.complex128)
-    dense[window_positions(rows, window.radius), window_positions(cols, window.radius)] = vals.real if real else vals
+    r = window_positions(rows, window.radius)
+    c = window_positions(cols, window.radius)
+    dense[r, c] = vals.real if real else vals
     return dense
 
 
