@@ -41,9 +41,12 @@ e_h, and (e_i - e_{N-1-i}) / sqrt 2 for i < h gives ``Q^T m Q = diag(E, O)``
 order h + 1 and the odd block O of order h (see :func:`_parity_blocks`),
 whose SVDs take about a quarter of the flops of the SVD of m and give a
 vector of one parity.
-:func:`_section_min_singular` takes one values-only SVD per stack of its
-parts (the component stacks, the parity blocks or the section itself),
-then one vector SVD of the matrix with the smallest sigma_min.
+:func:`_singular_parts` lists the stacks a section's SVD reads (the
+component stacks, the parity blocks or the section itself);
+:func:`_singular_summary` takes one values-only SVD per stack and
+:func:`_singular_vector` one vector SVD of the matrix with the smallest
+sigma_min.  All three are pure functions of the factors: what is kept
+between calls, and whether a vector is wanted, is the caller's to decide.
 """
 
 from __future__ import annotations
@@ -435,10 +438,11 @@ def _scatter(size, where, u):
 def _singular_parts(parts):
     """The parts of the section factored as ``parts`` for its SVD, as (stack, keys, back) triples.
 
-    See :func:`_section_min_singular`: the component stacks of a split
-    section as they are, the parity blocks of a one-component one or its
-    matrix itself; ``back(row, u)`` maps a vector u of the stack's matrix
-    ``row`` back to the section.
+    The component stacks of a split section as they are, keyed by their
+    first positions, a vector zero off its component; the even and odd
+    blocks of a one-component section that splits, keyed 0 and 1, a vector
+    mapped by :func:`_parity_vector`; else its one matrix.  ``back(row, u)``
+    maps a vector u of the stack's matrix ``row`` back to the section.
     """
     if parts.start is not None:  # several components
         size = len(parts.start)
@@ -451,58 +455,31 @@ def _singular_parts(parts):
     return [(m[None], [0], lambda _, u: u)]
 
 
-def _section_min_singular(parts, wanted=None, memo=None):
-    """Smallest and largest singular value of a section and a vector v for the smallest.
+def _singular_summary(pieces):
+    """``(minima, pick, smallest, largest)`` of the :func:`_singular_parts` ``pieces``.
 
-    ``parts`` is the section's :class:`_Stacks`.  Its SVD parts are one list
-    of stacks, each matrix with a key and each stack with its rule mapping a
-    vector of one of its matrices back to the section: the component stacks
-    as they are when it has several (keys the first positions, v zero off
-    the component); the even and odd blocks, keyed 0 and 1, when it is one
-    component that splits (v mapped by :func:`_parity_vector`: v[::-1] = v
-    for the even block, -v for the odd); else its one matrix.  One values-only SVD per stack gives the
-    smallest sigma_min, a tie going to the smaller key, and the largest
-    sigma_max.  v is computed only if ``wanted(smallest, largest)`` holds
-    (or ``wanted`` is None), and is None otherwise: LAPACK's last right
-    singular vector (a row of V^H) of the winning matrix, whose vector SVD
-    gives the smallest value returned, and the largest too when that matrix
-    is the only part.
-
-    ``memo(key, compute)``, when given, is the caller's store for this
-    section: it returns ``compute()`` as kept from the first call for
-    ``key``.  It keeps the values-only summary (each part's sigma_min, the
-    pick, the smallest and largest values) and, once wanted, the vector with
-    its SVD's values, so a repeat runs no SVD.  ``parts`` may then be a
-    function giving them, called at most once and only for what is not kept.
+    One values-only SVD per stack gives every matrix's sigma_min
+    (``minima``), the index ``pick`` of the smallest, a tie going to the
+    smaller key, that smallest sigma_min and the largest sigma_max.
     """
-    if memo is None:
-        def memo(_, compute):
-            return compute()
-    section = parts if callable(parts) else lambda: parts
-    found = []
+    values = [np.linalg.svd(stack, compute_uv=False) for stack, _, _ in pieces]
+    minima = np.concatenate([s[:, -1] for s in values])
+    pick = np.lexsort((np.concatenate([keys for _, keys, _ in pieces]), minima))[0]
+    return minima, int(pick), float(minima[pick]), float(max(np.max(s[:, 0]) for s in values))
 
-    def pieces():
-        if not found:
-            found.append(_singular_parts(section()))
-        return found[0]
 
-    def summary():
-        values = [np.linalg.svd(stack, compute_uv=False) for stack, _, _ in pieces()]
-        minima = np.concatenate([s[:, -1] for s in values])
-        pick = np.lexsort((np.concatenate([keys for _, keys, _ in pieces()]), minima))[0]
-        return minima, int(pick), float(minima[pick]), float(max(np.max(s[:, 0]) for s in values))
+def _singular_vector(pieces, summary):
+    """``(smallest, largest, v)``: one vector SVD of the matrix the :func:`_singular_summary` picks.
 
-    minima, pick, smallest, largest = memo("singular values", summary)
-    if wanted is not None and not wanted(smallest, largest):
-        return smallest, largest, None
-
-    def vector():
-        row = pick
-        for stack, _, back in pieces():
-            if row < len(stack):
-                break
-            row -= len(stack)
-        _, svals, vh = np.linalg.svd(stack[row])
-        return float(svals[-1]), (float(svals[0]) if len(minima) == 1 else largest), back(row, vh[-1])
-
-    return memo("singular vector", vector)
+    v is LAPACK's last right singular vector (a row of V^H) of that matrix,
+    mapped back to the section: v[::-1] = v for the even block, -v for the
+    odd one.  The values are that SVD's, but the largest is the summary's
+    unless the matrix is the only part.
+    """
+    minima, row, _, largest = summary
+    for stack, _, back in pieces:
+        if row < len(stack):
+            break
+        row -= len(stack)
+    _, svals, vh = np.linalg.svd(stack[row])
+    return float(svals[-1]), (float(svals[0]) if len(minima) == 1 else largest), back(row, vh[-1])

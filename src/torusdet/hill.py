@@ -31,6 +31,7 @@ of the undamped section, so the scan solves one eigenproblem per section
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._dense import _section_min_singular, _section_parts
+from ._dense import _section_parts, _singular_parts, _singular_summary, _singular_vector
 from .lattice import (
     TruncationWindow,
     as_index,
@@ -93,9 +94,10 @@ class HillProblem:
     near entries of :class:`_HillTails` per list of rung radii, and per
     window radius the singular values of the section of I + B (each part's
     sigma_min, the pick, sigma_max) and, once a caller has wanted it, the
-    vector for the smallest.  For a window of N points each is O(N) times
-    the number of offsets of g at most: no section is kept, so its factors
-    are built anew by every call that needs them (a null vector's residual
+    vector for the smallest; :func:`_window_min_singular` alone reads and
+    fills these two.  For a window of N points each is O(N) times the
+    number of offsets of g at most: no section is kept, so its factors are
+    built anew by every call that needs them (a null vector's residual
     does).  The store is a plain attribute, not a field, so equality and
     repr see only (n, nu, g).
     """
@@ -461,32 +463,30 @@ def _window_matrix(p: HillProblem, radius):
 
 
 def _window_min_singular(p: HillProblem, radius, wanted):
-    """:func:`~torusdet._dense._section_min_singular` of I + B on the window.
+    """Smallest and largest singular value of I + B on the window, and a vector v for the smallest.
 
-    Its factors, :func:`~torusdet._dense._section_parts` of the entries of
-    :func:`_window_matrix`, are never N x N for a window that splits.  The
-    problem keeps the singular values per window radius, and the vector once
-    wanted, so they are built only for what is not kept yet, or for a caller
-    that gets a vector.  Returns ``(smallest, largest, v, (w, parts, d(k)))``,
-    the last None when v is.
+    The window's factors, :func:`~torusdet._dense._section_parts` of the
+    entries of :func:`_window_matrix`, are never N x N for a window that
+    splits; their SVD is :func:`~torusdet._dense._singular_summary` and,
+    only if ``wanted(smallest, largest)`` holds, the vector of
+    :func:`~torusdet._dense._singular_vector`.  The problem keeps both per
+    window radius, and the factors are built at most once per call, only
+    for what is not kept yet or for a caller that gets a vector.  Returns
+    ``(smallest, largest, v, (w, parts, d(k)))``, the last two None unless
+    v is wanted.
     """
-    built = []
-
+    @functools.cache
     def section():
         w, b, weights = _window_matrix(p, radius)
         r, c = window_positions(b.rows, radius), window_positions(b.cols, radius)
         vals = b.vals if np.any(b.vals.imag) else b.vals.real
-        built.append((w, _section_parts(w.size, r, c, vals, 1.0), weights))
-        return built[-1][1]
+        return w, _section_parts(w.size, r, c, vals, 1.0), weights
 
-    smallest, largest, v = _section_min_singular(
-        section, wanted=wanted, memo=lambda key, compute: p._memo((key, radius), compute)
-    )
-    if v is None:
-        return smallest, largest, None, None
-    if not built:
-        section()
-    return smallest, largest, v, built[0]
+    pieces = functools.cache(lambda: _singular_parts(section()[1]))
+    summary = p._memo(("singular values", radius), lambda: _singular_summary(pieces()))
+    if not wanted(*summary[2:]):
+        return *summary[2:], None, None
+    return *p._memo(("singular vector", radius), lambda: _singular_vector(pieces(), summary)), section()
 
 
 @np.errstate(over="ignore")  # a residual past the float range is inf
@@ -538,7 +538,7 @@ def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
 
     The candidate is the right singular vector of the smallest singular
     value of the section of I + B on the window, taken over the section's
-    factors by :func:`~torusdet._dense._section_min_singular`
+    factors by :func:`_window_min_singular`
     (robust under the +-k degeneracies of even problems).  It lives on one
     connected component: on a tie, as between the +-k modes of a constant
     potential, the one holding the lexicographically first window point.
@@ -566,13 +566,9 @@ def extract_null_solution(p: HillProblem, w: TruncationWindow, threshold=1e-6):
     norms = euclid_norm_array(pts)
     regularity_mass = float(np.sum(norms**p.nu * np.abs(b_vec)))
     bound = (2.0 * np.pi) ** (-p.nu) * float(np.sum(np.abs(b_vec))) * p.potential_l1()
-    coeffs = {
-        tuple(int(c) for c in pts[i]): complex(b_vec[i])
-        for i in range(len(pts))
-        if b_vec[i] != 0
-    }
+    nonzero = np.flatnonzero(b_vec)
     return SolutionCandidate(
-        coefficients=coeffs,
+        coefficients=dict(zip(map(tuple, pts[nonzero].tolist()), b_vec[nonzero].astype(complex).tolist())),
         residual=residual,
         regularity_mass=regularity_mass,
         regularity_bound=bound,
@@ -618,6 +614,8 @@ def spectral_shift_scan(p: HillProblem, lambdas, tol, radius=32):
     A root lambda* certifies -lambda* as an approximate eigenvalue of the
     operator.
     """
+    if not tol > 0:  # NaN too
+        raise ValueError("tol must be positive")
     grid = np.asarray(lambdas, float)
     if not grid.size:
         raise ValueError("scan grid is empty")

@@ -535,7 +535,9 @@ def _det_slack(det_n, size):
 
 
 def _ladder_radii(top):
-    """Doubling window radii min(top, 8), 16, ..., ending exactly at ``top``."""
+    """Doubling window radii min(top, 8), 16, ..., ending exactly at ``top`` >= 0."""
+    if top < 0:
+        raise ValueError("window radius must be nonnegative")
     radii = [min(top, 8)]
     while radii[-1] < top:
         radii.append(min(2 * radii[-1], top))
@@ -635,7 +637,7 @@ def poincare_trace(a: SparseL1Matrix, tail: TailModel, tol, max_radius=2**53):
     that overflows the float range raises ``NonConvergenceError``: no bound
     covers it.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     coverage = a.support_radius
     unstored = tail.bound_at(coverage)
@@ -857,7 +859,7 @@ def _determinant_ladder(tails, tol):
     ladder ended.  The rungs fit the dense section limit: they are the
     provider's :func:`_section_rungs`.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     ladder = []
     best = None

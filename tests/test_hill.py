@@ -10,8 +10,10 @@ from torusdet._dense import (
     _Slabs,
     _parity_blocks,
     _section_det,
-    _section_min_singular,
     _section_parts,
+    _singular_parts,
+    _singular_summary,
+    _singular_vector,
 )
 from torusdet.lattice import TruncationWindow, shell_tail, sup_norm_array
 from torusdet.l1_algebra import (
@@ -33,6 +35,7 @@ from torusdet.hill import (
     _kernel_certified,
     _square_tail,
     _window_matrix,
+    _window_min_singular,
     build_hill_matrix,
     existence_test,
     extract_null_solution,
@@ -61,6 +64,19 @@ def dense_parts(m, window=None):
     """The :func:`_section_parts` of a dense section m, from its nonzeros."""
     r, c = np.nonzero(m)
     return _section_parts(len(m), r, c, m[r, c], 0.0, window)
+
+
+def section_min_singular(parts, wanted=None):
+    """``(smallest, largest, v)`` of the section factored as ``parts``, v None unless ``wanted(smallest, largest)``.
+
+    The summary of its SVD parts and, once wanted, the vector, composed as
+    :func:`torusdet.hill._window_min_singular` composes them, with nothing kept.
+    """
+    pieces = _singular_parts(parts)
+    summary = _singular_summary(pieces)
+    if wanted is not None and not wanted(*summary[2:]):
+        return *summary[2:], None
+    return _singular_vector(pieces, summary)
 
 
 def diagonal_oracle(g0):
@@ -552,6 +568,22 @@ def test_extract_null_solution_zero_potential_returns_constants():
     assert sol.regularity_mass <= 1e-12
 
 
+def test_null_solution_coefficients_are_the_nonzero_window_points():
+    # in window order, as Python int tuples and complex numbers, zeros left
+    # out: one nonzero of a split window, and all but k = 0 of a 1-D real one
+    for p, w in ((HillProblem(2, 3.0, {(0, 0): -((2.0 * math.pi) ** 3)}), TruncationWindow(6, 2)),
+                 (HillProblem(1, 2.0, {(0,): NEAR_ROOT_1D, (1,): 0.5, (-1,): 0.5}), TruncationWindow(12, 1))):
+        sol = extract_null_solution(p, w, threshold=1.0)
+        b = np.conj(_window_min_singular(p, w.radius, lambda *_: True)[2])
+        b = b / np.linalg.norm(b)
+        pts = w.coords_array()
+        want = [(tuple(int(c) for c in pts[i]), complex(b[i])) for i in range(w.size) if b[i] != 0]
+        assert list(sol.coefficients.items()) == want
+        assert all(type(c) is int for k in sol.coefficients for c in k)
+        assert all(type(x) is complex for x in sol.coefficients.values())
+    assert len(sol.coefficients) == w.size - 1  # sin-type: b_0 = 0
+
+
 def test_extraction_at_scanned_mathieu_root():
     q = 1.0
     p = HillProblem(1, 2.0, {(-1,): q, (1,): q})
@@ -777,7 +809,7 @@ def test_parity_kernels_match_unsplit_linalg_on_even_hill_sections(n, pot, radiu
     inv = np.linalg.inv(m)
     assert np.linalg.norm(dense_of(parts.inverse()[0], len(m)) - inv) <= 1e-12 * np.linalg.norm(inv)
     svals = np.linalg.svd(m, compute_uv=False)
-    smallest, largest, v = _section_min_singular(parts)
+    smallest, largest, v = section_min_singular(parts)
     assert abs(smallest - svals[-1]) <= 1e-12 * svals[-1]
     assert abs(largest - svals[0]) <= 1e-12 * svals[0]
     assert v.dtype == m.dtype and abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -1374,7 +1406,7 @@ def test_an_unwanted_vector_is_never_computed(monkeypatch):
         for refuse in (True, False):
             calls.clear()
             seen = []
-            smallest, largest, v = _section_min_singular(
+            smallest, largest, v = section_min_singular(
                 dense_parts(m), wanted=lambda s, l: seen.append((s, l)) or not refuse
             )
             assert len(seen) == 1, name
@@ -1386,7 +1418,7 @@ def test_an_unwanted_vector_is_never_computed(monkeypatch):
                 # the values of the vector SVD, within roundoff of those seen
                 assert seen[0] == pytest.approx((smallest, largest), rel=1e-14), name
                 assert calls.count(True) == 1, name
-                want = _section_min_singular(dense_parts(m))
+                want = section_min_singular(dense_parts(m))
                 assert (smallest, largest) == want[:2] and np.array_equal(v, want[2]), name
     # the kernel check of an undecided problem refuses the same way
     calls.clear()

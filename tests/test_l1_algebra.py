@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from torusdet import _dense, l1_algebra
-from torusdet.hill import HillProblem, _window_min_singular, build_hill_matrix, hill_determinant
+from torusdet.hill import (
+    HillProblem,
+    _window_min_singular,
+    build_hill_matrix,
+    existence_test,
+    hill_determinant,
+    spectral_shift_scan,
+)
 from torusdet.lattice import TruncationWindow
 from torusdet.l1_algebra import (
     DimensionMismatchError,
@@ -44,7 +51,6 @@ from torusdet._dense import (
     _Stacks,
     _parity_blocks,
     _section_det,
-    _section_min_singular,
     _section_parts,
     _slab_sweep,
 )
@@ -60,6 +66,7 @@ from test_hill import (
     dense_of,
     dense_parts,
     hill_section,
+    section_min_singular,
 )
 
 
@@ -506,6 +513,38 @@ def test_poincare_trace_nonconvergence_has_diagnostics():
         poincare_trace(matrix, slow, 1e-8, max_radius=2**20)
     assert err.value.ladder  # carries the attempted windows
     assert err.value.last_bound >= 0.5
+
+
+LIBRARY_TOLERANCE_CALLS = {
+    "poincare_trace": lambda matrix, p, tol: poincare_trace(matrix, TailModel.exact_finite(), tol),
+    "poincare_determinant": lambda matrix, p, tol: poincare_determinant(matrix, TailModel.exact_finite(), tol),
+    "invertibility_test": lambda matrix, p, tol: invertibility_test(matrix, TailModel.exact_finite(), tol),
+    "hill_determinant": lambda matrix, p, tol: hill_determinant(p, tol),
+    "existence_test": lambda matrix, p, tol: existence_test(p, tol),
+    "spectral_shift_scan": lambda matrix, p, tol: spectral_shift_scan(p, np.linspace(-60.0, 0.0, 201), tol, 16),
+}
+
+
+@pytest.mark.parametrize("entry", LIBRARY_TOLERANCE_CALLS)
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_library_tolerances_must_be_positive(entry, tol):
+    # as on the CLI; NaN fails every comparison, so it must not pass as a
+    # tolerance that no ladder rung or scan root can reach
+    matrix = SparseL1Matrix(1, {((0,), (0,)): 0.5, ((1,), (0,)): 0.25})
+    p = HillProblem(1, 2.0, {(0,): 1.0, (1,): 1.0, (-1,): 1.0})
+    with pytest.raises(ValueError, match="tol must be positive"):
+        LIBRARY_TOLERANCE_CALLS[entry](matrix, p, tol)
+
+
+def test_ladders_refuse_a_negative_max_radius():
+    matrix = SparseL1Matrix(1, {((0,), (0,)): 0.5, ((1,), (0,)): 0.25})
+    p = HillProblem(1, 2.0, {(0,): 1.0, (1,): 1.0, (-1,): 1.0})
+    for call in (lambda: poincare_trace(matrix, TailModel.exact_finite(), 1e-6, max_radius=-1),
+                 lambda: poincare_determinant(matrix, TailModel.exact_finite(), 1e-6, max_radius=-1),
+                 lambda: invertibility_test(matrix, TailModel.exact_finite(), 1e-6, max_radius=-1),
+                 lambda: hill_determinant(p, 1e-6, max_radius=-1)):
+        with pytest.raises(ValueError, match="window radius must be nonnegative"):
+            call()
 
 
 def test_poincare_determinant_zero_and_finite():
@@ -1052,7 +1091,7 @@ def test_section_kernels_match_dense_linalg_on_hidden_blocks(complex_values):
     assert rel_err(dense_of(parts.inverse()[0], len(m)), np.linalg.inv(m)) <= 1e-12
 
     _, svals, vh = np.linalg.svd(m)
-    smallest, largest, v = _section_min_singular(dense_parts(m))
+    smallest, largest, v = section_min_singular(dense_parts(m))
     assert abs(smallest - svals[-1]) <= 1e-12 * svals[-1]
     assert abs(largest - svals[0]) <= 1e-12 * svals[0]
     assert v.dtype == m.dtype and abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -1068,7 +1107,7 @@ def test_section_kernels_on_an_exactly_singular_block(complex_values):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _section_det(dense_parts(m)) == 0
-        smallest, largest, v = _section_min_singular(dense_parts(m))
+        smallest, largest, v = section_min_singular(dense_parts(m))
     with pytest.raises(np.linalg.LinAlgError):
         dense_parts(m).inverse()
     # an unsigned zero, whatever the signs of the other blocks, and for one
@@ -1088,7 +1127,7 @@ def test_section_kernels_on_one_component_pass_the_matrix_through():
     assert whole(parts) and _section_det(parts) == complex(np.linalg.det(m))
     assert np.array_equal(dense_of(parts.inverse()[0], len(m)), np.linalg.inv(m))
     _, svals, vh = np.linalg.svd(m)
-    smallest, largest, v = _section_min_singular(dense_parts(m))
+    smallest, largest, v = section_min_singular(dense_parts(m))
     assert (smallest, largest) == (svals[-1], svals[0]) and np.array_equal(v, vh[-1])
 
 
@@ -1106,13 +1145,13 @@ def test_section_min_singular_tie_goes_to_the_first_window_position():
     # 1 x 1 blocks are solved in an earlier stacked call
     m = np.diag([0.0, 3.0, -1.0, 0.0, 1.0, 2.0])
     m[0, 3] = m[3, 0] = 1.0
-    smallest, largest, v = _section_min_singular(dense_parts(m))
+    smallest, largest, v = section_min_singular(dense_parts(m))
     assert (smallest, largest) == (1.0, 3.0)
     assert np.count_nonzero(v[[1, 2, 4, 5]]) == 0
     assert np.linalg.norm(m @ np.conj(v)) == pytest.approx(1.0, abs=1e-15)
 
     m = np.diag([4.0, 2.0, 3.0, -2.0, 2.0])
-    smallest, _, v = _section_min_singular(dense_parts(m))
+    smallest, _, v = section_min_singular(dense_parts(m))
     assert smallest == 2.0
     assert np.flatnonzero(v).tolist() == [1] and abs(v[1]) == 1.0
 
@@ -1156,7 +1195,7 @@ def test_split_window_singular_values_are_those_of_the_sliced_dense_section(n, p
     p = HillProblem(n, n + 1.0, pot)
     _, m, _ = hill_section(p, radius)
     want = sliced_min_singular(m)
-    for got in (_section_min_singular(dense_parts(m)), _window_min_singular(p, radius, None)[:3]):
+    for got in (section_min_singular(dense_parts(m)), _window_min_singular(p, radius, lambda *_: True)[:3]):
         assert got[:2] == want[:2] and got[2].dtype == m.dtype and np.array_equal(got[2], want[2])
 
 
@@ -1165,7 +1204,7 @@ def test_split_singular_values_are_those_of_the_sliced_matrix(complex_values):
     rng = np.random.default_rng(50)
     for m in (hidden_block_diagonal(rng, BLOCK_SIZES, complex_values),
               hidden_block_diagonal(rng, [2] * 7, complex_values), np.diag(rng.standard_normal(9) + 2.0)):
-        smallest, largest, v = _section_min_singular(dense_parts(m))
+        smallest, largest, v = section_min_singular(dense_parts(m))
         assert (smallest, largest) == sliced_min_singular(m)[:2]
         assert np.array_equal(v, sliced_min_singular(m)[2])
 
@@ -1204,7 +1243,7 @@ def test_parity_tie_goes_to_the_even_block():
     even, odd = _parity_blocks(m)
     sigma = [np.linalg.svd(b, compute_uv=False)[-1] for b in (even, odd)]
     assert sigma == [r, r]
-    smallest, largest, v = _section_min_singular(dense_parts(m))
+    smallest, largest, v = section_min_singular(dense_parts(m))
     assert smallest == largest == r
     assert v[1] != 0 and np.array_equal(v, v[::-1])  # even: v[::-1] = v, odd: = -v
     assert np.linalg.norm(m @ np.conj(v)) == pytest.approx(r, rel=1e-15)
@@ -1242,7 +1281,7 @@ def test_sections_that_are_not_centrosymmetric_pass_the_matrix_through():
     for section in (m, m.real.copy(), even_order):
         assert _parity_blocks(section) is None
         _, svals, vh = np.linalg.svd(section)
-        smallest, largest, v = _section_min_singular(dense_parts(section))
+        smallest, largest, v = section_min_singular(dense_parts(section))
         assert (smallest, largest) == (svals[-1], svals[0]) and np.array_equal(v, vh[-1])
 
 
