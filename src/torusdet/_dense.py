@@ -8,6 +8,10 @@ with one LAPACK call per component size on the stacked blocks
 (:class:`_Stacks`).  Ladder rungs and :func:`l1_algebra.finite_determinant`
 build the same factors, which give ``dets()``, ``inverse()`` and
 ``parts @ b``, and so do the Hill windows whose SVD seeks a null vector.
+:func:`l1_algebra.truncate` and the Hill scan fill a whole N x N section as
+the one-component :class:`_Stacks` on the block ``np.arange(N)[None]``.
+Every fill, slab stacks too, is float64 when every value is real: callers
+pass entries as stored, and no other module picks a section's dtype.
 
 A one-component section in dimension n >= 2 is factored slab by slab when
 the caller passes its window.  A section whose entries move k_1 by at most
@@ -118,7 +122,7 @@ def _section_parts(size, r, c, values, diagonal, window=None):
     section is on) makes it a slab section and the sweep passes its guard,
     else the one-component :class:`_Stacks` that LAPACK factors, filled
     straight from the entries at ``r N + c``.  Each has ``dets()`` and
-    ``inverse()``.
+    ``inverse()``.  Each is float64 when every value is real.
     """
     blocks = _component_blocks(size, r, c)
     slabs = None if blocks else _slab_blocks(window, r, c, values, diagonal)
@@ -133,6 +137,7 @@ def _slab_blocks(window, r, c, values, diagonal):
     order = _slab_order(r, c, window)
     if not order:
         return []
+    values = values if np.any(values.imag) else values.real
     stacks = np.zeros((3, -(-window.size // order), order, order), values.dtype)
     stacks[c // order - r // order, r // order, r % order, c % order] = values  # block column i - 1 is L
     stacks[0].reshape(len(stacks[0]), -1)[:, :: order + 1].flat[: window.size] += diagonal  # A's diagonals
@@ -315,7 +320,10 @@ class _Stacks:
 
     @classmethod
     def identity_plus(cls, blocks, r, c, values, diagonal):
-        """The section on ``blocks``: ``values`` at the positions (r, c) within them, plus ``diagonal``."""
+        """The section on ``blocks``: ``values`` at the positions (r, c) within them, plus ``diagonal``.
+
+        float64 when every value is real; the one block ``np.arange(N)[None]`` gives ``stacks[0][0]`` N x N."""
+        values = values if np.any(values.imag) else values.real
         split = cls(blocks, np.zeros(sum(idx.size * idx.shape[1] for idx in blocks), values.dtype))
         split.values[split._at(r, c)] = values
         split.values[split.diagonal] += diagonal

@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._dense import _section_parts, _singular_parts, _singular_summary, _singular_vector
+from ._dense import _Stacks, _section_parts, _singular_parts, _singular_summary, _singular_vector
 from .lattice import (
     TruncationWindow,
     as_index,
@@ -57,7 +57,6 @@ from .l1_algebra import (
     _converged,
     _determinant_ladder,
     _rung_buckets,
-    _section_matrix,
     _section_rungs,
     determinant_decision,
 )
@@ -454,12 +453,12 @@ def existence_test(p: HillProblem, tol=1e-8, max_radius=64, coverage_radius=None
 
 
 def _window_matrix(p: HillProblem, radius):
-    """Window of the radius, B on it (a :class:`SparseL1Matrix`) and d(k) on it."""
+    """Window of the radius, B's entries on it (window positions r, c and values) and d(k) on it."""
     w = TruncationWindow(radius, p.dimension)
     _check_section_size(w)
     weights = p.weights(w.coords_array())
-    matrix, _ = build_hill_matrix(p, w, weights)
-    return w, matrix, weights
+    b, _ = build_hill_matrix(p, w, weights)
+    return w, window_positions(b.rows, radius), window_positions(b.cols, radius), b.vals, weights
 
 
 def _window_min_singular(p: HillProblem, radius, wanted):
@@ -477,9 +476,7 @@ def _window_min_singular(p: HillProblem, radius, wanted):
     """
     @functools.cache
     def section():
-        w, b, weights = _window_matrix(p, radius)
-        r, c = window_positions(b.rows, radius), window_positions(b.cols, radius)
-        vals = b.vals if np.any(b.vals.imag) else b.vals.real
+        w, r, c, vals, weights = _window_matrix(p, radius)
         return w, _section_parts(w.size, r, c, vals, 1.0), weights
 
     pieces = functools.cache(lambda: _singular_parts(section()[1]))
@@ -625,9 +622,8 @@ def spectral_shift_scan(p: HillProblem, lambdas, tol, radius=32):
         raise ValueError("scan grid points must be finite")
     lambdas = grid.tolist()
 
-    w, b, weights = _window_matrix(p, radius)
-    dense = _section_matrix(b.rows, b.cols, b.vals, w)
-    dense.flat[:: w.size + 1] += 1.0  # I + B
+    w, r, c, vals, weights = _window_matrix(p, radius)
+    dense = _Stacks.identity_plus([np.arange(w.size)[None]], r, c, vals, 1.0).stacks[0][0]  # I + B
     mu = np.linalg.eigvals(weights[:, None] * dense)
     # ascending eigenvalues against ascending weights keep every factor
     # (mu_i + lambda) / d_i of moderate size; a product that still overflows

@@ -316,7 +316,8 @@ def dumps_fixed(doc, indent=0):
     Each container is joined from its items' strings as soon as they are
     written, so only one container's parts per level are alive at a time;
     each distinct key is encoded once per call.  A :class:`Table` is written
-    by one ``%`` template.  Keys must be strings: JSON has no other kind.
+    by one ``%`` template.  A subclass (a numpy float, a named tuple) is
+    written as its base, bool before int.  Keys must be strings: JSON has no other kind.
     """
     return _fixed(doc, "  " * indent, {})
 
@@ -376,10 +377,9 @@ def _float_array(label, values):
 
 def _fixed(value, pad, keys):
     """The fixed form of ``value`` indented by ``pad``; ``keys`` caches encoded keys."""
-    kind = _JSON_KINDS.get(type(value)) or _json_kind(value)
-    if kind is float:
+    if isinstance(value, float):
         return format_float(value)
-    if kind is dict:
+    if isinstance(value, dict):
         if not value:
             return "{}"
         inner = pad + "  "
@@ -388,16 +388,18 @@ def _fixed(value, pad, keys):
             text = keys.get(key) or _key(key, keys)
             items.append(inner + text + ": " + _fixed(item, inner, keys))
         return "{\n%s\n%s}" % (",\n".join(items), pad)
-    if kind is list:
+    if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = pad + "  "
         return "[\n%s\n%s]" % (",\n".join([inner + _fixed(item, inner, keys) for item in value]), pad)
-    if kind is Table:
+    if isinstance(value, Table):
         return "[\n%s\n%s]" % (_rows(value.columns, value.count, pad + "  ", keys), pad) if value.count else "[]"
-    if kind is int:
+    if isinstance(value, (str, bool)) or value is None:  # bool before int, its base
+        return json.dumps(value)
+    if isinstance(value, int):
         return str(value)
-    return json.dumps(value)  # str, bool and None
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _key(key, keys):
@@ -437,19 +439,6 @@ def _rows(columns, count, pad, keys):
 def _escaped(key, keys):
     """The encoded form of a str key, its ``%`` doubled for a ``%`` template."""
     return (keys.get(key) or _key(key, keys)).replace("%", "%%")
-
-
-# exact types dumps_fixed writes, by the kind it writes them as
-_JSON_KINDS = {float: float, dict: dict, Table: Table, list: list, tuple: list,
-               int: int, str: str, bool: bool, type(None): bool}
-
-
-def _json_kind(value):
-    """The kind of a value whose type is not in ``_JSON_KINDS`` (a subclass)."""
-    for base, kind in _JSON_KINDS.items():
-        if isinstance(value, base):
-            return kind
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def complex_doc(z):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dense import _section_det, _section_parts
+from ._dense import _Stacks, _section_det, _section_parts
 from .lattice import (
     TruncationWindow,
     as_index,
@@ -355,7 +355,7 @@ def compose(a: SparseL1Matrix, b: SparseL1Matrix):
 
 def lp_norm(x, p):
     """l^p norm of a finitely supported sequence given as {index: value}."""
-    if p < 1:
+    if not p >= 1:  # NaN too
         raise ValueError("p must be >= 1")
     if not x:
         return 0.0
@@ -475,27 +475,14 @@ def _check_section_size(w: TruncationWindow):
         )
 
 
-def _section_matrix(rows, cols, vals, window):
-    """Dense section on the window of entries that all lie inside it.
-
-    The section is float64 when every value is real and complex128
-    otherwise; every dense kernel downstream keeps that dtype.
-    """
-    real = not np.any(vals.imag)
-    dense = np.zeros((window.size, window.size), np.float64 if real else np.complex128)
-    r = window_positions(rows, window.radius)
-    c = window_positions(cols, window.radius)
-    dense[r, c] = vals.real if real else vals
-    return dense
-
-
 def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
     """Dense finite section on the window plus the certified tail mass.
 
     ``tail_norm`` bounds the l1 distance between the operator and the
     embedded section: the discarded stored mass plus the tail model's bound
     at the coverage radius, the rule of both ladders (see :class:`TailModel`).
-    Only the entries of the window's :func:`_row_span` are read.
+    Only the entries of the window's :func:`_row_span` are read; they fill
+    the section as :class:`~torusdet._dense._Stacks` fills one component.
     """
     if w.dimension != a.dimension:
         raise DimensionMismatchError(f"dimension {a.dimension} vs {w.dimension}")
@@ -503,7 +490,8 @@ def truncate(a: SparseL1Matrix, tail: TailModel, w: TruncationWindow):
     lo, hi = _row_span(a, w.radius)
     inside = lo + np.flatnonzero(_entry_radii(a, slice(lo, hi)) <= w.radius)
     vals = a.vals[inside]
-    dense = _section_matrix(a.rows[inside], a.cols[inside], vals, w)
+    r, c = window_positions(a.rows[inside], w.radius), window_positions(a.cols[inside], w.radius)
+    dense = _Stacks.identity_plus([np.arange(w.size)[None]], r, c, vals, 0.0).stacks[0][0]
     stored_tail = _discarded_mass(a, _mass(vals), w.radius)
     return FiniteSection(w, dense), stored_tail + tail.bound_at(a.support_radius)
 
@@ -868,8 +856,7 @@ def _determinant_ladder(tails, tol):
         inside = tails.bucket <= i
         f_norm = float(np.sum(tails.abs_vals[inside]))
         r, c = window_positions(tails.rows[inside], n), window_positions(tails.cols[inside], n)
-        vals = tails.vals[inside]
-        parts = _section_parts(window.size, r, c, vals if np.any(vals.imag) else vals.real, 1.0, window)
+        parts = _section_parts(window.size, r, c, tails.vals[inside], 1.0, window)
         det_n = _section_det(parts)
         stored, unstored, norm_upper = tails.l1_tail(i, f_norm)
         t_total = stored + unstored

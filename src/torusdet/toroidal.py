@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
+    InvalidOrderError,
     TruncationWindow,
     as_index,
     box_coords,
@@ -486,6 +487,8 @@ class EllipticityReport:
 
 
 def _x_grid_points(dimension, size):
+    if size < 1:
+        raise ValueError(f"x_grid must be >= 1, got {size}")
     return box_coords((0,) * dimension, (size - 1,) * dimension) / size
 
 
@@ -606,6 +609,8 @@ def symbol_order_diagnostic(sigma, alpha_max, w: TruncationWindow, x_grid=4):
     symbol classes are sup bounds, a finite sample cannot prove them.
     """
     alpha_max = as_index(alpha_max, sigma.dimension)
+    if min(alpha_max) < 0:
+        raise InvalidOrderError(f"difference order {alpha_max} has a negative entry")
     n = sigma.dimension
     # the window extended by alpha_max on the high side of each axis, so
     # that every difference of order alpha <= alpha_max starts in the window

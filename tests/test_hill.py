@@ -20,7 +20,6 @@ from torusdet.l1_algebra import (
     NonConvergenceError,
     SparseL1Matrix,
     TailModel,
-    _section_matrix,
     _tail_cross_term,
     poincare_determinant,
     truncate,
@@ -53,10 +52,11 @@ def dense_of(g, size):
 
 
 def hill_section(p, radius):
-    """Window, dense I + B on it (float64 when B is real) and d(k) on it, as the scan fills them."""
-    w, b, weights = _window_matrix(p, radius)
-    m = _section_matrix(b.rows, b.cols, b.vals, w)
-    m.flat[:: w.size + 1] += 1.0
+    """Window, dense I + B on it (float64 when B is real) and d(k) on it, filled with plain numpy."""
+    w, r, c, vals, weights = _window_matrix(p, radius)
+    real = not np.any(vals.imag)
+    m = np.eye(w.size, dtype=np.float64 if real else np.complex128)
+    m[r, c] += vals.real if real else vals
     return w, m, weights
 
 

@@ -272,6 +272,13 @@ def test_apply_schur_bound():
             assert lp_norm(y, p) <= a.l1_norm * lp_norm(x, p) * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("p", [0.5, -math.inf, math.nan])
+def test_lp_norm_refuses_p_below_one(p):
+    # NaN fails every comparison, so it must not pass as an exponent
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        lp_norm({(0,): 1.0, (1,): -2.0}, p)
+
+
 # --- truncation
 
 
@@ -482,7 +489,7 @@ def test_poincare_determinant_refuses_an_overflowed_norm(monkeypatch):
     a = SparseL1Matrix.from_canonical_arrays(1, pts, pts, np.array([1e308, 1e308]))
     # refused before any rung: no section is filled; invertibility_test
     # refuses from the same site instead of overflowing in the ladder
-    monkeypatch.setattr(l1_algebra, "_section_matrix", None)
+    monkeypatch.setattr(l1_algebra, "_section_parts", None)
     for entry in (poincare_determinant, invertibility_test):
         with pytest.raises(NonConvergenceError, match="l1 norm of the matrix is not finite: inf"):
             entry(a, TailModel.exact_finite(), 1e-8)

@@ -8,7 +8,7 @@ import pytest
 
 from torusdet import toroidal
 from torusdet.io import parse_symbol_document
-from torusdet.lattice import TruncationWindow, bracket_array, sup_norm_array
+from torusdet.lattice import InvalidOrderError, TruncationWindow, bracket_array, sup_norm_array
 from torusdet.l1_algebra import SparseL1Matrix, TailModel, compose, poincare_determinant
 from torusdet.toroidal import (
     AliasingError,
@@ -699,6 +699,24 @@ def test_order_diagnostic_needs_enough_shells():
     sym = fractional_laplacian_symbol(2.0, 1)
     with pytest.raises(DiagnosticWindowError):
         symbol_order_diagnostic(sym, (1,), TruncationWindow(2, 1), x_grid=1)
+
+
+def test_order_diagnostic_refuses_a_negative_difference_order():
+    sym = SymbolSum([MultiplicationSymbol(1, {(1,): 0.5, (-1,): 0.5}), fractional_laplacian_symbol(2.0, 1)])
+    with pytest.raises(InvalidOrderError, match="negative entry"):
+        symbol_order_diagnostic(sym, (-1,), TruncationWindow(8, 1))
+    with pytest.raises(InvalidOrderError, match="negative entry"):
+        symbol_order_diagnostic(fractional_laplacian_symbol(2.0, 2), (2, -1), TruncationWindow(8, 2))
+
+
+@pytest.mark.parametrize("x_grid", [0, -4])
+def test_x_grids_below_one_are_refused(x_grid):
+    sym = fractional_laplacian_symbol(2.0, 1)
+    w = TruncationWindow(8, 1)
+    with pytest.raises(ValueError, match="x_grid must be >= 1"):
+        strong_ellipticity_check(sym, 2.0, w, x_grid=x_grid)
+    with pytest.raises(ValueError, match="x_grid must be >= 1"):
+        symbol_order_diagnostic(sym, (1,), w, x_grid=x_grid)
 
 
 def test_l1_membership_boundary_and_failure():
