@@ -53,7 +53,10 @@ def main(argv):
                             raw = exc
                         key = f"{name}/{seed}/{op.label}/{index}"
                         ops_out[key] = json.dumps(workloads.describe(raw), sort_keys=True, default=repr)
-                        statuses[key] = op.check(raw)[0]
+                        try:
+                            statuses[key] = op.check(raw)[0]
+                        except Exception as exc:  # as in the runner, a check that raises reads as wrong
+                            statuses[key] = f"{workloads.WRONG}: check raised {type(exc).__name__}"
     out.write_text(json.dumps({"ops": ops_out, "status": statuses}, indent=1, sort_keys=True))
     failed = sum(status != workloads.OK for status in statuses.values())
     print(f"{len(ops_out)} op calls, {failed} not ok, written to {out}")
